@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .convergence import convergence_run, corner_atom_masses
-from .geometry import DegenerateGeometryError, make_geometry
+from .geometry import DegenerateGeometryError, atom_weights, make_geometry
 from .hermitization import (
     InvalidGridError,
     PotentialGrid,
@@ -165,9 +165,8 @@ def cmd_check(args) -> int:
             zw[2] + (zw[3] - zw[2]) * rng.random(args.z_grid)
         )
         margins = [
-            {"re": float(z.real), "im": float(z.imag),
-             "margin": verify_sv_bound(realization, geom, complex(z))}
-            for z in zs
+            {"re": float(z.real), "im": float(z.imag), "margin": float(margin)}
+            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs))
         ]
         worst = min(m["margin"] for m in margins)
         checks.append(("sv_bound", worst >= -args.tol_margin * scale, f"worst_margin={worst:.3e}"))
@@ -175,13 +174,9 @@ def cmd_check(args) -> int:
         margins = []
 
     masses = corner_atom_masses(realization)
-    a_w = {geom.alpha: realization.realized_p_law.weight,
-           geom.alpha_prime: 1.0 - realization.realized_p_law.weight}
-    b_w = {geom.beta: realization.realized_q_law.weight,
-           geom.beta_prime: 1.0 - realization.realized_q_law.weight}
+    weights = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
     corner_ok = True
-    for corner, e_mass, i_mass in zip(masses.corners, masses.esd_mass, masses.intersection_mass):
-        lower = max(0.0, a_w[corner.real] + b_w[corner.imag] - 1.0)
+    for e_mass, i_mass, lower in zip(masses.esd_mass, masses.intersection_mass, weights.corner_weights):
         if abs(e_mass - i_mass) > 1e-12 or e_mass < lower - 1e-12:
             corner_ok = False
     checks.append(("corner_mass", corner_ok,

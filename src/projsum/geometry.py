@@ -64,21 +64,22 @@ class HyperbolaRectangle:
         if self.gap_a == 0.0 or self.gap_b == 0.0:
             raise DegenerateGeometryError("gaps must be nonzero; laws must be two-atom")
 
+    # exact corner coordinates: center -+ gap/2 can round a corner off H or out of R
     @property
     def alpha(self) -> float:
-        return self.center_x - 0.5 * self.gap_a
+        return self.corners[0].real
 
     @property
     def alpha_prime(self) -> float:
-        return self.center_x + 0.5 * self.gap_a
+        return self.corners[3].real
 
     @property
     def beta(self) -> float:
-        return self.center_y - 0.5 * self.gap_b
+        return self.corners[0].imag
 
     @property
     def beta_prime(self) -> float:
-        return self.center_y + 0.5 * self.gap_b
+        return self.corners[3].imag
 
     @property
     def center(self) -> complex:
@@ -207,59 +208,54 @@ def hr_points(geom: HyperbolaRectangle, m: int) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section minimum of f on [lo, hi] with absolute bracket control.
+def _curve_distance(geom: HyperbolaRectangle, zs: np.ndarray, sign: float, t: np.ndarray) -> np.ndarray:
+    """|z - w(t)| elementwise, w(t) the curve point on the mirror side ``sign``.
+
+    The curve is parameterized by the coordinate with the smaller gap
+    (t = y' when A^2 >= B^2, else t = x'); the other coordinate is
+    +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  Unlike the level s, this
+    parameter has curve speed between 1 and sqrt(2) everywhere, so bracket
+    precision eps in t locates the distance to O(eps).
+    """
+    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
+    r = sign * np.sqrt(c + t * t)
+    if geom.gap_a**2 >= geom.gap_b**2:
+        return np.hypot(zs.real - (geom.center_x + r), zs.imag - (geom.center_y + t))
+    return np.hypot(zs.real - (geom.center_x + t), zs.imag - (geom.center_y + r))
+
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Elementwise golden-section minimum of f over the brackets [lo, hi].
 
     Library scalar minimizers stop at a sqrt(eps)*|x| relative floor, which
     is ~1e-8 here and too coarse for on-curve distances; a fixed iteration
-    count shrinks the bracket below 1e-13 times its width unconditionally.
+    count shrinks every bracket below 1e-13 times its width unconditionally.
+    Each element takes the steps it would take alone.
     """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return min(fc, fd, f(lo), f(hi))
-
-
-def _refine_distance(geom: HyperbolaRectangle, z: complex, t_lo: float, t_hi: float) -> float:
-    """Minimize |z - w(t)| over a t-interval of the curve, both mirror sides.
-
-    The curve is reparameterized by the coordinate with the smaller gap
-    (t = y' when A^2 >= B^2, else t = x'); the other coordinate is
-    +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  Unlike the level s, this
-    parameter has curve speed between 1 and sqrt(2) everywhere, so bracket
-    precision eps in t locates the distance to O(eps).
-    """
-    a2, b2 = geom.gap_a**2, geom.gap_b**2
-    c = 0.25 * abs(a2 - b2)
-    cx, cy = geom.center_x, geom.center_y
-    if a2 >= b2:
-        def point(sign: float, t: float) -> complex:
-            return complex(cx + sign * math.sqrt(c + t * t), cy + t)
-    else:
-        def point(sign: float, t: float) -> complex:
-            return complex(cx + t, cy + sign * math.sqrt(c + t * t))
-    best = math.inf
-    for sign in (1.0, -1.0):
-        best = min(best, _golden_min(lambda t: abs(z - point(sign, t)), t_lo, t_hi))
-    return best
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return np.minimum(np.minimum(fc, fd), np.minimum(f(lo), f(hi)))
 
 
 def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     """Distances from each point of ``zs`` to H intersect R.
 
-    Coarse minimum over ``hr_points(geom, m)`` followed by local refinement
-    in the winning branch (see :func:`dist_to_hr`).  Exact zeros from the
-    coarse pass are kept as zeros.
+    Coarse minimum over ``hr_points(geom, m)`` in blocks of 2048 points,
+    then an elementwise golden-section refinement on both mirror sides of
+    the curve around each winning sample (see :func:`dist_to_hr`).  The
+    refinement takes ``np.hypot`` of the coordinate differences, not the
+    complex ``np.abs``, whose SIMD form differs from libm ``hypot`` in the
+    last bit for many inputs; so a point's distance is the same, bit for
+    bit, alone as in any batch.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"need at least 2 samples per branch, got {m!r}")
@@ -270,6 +266,7 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     a_is_wide = geom.gap_a**2 >= geom.gap_b**2
     # t is the small-gap coordinate of the level samples; |t| grows with s
     t_abs = yp if a_is_wide else xp
+    t_signs = np.array([sy if a_is_wide else sx for sx, sy in _BRANCH_SIGNS])
     out = np.empty(zs.shape, dtype=np.float64)
     chunk = 2048
     for lo in range(0, zs.size, chunk):
@@ -277,22 +274,19 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
         d = np.abs(zc[:, None] - pts[None, :])
         win = np.argmin(d, axis=1)
         coarse = d[np.arange(zc.size), win]
-        for i, (z, j4, dc) in enumerate(zip(zc, win, coarse)):
-            if dc == 0.0:
-                out[lo + i] = 0.0
-                continue
-            j = int(j4) % m
-            sx, sy = _BRANCH_SIGNS[int(j4) // m]
-            tsign = sy if a_is_wide else sx
-            jlo, jhi = max(0, j - 3), min(m - 1, j + 3)
-            t1, t2 = tsign * float(t_abs[jlo]), tsign * float(t_abs[jhi])
-            t_lo, t_hi = min(t1, t2), max(t1, t2)
-            if jlo == 0:
-                # near the vertex (t ~ 0) the mirror side is adjacent; cover it too
-                t_hi = max(abs(t_lo), abs(t_hi))
-                t_lo = -t_hi
-            t_lo, t_hi = max(t_lo, -half), min(t_hi, half)
-            out[lo + i] = min(float(dc), _refine_distance(geom, complex(z), t_lo, t_hi))
+        j = win % m
+        tsign = t_signs[win // m]
+        jlo = np.maximum(j - 3, 0)
+        t1, t2 = tsign * t_abs[jlo], tsign * t_abs[np.minimum(j + 3, m - 1)]
+        t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
+        # near the vertex (t ~ 0) the mirror side is adjacent; cover it too
+        vertex = jlo == 0
+        t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
+        t_lo = np.where(vertex, -t_hi, t_lo)
+        t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
+        sides = [_golden_min(lambda t: _curve_distance(geom, zc, sign, t), t_lo, t_hi)
+                 for sign in (1.0, -1.0)]
+        out[lo : lo + zc.size] = np.minimum(coarse, np.minimum(*sides))
     return out
 
 
@@ -300,10 +294,11 @@ def dist_to_hr(geom: HyperbolaRectangle, z: complex, m: int = 512) -> float:
     """Distance from z to H intersect R.
 
     The coarse stage takes the minimum of |z - w| over ``hr_points(geom, m)``;
-    the winning branch is then refined by a bounded 1-D minimization along
-    the curve, tight enough that points on the set return ~0 (below
-    1e-10 * scale).  The sampling resolution m only affects how good the
-    coarse bracket is; 512 is ample for the geometries at hand.
+    the winning branch is then refined by a golden-section search along the
+    curve (elementwise over arrays in :func:`dist_to_hr_many`), tight enough
+    that points on the set return ~0 (below 1e-10 * scale).  The sampling
+    resolution m only affects how good the coarse bracket is; 512 is ample
+    for the geometries at hand.
     """
     return float(dist_to_hr_many(geom, [z], m)[0])
 

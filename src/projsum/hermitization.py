@@ -124,12 +124,25 @@ def fk_determinant(matrix: np.ndarray, z: complex) -> float:
     return float(math.exp(np.mean(np.log(svals))))
 
 
-def _eval_chunks(zs: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Potential values on a flat node array, chunked and thread-mapped."""
+def _eval_chunks(
+    zs: np.ndarray, points: np.ndarray, weights: np.ndarray, radius: float, shift: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Potential values on a flat node array, chunked and thread-mapped.
 
-    def one(lo: int) -> np.ndarray:
+    A node closer than ``radius`` to an atom is evaluated at node + ``shift``
+    instead; collisions are rare, so a chunk is recomputed only when it has
+    one.  Returns the values and the flat indices of the moved nodes.
+    """
+
+    def one(lo: int) -> tuple[np.ndarray, np.ndarray]:
         zc = zs[lo : lo + _NODE_CHUNK]
-        return np.log(np.abs(zc[:, None] - points[None, :])) @ weights
+        d = np.abs(zc[:, None] - points[None, :])
+        hit = np.flatnonzero(np.min(d, axis=1) < radius)
+        if hit.size:
+            zc = zc.copy()
+            zc[hit] += shift
+            d = np.abs(zc[:, None] - points[None, :])
+        return np.log(d) @ weights, lo + hit
 
     starts = range(0, zs.size, _NODE_CHUNK)
     workers = worker_count()
@@ -138,7 +151,7 @@ def _eval_chunks(zs: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, starts))
-    return np.concatenate(parts) if parts else np.empty(0)
+    return np.concatenate([v for v, _ in parts]), np.concatenate([h for _, h in parts])
 
 
 def potential_grid(
@@ -167,22 +180,12 @@ def potential_grid(
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
 
     scale = max(1.0, float(np.max(np.abs(measure.points))))
-    collision_radius = 1e-13 * scale
     shift = 0.5 * hx + 0.5j * hy
-    perturbed: list[PerturbedNode] = []
-    # collisions are rare; find them in one pass, then evaluate everything
-    dmin = np.full(zs.size, np.inf)
-    for lo in range(0, zs.size, _NODE_CHUNK):
-        zc = zs[lo : lo + _NODE_CHUNK]
-        dmin[lo : lo + _NODE_CHUNK] = np.min(np.abs(zc[:, None] - measure.points[None, :]), axis=1)
-    hit = np.flatnonzero(dmin < collision_radius)
-    for flat in hit:
-        ix, iy = divmod(int(flat), ny)
-        original = complex(zs[flat])
-        zs[flat] = original + shift
-        perturbed.append(PerturbedNode(ix=ix, iy=iy, original=original, used=complex(zs[flat])))
-
-    values = _eval_chunks(zs, measure.points, measure.weights).reshape(nx, ny)
+    values, hits = _eval_chunks(zs, measure.points, measure.weights, 1e-13 * scale, shift)
+    perturbed = [
+        PerturbedNode(*divmod(int(flat), ny), original=complex(zs[flat]), used=complex(zs[flat] + shift))
+        for flat in hits
+    ]
     return PotentialGrid(
         x0=xmin,
         y0=ymin,
@@ -190,7 +193,7 @@ def potential_grid(
         hy=hy,
         nx=nx,
         ny=ny,
-        values=values,
+        values=values.reshape(nx, ny),
         perturbations=tuple(perturbed),
     )
 

@@ -171,23 +171,28 @@ def min_singular_value(realization: ModelRealization, z: complex) -> float:
 def verify_sv_bound(
     realization: ModelRealization,
     geom: HyperbolaRectangle,
-    z: complex,
+    z,
     m: int = 512,
-) -> float:
+) -> np.ndarray | float:
     """Signed margin of sigma_min(z - X_n) >= dist(z, H n R)^2 / ||z - X_n||.
 
     Nonnegative in exact arithmetic for every z and every realization; when
     z is an eigenvalue both sides vanish.  Returns
     sigma_min - dist^2 / opnorm, which tests compare against a small
-    negative floating-point allowance.
+    negative floating-point allowance, elementwise for an array ``z`` (one
+    distance call for all points) and as a float for a scalar ``z``.
     """
-    shifted = z * np.eye(realization.n) - realization.x_matrix
-    try:
-        svals = np.linalg.svd(shifted, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"SVD failed at z={z!r} ({exc})") from exc
-    dist = float(dist_to_hr_many(geom, [z], m)[0])
-    return float(svals[-1]) - dist**2 / float(svals[0])
+    zs = np.asarray(z, dtype=np.complex128)
+    dist = dist_to_hr_many(geom, zs.ravel(), m).reshape(zs.shape)
+    margins = np.empty(zs.shape)
+    for idx, zi in np.ndenumerate(zs):
+        shifted = zi * np.eye(realization.n) - realization.x_matrix
+        try:
+            svals = np.linalg.svd(shifted, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise ComputationError(f"SVD failed at z={complex(zi)!r} ({exc})") from exc
+        margins[idx] = float(svals[-1]) - float(dist[idx]) ** 2 / float(svals[0])
+    return margins if margins.ndim else float(margins)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,15 @@ class TestCheck:
                    "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_OK
 
+    def test_inexact_atom_midpoint_passes(self, tmp_path):
+        # 0.5 * (0.1 + 0.7) - 0.3 rounds to 0.09999999999999998, not 0.1;
+        # the corner bounds must not depend on re-deriving the atom locations
+        prefix = tmp_path / "inexact"
+        rc = main(["check", "--n", "40", "--a", "0.625", "--alpha", "0.1", "--alpha-prime", "0.7",
+                   "--b", "0.875", "--beta", "0", "--beta-prime", "0.8",
+                   "--z-grid", "5", "--out-prefix", str(prefix)])
+        assert rc == E_OK
+
 
 class TestPotentialRecover:
     def _potential(self, tmp_path, name="pot", nx=41, ny=41,

@@ -193,6 +193,37 @@ class TestDistance:
         assert np.max(dist_to_hr_many(g, pts)) <= 1e-13
 
 
+    @pytest.mark.parametrize("q_law", [Q_LAW, TwoAtomLaw(0.5, 1.0, -0.4)])
+    def test_batch_matches_single_points(self, q_law):
+        # the refinement runs elementwise over arrays; no point may see its batch
+        g = make_geometry(P_LAW, q_law)
+        rng = np.random.default_rng(23)
+        zs = np.concatenate([
+            g.center + 2 * (rng.standard_normal(40) + 1j * rng.standard_normal(40)),
+            hr_points(g, 31) + 1e-9j,
+            [g.center, 100 + 100j],
+        ])
+        batch = dist_to_hr_many(g, zs)
+        single = np.array([dist_to_hr(g, z) for z in zs])
+        assert batch.tobytes() == single.tobytes()
+        assert dist_to_hr_many(g, zs[::-1])[::-1].tobytes() == batch.tobytes()
+
+
+class TestCornerLocations:
+    # magnitudes up to 1e300 keep the gaps finite
+    @given(st.lists(
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+        min_size=4, max_size=4,
+    ).filter(lambda v: v[0] != v[1] and v[2] != v[3]))
+    @settings(max_examples=300, deadline=None)
+    def test_corners_lie_exactly_on_the_set(self, locs):
+        g = make_geometry(TwoAtomLaw(0.5, locs[0], locs[1]), TwoAtomLaw(0.5, locs[2], locs[3]))
+        assert (g.alpha, g.alpha_prime, g.beta, g.beta_prime) == tuple(locs)
+        for c in g.corners:
+            assert in_rectangle(g, c)
+            assert hyperbola_residual(g, c) == 0.0
+
+
 class TestAtomWeights:
     def test_demo_values(self):
         w = atom_weights(5 / 8, 7 / 8)

@@ -112,6 +112,24 @@ class TestPotentialGrid:
         assert pert.original == 0j
         assert pert.used == 0.25 + 0.25j
 
+    def test_collisions_in_two_chunks_independent_of_threads(self, monkeypatch):
+        # 41 x 41 = 1681 nodes span four 512-node chunks; flat 85 and 1240 lie in two of them
+        window = (-1.0, 1.0, -1.0, 1.0)
+        nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
+        m = WeightedPointMeasure(
+            points=np.array([nodes[2, 3], nodes[30, 10], 0.123 + 0.456j]),
+            weights=np.array([0.25, 0.25, 0.5]),
+        )
+        grids = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("PROJSUM_THREADS", threads)
+            grids.append(potential_grid(m, window, 41, 41))
+        serial, threaded = grids
+        assert [(p.ix, p.iy) for p in serial.perturbations] == [(2, 3), (30, 10)]
+        assert serial.perturbations == threaded.perturbations
+        assert np.all(np.isfinite(serial.values))
+        assert serial.values.tobytes() == threaded.values.tobytes()
+
     def test_rejects_bad_windows(self):
         m = _delta(0j)
         with pytest.raises(InvalidGridError):

@@ -137,6 +137,19 @@ class TestSvBound:
         for z in zs:
             assert verify_sv_bound(small_realization, geom, complex(z)) >= -1e-8 * geom.scale
 
+    def test_array_z_matches_scalar_calls(self, small_realization):
+        geom = make_geometry(
+            small_realization.realized_p_law, small_realization.realized_q_law
+        )
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(-0.6, 1.6, (3, 4)) + 1j * rng.uniform(-0.6, 1.4, (3, 4))
+        zs[0, 0] = esd(small_realization).points[3]
+        margins = verify_sv_bound(small_realization, geom, zs)
+        assert margins.shape == zs.shape
+        single = [verify_sv_bound(small_realization, geom, complex(z)) for z in zs.ravel()]
+        assert all(type(m) is float for m in single)
+        assert margins.ravel().tobytes() == np.array(single).tobytes()
+
     def test_margin_at_eigenvalue_is_tiny(self, small_realization):
         geom = make_geometry(
             small_realization.realized_p_law, small_realization.realized_q_law
