@@ -11,10 +11,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .hermitization import (
     sample_potential_grid,
 )
 from .model import (
+    CHECK_Z,
     InvalidDimensionError,
     ModelRealization,
     ModelSpec,
@@ -122,14 +123,7 @@ def cmd_sample(args) -> int:
 def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
     x = realization.x_matrix + eps * np.eye(realization.n)
     x.setflags(write=False)
-    return ModelRealization(
-        p_matrix=realization.p_matrix,
-        q_matrix=realization.q_matrix,
-        x_matrix=x,
-        realized_p_law=realization.realized_p_law,
-        realized_q_law=realization.realized_q_law,
-        seed=realization.seed,
-    )
+    return replace(realization, x_matrix=x)
 
 
 def cmd_check(args) -> int:
@@ -152,7 +146,7 @@ def cmd_check(args) -> int:
                    f"im_norm={report.im_norm:.12e} bound={geom.im_halfwidth:.12e}"))
 
     if args.z_grid > 0:
-        rng = substream_rng(args.seed, 3)
+        rng = substream_rng(args.seed, CHECK_Z)
         xs = [c.real for c in geom.corners]
         ys = [c.imag for c in geom.corners]
         zw = (
@@ -250,13 +244,12 @@ def cmd_recover(args) -> int:
         )
     params = src_manifest["params"]
     nx, ny = params["nx"], params["ny"]
-    values = np.empty((nx, ny))
     with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         flat = [float(row["L"]) for row in reader]
     if len(flat) != nx * ny:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
-    values[:] = np.asarray(flat).reshape(nx, ny)
+    values = np.asarray(flat).reshape(nx, ny)
     grid = PotentialGrid(
         x0=params["xmin"],
         y0=params["ymin"],
@@ -304,6 +297,8 @@ def cmd_converge(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    if manifest.get("tool_version") != __version__:
+        raise ValueError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
     command = manifest["command"]
     if command not in _HANDLERS:
         raise ValueError(f"manifest names unknown command {command!r}")

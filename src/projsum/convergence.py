@@ -9,7 +9,6 @@ and probes tightness when atoms are pushed out to infinity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,8 @@ from .geometry import (
     make_geometry,
 )
 from .model import (
+    CONVERGE,
+    TIGHTNESS,
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
@@ -109,9 +110,11 @@ class CornerAtomMasses:
     intersection_mass: tuple[float, float, float, float]
 
 
-def _eigenspace(matrix: np.ndarray, value: float, other: float) -> np.ndarray:
+def _eigenspaces(matrix: np.ndarray, law: TwoAtomLaw) -> dict[float, np.ndarray]:
+    """Eigenvectors of ``matrix`` for each atom of ``law``, from one ``eigh`` call."""
     vals, vecs = np.linalg.eigh(matrix)
-    return vecs[:, np.abs(vals - value) < 0.5 * abs(other - value)]
+    half_gap = 0.5 * abs(law.gap)
+    return {loc: vecs[:, np.abs(vals - loc) < half_gap] for loc in (law.loc, law.loc_alt)}
 
 
 def corner_atom_masses(
@@ -140,14 +143,8 @@ def corner_atom_masses(
         complex(p_law.loc_alt, q_law.loc),
         complex(p_law.loc_alt, q_law.loc_alt),
     )
-    bases_p = {
-        p_law.loc: _eigenspace(realization.p_matrix, p_law.loc, p_law.loc_alt),
-        p_law.loc_alt: _eigenspace(realization.p_matrix, p_law.loc_alt, p_law.loc),
-    }
-    bases_q = {
-        q_law.loc: _eigenspace(realization.q_matrix, q_law.loc, q_law.loc_alt),
-        q_law.loc_alt: _eigenspace(realization.q_matrix, q_law.loc_alt, q_law.loc),
-    }
+    bases_p = _eigenspaces(realization.p_matrix, p_law)
+    bases_q = _eigenspaces(realization.q_matrix, q_law)
     esd_mass = []
     inter_mass = []
     for corner in corners:
@@ -191,7 +188,7 @@ def _pooled_esd(
 ) -> WeightedPointMeasure:
     points = []
     for i in range(samples):
-        child = substream_seed(seed, n, i)
+        child = substream_seed(seed, CONVERGE, n, i)
         realization = assemble_model(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
         points.append(esd(realization).points)
     return WeightedPointMeasure.uniform(np.concatenate(points))
@@ -209,7 +206,7 @@ def convergence_run(
     """Pooled-ESD convergence study across a schedule of dimensions.
 
     For each n in the strictly increasing schedule, pools the ESD over
-    ``samples`` realizations (child seeds derived from (seed, n, i)) and
+    ``samples`` realizations (child seeds from (seed, CONVERGE, n, i)) and
     reports the BL distance to the reference pooled ESD at ``reference_n``
     (default: the largest schedule entry), the support deviation, and the
     worst corner-mass error against the realized atom-weight predictions.
@@ -302,7 +299,7 @@ def tightness_probe(
     xmin, xmax, ymin, ymax = window
     out = []
     for i, (p_law, q_law) in enumerate(pairs):
-        child = substream_seed(seed, 4, i)
+        child = substream_seed(seed, TIGHTNESS, i)
         realization = assemble_model(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
         pts = esd(realization).points
         inside = (pts.real >= xmin) & (pts.real <= xmax) & (pts.imag >= ymin) & (pts.imag <= ymax)

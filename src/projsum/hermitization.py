@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelSpec, assemble_model, substream_seed
+from .model import GRID, ModelSpec, assemble_model, substream_seed
 from .spectra import WeightedPointMeasure, esd
 
 __all__ = [
@@ -252,7 +252,7 @@ def sample_potential_grid(
 ) -> tuple[PotentialGrid, WeightedPointMeasure, tuple[int, ...]]:
     """Average the ESD log-potential grid over independent realizations.
 
-    Sample i uses the child seed derived from (spec.seed, 2, i), so the
+    Sample i uses the child seed derived from (spec.seed, GRID, i), so the
     draws are independent of each other and of anything else derived from
     the seed.  Averaging happens on the potentials; returns the averaged
     grid, the pooled ESD and the per-sample seeds.
@@ -262,7 +262,7 @@ def sample_potential_grid(
     acc = None
     pooled = []
     perturbed: list[PerturbedNode] = []
-    seeds = tuple(substream_seed(spec.seed, 2, i) for i in range(samples))
+    seeds = tuple(substream_seed(spec.seed, GRID, i) for i in range(samples))
     for child in seeds:
         realization = assemble_model(replace(spec, seed=child))
         measure = esd(realization)

@@ -25,6 +25,14 @@ __all__ = [
     "substream_seed",
 ]
 
+# Substream table: every spawn key derived from a seed starts with its owner's id.
+HAAR_P = 0  # U in assemble_model: (HAAR_P,)
+HAAR_Q = 1  # V in assemble_model: (HAAR_Q,)
+GRID = 2  # sample_potential_grid, sample i: (GRID, i)
+CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
+TIGHTNESS = 4  # tightness_probe, law pair i: (TIGHTNESS, i)
+CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i)
+
 
 class InvalidDimensionError(ValueError):
     """Raised when a matrix dimension is not a positive integer."""
@@ -191,8 +199,8 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         p = p_diag.astype(np.complex128)
         q = q_diag.astype(np.complex128)
     else:
-        u = sample_haar_unitary(spec.n, substream_rng(spec.seed, 0))
-        v = sample_haar_unitary(spec.n, substream_rng(spec.seed, 1))
+        u = sample_haar_unitary(spec.n, substream_rng(spec.seed, HAAR_P))
+        v = sample_haar_unitary(spec.n, substream_rng(spec.seed, HAAR_Q))
         p = (u * np.diagonal(p_diag)) @ u.conj().T
         q = (v * np.diagonal(q_diag)) @ v.conj().T
         # exact Hermitian symmetrization; conjugation is Hermitian only to roundoff

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projsum import make_geometry
+from projsum import __version__, make_geometry
 from projsum.cli import E_CHECK, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
@@ -256,9 +256,19 @@ class TestReplay:
 
     def test_replay_unknown_manifest(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"command": "explode", "params": {}}))
+        bad.write_text(json.dumps({"command": "explode", "params": {}, "tool_version": __version__}))
         assert main(["replay", "--manifest", str(bad)]) == E_USAGE
         assert main(["replay", "--manifest", str(tmp_path / "missing.json")]) == E_USAGE
+
+    def test_replay_refuses_other_tool_version(self, tmp_path, capsys):
+        prefix = _sample(tmp_path, "old", seed=9)
+        manifest = Path(str(prefix) + ".manifest.json")
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["tool_version"] = "0.0.0"
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
+        assert "0.0.0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.replay.*"))
 
 
 class TestThreadsEnv:

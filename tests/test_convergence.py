@@ -14,9 +14,11 @@ from projsum import (
     bl_distance,
     convergence_run,
     corner_atom_masses,
+    sample_potential_grid,
     tightness_probe,
     trend_acceptable,
 )
+from projsum import convergence as convergence_module
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -125,6 +127,29 @@ class TestCornerAtomMasses:
 
 
 class TestConvergenceRun:
+    def test_draws_disjoint_from_grid_and_tightness(self, demo_laws, monkeypatch):
+        # with keys (seed, n, i), n=2 redrew the potential-grid realizations
+        # and n=4 the tightness-probe ones
+        p, q = demo_laws
+        drawn = []
+        real = convergence_module.assemble_model
+
+        def recording(spec, **kwargs):
+            drawn.append((spec.n, spec.seed))
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(convergence_module, "assemble_model", recording)
+        convergence_run(p, q, (2, 4), samples=3, seed=77)
+        converge = {n: {s for m, s in drawn if m == n} for n in (2, 4)}
+        drawn.clear()
+        tightness_probe([p] * 3, [q] * 3, n=4, seed=77)
+        tightness = {s for _, s in drawn}
+        window = (-0.5, 1.5, -0.5, 1.5)
+        _, _, grid = sample_potential_grid(ModelSpec(p, q, n=2, seed=77), window, 3, 3, 3)
+        assert len(converge[2]) == len(converge[4]) == len(tightness) == len(grid) == 3
+        assert converge[2].isdisjoint(grid)
+        assert converge[4].isdisjoint(tightness)
+
     def test_small_schedule(self, demo_laws):
         p, q = demo_laws
         rep = convergence_run(p, q, (32, 64), samples=2, seed=123)

@@ -24,6 +24,7 @@ from projsum import (
     substream_seed,
     worker_count,
 )
+from projsum.model import GRID
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -184,7 +185,7 @@ class TestSampledPipeline:
         spec = ModelSpec(p, q, n=40, seed=900)
         window = (-0.5, 1.5, -0.5, 1.5)
         grid, pooled, seeds = sample_potential_grid(spec, window, 21, 21, 1)
-        child = substream_seed(900, 2, 0)
+        child = substream_seed(900, GRID, 0)
         assert seeds == (child,)
         manual = potential_grid(
             esd(assemble_model(replace(spec, seed=child))), window, 21, 21

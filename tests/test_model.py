@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from projsum import (
     sample_haar_unitary,
     substream_rng,
 )
+from projsum import model
 from tests.conftest import P_LAW, Q_LAW
+
+STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "TIGHTNESS", "CONVERGE")
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -177,3 +182,30 @@ class TestAssembleModel:
             ModelSpec(p, q, n=0, seed=1)
         with pytest.raises(ValueError):
             ModelSpec(p, q, n=10, seed=-1)
+
+
+class TestSubstreamTable:
+    def test_stream_ids_are_pairwise_distinct_ints(self):
+        ids = [getattr(model, name) for name in STREAMS]
+        assert all(type(i) is int for i in ids)
+        assert len(set(ids)) == len(STREAMS)
+
+    def test_every_key_in_src_starts_with_a_stream_id(self):
+        # a key that does not lead with a table entry, or two call sites
+        # sharing one, could collide with another consumer's substream
+        used = []
+        for path in Path(model.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name not in ("substream_seed", "substream_rng"):
+                    continue
+                assert len(node.args) >= 2, f"{path.name}:{node.lineno} has no key"
+                first = node.args[1]
+                assert isinstance(first, ast.Name) and first.id in STREAMS, (
+                    f"{path.name}:{node.lineno} key does not start with a stream id"
+                )
+                used.append(first.id)
+        assert sorted(used) == sorted(STREAMS)
