@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (
     InvalidDimensionError,
@@ -21,6 +21,7 @@ from .model import (
     sample_haar_unitary,
     substream_rng,
     substream_seed,
+    two_projection_eigenvalues,
 )
 from .geometry import (
     BrownAtomWeights,

@@ -84,6 +84,8 @@ def _write_manifest(args, realized_laws: dict | None, timings: dict, extra: dict
         "realized_laws": realized_laws,
         "tool_version": __version__,
         "timings": timings,
+        # BLAS threading changes roundoff, hence output bytes; recorded, never replayed
+        "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     if extra:
         manifest.update(extra)
@@ -133,7 +135,8 @@ def cmd_check(args) -> int:
         realization = _perturbed(realization, args.perturb)
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     scale = geom.scale
-    report = structure_report(realization, geom)
+    measure = esd(realization)
+    report = structure_report(realization, geom, measure=measure)
 
     checks = []
     checks.append(("support", report.support_deviation <= args.tol_support * scale,
@@ -167,7 +170,7 @@ def cmd_check(args) -> int:
     else:
         margins = []
 
-    masses = corner_atom_masses(realization)
+    masses = corner_atom_masses(realization, measure=measure)
     weights = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
     corner_ok = True
     for e_mass, i_mass, lower in zip(masses.esd_mass, masses.intersection_mass, weights.corner_weights):
@@ -242,10 +245,15 @@ def cmd_recover(args) -> int:
         raise ValueError(
             f"--in-prefix must point at a `potential` run, found {src_manifest.get('command')!r}"
         )
-    params = src_manifest["params"]
+    params = src_manifest.get("params") or {}
+    missing = [key for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax") if key not in params]
+    if missing:
+        raise ValueError(f"potential manifest lacks params {missing}")
     nx, ny = params["nx"], params["ny"]
     with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        if "L" not in (reader.fieldnames or ()):
+            raise InvalidGridError("potential file has no L column")
         flat = [float(row["L"]) for row in reader]
     if len(flat) != nx * ny:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
@@ -299,9 +307,11 @@ def cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     if manifest.get("tool_version") != __version__:
         raise ValueError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
-    command = manifest["command"]
+    command = manifest.get("command")
     if command not in _HANDLERS:
         raise ValueError(f"manifest names unknown command {command!r}")
+    if not isinstance(manifest.get("params"), dict):
+        raise ValueError("manifest has no params")
     params = dict(manifest["params"])
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
@@ -415,7 +425,6 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateGeometryError,
         InvalidGridError,
         FileNotFoundError,
-        KeyError,
         ValueError,
     ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

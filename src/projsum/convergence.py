@@ -27,9 +27,9 @@ from .model import (
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
-    assemble_model,
     build_two_atom_hermitian,
     substream_seed,
+    two_projection_eigenvalues,
 )
 from .spectra import WeightedPointMeasure, esd
 
@@ -121,6 +121,7 @@ def corner_atom_masses(
     realization: ModelRealization,
     tol: float = 1e-9,
     angle_tol: float = 1e-9,
+    measure: WeightedPointMeasure | None = None,
 ) -> CornerAtomMasses:
     """Empirical and subspace corner masses of one realization.
 
@@ -129,9 +130,11 @@ def corner_atom_masses(
     subspace dimension counts principal-angle cosines above 1 - angle_tol
     between the relevant eigenspaces of P_n and Q_n.  Weight-degenerate
     laws (weight 0 or 1 with distinct atoms) are fine here: the empty
-    eigenspace just contributes zero everywhere.
+    eigenspace just contributes zero everywhere.  ``measure`` defaults to
+    ``esd(realization)``; pass it to reuse a spectrum already computed.
     """
-    measure = esd(realization)
+    if measure is None:
+        measure = esd(realization)
     n = realization.n
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     if p_law.loc == p_law.loc_alt or q_law.loc == q_law.loc_alt:
@@ -189,8 +192,7 @@ def _pooled_esd(
     points = []
     for i in range(samples):
         child = substream_seed(seed, CONVERGE, n, i)
-        realization = assemble_model(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
-        points.append(esd(realization).points)
+        points.append(two_projection_eigenvalues(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child)))
     return WeightedPointMeasure.uniform(np.concatenate(points))
 
 
@@ -300,8 +302,7 @@ def tightness_probe(
     out = []
     for i, (p_law, q_law) in enumerate(pairs):
         child = substream_seed(seed, TIGHTNESS, i)
-        realization = assemble_model(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
-        pts = esd(realization).points
+        pts = two_projection_eigenvalues(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
         inside = (pts.real >= xmin) & (pts.real <= xmax) & (pts.imag >= ymin) & (pts.imag <= ymax)
         out.append(
             TightnessEntry(

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GRID, ModelSpec, assemble_model, substream_seed
-from .spectra import WeightedPointMeasure, esd
+from .model import GRID, ModelSpec, substream_seed, two_projection_eigenvalues
+from .spectra import WeightedPointMeasure
 
 __all__ = [
     "InvalidGridError",
@@ -264,8 +264,7 @@ def sample_potential_grid(
     perturbed: list[PerturbedNode] = []
     seeds = tuple(substream_seed(spec.seed, GRID, i) for i in range(samples))
     for child in seeds:
-        realization = assemble_model(replace(spec, seed=child))
-        measure = esd(realization)
+        measure = WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=child)))
         pooled.append(measure.points)
         grid = potential_grid(measure, window, nx, ny)
         perturbed.extend(grid.perturbations)

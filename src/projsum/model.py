@@ -21,13 +21,14 @@ __all__ = [
     "sample_haar_unitary",
     "build_two_atom_hermitian",
     "assemble_model",
+    "two_projection_eigenvalues",
     "substream_rng",
     "substream_seed",
 ]
 
 # Substream table: every spawn key derived from a seed starts with its owner's id.
-HAAR_P = 0  # U in assemble_model: (HAAR_P,)
-HAAR_Q = 1  # V in assemble_model: (HAAR_Q,)
+HAAR_P = 0  # U in assemble_model and two_projection_eigenvalues: (HAAR_P,)
+HAAR_Q = 1  # V in assemble_model and two_projection_eigenvalues: (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i)
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 TIGHTNESS = 4  # tightness_probe, law pair i: (TIGHTNESS, i)
@@ -125,6 +126,19 @@ def substream_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _haar_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Leading k columns of the Haar unitary drawn from ``rng``.
+
+    The full n x n Ginibre matrix is always drawn, so every k consumes the
+    same numbers; only its leading k columns go through the (thin) QR.
+    """
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+    q, r = np.linalg.qr((re[:, :k] + 1j * im[:, :k]) / math.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an n x n unitary matrix from Haar measure on U(n).
 
@@ -148,10 +162,23 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_columns(rng, n, n)
+
+
+def _haar_isometries(spec: ModelSpec, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k1 columns of U and k2 columns of V for the realization of ``spec``."""
+    return (
+        _haar_columns(substream_rng(spec.seed, HAAR_P), spec.n, k1),
+        _haar_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2),
+    )
+
+
+def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
+    """Number k of loc_alt entries at dimension n, and the realized law."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+    k = round(n * (1.0 - law.weight))
+    return k, TwoAtomLaw(weight=(n - k) / n, loc=law.loc, loc_alt=law.loc_alt)
 
 
 def build_two_atom_hermitian(law: TwoAtomLaw, n: int) -> tuple[np.ndarray, TwoAtomLaw]:
@@ -166,12 +193,9 @@ def build_two_atom_hermitian(law: TwoAtomLaw, n: int) -> tuple[np.ndarray, TwoAt
     (numpy.ndarray, TwoAtomLaw)
         The n x n real diagonal matrix and the law actually realized.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
-    k = round(n * (1.0 - law.weight))
+    k, realized = _realize(law, n)
     diag = np.full(n, law.loc, dtype=np.float64)
     diag[:k] = law.loc_alt
-    realized = TwoAtomLaw(weight=(n - k) / n, loc=law.loc, loc_alt=law.loc_alt)
     return np.diag(diag), realized
 
 
@@ -199,8 +223,7 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         p = p_diag.astype(np.complex128)
         q = q_diag.astype(np.complex128)
     else:
-        u = sample_haar_unitary(spec.n, substream_rng(spec.seed, HAAR_P))
-        v = sample_haar_unitary(spec.n, substream_rng(spec.seed, HAAR_Q))
+        u, v = _haar_isometries(spec, spec.n, spec.n)
         p = (u * np.diagonal(p_diag)) @ u.conj().T
         q = (v * np.diagonal(q_diag)) @ v.conj().T
         # exact Hermitian symmetrization; conjugation is Hermitian only to roundoff
@@ -215,3 +238,42 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         realized_q_law=realized_q,
         seed=spec.seed,
     )
+
+
+def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
+    """Eigenvalues of X_n for the realization ``assemble_model(spec)`` would build.
+
+    P_n = alpha + A*Pi1 and Q_n = beta + B*Pi2 with A, B the atom gaps and
+    Pi1 = U1 U1*, Pi2 = V2 V2* the projections onto the leading k1 columns
+    of U and k2 columns of V.  By the two-subspace theorem (Halmos) X_n
+    splits into 2 x 2 blocks, one per principal-angle cosine c (a singular
+    value of U1* V2), on which X_n - (alpha + i*beta) has trace t = A + iB
+    and determinant iAB(1 - c^2); the larger root of each block quadratic
+    is taken directly and the other as det/root.  The rest of ran Pi1 or
+    ran Pi2 contributes |k1 - k2| eigenvalues A or iB, and the common
+    kernel n - k1 - k2 zeros; when k1 + k2 > n the k1 + k2 - n largest
+    cosines belong to ran Pi1 int ran Pi2, which has no kernel partner, so
+    their zero roots are dropped.
+
+    Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
+    roundoff (up to order) without forming any n x n product: it costs a
+    thin QR of each Ginibre draw and a k1 x k2 SVD.
+    """
+    k1, p_law = _realize(spec.p_law, spec.n)
+    k2, q_law = _realize(spec.q_law, spec.n)
+    a, b = p_law.gap, q_law.gap
+    u1, v2 = _haar_isometries(spec, k1, k2)
+    cosines = np.linalg.svd(u1.conj().T @ v2, compute_uv=False)
+    t = complex(a, b)
+    det = 1j * a * b * (1.0 - cosines**2)
+    disc = np.sqrt(t * t - 4.0 * det)
+    # the sign that avoids cancellation gives the larger-modulus root
+    big = 0.5 * (t + np.where((t.conjugate() * disc).real >= 0.0, disc, -disc))
+    # big is 0 only when A = B = 0, where det is 0 as well
+    small = np.divide(det, big, out=np.zeros_like(det), where=big != 0)
+    extra = np.full(abs(k1 - k2), a if k1 > k2 else 1j * b, dtype=np.complex128)
+    # svd returns the cosines in descending order: the intersection ones lead
+    roots = np.concatenate(
+        [big, small[max(0, k1 + k2 - spec.n):], extra, np.zeros(max(0, spec.n - k1 - k2))]
+    )
+    return complex(p_law.loc, q_law.loc) + roots

@@ -122,11 +122,13 @@ def structure_report(
     realization: ModelRealization,
     geom: HyperbolaRectangle | None = None,
     m: int = 512,
+    measure: WeightedPointMeasure | None = None,
 ) -> StructureReport:
     """Evaluate the structural identities on one realization.
 
     ``geom`` defaults to the geometry of the realized laws; ``m`` is the
-    branch sampling resolution for the support distances.
+    branch sampling resolution for the support distances; ``measure``
+    defaults to ``esd(realization)``.
     """
     if geom is None:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
@@ -138,7 +140,9 @@ def structure_report(
     im_norm = float(np.max(np.abs(np.linalg.eigvalsh(im_part))))
     comm = w @ w.conj().T - w.conj().T @ w
     normality = float(np.max(np.abs(np.linalg.eigvalsh(comm)))) / _opnorm(w) ** 2
-    support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points, m)))
+    if measure is None:
+        measure = esd(realization)
+    support_dev = float(np.max(dist_to_hr_many(geom, measure.points, m)))
     return StructureReport(
         re_deviation=re_dev,
         im_norm=im_norm,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from projsum import __version__, make_geometry
+from projsum import cli
 from projsum.cli import E_CHECK, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
@@ -193,6 +194,18 @@ class TestPotentialRecover:
                    str(tmp_path / "m3")])
         assert rc == E_USAGE
 
+    def test_recover_rejects_malformed_potential(self, tmp_path):
+        prefix = self._potential(tmp_path, name="bad", nx=5, ny=5)
+        manifest = Path(str(prefix) + ".manifest.json")
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        del data["params"]["ny"]
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(tmp_path / "m5")]) == E_USAGE
+        prefix = self._potential(tmp_path, name="nocol", nx=5, ny=5)
+        grid = Path(str(prefix) + ".potential.csv")
+        grid.write_text(grid.read_text().replace("re,im,L", "re,im,V"))
+        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(tmp_path / "m6")]) == E_USAGE
+
     def test_recover_missing_input(self, tmp_path):
         rc = main(["recover", "--in-prefix", str(tmp_path / "nope"),
                    "--out-prefix", str(tmp_path / "m4")])
@@ -259,6 +272,34 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "explode", "params": {}, "tool_version": __version__}))
         assert main(["replay", "--manifest", str(bad)]) == E_USAGE
         assert main(["replay", "--manifest", str(tmp_path / "missing.json")]) == E_USAGE
+
+    def test_replay_manifest_without_command(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"params": {}, "tool_version": __version__}))
+        assert main(["replay", "--manifest", str(bad)]) == E_USAGE
+        assert "unknown command None" in capsys.readouterr().err
+
+    def test_handler_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "cmd_sample", broken)
+        with pytest.raises(KeyError):
+            main(["sample", "--n", "4", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "k")])
+
+    def test_manifest_records_blas_threads_and_replay_ignores_them(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        prefix = _sample(tmp_path, "blas", seed=3)
+        manifest = Path(str(prefix) + ".manifest.json")
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        assert data["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        data["blas_threads"] = {"OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7"}
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest)]) == E_OK
+        assert Path(str(prefix) + ".replay.esd.csv").read_bytes() == Path(
+            str(prefix) + ".esd.csv"
+        ).read_bytes()
 
     def test_replay_refuses_other_tool_version(self, tmp_path, capsys):
         prefix = _sample(tmp_path, "old", seed=9)

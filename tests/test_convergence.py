@@ -132,13 +132,13 @@ class TestConvergenceRun:
         # and n=4 the tightness-probe ones
         p, q = demo_laws
         drawn = []
-        real = convergence_module.assemble_model
+        real = convergence_module.two_projection_eigenvalues
 
-        def recording(spec, **kwargs):
+        def recording(spec):
             drawn.append((spec.n, spec.seed))
-            return real(spec, **kwargs)
+            return real(spec)
 
-        monkeypatch.setattr(convergence_module, "assemble_model", recording)
+        monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
         convergence_run(p, q, (2, 4), samples=3, seed=77)
         converge = {n: {s for m, s in drawn if m == n} for n in (2, 4)}
         drawn.clear()

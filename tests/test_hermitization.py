@@ -12,7 +12,6 @@ from projsum import (
     InvalidGridError,
     ModelSpec,
     WeightedPointMeasure,
-    assemble_model,
     brown_pipeline,
     esd,
     fk_determinant,
@@ -22,6 +21,7 @@ from projsum import (
     potential_grid,
     sample_potential_grid,
     substream_seed,
+    two_projection_eigenvalues,
     worker_count,
 )
 from projsum.model import GRID
@@ -188,7 +188,8 @@ class TestSampledPipeline:
         child = substream_seed(900, GRID, 0)
         assert seeds == (child,)
         manual = potential_grid(
-            esd(assemble_model(replace(spec, seed=child))), window, 21, 21
+            WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=child))),
+            window, 21, 21,
         )
         assert np.array_equal(grid.values, manual.values)
         assert pooled.points.shape == (40,)
@@ -200,7 +201,8 @@ class TestSampledPipeline:
         grid, pooled, seeds = sample_potential_grid(spec, window, 15, 15, 2)
         parts = [
             potential_grid(
-                esd(assemble_model(replace(spec, seed=s))), window, 15, 15
+                WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=s))),
+                window, 15, 15,
             ).values
             for s in seeds
         ]

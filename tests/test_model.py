@@ -8,17 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from projsum import (
     InvalidDimensionError,
     ModelSpec,
     TwoAtomLaw,
     assemble_model,
+    atom_weights,
     build_two_atom_hermitian,
     sample_haar_unitary,
     substream_rng,
+    two_projection_eigenvalues,
 )
 from projsum import model
 from tests.conftest import P_LAW, Q_LAW
@@ -32,6 +35,14 @@ def _unitarity_defect(u: np.ndarray) -> float:
 
 
 class TestHaarUnitary:
+    def test_matches_full_qr_of_the_ginibre_draw(self):
+        for n in (1, 7, 64):
+            rng = substream_rng(5, n)
+            g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            assert np.array_equal(sample_haar_unitary(n, substream_rng(5, n)), q * (d / np.abs(d)))
+
     def test_unitary_within_tolerance(self):
         for n in (1, 2, 5, 40, 300):
             u = sample_haar_unitary(n, substream_rng(123, n))
@@ -209,3 +220,61 @@ class TestSubstreamTable:
                 )
                 used.append(first.id)
         assert sorted(used) == sorted(STREAMS)
+
+
+def _law(weight: float, loc: float, gap: float, magnitude: float) -> TwoAtomLaw:
+    return TwoAtomLaw(weight, magnitude * loc, magnitude * (loc + gap))
+
+
+# weights include 0 and 1; a zero gap is a one-atom law; either gap sign and
+# either gap larger; magnitude 1e3 pushes the atoms far from the origin
+_LAWS = st.builds(
+    _law,
+    weight=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    loc=st.floats(-4.0, 4.0),
+    gap=st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25)),
+    magnitude=st.sampled_from([1.0, 1e3]),
+)
+
+
+def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
+    kernel = two_projection_eigenvalues(spec)
+    dense = np.linalg.eigvals(assemble_model(spec).x_matrix)
+    laws = (spec.p_law, spec.q_law)
+    scale = max(1.0, *(abs(x) for law in laws for x in (law.loc, law.loc_alt)))
+    assert kernel.shape == dense.shape == (spec.n,)
+    cost = np.abs(kernel[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-12 * scale
+    if spec.p_law.gap == 0.0 or spec.q_law.gap == 0.0:
+        return  # coinciding corners: the parallelogram law does not apply
+    p_law = build_two_atom_hermitian(spec.p_law, spec.n)[1]
+    q_law = build_two_atom_hermitian(spec.q_law, spec.n)[1]
+    corners = (
+        complex(p_law.loc, q_law.loc),
+        complex(p_law.loc, q_law.loc_alt),
+        complex(p_law.loc_alt, q_law.loc),
+        complex(p_law.loc_alt, q_law.loc_alt),
+    )
+    for corner, weight in zip(corners, atom_weights(p_law.weight, q_law.weight).corner_weights):
+        count = int(np.sum(np.abs(kernel - corner) <= 1e-10 * scale))
+        assert abs(weight * spec.n - round(weight * spec.n)) <= 1e-9
+        assert count == round(weight * spec.n)
+
+
+class TestTwoProjectionEigenvalues:
+    @given(
+        p_law=_LAWS,
+        q_law=_LAWS,
+        n=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(p_law=TwoAtomLaw(0.2, 0.0, 1.0), q_law=TwoAtomLaw(0.3, 0.0, -2.0), n=10, seed=1)  # k1 + k2 > n
+    @example(p_law=TwoAtomLaw(0.0, 0.0, 1.0), q_law=TwoAtomLaw(1.0, 0.0, 0.8), n=5, seed=2)
+    @example(p_law=TwoAtomLaw(0.5, 0.3, 0.3), q_law=TwoAtomLaw(0.5, 0.3, 0.3), n=6, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_eigvals(self, p_law, q_law, n, seed):
+        _assert_kernel_matches_dense(ModelSpec(p_law, q_law, n=n, seed=seed))
+
+    def test_matches_dense_eigvals_at_n_400(self):
+        _assert_kernel_matches_dense(ModelSpec(P_LAW, TwoAtomLaw(0.3, 0.8, 0.0), n=400, seed=400))
