@@ -313,6 +313,12 @@ def cmd_replay(args) -> int:
     if not isinstance(manifest.get("params"), dict):
         raise ValueError("manifest has no params")
     params = dict(manifest["params"])
+    expected = _command_params(command)
+    if params.keys() != expected:
+        raise ValueError(
+            f"manifest params do not match `{command}`: missing {sorted(expected - params.keys())},"
+            f" unexpected {sorted(params.keys() - expected)}"
+        )
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
     replay_args = argparse.Namespace(command=command, **params)
@@ -401,6 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     return parser
+
+
+def _command_params(command: str) -> set[str]:
+    """Destinations of ``command``'s flags: the params its manifest records."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
 
 
 _HANDLERS = {

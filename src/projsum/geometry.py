@@ -249,13 +249,13 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarra
 def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     """Distances from each point of ``zs`` to H intersect R.
 
-    Coarse minimum over ``hr_points(geom, m)`` in blocks of 2048 points,
-    then an elementwise golden-section refinement on both mirror sides of
-    the curve around each winning sample (see :func:`dist_to_hr`).  The
-    refinement takes ``np.hypot`` of the coordinate differences, not the
-    complex ``np.abs``, whose SIMD form differs from libm ``hypot`` in the
-    last bit for many inputs; so a point's distance is the same, bit for
-    bit, alone as in any batch.
+    Coarse minimum over ``hr_points(geom, m)`` in blocks of 256 points,
+    then one elementwise golden-section refinement of all points on both
+    mirror sides of the curve around each winning sample (see
+    :func:`dist_to_hr`).  The refinement takes ``np.hypot`` of the
+    coordinate differences, not the complex ``np.abs``, whose SIMD form
+    differs from libm ``hypot`` in the last bit for many inputs; so a
+    point's distance is the same, bit for bit, alone as in any batch.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"need at least 2 samples per branch, got {m!r}")
@@ -267,27 +267,27 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     # t is the small-gap coordinate of the level samples; |t| grows with s
     t_abs = yp if a_is_wide else xp
     t_signs = np.array([sy if a_is_wide else sx for sx, sy in _BRANCH_SIGNS])
-    out = np.empty(zs.shape, dtype=np.float64)
-    chunk = 2048
-    for lo in range(0, zs.size, chunk):
-        zc = zs[lo : lo + chunk]
-        d = np.abs(zc[:, None] - pts[None, :])
-        win = np.argmin(d, axis=1)
-        coarse = d[np.arange(zc.size), win]
-        j = win % m
-        tsign = t_signs[win // m]
-        jlo = np.maximum(j - 3, 0)
-        t1, t2 = tsign * t_abs[jlo], tsign * t_abs[np.minimum(j + 3, m - 1)]
-        t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
-        # near the vertex (t ~ 0) the mirror side is adjacent; cover it too
-        vertex = jlo == 0
-        t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
-        t_lo = np.where(vertex, -t_hi, t_lo)
-        t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
-        sides = [_golden_min(lambda t: _curve_distance(geom, zc, sign, t), t_lo, t_hi)
-                 for sign in (1.0, -1.0)]
-        out[lo : lo + zc.size] = np.minimum(coarse, np.minimum(*sides))
-    return out
+    win = np.empty(zs.shape, dtype=np.intp)
+    coarse = np.empty(zs.shape, dtype=np.float64)
+    # small blocks bound the block x 4m difference array; the refinement is elementwise
+    block = 256
+    for lo in range(0, zs.size, block):
+        d = np.abs(zs[lo : lo + block, None] - pts[None, :])
+        win[lo : lo + block] = np.argmin(d, axis=1)
+        coarse[lo : lo + block] = np.min(d, axis=1)
+    j = win % m
+    tsign = t_signs[win // m]
+    jlo = np.maximum(j - 3, 0)
+    t1, t2 = tsign * t_abs[jlo], tsign * t_abs[np.minimum(j + 3, m - 1)]
+    t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
+    # near the vertex (t ~ 0) the mirror side is adjacent; cover it too
+    vertex = jlo == 0
+    t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
+    t_lo = np.where(vertex, -t_hi, t_lo)
+    t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
+    sides = [_golden_min(lambda t: _curve_distance(geom, zs, sign, t), t_lo, t_hi)
+             for sign in (1.0, -1.0)]
+    return np.minimum(coarse, np.minimum(*sides))
 
 
 def dist_to_hr(geom: HyperbolaRectangle, z: complex, m: int = 512) -> float:

@@ -279,6 +279,25 @@ class TestReplay:
         assert main(["replay", "--manifest", str(bad)]) == E_USAGE
         assert "unknown command None" in capsys.readouterr().err
 
+    def test_replay_rejects_params_the_command_does_not_take(self, tmp_path, capsys):
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({
+            "command": "sample", "params": {"n": 4, "out_prefix": str(tmp_path / "x")},
+            "tool_version": __version__,
+        }))
+        assert main(["replay", "--manifest", str(short)]) == E_USAGE
+        assert "missing ['a', 'alpha'" in capsys.readouterr().err
+        prefix = _sample(tmp_path, "extra", n=8)
+        manifest = Path(str(prefix) + ".manifest.json")
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["params"]["command"] = "sample"
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
+        assert "unexpected ['command']" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "extra.esd.csv", "extra.manifest.json", "short.json",
+        ]
+
     def test_handler_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def broken(args):
             raise KeyError("internal")

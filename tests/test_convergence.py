@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from projsum import (
     DegenerateGeometryError,
@@ -33,7 +35,100 @@ def _measure(points, weights) -> WeightedPointMeasure:
     )
 
 
+def _dense_bl(mu1: WeightedPointMeasure, mu2: WeightedPointMeasure, resolution: float) -> float:
+    """Reference: the full m x k transport LP between both binned supports."""
+    p1, w1 = convergence_module._bin_measure(mu1, resolution)
+    p2, w2 = convergence_module._bin_measure(mu2, resolution)
+    cost = np.minimum(1.0, np.abs(p1[:, None] - p2[None, :]))
+    m, k = cost.shape
+    a_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(m, format="csr"), np.ones((1, k)), format="csr"),
+            sparse.kron(np.ones((1, m)), sparse.eye(k, format="csr"), format="csr"),
+        ],
+        format="csr",
+    )
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2]), bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    return max(0.0, float(res.fun))
+
+
+def _lattice_measure(rng, size: int, offset: complex = 0j, side: int = 6) -> WeightedPointMeasure:
+    # points on a 0.1-lattice, so two such measures share some bins at resolution 0.05
+    pts = offset + 0.1 * (rng.integers(0, side, size) + 1j * rng.integers(0, side, size))
+    w = rng.uniform(0.1, 1.0, size)
+    return _measure(pts, w / w.sum())
+
+
+def _reference_pairs():
+    rng = np.random.default_rng(31)
+    pairs = []
+    for size1, size2 in ((5, 5), (12, 30), (40, 9)):
+        # shared and partially shared bins
+        pairs.append((_lattice_measure(rng, size1), _lattice_measure(rng, size2)))
+        # disjoint supports, all pairs closer than 1
+        pairs.append((_lattice_measure(rng, size1, side=3), _lattice_measure(rng, size2, 0.5 + 0.3j, side=3)))
+        # half the mass of mu2 shifted far away: truncated cost-1 pairs next to shared bins
+        near, far = _lattice_measure(rng, size2), _lattice_measure(rng, size2, 2.5 - 1j)
+        mixed = _measure(np.concatenate([near.points, far.points]), 0.5 * np.concatenate([near.weights, far.weights]))
+        pairs.append((_lattice_measure(rng, size1), mixed))
+    # single atoms: against each other, near and far, and against spread measures
+    pairs.append((_delta(0.1 + 0.2j), _delta(0.4 - 0.1j)))
+    pairs.append((_delta(0j), _delta(3 + 0j)))
+    pairs.append((_delta(0.2 + 0.2j), _lattice_measure(rng, 20)))
+    pairs.append((_lattice_measure(rng, 7, 0.7 + 0.7j), _delta(0.3j)))
+    return pairs
+
+
 class TestBlDistance:
+    @pytest.mark.parametrize("pair", _reference_pairs())
+    def test_matches_dense_transport_lp(self, pair):
+        mu1, mu2 = pair
+        expected = _dense_bl(mu1, mu2, 0.05)
+        assert abs(bl_distance(mu1, mu2, 0.05) - expected) <= 1e-12
+        assert abs(bl_distance(mu2, mu1, 0.05) - expected) <= 1e-12
+
+    @pytest.fixture
+    def lp_sizes(self, monkeypatch):
+        """Variable count of every transport LP that reaches HiGHS."""
+        sizes = []
+        real = convergence_module.linprog
+
+        def recording(c, **kwargs):
+            sizes.append(len(c))
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(convergence_module, "linprog", recording)
+        return sizes
+
+    def test_lp_moves_only_the_surplus(self, lp_sizes):
+        # the shared mass at 0 stays put: one supply bin, two demand bins, two variables, not four
+        m1 = _measure([0j, 0.5 + 0j], [0.75, 0.25])
+        m2 = _measure([0j, 0.25 + 0j], [0.9, 0.1])
+        assert bl_distance(m1, m2, 0.01) == pytest.approx(_dense_bl(m1, m2, 0.01), abs=1e-12)
+        assert lp_sizes == [2]
+
+    def test_roundoff_weights_on_one_support(self, lp_sizes):
+        # the same atoms, listed in another order and with a zero-weight extra
+        # atom, bin to weights that differ only by roundoff, with one sign,
+        # both or none; HiGHS must never see an empty side
+        rng = np.random.default_rng(5)
+        signs = set()
+        for _ in range(60):
+            pts = 0.1 * (rng.integers(0, 8, 9) + 1j * rng.integers(0, 8, 9))
+            w = rng.uniform(0.1, 1.0, 9)
+            order = rng.permutation(9)
+            mu1 = _measure(pts, w / w.sum())
+            mu2 = _measure(np.append(pts[order], 5 + 5j), np.append(3.0 * w[order] / (3.0 * w).sum(), 0.0))
+            _, w1 = convergence_module._bin_measure(mu1, 0.05)
+            _, w2 = convergence_module._bin_measure(mu2, 0.05)
+            diff = w1 - w2[:-1]
+            signs.add((bool(np.any(diff > 0)), bool(np.any(diff < 0))))
+            got = bl_distance(mu1, mu2, 0.05)
+            assert 0.0 <= got <= 1e-14
+        assert {(True, False), (False, True), (False, False)} <= signs
+        assert all(size > 0 for size in lp_sizes)
+
     def test_identical_measures(self):
         m = _measure([0j, 1 + 1j], [0.3, 0.7])
         assert bl_distance(m, m, 0.01) == 0.0

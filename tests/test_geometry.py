@@ -208,6 +208,19 @@ class TestDistance:
         assert batch.tobytes() == single.tobytes()
         assert dist_to_hr_many(g, zs[::-1])[::-1].tobytes() == batch.tobytes()
 
+    def test_batch_across_coarse_blocks(self):
+        # 1061 points span five coarse blocks of 256; on-curve runs straddle the block edges
+        rng = np.random.default_rng(41)
+        zs = DEMO.center + 1.5 * (rng.standard_normal(1061) + 1j * rng.standard_normal(1061))
+        on_curve = np.zeros(zs.shape, dtype=bool)
+        for branch, edge in enumerate((256, 512, 768, 1024)):
+            zs[edge - 20 : edge + 20] = hr_points(DEMO, 40)[40 * branch : 40 * (branch + 1)]
+            on_curve[edge - 20 : edge + 20] = True
+        batch = dist_to_hr_many(DEMO, zs)
+        single = np.array([dist_to_hr(DEMO, z) for z in zs])
+        assert batch.tobytes() == single.tobytes()
+        assert np.max(batch[on_curve]) <= 1e-13
+
 
 class TestCornerLocations:
     # magnitudes up to 1e300 keep the gaps finite
