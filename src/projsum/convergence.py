@@ -31,7 +31,7 @@ from .model import (
     substream_seed,
     two_projection_eigenvalues,
 )
-from .spectra import WeightedPointMeasure, esd
+from .spectra import ComputationError, WeightedPointMeasure, esd
 
 __all__ = [
     "CornerAtomMasses",
@@ -73,14 +73,14 @@ def bl_distance(
     signed difference mu1 - mu2: mass both measures put in a bin never
     moves, and the program transports only the bins where mu1 exceeds mu2
     to the bins where mu2 exceeds mu1.  The binning perturbs each measure
-    by at most resolution/sqrt(2) in this metric.
+    by at most resolution/sqrt(2) in this metric.  Identical binned
+    measures leave no surplus and give 0.0 without a solve.  Raises
+    :class:`ComputationError` when HiGHS reports a non-zero status.
     """
     if grid_resolution <= 0:
         raise ValueError("grid_resolution must be positive")
     p1, w1 = _bin_measure(mu1, grid_resolution)
     p2, w2 = _bin_measure(mu2, grid_resolution)
-    if p1.shape == p2.shape and np.array_equal(p1, p2) and np.allclose(w1, w2, atol=1e-15):
-        return 0.0
     # both supports lie on the lattice (i + 1j*j) * resolution, so a shared bin compares equal
     bins, inverse = np.unique(np.concatenate([p1, p2]), return_inverse=True)
     diff = np.zeros(len(bins))
@@ -101,7 +101,7 @@ def bl_distance(
     b_eq = np.concatenate([diff[supply], -diff[demand]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise ComputationError(f"transport LP failed (status {res.status}): {res.message}")
     return max(0.0, float(res.fun))
 
 

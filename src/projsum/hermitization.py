@@ -166,7 +166,11 @@ def potential_grid(
     the inclusive linspace grid.  A node closer than 1e-13 * scale to an
     atom is moved half a cell diagonally before evaluation (the potential is
     defined almost everywhere; node collisions are a gridding artifact) and
-    the move is recorded in ``perturbations``.
+    the move is recorded in ``perturbations``.  Exactly equal atoms are
+    merged first, their weights summed, so each distinct atom costs one
+    log per node: the two-projection kernel repeats its corner atoms
+    hundreds of times.  By linearity the potential is the same up to
+    roundoff, and the nudged nodes depend only on the set of atoms.
     """
     xmin, xmax, ymin, ymax = map(float, window)
     if not (xmax > xmin and ymax > ymin):
@@ -179,9 +183,11 @@ def potential_grid(
     ys = ymin + hy * np.arange(ny)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
 
-    scale = max(1.0, float(np.max(np.abs(measure.points))))
+    points, inverse = np.unique(measure.points, return_inverse=True)
+    weights = np.bincount(inverse, weights=measure.weights)
+    scale = max(1.0, float(np.max(np.abs(points))))
     shift = 0.5 * hx + 0.5j * hy
-    values, hits = _eval_chunks(zs, measure.points, measure.weights, 1e-13 * scale, shift)
+    values, hits = _eval_chunks(zs, points, weights, 1e-13 * scale, shift)
     perturbed = [
         PerturbedNode(*divmod(int(flat), ny), original=complex(zs[flat]), used=complex(zs[flat] + shift))
         for flat in hits

@@ -6,13 +6,14 @@ import csv
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from projsum import __version__, make_geometry
-from projsum import cli
-from projsum.cli import E_CHECK, E_OK, E_USAGE, main
+from projsum import cli, convergence
+from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO_FLAGS = [
@@ -225,6 +226,17 @@ class TestConverge:
         assert report["distances"][0] > 0.0
         assert max(report["support_devs"]) <= 1e-8
         assert max(report["corner_mass_errors"]) <= 1e-9
+
+    def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            convergence, "linprog",
+            lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
+        )
+        rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32",
+                   "--samples", "2", "--seed", "42", "--out-prefix", str(tmp_path / "conv")])
+        assert rc == E_NUMERIC
+        assert "numeric failure: transport LP failed (status 2)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_schedule_is_usage_error(self, tmp_path):
         rc = main(["converge", *DEMO_FLAGS, "--schedule", "48,24",

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
 from projsum import (
+    ComputationError,
     DegenerateGeometryError,
     ModelSpec,
     TwoAtomLaw,
@@ -132,6 +135,21 @@ class TestBlDistance:
     def test_identical_measures(self):
         m = _measure([0j, 1 + 1j], [0.3, 0.7])
         assert bl_distance(m, m, 0.01) == 0.0
+
+    def test_weights_a_millionth_apart_are_not_identical(self):
+        # 4e-6 of mass moves from 1 to 0, at cost min(1, 1) = 1
+        m1 = _measure([0j, 1 + 0j], [0.5, 0.5])
+        m2 = _measure([0j, 1 + 0j], [0.500004, 0.499996])
+        assert abs(bl_distance(m1, m2, 0.01) - 4.0e-6) <= 1e-12
+        assert abs(bl_distance(m2, m1, 0.01) - 4.0e-6) <= 1e-12
+
+    def test_lp_failure_is_a_computation_error(self, monkeypatch):
+        monkeypatch.setattr(
+            convergence_module, "linprog",
+            lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
+        )
+        with pytest.raises(ComputationError, match="status 2"):
+            bl_distance(_delta(0j), _delta(0.5 + 0j), 0.01)
 
     def test_two_deltas_cost_is_truncated_distance(self):
         for d in (0.3, 0.7, 2.5):

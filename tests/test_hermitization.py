@@ -24,6 +24,7 @@ from projsum import (
     two_projection_eigenvalues,
     worker_count,
 )
+from projsum import hermitization
 from projsum.model import GRID
 from tests.conftest import P_LAW, Q_LAW
 
@@ -130,6 +131,43 @@ class TestPotentialGrid:
         assert serial.perturbations == threaded.perturbations
         assert np.all(np.isfinite(serial.values))
         assert serial.values.tobytes() == threaded.values.tobytes()
+
+    def test_kernel_sample_evaluates_distinct_atoms_once(self, demo_laws, monkeypatch):
+        # n=400, k1=150, k2=50: 200 kernel zeros, 100 equal copies of one
+        # corner atom and 100 block roots leave 102 distinct atoms
+        sizes = []
+        real = hermitization._eval_chunks
+
+        def recording(zs, points, weights, radius, shift):
+            sizes.append(points.size)
+            return real(zs, points, weights, radius, shift)
+
+        monkeypatch.setattr(hermitization, "_eval_chunks", recording)
+        p, q = demo_laws
+        _, pooled, _ = sample_potential_grid(ModelSpec(p, q, n=400, seed=3), (-0.5, 1.5, -0.5, 1.5), 5, 5, 1)
+        assert pooled.points.size == 400
+        assert sizes == [102]
+
+    def test_repeated_atoms_match_merged_measure(self):
+        window = (-1.0, 1.0, -1.0, 1.0)
+        nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
+        distinct = np.array([nodes[30, 25], 0.123 + 0.456j, -0.317 + 0.702j, 0.771 - 0.413j])
+        repeats = np.array([50, 7, 13, 1])
+        order = np.random.default_rng(6).permutation(repeats.sum())
+        repeated = WeightedPointMeasure.uniform(np.repeat(distinct, repeats)[order])
+        merged = WeightedPointMeasure(points=distinct, weights=repeats / repeats.sum())
+        got = potential_grid(repeated, window, 41, 41)
+        want = potential_grid(merged, window, 41, 41)
+        assert [(p.ix, p.iy) for p in got.perturbations] == [(30, 25)]
+        assert got.perturbations == want.perturbations
+        # reference: one log per atom, repeats included, at the nodes actually used
+        used = got.nodes()
+        for pert in got.perturbations:
+            used[pert.ix, pert.iy] = pert.used
+        term_by_term = np.log(np.abs(used[:, :, None] - repeated.points)) @ repeated.weights
+        tol = 1e-13 * np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= tol
+        assert np.max(np.abs(got.values - term_by_term)) <= tol
 
     def test_rejects_bad_windows(self):
         m = _delta(0j)
