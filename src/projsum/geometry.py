@@ -163,6 +163,7 @@ def on_hyperbola(geom: HyperbolaRectangle, z, tol: float = 1e-10):
         raise ValueError("tol must be positive")
     return hyperbola_residual(geom, z) <= tol * geom.scale**2
 
+
 def in_rectangle(geom: HyperbolaRectangle, z):
     """Whether z lies in the closed rectangle of atom coordinates."""
     z = np.asarray(z, dtype=np.complex128)
@@ -182,6 +183,7 @@ def _level_grid(geom: HyperbolaRectangle, m: int) -> tuple[np.ndarray, np.ndarra
     xp = np.sqrt(0.25 * a2 + s)
     yp = np.sqrt(0.25 * b2 + s)
     return s, xp, yp
+
 
 _BRANCH_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
@@ -208,14 +210,15 @@ def hr_points(geom: HyperbolaRectangle, m: int) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _curve_distance(geom: HyperbolaRectangle, zs: np.ndarray, sign: float, t: np.ndarray) -> np.ndarray:
+def _curve_distance(geom: HyperbolaRectangle, zs: np.ndarray, sign, t: np.ndarray) -> np.ndarray:
     """|z - w(t)| elementwise, w(t) the curve point on the mirror side ``sign``.
 
     The curve is parameterized by the coordinate with the smaller gap
     (t = y' when A^2 >= B^2, else t = x'); the other coordinate is
     +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  Unlike the level s, this
     parameter has curve speed between 1 and sqrt(2) everywhere, so bracket
-    precision eps in t locates the distance to O(eps).
+    precision eps in t locates the distance to O(eps).  ``sign`` is +-1,
+    a scalar or one entry per point.
     """
     c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
     r = sign * np.sqrt(c + t * t)
@@ -247,34 +250,63 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarra
 
 
 def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
-    """Distances from each point of ``zs`` to H intersect R.
+    """Distances from each point of ``zs`` to H intersect R, in the shape of ``zs``.
 
-    Coarse minimum over ``hr_points(geom, m)`` in blocks of 256 points,
-    then one elementwise golden-section refinement of all points on both
-    mirror sides of the curve around each winning sample (see
-    :func:`dist_to_hr`).  The refinement takes ``np.hypot`` of the
-    coordinate differences, not the complex ``np.abs``, whose SIMD form
-    differs from libm ``hypot`` in the last bit for many inputs; so a
-    point's distance is the same, bit for bit, alone as in any batch.
+    H intersect R is symmetric about both center lines, so a point's nearest
+    sample and nearest curve point lie in its own quadrant (the signs of
+    x - center_x and y - center_y).  The coarse stage takes the minimum over
+    the m samples of that quadrant's branch of ``hr_points(geom, m)``, in
+    blocks of 256 points; one elementwise golden-section refinement then
+    searches the curve around the winning sample on the mirror side given
+    by the sign of the point's wide-gap coordinate (see :func:`dist_to_hr`).
+
+    A point within tau = 1e-12 * max(scale, |center_x|, |center_y|) of a
+    center line, or with a NaN coordinate, also takes the branches and the
+    side across that line: there the mirror images tie up to rounding, since
+    center + x' and center - x' round differently.  Branches are merged in
+    ``hr_points`` order and a later one wins only if strictly closer, so ties
+    keep the lowest sample index, as an argmin over all 4m samples does; the
+    tests check the result bit for bit against that four-branch, two-side
+    search.
+
+    The refinement takes ``np.hypot`` of the coordinate differences, not the
+    complex ``np.abs``, whose SIMD form differs from libm ``hypot`` in the
+    last bit for many inputs; so a point's distance is the same, bit for
+    bit, alone as in any batch.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"need at least 2 samples per branch, got {m!r}")
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    pts = hr_points(geom, m)
+    shape = zs.shape
+    zs = zs.ravel()
+    branches = hr_points(geom, m).reshape(4, m)
     _, xp, yp = _level_grid(geom, m)
     half = 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
     a_is_wide = geom.gap_a**2 >= geom.gap_b**2
     # t is the small-gap coordinate of the level samples; |t| grows with s
     t_abs = yp if a_is_wide else xp
     t_signs = np.array([sy if a_is_wide else sx for sx, sy in _BRANCH_SIGNS])
-    win = np.empty(zs.shape, dtype=np.intp)
-    coarse = np.empty(zs.shape, dtype=np.float64)
-    # small blocks bound the block x 4m difference array; the refinement is elementwise
+    # a point takes the side sign of a center line unless it lies beyond tau on
+    # the other side; NaN compares false, so it takes both
+    tau = 1e-12 * max(geom.scale, abs(geom.center_x), abs(geom.center_y))
+    xr, yr = zs.real - geom.center_x, zs.imag - geom.center_y
+    takes_x = {1.0: ~(xr < -tau), -1.0: ~(xr > tau)}
+    takes_y = {1.0: ~(yr < -tau), -1.0: ~(yr > tau)}
+    win = np.zeros(zs.shape, dtype=np.intp)
+    coarse = np.zeros(zs.shape, dtype=np.float64)
+    seen = np.zeros(zs.shape, dtype=bool)
+    # small blocks bound the block x m difference array; the refinement is elementwise
     block = 256
-    for lo in range(0, zs.size, block):
-        d = np.abs(zs[lo : lo + block, None] - pts[None, :])
-        win[lo : lo + block] = np.argmin(d, axis=1)
-        coarse[lo : lo + block] = np.min(d, axis=1)
+    for k, (sx, sy) in enumerate(_BRANCH_SIGNS):
+        sel = np.flatnonzero(takes_x[sx] & takes_y[sy])
+        for lo in range(0, sel.size, block):
+            idx = sel[lo : lo + block]
+            d = np.abs(zs[idx, None] - branches[k][None, :])
+            j = np.argmin(d, axis=1)
+            c = d[np.arange(idx.size), j]
+            better = ~seen[idx] | (c < coarse[idx])
+            idx = idx[better]
+            win[idx], coarse[idx], seen[idx] = k * m + j[better], c[better], True
     j = win % m
     tsign = t_signs[win // m]
     jlo = np.maximum(j - 3, 0)
@@ -285,20 +317,32 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
     t_lo = np.where(vertex, -t_hi, t_lo)
     t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
-    sides = [_golden_min(lambda t: _curve_distance(geom, zs, sign, t), t_lo, t_hi)
-             for sign in (1.0, -1.0)]
-    return np.minimum(coarse, np.minimum(*sides))
+    # one golden section per (point, side) pair: the own side, both in the band
+    takes_side = takes_x if a_is_wide else takes_y
+    sides = [np.flatnonzero(takes_side[sign]) for sign in (1.0, -1.0)]
+    idx = np.concatenate(sides)
+    sign = np.repeat([1.0, -1.0], [s.size for s in sides])
+    z_idx = zs[idx]
+    refined = _golden_min(lambda t: _curve_distance(geom, z_idx, sign, t), t_lo[idx], t_hi[idx])
+    for side, part in zip(sides, np.split(refined, [sides[0].size])):
+        coarse[side] = np.minimum(coarse[side], part)
+    return coarse.reshape(shape)
 
 
 def dist_to_hr(geom: HyperbolaRectangle, z: complex, m: int = 512) -> float:
     """Distance from z to H intersect R.
 
-    The coarse stage takes the minimum of |z - w| over ``hr_points(geom, m)``;
-    the winning branch is then refined by a golden-section search along the
-    curve (elementwise over arrays in :func:`dist_to_hr_many`), tight enough
-    that points on the set return ~0 (below 1e-10 * scale).  The sampling
-    resolution m only affects how good the coarse bracket is; 512 is ample
-    for the geometries at hand.
+    The coarse stage takes the minimum of |z - w| over the samples of
+    ``hr_points(geom, m)`` on the branch in z's own quadrant; the winning
+    sample is then refined by a golden-section search along the curve on
+    the mirror side of z's wide-gap coordinate (elementwise over arrays in
+    :func:`dist_to_hr_many`), tight enough that points on the set return ~0
+    (below 1e-10 * scale).  Within tau = 1e-12 * max(scale, |center_x|,
+    |center_y|) of a center line z also takes the branches and side across
+    it, merged so that ties keep the lowest sample index, which keeps the
+    result bit for bit that of a search over all four branches and both sides.
+    The sampling resolution m only affects how good the coarse bracket is;
+    512 is ample for the geometries at hand.
     """
     return float(dist_to_hr_many(geom, [z], m)[0])
 

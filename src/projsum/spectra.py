@@ -187,7 +187,7 @@ def verify_sv_bound(
     distance call for all points) and as a float for a scalar ``z``.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    dist = dist_to_hr_many(geom, zs.ravel(), m).reshape(zs.shape)
+    dist = dist_to_hr_many(geom, zs, m).reshape(zs.shape)
     margins = np.empty(zs.shape)
     for idx, zi in np.ndenumerate(zs):
         shifted = zi * np.eye(realization.n) - realization.x_matrix

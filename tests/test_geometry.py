@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,65 @@ from projsum import (
     make_geometry,
     on_hyperbola,
 )
+from projsum.geometry import _BRANCH_SIGNS, _curve_distance, _golden_min, _level_grid
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO = make_geometry(P_LAW, Q_LAW)
+
+
+def _dist_to_hr_many_050(geom, zs, m=512):
+    """Reference: the 0.5.0 search over all four branches and both mirror sides."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    pts = hr_points(geom, m)
+    _, xp, yp = _level_grid(geom, m)
+    half = 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
+    a_is_wide = geom.gap_a**2 >= geom.gap_b**2
+    t_abs = yp if a_is_wide else xp
+    t_signs = np.array([sy if a_is_wide else sx for sx, sy in _BRANCH_SIGNS])
+    win = np.empty(zs.shape, dtype=np.intp)
+    coarse = np.empty(zs.shape, dtype=np.float64)
+    block = 256
+    for lo in range(0, zs.size, block):
+        d = np.abs(zs[lo : lo + block, None] - pts[None, :])
+        win[lo : lo + block] = np.argmin(d, axis=1)
+        coarse[lo : lo + block] = np.min(d, axis=1)
+    j = win % m
+    tsign = t_signs[win // m]
+    jlo = np.maximum(j - 3, 0)
+    t1, t2 = tsign * t_abs[jlo], tsign * t_abs[np.minimum(j + 3, m - 1)]
+    t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
+    vertex = jlo == 0
+    t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
+    t_lo = np.where(vertex, -t_hi, t_lo)
+    t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
+    sides = [_golden_min(lambda t: _curve_distance(geom, zs, sign, t), t_lo, t_hi)
+             for sign in (1.0, -1.0)]
+    return np.minimum(coarse, np.minimum(*sides))
+
+
+def _nudged(v: float, ulps: int) -> float:
+    """v moved by |ulps| units in the last place, up for ulps > 0."""
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, math.copysign(math.inf, ulps))
+    return float(v)
+
+
+def _probe_points(g, rng) -> np.ndarray:
+    """Random points, samples of the set, corners and center, and points on
+    and 1-4 ulps off each center line (the quadrant search's tie band)."""
+    s = g.scale
+    along_x = g.center_x + s * rng.standard_normal(12)
+    along_y = g.center_y + s * rng.standard_normal(12)
+    parts = [
+        g.center + 2 * s * (rng.standard_normal(64) + 1j * rng.standard_normal(64)),
+        hr_points(g, 37),
+        np.array(g.corners),
+        np.array([g.center]),
+    ]
+    for ulps in (0, 1, -1, 2, -2, 3, -3, 4, -4):
+        x, y = _nudged(g.center_x, ulps), _nudged(g.center_y, ulps)
+        parts += [x + 1j * along_y, along_x + 1j * y, np.array([complex(x, y)])]
+    return np.concatenate(parts)
 
 
 class TestMakeGeometry:
@@ -220,6 +277,72 @@ class TestDistance:
         single = np.array([dist_to_hr(DEMO, z) for z in zs])
         assert batch.tobytes() == single.tobytes()
         assert np.max(batch[on_curve]) <= 1e-13
+
+
+class TestQuadrantSearch:
+    """The own-quadrant search returns the 0.5.0 four-branch bytes."""
+
+    @pytest.mark.parametrize("p_law,q_law", [
+        (P_LAW, Q_LAW),
+        (P_LAW, TwoAtomLaw(0.5, 1.0, -0.4)),
+        (P_LAW, TwoAtomLaw(0.5, 0.0, 1.0)),
+        (TwoAtomLaw(0.5, 0.1, 0.7), TwoAtomLaw(0.5, 0.33, -2.9)),
+        (TwoAtomLaw(0.5, -3.7, -1.3), TwoAtomLaw(0.5, 412.9, 413.45)),
+    ])
+    def test_matches_four_branch_search(self, p_law, q_law):
+        g = make_geometry(p_law, q_law)
+        zs = _probe_points(g, np.random.default_rng(29))
+        assert dist_to_hr_many(g, zs).tobytes() == _dist_to_hr_many_050(g, zs).tobytes()
+
+    @given(
+        center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        gaps=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+        equal_gaps=st.booleans(),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+        m=st.sampled_from([2, 16, 128, 512]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_four_branch_search_over_geometries(self, center, gaps, equal_gaps, signs, m, seed):
+        rng = np.random.default_rng(seed)
+        # the centers hypothesis picks are mostly round numbers, at which
+        # center + x' and center - x' round alike; a generic offset makes the
+        # points off a center line exercise the tie band
+        (cx, cy), (ga, gb) = (v + rng.uniform(-1, 1) for v in center), gaps
+        if equal_gaps:
+            # multiples of 2^-10 below 2^11 make every atom and both gaps exact
+            cx, cy, ga = (round(v * 1024) / 1024 for v in (cx, cy, ga))
+            gb = ga
+        ga, gb = signs[0] * ga, signs[1] * gb
+        g = make_geometry(TwoAtomLaw(0.5, cx - ga / 2, cx + ga / 2),
+                          TwoAtomLaw(0.5, cy - gb / 2, cy + gb / 2))
+        if equal_gaps:
+            assert abs(g.gap_a) == abs(g.gap_b)
+        zs = _probe_points(g, rng)
+        assert dist_to_hr_many(g, zs, m).tobytes() == _dist_to_hr_many_050(g, zs, m).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 2048)])
+    def test_array_input_keeps_its_shape(self, shape):
+        # the last axis must not broadcast against the branch samples
+        rng = np.random.default_rng(5)
+        zs = DEMO.center + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        d = dist_to_hr_many(DEMO, zs)
+        assert d.shape == shape
+        assert d.tobytes() == dist_to_hr_many(DEMO, zs.ravel()).reshape(shape).tobytes()
+
+    def test_non_finite_and_empty_input(self):
+        nan, inf = math.nan, math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_nan = dist_to_hr_many(DEMO, [complex(nan, 0.3), complex(0.3, nan), complex(nan, nan),
+                                           complex(DEMO.center_x, nan)])
+            d_inf = dist_to_hr_many(DEMO, [complex(inf, 0.3), complex(-inf, 0.3), complex(0.3, inf),
+                                           complex(0.3, -inf), complex(-inf, inf)])
+            empty = dist_to_hr_many(DEMO, [])
+        assert np.all(np.isnan(d_nan))
+        assert np.all(d_inf == inf)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert math.isnan(dist_to_hr(DEMO, complex(nan, 0.0)))
 
 
 class TestCornerLocations:
