@@ -73,7 +73,10 @@ def bl_distance(
     signed difference mu1 - mu2: mass both measures put in a bin never
     moves, and the program transports only the bins where mu1 exceeds mu2
     to the bins where mu2 exceeds mu1.  The binning perturbs each measure
-    by at most resolution/sqrt(2) in this metric.  Identical binned
+    by at most resolution/sqrt(2) in this metric.  The supply and demand
+    sides are each scaled to unit mass before the solve and the optimum is
+    multiplied back by the mean of the two surpluses, so the distance is
+    homogeneous in the surplus however small it is.  Identical binned
     measures leave no surplus and give 0.0 without a solve.  Raises
     :class:`ComputationError` when HiGHS reports a non-zero status.
     """
@@ -98,11 +101,16 @@ def bl_distance(
         ],
         format="csr",
     )
-    b_eq = np.concatenate([diff[supply], -diff[demand]])
+    # each side scaled to unit mass: a surplus far below HiGHS's feasibility
+    # tolerance would otherwise be taken as met by moving nothing (or, with
+    # one common scale, the roundoff between the two sums reads as infeasible)
+    surplus, deficit = diff[supply], -diff[demand]
+    s, d = float(surplus.sum()), float(deficit.sum())
+    b_eq = np.concatenate([surplus / s, deficit / d])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise ComputationError(f"transport LP failed (status {res.status}): {res.message}")
-    return max(0.0, float(res.fun))
+    return max(0.0, float(res.fun) * 0.5 * (s + d))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "InvalidDimensionError",
@@ -126,15 +127,22 @@ def substream_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _haar_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Leading k columns of the Haar unitary drawn from ``rng``.
+def _ginibre_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Leading k columns of an n x n standard complex Ginibre matrix drawn from ``rng``.
 
-    The full n x n Ginibre matrix is always drawn, so every k consumes the
-    same numbers; only its leading k columns go through the (thin) QR.
+    The matrix is drawn column by column, each entry as a (real, imaginary)
+    pair of normals scaled by 1/sqrt(2).  So the k-column draw consumes 2nk
+    normals and equals the leading k columns of the n-column draw bit for
+    bit.
     """
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    q, r = np.linalg.qr((re[:, :k] + 1j * im[:, :k]) / math.sqrt(2.0))
+    g = rng.standard_normal((k, n, 2))
+    g /= math.sqrt(2.0)
+    return g.view(np.complex128)[..., 0].T
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Orthonormal factor of ``g`` with its columns rotated by the phases of diag(R)."""
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -142,18 +150,20 @@ def _haar_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an n x n unitary matrix from Haar measure on U(n).
 
-    A standard complex Ginibre matrix is orthonormalized by QR, then each
-    column of Q is multiplied by the phase of the matching diagonal entry of
-    R.  This makes the factorization G = (Q Lambda)(Lambda* R) the unique one
-    with positive triangular diagonal, and the orthogonal factor of that
-    unique factorization is exactly Haar distributed; raw QR output is not.
+    A standard complex Ginibre matrix, drawn column by column (the leading k
+    columns take the first 2nk normals of ``rng``), is orthonormalized by
+    QR, then each column of Q is multiplied by the phase of the matching
+    diagonal entry of R.  This makes the factorization G = (Q Lambda)(Lambda*
+    R) the unique one with positive triangular diagonal, and the orthogonal
+    factor of that unique factorization is exactly Haar distributed; raw QR
+    output is not.
 
     Parameters
     ----------
     n : int
         Dimension, at least 1.
     rng : numpy.random.Generator
-        Source of randomness; consumed.
+        Source of randomness; 2n^2 normals are consumed.
 
     Returns
     -------
@@ -162,15 +172,28 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
-    return _haar_columns(rng, n, n)
+    return _haar_from_ginibre(_ginibre_columns(rng, n, n))
 
 
-def _haar_isometries(spec: ModelSpec, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k1 columns of U and k2 columns of V for the realization of ``spec``."""
+def _ginibre_pair(spec: ModelSpec, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k1 columns of U's and k2 columns of V's Ginibre draws for ``spec``."""
     return (
-        _haar_columns(substream_rng(spec.seed, HAAR_P), spec.n, k1),
-        _haar_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2),
+        _ginibre_columns(substream_rng(spec.seed, HAAR_P), spec.n, k1),
+        _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2),
     )
+
+
+def _range_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(W, R) with W R^-1 an orthonormal basis of ran g; R is None when W is one.
+
+    A side with 2k <= n keeps W = g and takes only the triangular factor of
+    its QR.  Its R is well conditioned there; towards k = n it is not, and
+    that side forms the thin Q instead.
+    """
+    n, k = g.shape
+    if 2 * k > n:
+        return np.linalg.qr(g)[0], None
+    return g, np.linalg.qr(g, mode="r")
 
 
 def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
@@ -223,7 +246,7 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         p = p_diag.astype(np.complex128)
         q = q_diag.astype(np.complex128)
     else:
-        u, v = _haar_isometries(spec, spec.n, spec.n)
+        u, v = (_haar_from_ginibre(g) for g in _ginibre_pair(spec, spec.n, spec.n))
         p = (u * np.diagonal(p_diag)) @ u.conj().T
         q = (v * np.diagonal(q_diag)) @ v.conj().T
         # exact Hermitian symmetrization; conjugation is Hermitian only to roundoff
@@ -256,14 +279,25 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     their zero roots are dropped.
 
     Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
-    roundoff (up to order) without forming any n x n product: it costs a
-    thin QR of each Ginibre draw and a k1 x k2 SVD.
+    roundoff (up to order) without forming any n x n product.  It draws
+    only the leading k1 and k2 Ginibre columns (the same numbers
+    ``assemble_model`` reads first) and needs no orthonormal basis: with
+    G1 = U1 R1 and G2 = V2 R2, the cosines are the singular values of
+    R1^-* (G1* G2) R2^-1.  A side with 2k <= n takes only R from its QR; a
+    side with 2k > n, where R is ill conditioned, forms the thin Q (see
+    ``_range_factors``).  The rest is one k1 x k2 product and SVD.
     """
     k1, p_law = _realize(spec.p_law, spec.n)
     k2, q_law = _realize(spec.q_law, spec.n)
     a, b = p_law.gap, q_law.gap
-    u1, v2 = _haar_isometries(spec, k1, k2)
-    cosines = np.linalg.svd(u1.conj().T @ v2, compute_uv=False)
+    (w1, r1), (w2, r2) = (_range_factors(g) for g in _ginibre_pair(spec, k1, k2))
+    # U1 = W1 R1^-1 and V2 = W2 R2^-1 (Bjorck & Golub): U1* V2 = R1^-* (W1* W2) R2^-1
+    m = w1.conj().T @ w2
+    if r1 is not None:
+        m = solve_triangular(r1, m, trans="C")
+    if r2 is not None:
+        m = solve_triangular(r2, m.T, trans="T").T
+    cosines = np.linalg.svd(m, compute_uv=False)
     t = complex(a, b)
     det = 1j * a * b * (1.0 - cosines**2)
     disc = np.sqrt(t * t - 4.0 * det)

@@ -143,6 +143,22 @@ class TestBlDistance:
         assert abs(bl_distance(m1, m2, 0.01) - 4.0e-6) <= 1e-12
         assert abs(bl_distance(m2, m1, 0.01) - 4.0e-6) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-9])
+    def test_homogeneous_in_a_small_surplus(self, t):
+        # d(mu, (1 - t) mu + t nu) = t d(mu, nu); the per-bin surpluses, of
+        # order t/40, lie below HiGHS's feasibility tolerance (1e-7), and an
+        # LP on the unscaled surplus met them by moving nothing: 0.0
+        rng = np.random.default_rng(8)
+        k = np.arange(40)
+        pts = 0.01 * (k % 8 + 1j * (k // 8))
+        w1, w2 = (w / w.sum() for w in rng.uniform(0.1, 1.0, (2, 40)))
+        mu, nu = _measure(pts, w1), _measure(pts, w2)
+        mix = _measure(np.concatenate([pts, pts]), np.concatenate([(1 - t) * w1, t * w2]))
+        expected = t * bl_distance(mu, nu, 0.01)
+        assert type(expected) is float
+        assert bl_distance(mu, mix, 0.01) == pytest.approx(expected, rel=1e-6)
+        assert bl_distance(mix, mu, 0.01) == pytest.approx(expected, rel=1e-6)
+
     def test_lp_failure_is_a_computation_error(self, monkeypatch):
         monkeypatch.setattr(
             convergence_module, "linprog",

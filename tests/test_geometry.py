@@ -65,6 +65,13 @@ def _nudged(v: float, ulps: int) -> float:
     return float(v)
 
 
+def _branch_selections(geom, zs):
+    """The points each branch's coarse pass scans, in order: the tau rule of dist_to_hr_many."""
+    tau = 1e-12 * max(geom.scale, abs(geom.center_x), abs(geom.center_y))
+    xr, yr = zs.real - geom.center_x, zs.imag - geom.center_y
+    return [np.flatnonzero(~(sx * xr < -tau) & ~(sy * yr < -tau)) for sx, sy in _BRANCH_SIGNS]
+
+
 def _probe_points(g, rng) -> np.ndarray:
     """Random points, samples of the set, corners and center, and points on
     and 1-4 ulps off each center line (the quadrant search's tie band)."""
@@ -266,13 +273,16 @@ class TestDistance:
         assert dist_to_hr_many(g, zs[::-1])[::-1].tobytes() == batch.tobytes()
 
     def test_batch_across_coarse_blocks(self):
-        # 1061 points span five coarse blocks of 256; on-curve runs straddle the block edges
+        # the coarse pass blocks each branch's own selected points by 256; a
+        # 40-point on-curve run of each branch straddles its 256th selected point
         rng = np.random.default_rng(41)
         zs = DEMO.center + 1.5 * (rng.standard_normal(1061) + 1j * rng.standard_normal(1061))
         on_curve = np.zeros(zs.shape, dtype=bool)
-        for branch, edge in enumerate((256, 512, 768, 1024)):
-            zs[edge - 20 : edge + 20] = hr_points(DEMO, 40)[40 * branch : 40 * (branch + 1)]
-            on_curve[edge - 20 : edge + 20] = True
+        for k, run in enumerate(hr_points(DEMO, 40).reshape(4, 40)):
+            at = _branch_selections(DEMO, zs)[k][256 - 20]
+            zs, on_curve = np.insert(zs, at, run), np.insert(on_curve, at, np.ones(40, dtype=bool))
+        for sel in _branch_selections(DEMO, zs):
+            assert on_curve[sel[255]] and on_curve[sel[256]]
         batch = dist_to_hr_many(DEMO, zs)
         single = np.array([dist_to_hr(DEMO, z) for z in zs])
         assert batch.tobytes() == single.tobytes()

@@ -37,11 +37,25 @@ def _unitarity_defect(u: np.ndarray) -> float:
 class TestHaarUnitary:
     def test_matches_full_qr_of_the_ginibre_draw(self):
         for n in (1, 7, 64):
-            rng = substream_rng(5, n)
-            g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+            # column by column, each entry a (real, imaginary) pair of normals
+            normals = substream_rng(5, n).standard_normal(2 * n * n)
+            g = np.empty((n, n), dtype=np.complex128)
+            g.real = normals[0::2].reshape(n, n).T / math.sqrt(2.0)
+            g.imag = normals[1::2].reshape(n, n).T / math.sqrt(2.0)
             q, r = np.linalg.qr(g)
             d = np.diagonal(r)
             assert np.array_equal(sample_haar_unitary(n, substream_rng(5, n)), q * (d / np.abs(d)))
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (7, 3), (64, 1), (64, 40), (64, 64)])
+    def test_column_draw_is_a_prefix_of_the_square_draw(self, n, k):
+        rng = substream_rng(6, n, k)
+        g = model._ginibre_columns(rng, n, k)
+        assert g.shape == (n, k)
+        assert np.array_equal(g, model._ginibre_columns(substream_rng(6, n, k), n, n)[:, :k])
+        # exactly 2nk normals consumed: the generator is where 2nk plain draws leave it
+        ref = substream_rng(6, n, k)
+        ref.standard_normal(2 * n * k)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_unitary_within_tolerance(self):
         for n in (1, 2, 5, 40, 300):
@@ -278,3 +292,10 @@ class TestTwoProjectionEigenvalues:
 
     def test_matches_dense_eigvals_at_n_400(self):
         _assert_kernel_matches_dense(ModelSpec(P_LAW, TwoAtomLaw(0.3, 0.8, 0.0), n=400, seed=400))
+
+    @pytest.mark.parametrize("weight,n", [(0.005, 400), (0.01, 400), (0.0, 800)])
+    def test_matches_dense_eigvals_with_nearly_full_ranges(self, weight, n):
+        # k1 = k2 close to n: the triangular factor is ill conditioned there
+        # (2.9e-11 off at n = 800 through R alone), so both sides form Q
+        spec = ModelSpec(TwoAtomLaw(weight, 0.0, 1.0), TwoAtomLaw(weight, 0.0, 0.8), n=n, seed=n + 1)
+        _assert_kernel_matches_dense(spec)
