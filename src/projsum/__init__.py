@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .model import (
     InvalidDimensionError,
@@ -51,7 +51,6 @@ from .spectra import (
     verify_sv_bound,
 )
 from .hermitization import (
-    BrownPipelineResult,
     InvalidGridError,
     LaplacianRecovery,
     PerturbedNode,

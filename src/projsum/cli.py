@@ -21,26 +21,21 @@ import numpy as np
 
 from . import __version__
 from .convergence import convergence_run, corner_atom_masses
-from .geometry import DegenerateGeometryError, atom_weights, make_geometry
-from .hermitization import (
-    InvalidGridError,
-    PotentialGrid,
-    laplacian_recover,
-    sample_potential_grid,
-)
-from .model import (
-    CHECK_Z,
-    InvalidDimensionError,
-    ModelRealization,
-    ModelSpec,
-    TwoAtomLaw,
-    assemble_model,
-    build_two_atom_hermitian,
-    substream_rng,
-)
+from .geometry import atom_weights, make_geometry
+from .hermitization import InvalidGridError, PotentialGrid, laplacian_recover, sample_potential_grid
+from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, _realize, assemble_model, substream_rng
 from .spectra import ComputationError, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
+
+# tolerances of `check`; "scale" is the geometry's max(|A|, |B|, 1)
+CHECK_TOLERANCES = {
+    "support": 1e-8,  # times scale
+    "normality": 1e-10,
+    "re_constant": 1e-9,  # times scale^2
+    "im_bound": 1e-10,  # added to the |A*B|/2 bound
+    "sv_bound": 1e-8,  # times scale, the allowed negative margin
+}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -71,9 +66,7 @@ def _law_dict(law: TwoAtomLaw) -> dict:
 
 
 def _realized_laws(p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int) -> dict:
-    realized_p = build_two_atom_hermitian(p_law, n)[1]
-    realized_q = build_two_atom_hermitian(q_law, n)[1]
-    return {"p": _law_dict(realized_p), "q": _law_dict(realized_q)}
+    return {"p": _law_dict(_realize(p_law, n)[1]), "q": _law_dict(_realize(q_law, n)[1])}
 
 
 def _write_manifest(args, realized_laws: dict | None, timings: dict, extra: dict | None = None) -> None:
@@ -130,7 +123,8 @@ def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    realization = assemble_model(_spec_from(args), commuting=args.commuting)
+    spec = _spec_from(args)
+    realization = assemble_model(spec, commuting=args.commuting)
     if args.perturb:
         realization = _perturbed(realization, args.perturb)
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
@@ -138,35 +132,29 @@ def cmd_check(args) -> int:
     measure = esd(realization)
     report = structure_report(realization, geom, measure=measure)
 
+    tol = CHECK_TOLERANCES
     checks = []
-    checks.append(("support", report.support_deviation <= args.tol_support * scale,
+    checks.append(("support", report.support_deviation <= tol["support"] * scale,
                    f"support_deviation={report.support_deviation:.3e}"))
-    checks.append(("normality", report.normality_residual <= args.tol_normality,
+    checks.append(("normality", report.normality_residual <= tol["normality"],
                    f"normality_residual={report.normality_residual:.3e}"))
-    checks.append(("re_constant", report.re_deviation <= args.tol_re * scale**2,
+    checks.append(("re_constant", report.re_deviation <= tol["re_constant"] * scale**2,
                    f"re_deviation={report.re_deviation:.3e}"))
-    checks.append(("im_bound", report.im_norm <= geom.im_halfwidth + args.tol_im_pad,
+    checks.append(("im_bound", report.im_norm <= geom.im_halfwidth + tol["im_bound"],
                    f"im_norm={report.im_norm:.12e} bound={geom.im_halfwidth:.12e}"))
 
     if args.z_grid > 0:
         rng = substream_rng(args.seed, CHECK_Z)
         xs = [c.real for c in geom.corners]
         ys = [c.imag for c in geom.corners]
-        zw = (
-            args.z_xmin if args.z_xmin is not None else min(xs) - scale,
-            args.z_xmax if args.z_xmax is not None else max(xs) + scale,
-            args.z_ymin if args.z_ymin is not None else min(ys) - scale,
-            args.z_ymax if args.z_ymax is not None else max(ys) + scale,
-        )
-        zs = zw[0] + (zw[1] - zw[0]) * rng.random(args.z_grid) + 1j * (
-            zw[2] + (zw[3] - zw[2]) * rng.random(args.z_grid)
-        )
+        x0, x1, y0, y1 = min(xs) - scale, max(xs) + scale, min(ys) - scale, max(ys) + scale
+        zs = x0 + (x1 - x0) * rng.random(args.z_grid) + 1j * (y0 + (y1 - y0) * rng.random(args.z_grid))
         margins = [
             {"re": float(z.real), "im": float(z.imag), "margin": float(margin)}
             for z, margin in zip(zs, verify_sv_bound(realization, geom, zs))
         ]
         worst = min(m["margin"] for m in margins)
-        checks.append(("sv_bound", worst >= -args.tol_margin * scale, f"worst_margin={worst:.3e}"))
+        checks.append(("sv_bound", worst >= -tol["sv_bound"] * scale, f"worst_margin={worst:.3e}"))
     else:
         margins = []
 
@@ -199,7 +187,7 @@ def cmd_check(args) -> int:
     _write_json(Path(args.out_prefix + ".check.json"), payload)
     _write_manifest(
         args,
-        {"p": _law_dict(realization.realized_p_law), "q": _law_dict(realization.realized_q_law)},
+        _realized_laws(spec.p_law, spec.q_law, spec.n),
         {"total_s": time.perf_counter() - t0},
     )
     if first_failure is not None:
@@ -213,7 +201,7 @@ def cmd_potential(args) -> int:
     t0 = time.perf_counter()
     spec = _spec_from(args)
     window = (args.xmin, args.xmax, args.ymin, args.ymax)
-    grid, _, _ = sample_potential_grid(spec, window, args.nx, args.ny, args.samples)
+    grid = sample_potential_grid(spec, window, args.nx, args.ny, args.samples)
     t1 = time.perf_counter()
     nodes = grid.nodes()
     rows = (
@@ -358,17 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run structural checks on one realization")
     _add_sample_flags(p)
     p.add_argument("--z-grid", type=int, default=20, help="random z count for the bound check")
-    p.add_argument("--z-xmin", type=float, default=None)
-    p.add_argument("--z-xmax", type=float, default=None)
-    p.add_argument("--z-ymin", type=float, default=None)
-    p.add_argument("--z-ymax", type=float, default=None)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="test hook: add eps*I to X before checking")
-    p.add_argument("--tol-support", type=float, default=1e-8)
-    p.add_argument("--tol-normality", type=float, default=1e-10)
-    p.add_argument("--tol-re", type=float, default=1e-9)
-    p.add_argument("--tol-im-pad", type=float, default=1e-10)
-    p.add_argument("--tol-margin", type=float, default=1e-8)
     p.add_argument("--out-prefix", default="check")
     p.set_defaults(func=cmd_check)
 
@@ -432,18 +411,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        InvalidDimensionError,
-        DegenerateGeometryError,
-        InvalidGridError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return E_USAGE
+    # LinAlgError subclasses ValueError, so the numeric clause comes first
     except (ComputationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return E_NUMERIC
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return E_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ and probes tightness when atoms are pushed out to infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .model import (
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
-    build_two_atom_hermitian,
+    _realize,
     substream_seed,
     two_projection_eigenvalues,
 )
@@ -78,10 +79,11 @@ def bl_distance(
     multiplied back by the mean of the two surpluses, so the distance is
     homogeneous in the surplus however small it is.  Identical binned
     measures leave no surplus and give 0.0 without a solve.  Raises
+    ValueError for a resolution that is not finite and positive, and
     :class:`ComputationError` when HiGHS reports a non-zero status.
     """
-    if grid_resolution <= 0:
-        raise ValueError("grid_resolution must be positive")
+    if not (math.isfinite(grid_resolution) and grid_resolution > 0):
+        raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
     p1, w1 = _bin_measure(mu1, grid_resolution)
     p2, w2 = _bin_measure(mu2, grid_resolution)
     # both supports lie on the lattice (i + 1j*j) * resolution, so a shared bin compares equal
@@ -129,6 +131,10 @@ class CornerAtomMasses:
     intersection_mass: tuple[float, float, float, float]
 
 
+# corner radius relative to scale, and 1 minus the cosine that counts as an intersection
+_CORNER_TOL = 1e-9
+
+
 def _eigenspaces(matrix: np.ndarray, law: TwoAtomLaw) -> dict[float, np.ndarray]:
     """Eigenvectors of ``matrix`` for each atom of ``law``, from one ``eigh`` call."""
     vals, vecs = np.linalg.eigh(matrix)
@@ -138,18 +144,16 @@ def _eigenspaces(matrix: np.ndarray, law: TwoAtomLaw) -> dict[float, np.ndarray]
 
 def corner_atom_masses(
     realization: ModelRealization,
-    tol: float = 1e-9,
-    angle_tol: float = 1e-9,
     measure: WeightedPointMeasure | None = None,
 ) -> CornerAtomMasses:
     """Empirical and subspace corner masses of one realization.
 
     Corner eigenvalues are exact joint eigenvalues, not approximate
-    clusters, so the default radius tol * scale is tiny on purpose.  The
-    subspace dimension counts principal-angle cosines above 1 - angle_tol
-    between the relevant eigenspaces of P_n and Q_n.  Weight-degenerate
-    laws (weight 0 or 1 with distinct atoms) are fine here: the empty
-    eigenspace just contributes zero everywhere.  ``measure`` defaults to
+    clusters, so the radius 1e-9 * scale is tiny on purpose.  The subspace
+    dimension counts principal-angle cosines above 1 - 1e-9 between the
+    relevant eigenspaces of P_n and Q_n.  Weight-degenerate laws (weight 0
+    or 1 with distinct atoms) are fine here: the empty eigenspace just
+    contributes zero everywhere.  ``measure`` defaults to
     ``esd(realization)``; pass it to reuse a spectrum already computed.
     """
     if measure is None:
@@ -170,14 +174,14 @@ def corner_atom_masses(
     esd_mass = []
     inter_mass = []
     for corner in corners:
-        esd_mass.append(measure.mass_within(corner, tol * scale))
+        esd_mass.append(measure.mass_within(corner, _CORNER_TOL * scale))
         ba = bases_p[corner.real]
         bb = bases_q[corner.imag]
         if ba.size == 0 or bb.size == 0:
             inter_mass.append(0.0)
             continue
         cosines = np.linalg.svd(ba.conj().T @ bb, compute_uv=False)
-        inter_mass.append(int(np.sum(cosines > 1.0 - angle_tol)) / n)
+        inter_mass.append(int(np.sum(cosines > 1.0 - _CORNER_TOL)) / n)
     return CornerAtomMasses(
         corners=corners,
         esd_mass=tuple(esd_mass),
@@ -251,10 +255,8 @@ def convergence_run(
         pooled = reference if n == reference_n else _pooled_esd(p_law, q_law, n, samples, seed)
         distances.append(bl_distance(pooled, reference, grid_resolution))
         support_devs.append(float(np.max(dist_to_hr_many(geom, pooled.points))))
-        realized_p = build_two_atom_hermitian(p_law, n)[1]
-        realized_q = build_two_atom_hermitian(q_law, n)[1]
-        predicted = atom_weights(realized_p.weight, realized_q.weight).corner_weights
-        empirical = [pooled.mass_within(c, 1e-9 * geom.scale) for c in geom.corners]
+        predicted = atom_weights(_realize(p_law, n)[1].weight, _realize(q_law, n)[1].weight).corner_weights
+        empirical = [pooled.mass_within(c, _CORNER_TOL * geom.scale) for c in geom.corners]
         corner_errors.append(max(abs(e - p) for e, p in zip(empirical, predicted)))
     return ConvergenceReport(
         n_schedule=schedule,
@@ -265,12 +267,12 @@ def convergence_run(
     )
 
 
-def trend_acceptable(distances, noises=None, noise_factor: float = 1.5) -> bool:
+def trend_acceptable(distances, noises=None) -> bool:
     """Weak-decrease check allowing one inversion within the noise allowance.
 
     ``noises[i]`` is the Monte Carlo noise scale attached to the step from
-    entry i to entry i+1; an inversion of size at most noise_factor times
-    that is tolerated, but only once.
+    entry i to entry i+1; an inversion of size at most 1.5 times that is
+    tolerated, but only once.
     """
     inversions = 0
     for i in range(len(distances) - 1):
@@ -278,7 +280,7 @@ def trend_acceptable(distances, noises=None, noise_factor: float = 1.5) -> bool:
         if excess <= 0:
             continue
         inversions += 1
-        allowance = noise_factor * (noises[i] if noises is not None else 0.0)
+        allowance = 1.5 * (noises[i] if noises is not None else 0.0)
         if inversions > 1 or excess > allowance:
             return False
     return True

@@ -24,7 +24,6 @@ __all__ = [
     "PerturbedNode",
     "PotentialGrid",
     "LaplacianRecovery",
-    "BrownPipelineResult",
     "log_potential",
     "fk_determinant",
     "potential_grid",
@@ -255,39 +254,25 @@ def sample_potential_grid(
     nx: int,
     ny: int,
     samples: int,
-) -> tuple[PotentialGrid, WeightedPointMeasure, tuple[int, ...]]:
+) -> PotentialGrid:
     """Average the ESD log-potential grid over independent realizations.
 
-    Sample i uses the child seed derived from (spec.seed, GRID, i), so the
-    draws are independent of each other and of anything else derived from
-    the seed.  Averaging happens on the potentials; returns the averaged
-    grid, the pooled ESD and the per-sample seeds.
+    Sample i uses the child seed ``substream_seed(spec.seed, GRID, i)``, so
+    the draws are independent of each other and of anything else derived
+    from the seed.  Averaging happens on the potentials; the grid records
+    the nudged nodes of every sample.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     acc = None
-    pooled = []
     perturbed: list[PerturbedNode] = []
-    seeds = tuple(substream_seed(spec.seed, GRID, i) for i in range(samples))
-    for child in seeds:
+    for i in range(samples):
+        child = substream_seed(spec.seed, GRID, i)
         measure = WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=child)))
-        pooled.append(measure.points)
         grid = potential_grid(measure, window, nx, ny)
         perturbed.extend(grid.perturbations)
         acc = grid.values if acc is None else acc + grid.values
-    grid = replace(grid, values=acc / samples, perturbations=tuple(perturbed))
-    pooled_esd = WeightedPointMeasure.uniform(np.concatenate(pooled))
-    return grid, pooled_esd, seeds
-
-
-@dataclass(frozen=True)
-class BrownPipelineResult:
-    grid: PotentialGrid
-    measure: WeightedPointMeasure | None
-    raw_total: float
-    negative_mass: float
-    pooled_esd: WeightedPointMeasure
-    sample_seeds: tuple[int, ...]
+    return replace(grid, values=acc / samples, perturbations=tuple(perturbed))
 
 
 def brown_pipeline(
@@ -296,21 +281,12 @@ def brown_pipeline(
     nx: int,
     ny: int,
     samples: int,
-) -> BrownPipelineResult:
+) -> LaplacianRecovery:
     """Full measure-recovery pipeline on averaged sampled potentials.
 
     Averages the ESD log potential of ``samples`` independent realizations
-    of ``spec`` on the grid, applies the Laplacian stencil, and returns the
-    recovered measure together with the pooled ESD for direct comparison.
-    Deterministic: identical arguments give identical results.
+    of ``spec`` on the grid (:func:`sample_potential_grid`) and applies the
+    Laplacian stencil (:func:`laplacian_recover`).  Deterministic:
+    identical arguments give identical results.
     """
-    grid, pooled_esd, seeds = sample_potential_grid(spec, window, nx, ny, samples)
-    rec = laplacian_recover(grid)
-    return BrownPipelineResult(
-        grid=rec.grid,
-        measure=rec.measure,
-        raw_total=rec.raw_total,
-        negative_mass=rec.negative_mass,
-        pooled_esd=pooled_esd,
-        sample_seeds=seeds,
-    )
+    return laplacian_recover(sample_potential_grid(spec, window, nx, ny, samples))

@@ -121,14 +121,13 @@ def _opnorm(mat: np.ndarray) -> float:
 def structure_report(
     realization: ModelRealization,
     geom: HyperbolaRectangle | None = None,
-    m: int = 512,
     measure: WeightedPointMeasure | None = None,
 ) -> StructureReport:
     """Evaluate the structural identities on one realization.
 
-    ``geom`` defaults to the geometry of the realized laws; ``m`` is the
-    branch sampling resolution for the support distances; ``measure``
-    defaults to ``esd(realization)``.
+    ``geom`` defaults to the geometry of the realized laws and ``measure``
+    to ``esd(realization)``.  The support distances sample each branch at
+    the default resolution of :func:`dist_to_hr_many`.
     """
     if geom is None:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
@@ -142,7 +141,7 @@ def structure_report(
     normality = float(np.max(np.abs(np.linalg.eigvalsh(comm)))) / _opnorm(w) ** 2
     if measure is None:
         measure = esd(realization)
-    support_dev = float(np.max(dist_to_hr_many(geom, measure.points, m)))
+    support_dev = float(np.max(dist_to_hr_many(geom, measure.points)))
     return StructureReport(
         re_deviation=re_dev,
         im_norm=im_norm,
@@ -172,22 +171,18 @@ def min_singular_value(realization: ModelRealization, z: complex) -> float:
         raise ComputationError(f"SVD failed at z={z!r} ({exc})") from exc
 
 
-def verify_sv_bound(
-    realization: ModelRealization,
-    geom: HyperbolaRectangle,
-    z,
-    m: int = 512,
-) -> np.ndarray | float:
+def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) -> np.ndarray | float:
     """Signed margin of sigma_min(z - X_n) >= dist(z, H n R)^2 / ||z - X_n||.
 
     Nonnegative in exact arithmetic for every z and every realization; when
     z is an eigenvalue both sides vanish.  Returns
     sigma_min - dist^2 / opnorm, which tests compare against a small
     negative floating-point allowance, elementwise for an array ``z`` (one
-    distance call for all points) and as a float for a scalar ``z``.
+    distance call for all points, at its default branch resolution) and as
+    a float for a scalar ``z``.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    dist = dist_to_hr_many(geom, zs, m).reshape(zs.shape)
+    dist = dist_to_hr_many(geom, zs).reshape(zs.shape)
     margins = np.empty(zs.shape)
     for idx, zi in np.ndenumerate(zs):
         shifted = zi * np.eye(realization.n) - realization.x_matrix
@@ -228,6 +223,10 @@ class PairingReport:
     max_residual: float
 
 
+_CLUSTER_TOL = 1e-8  # clustering radius of rho, relative to scale^2
+_PAIR_TOL = 1e-6  # allowed |lambda - (center +- sqrt(rho))|, relative to scale
+
+
 def _cluster_means(values: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-linkage clustering of complex values at the given radius."""
     order = np.argsort(values.real, kind="stable")
@@ -252,16 +251,12 @@ def _cluster_means(values: np.ndarray, radius: float) -> tuple[np.ndarray, np.nd
     return np.asarray(means, dtype=np.complex128), labels
 
 
-def eigenspace_pairing_check(
-    realization: ModelRealization,
-    tol: float = 1e-8,
-    pair_tol: float = 1e-6,
-) -> PairingReport:
+def eigenspace_pairing_check(realization: ModelRealization) -> PairingReport:
     """Check the eigenspace pairing between X~^2 and X_n.
 
-    Eigenvalues rho of X~^2 are clustered at radius tol * max(A^2, B^2, 1);
+    Eigenvalues rho of X~^2 are clustered at radius 1e-8 * max(A^2, B^2, 1);
     each cluster must absorb exactly dim(cluster) eigenvalues of X_n, all of
-    the form center +- sqrt(rho) within pair_tol * scale.  When two cluster
+    the form center +- sqrt(rho) within 1e-6 * scale.  When two cluster
     means sit closer than 10x the clustering radius the report is flagged
     inconclusive instead of failing.
     """
@@ -269,7 +264,7 @@ def eigenspace_pairing_check(
     scale2 = max(gap_a**2, gap_b**2, 1.0)
     scale = math.sqrt(scale2)
     rho_vals = _eigvals(xt @ xt, "centered square")
-    radius = tol * scale2
+    radius = _CLUSTER_TOL * scale2
     means, labels = _cluster_means(rho_vals, radius)
     conclusive = True
     for i in range(means.size):
@@ -288,7 +283,7 @@ def eigenspace_pairing_check(
         dim = int(np.sum(labels == ci))
         mine = lam[assign == ci]
         root = np.sqrt(mu)
-        if abs(root) <= tol * scale:
+        if abs(root) <= _CLUSTER_TOL * scale:
             n_plus = n_minus = 0
             residual = float(np.max(np.abs(mine))) if mine.size else 0.0
         else:
@@ -299,9 +294,9 @@ def eigenspace_pairing_check(
             if mine.size:
                 residual = float(np.max(np.minimum(np.abs(mine - root), np.abs(mine + root))))
         at_bound = abs(abs(mu.imag) - im_bound) <= 1e-6 * scale2
-        if mine.size != dim or residual > pair_tol * scale:
+        if mine.size != dim or residual > _PAIR_TOL * scale:
             pairing_ok = False
-        if not at_bound and abs(root) > tol * scale and n_plus != n_minus:
+        if not at_bound and abs(root) > _CLUSTER_TOL * scale and n_plus != n_minus:
             interior_symmetric = False
         max_residual = max(max_residual, residual)
         clusters.append(

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from projsum import __version__, make_geometry
+from projsum import ModelSpec, __version__, assemble_model, make_geometry
 from projsum import cli, convergence
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
@@ -127,6 +127,33 @@ class TestCheck:
                    "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_OK
 
+    def test_tolerances_are_not_flags(self):
+        # the verdict's tolerances live in CHECK_TOLERANCES; the manifest records only these
+        assert cli._command_params("check") == {
+            "n", "a", "alpha", "alpha_prime", "b", "beta", "beta_prime",
+            "seed", "commuting", "z_grid", "perturb", "out_prefix",
+        }
+
+    def test_manifest_realized_laws_match_realization(self, tmp_path):
+        # n=50 does not divide the weights: 0.625 * 50 and 0.875 * 50 round
+        prefix = tmp_path / "laws"
+        assert main(["check", "--n", "50", *DEMO_FLAGS, "--z-grid", "0",
+                     "--out-prefix", str(prefix)]) == E_OK
+        laws = json.loads(Path(str(prefix) + ".manifest.json").read_text())["realized_laws"]
+        r = assemble_model(ModelSpec(P_LAW, Q_LAW, n=50, seed=0))
+        assert laws["p"]["weight"] == r.realized_p_law.weight == 0.62
+        assert laws["q"]["weight"] == r.realized_q_law.weight
+
+    def test_linalg_error_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError; it used to exit 2 as a usage error
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        rc = main(["check", "--n", "16", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "la")])
+        assert rc == E_NUMERIC
+        assert "numeric failure: Eigenvalues did not converge" in capsys.readouterr().err
+
     def test_inexact_atom_midpoint_passes(self, tmp_path):
         # 0.5 * (0.1 + 0.7) - 0.3 rounds to 0.09999999999999998, not 0.1;
         # the corner bounds must not depend on re-deriving the atom locations
@@ -236,6 +263,13 @@ class TestConverge:
                    "--samples", "2", "--seed", "42", "--out-prefix", str(tmp_path / "conv")])
         assert rc == E_NUMERIC
         assert "numeric failure: transport LP failed (status 2)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_resolution_is_usage_error(self, tmp_path, capsys):
+        rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32", "--samples", "1",
+                   "--resolution", "nan", "--out-prefix", str(tmp_path / "conv")])
+        assert rc == E_USAGE
+        assert "grid_resolution must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_schedule_is_usage_error(self, tmp_path):

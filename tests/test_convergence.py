@@ -24,6 +24,7 @@ from projsum import (
     trend_acceptable,
 )
 from projsum import convergence as convergence_module
+from projsum import hermitization
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -199,6 +200,14 @@ class TestBlDistance:
         with pytest.raises(ValueError):
             bl_distance(_delta(0j), _delta(1j), 0.0)
 
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
+    def test_rejects_non_finite_resolution(self, resolution):
+        # these measures are far apart, yet a NaN or infinite binning read 0.0
+        mu = _measure([0, 1], [0.5, 0.5])
+        nu = _measure([0.5j, 3], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite and positive"):
+            bl_distance(mu, nu, resolution)
+
 
 class TestCornerAtomMasses:
     def test_demo_masses_and_agreement(self, demo_laws):
@@ -268,13 +277,15 @@ class TestConvergenceRun:
             return real(spec)
 
         monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
+        monkeypatch.setattr(hermitization, "two_projection_eigenvalues", recording)
         convergence_run(p, q, (2, 4), samples=3, seed=77)
         converge = {n: {s for m, s in drawn if m == n} for n in (2, 4)}
         drawn.clear()
         tightness_probe([p] * 3, [q] * 3, n=4, seed=77)
         tightness = {s for _, s in drawn}
-        window = (-0.5, 1.5, -0.5, 1.5)
-        _, _, grid = sample_potential_grid(ModelSpec(p, q, n=2, seed=77), window, 3, 3, 3)
+        drawn.clear()
+        sample_potential_grid(ModelSpec(p, q, n=2, seed=77), (-0.5, 1.5, -0.5, 1.5), 3, 3, 3)
+        grid = {s for _, s in drawn}
         assert len(converge[2]) == len(converge[4]) == len(tightness) == len(grid) == 3
         assert converge[2].isdisjoint(grid)
         assert converge[4].isdisjoint(tightness)
