@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .model import (
     InvalidDimensionError,
@@ -18,6 +18,7 @@ from .model import (
     TwoAtomLaw,
     assemble_model,
     build_two_atom_hermitian,
+    pooled_eigenvalues,
     sample_haar_unitary,
     substream_rng,
     substream_seed,

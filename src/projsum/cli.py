@@ -123,6 +123,8 @@ def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
+    if args.z_grid < 0:
+        raise ValueError(f"--z-grid must be >= 0, got {args.z_grid}")
     spec = _spec_from(args)
     realization = assemble_model(spec, commuting=args.commuting)
     if args.perturb:
@@ -345,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run structural checks on one realization")
     _add_sample_flags(p)
-    p.add_argument("--z-grid", type=int, default=20, help="random z count for the bound check")
+    p.add_argument("--z-grid", type=int, default=20,
+                   help="random z count for the bound check; 0 skips it")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="test hook: add eps*I to X before checking")
     p.add_argument("--out-prefix", default="check")

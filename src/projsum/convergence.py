@@ -29,6 +29,7 @@ from .model import (
     ModelSpec,
     TwoAtomLaw,
     _realize,
+    pooled_eigenvalues,
     substream_seed,
     two_projection_eigenvalues,
 )
@@ -57,6 +58,11 @@ def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.n
     return binned, w / w.sum()
 
 
+def _check_resolution(grid_resolution: float) -> None:
+    if not (math.isfinite(grid_resolution) and grid_resolution > 0):
+        raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
+
+
 def bl_distance(
     mu1: WeightedPointMeasure,
     mu2: WeightedPointMeasure,
@@ -82,8 +88,7 @@ def bl_distance(
     ValueError for a resolution that is not finite and positive, and
     :class:`ComputationError` when HiGHS reports a non-zero status.
     """
-    if not (math.isfinite(grid_resolution) and grid_resolution > 0):
-        raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
+    _check_resolution(grid_resolution)
     p1, w1 = _bin_measure(mu1, grid_resolution)
     p2, w2 = _bin_measure(mu2, grid_resolution)
     # both supports lie on the lattice (i + 1j*j) * resolution, so a shared bin compares equal
@@ -209,16 +214,6 @@ class ConvergenceReport:
         }
 
 
-def _pooled_esd(
-    p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int, samples: int, seed: int
-) -> WeightedPointMeasure:
-    points = []
-    for i in range(samples):
-        child = substream_seed(seed, CONVERGE, n, i)
-        points.append(two_projection_eigenvalues(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child)))
-    return WeightedPointMeasure.uniform(np.concatenate(points))
-
-
 def convergence_run(
     p_law: TwoAtomLaw,
     q_law: TwoAtomLaw,
@@ -231,11 +226,13 @@ def convergence_run(
     """Pooled-ESD convergence study across a schedule of dimensions.
 
     For each n in the strictly increasing schedule, pools the ESD over
-    ``samples`` realizations (child seeds from (seed, CONVERGE, n, i)) and
-    reports the BL distance to the reference pooled ESD at ``reference_n``
-    (default: the largest schedule entry), the support deviation, and the
-    worst corner-mass error against the realized atom-weight predictions.
-    Deterministic given its arguments.
+    ``samples`` realizations (``pooled_eigenvalues`` with key (CONVERGE, n),
+    so sample i has the child seed of (seed, CONVERGE, n, i)) and reports
+    the BL distance to the reference pooled ESD at ``reference_n`` (default:
+    the largest schedule entry), the support deviation, and the worst
+    corner-mass error against the realized atom-weight predictions.  The
+    schedule, the reference dimension and ``grid_resolution`` are checked
+    before any draw.  Deterministic given its arguments.
     """
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -247,12 +244,18 @@ def convergence_run(
     geom = make_geometry(p_law, q_law)
     if grid_resolution is None:
         grid_resolution = geom.scale / 200.0
-    reference = _pooled_esd(p_law, q_law, reference_n, samples, seed)
+    _check_resolution(grid_resolution)
+
+    def pool(n: int) -> WeightedPointMeasure:
+        spec = ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=seed)
+        return WeightedPointMeasure.uniform(pooled_eigenvalues(spec, samples, CONVERGE, n))
+
+    reference = pool(reference_n)
     distances = []
     support_devs = []
     corner_errors = []
     for n in schedule:
-        pooled = reference if n == reference_n else _pooled_esd(p_law, q_law, n, samples, seed)
+        pooled = reference if n == reference_n else pool(n)
         distances.append(bl_distance(pooled, reference, grid_resolution))
         support_devs.append(float(np.max(dist_to_hr_many(geom, pooled.points))))
         predicted = atom_weights(_realize(p_law, n)[1].weight, _realize(q_law, n)[1].weight).corner_weights

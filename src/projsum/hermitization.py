@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GRID, ModelSpec, substream_seed, two_projection_eigenvalues
+from .model import GRID, ModelSpec, pooled_eigenvalues
 from .spectra import WeightedPointMeasure
 
 __all__ = [
@@ -32,7 +32,9 @@ __all__ = [
     "brown_pipeline",
 ]
 
-_NODE_CHUNK = 512  # fixed so results do not depend on the worker count
+# node x atom pairs per chunk: a function of the input alone, so results do not
+# depend on the worker count, and chunk memory does not grow with the atom count
+_PAIR_BUDGET = 2**16
 
 
 class InvalidGridError(ValueError):
@@ -128,13 +130,15 @@ def _eval_chunks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Potential values on a flat node array, chunked and thread-mapped.
 
-    A node closer than ``radius`` to an atom is evaluated at node + ``shift``
+    A chunk holds ``_PAIR_BUDGET // len(points)`` nodes, at least one.  A
+    node closer than ``radius`` to an atom is evaluated at node + ``shift``
     instead; collisions are rare, so a chunk is recomputed only when it has
     one.  Returns the values and the flat indices of the moved nodes.
     """
+    chunk = max(1, _PAIR_BUDGET // points.size)
 
     def one(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        zc = zs[lo : lo + _NODE_CHUNK]
+        zc = zs[lo : lo + chunk]
         d = np.abs(zc[:, None] - points[None, :])
         hit = np.flatnonzero(np.min(d, axis=1) < radius)
         if hit.size:
@@ -143,9 +147,9 @@ def _eval_chunks(
             d = np.abs(zc[:, None] - points[None, :])
         return np.log(d) @ weights, lo + hit
 
-    starts = range(0, zs.size, _NODE_CHUNK)
+    starts = range(0, zs.size, chunk)
     workers = worker_count()
-    if workers == 1 or zs.size <= _NODE_CHUNK:
+    if workers == 1 or zs.size <= chunk:
         parts = [one(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -168,8 +172,9 @@ def potential_grid(
     the move is recorded in ``perturbations``.  Exactly equal atoms are
     merged first, their weights summed, so each distinct atom costs one
     log per node: the two-projection kernel repeats its corner atoms
-    hundreds of times.  By linearity the potential is the same up to
-    roundoff, and the nudged nodes depend only on the set of atoms.
+    hundreds of times, and a pooled ESD repeats them in every sample.  By
+    linearity the potential is the same up to roundoff, and the nudged
+    nodes depend only on the set of atoms; each is recorded once.
     """
     xmin, xmax, ymin, ymax = map(float, window)
     if not (xmax > xmin and ymax > ymin):
@@ -255,24 +260,18 @@ def sample_potential_grid(
     ny: int,
     samples: int,
 ) -> PotentialGrid:
-    """Average the ESD log-potential grid over independent realizations.
+    """Log-potential grid of the ESD pooled over independent realizations.
 
-    Sample i uses the child seed ``substream_seed(spec.seed, GRID, i)``, so
-    the draws are independent of each other and of anything else derived
-    from the seed.  Averaging happens on the potentials; the grid records
-    the nudged nodes of every sample.
+    The pool is ``pooled_eigenvalues(spec, samples, GRID)``: sample i uses
+    the child seed ``substream_seed(spec.seed, GRID, i)``, so the draws are
+    independent of each other and of anything else derived from the seed.
+    The log potential is linear in the measure, so the potential of the
+    pooled ESD is the mean of the per-sample potentials; it is evaluated
+    once, by one :func:`potential_grid` call on the uniform measure over
+    the pooled points, and each nudged node is recorded once.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    acc = None
-    perturbed: list[PerturbedNode] = []
-    for i in range(samples):
-        child = substream_seed(spec.seed, GRID, i)
-        measure = WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=child)))
-        grid = potential_grid(measure, window, nx, ny)
-        perturbed.extend(grid.perturbations)
-        acc = grid.values if acc is None else acc + grid.values
-    return replace(grid, values=acc / samples, perturbations=tuple(perturbed))
+    points = pooled_eigenvalues(spec, samples, GRID)
+    return potential_grid(WeightedPointMeasure.uniform(points), window, nx, ny)
 
 
 def brown_pipeline(
@@ -282,11 +281,12 @@ def brown_pipeline(
     ny: int,
     samples: int,
 ) -> LaplacianRecovery:
-    """Full measure-recovery pipeline on averaged sampled potentials.
+    """Full measure-recovery pipeline on the potential of a pooled ESD.
 
-    Averages the ESD log potential of ``samples`` independent realizations
-    of ``spec`` on the grid (:func:`sample_potential_grid`) and applies the
-    Laplacian stencil (:func:`laplacian_recover`).  Deterministic:
-    identical arguments give identical results.
+    Evaluates the log potential of the ESD pooled over ``samples``
+    independent realizations of ``spec`` on the grid
+    (:func:`sample_potential_grid`) and applies the Laplacian stencil
+    (:func:`laplacian_recover`).  Deterministic: identical arguments give
+    identical results.
     """
     return laplacian_recover(sample_potential_grid(spec, window, nx, ny, samples))

@@ -9,7 +9,7 @@ of (law parameters, dimension, seed), so realizations reproduce bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,6 +23,7 @@ __all__ = [
     "build_two_atom_hermitian",
     "assemble_model",
     "two_projection_eigenvalues",
+    "pooled_eigenvalues",
     "substream_rng",
     "substream_seed",
 ]
@@ -30,10 +31,10 @@ __all__ = [
 # Substream table: every spawn key derived from a seed starts with its owner's id.
 HAAR_P = 0  # U in assemble_model and two_projection_eigenvalues: (HAAR_P,)
 HAAR_Q = 1  # V in assemble_model and two_projection_eigenvalues: (HAAR_Q,)
-GRID = 2  # sample_potential_grid, sample i: (GRID, i)
+GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 TIGHTNESS = 4  # tightness_probe, law pair i: (TIGHTNESS, i)
-CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i)
+CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
 
 
 class InvalidDimensionError(ValueError):
@@ -311,3 +312,17 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
         [big, small[max(0, k1 + k2 - spec.n):], extra, np.zeros(max(0, spec.n - k1 - k2))]
     )
     return complex(p_law.loc, q_law.loc) + roots
+
+
+def pooled_eigenvalues(spec: ModelSpec, samples: int, *key: int) -> np.ndarray:
+    """Kernel spectra of ``samples`` independent draws of ``spec``, concatenated.
+
+    Sample i is ``two_projection_eigenvalues`` at the child seed
+    ``substream_seed(spec.seed, *key, i)``; ``key`` is the caller's entry of
+    the substream table, so the pools of different callers share no draw.
+    The uniform measure on the result is the pooled ESD.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    children = [replace(spec, seed=substream_seed(spec.seed, *key, i)) for i in range(samples)]
+    return np.concatenate([two_projection_eigenvalues(child) for child in children])

@@ -121,6 +121,13 @@ class TestCheck:
         assert payload["sv_margins"] == []
         assert all(c["name"] != "sv_bound" for c in payload["checks"])
 
+    def test_negative_z_grid_is_usage_error(self, tmp_path, capsys):
+        rc = main(["check", "--n", "10", *DEMO_FLAGS, "--z-grid", "-3",
+                   "--out-prefix", str(tmp_path / "neg")])
+        assert rc == E_USAGE
+        assert "--z-grid must be >= 0, got -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_commuting_variant_also_passes(self, tmp_path):
         prefix = tmp_path / "comm"
         rc = main(["check", "--n", "16", *DEMO_FLAGS, "--commuting",
@@ -186,10 +193,10 @@ class TestPotentialRecover:
         assert rows[-1][:2] == [1.5, 1.4]
         assert all(math.isfinite(r[2]) for r in rows)
         # the corner eigenvalues at 0 and 1 land on grid nodes here, so the
-        # collision shift fires for both corners in each of the 2 samples
+        # collision shift fires for both corners, once per node for the pooled samples
         manifest = json.loads(Path(str(prefix) + ".manifest.json").read_text())
         perturbed = manifest["perturbed_nodes"]
-        assert len(perturbed) == 4
+        assert len(perturbed) == 2
         originals = {complex(*p["original"]) for p in perturbed}
         assert all(min(abs(o), abs(o - 1)) < 1e-13 for o in originals)
         for p in perturbed:
@@ -270,6 +277,14 @@ class TestConverge:
                    "--resolution", "nan", "--out-prefix", str(tmp_path / "conv")])
         assert rc == E_USAGE
         assert "grid_resolution must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_is_usage_error(self, tmp_path, capsys, samples):
+        rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32", "--samples", samples,
+                   "--out-prefix", str(tmp_path / "conv")])
+        assert rc == E_USAGE
+        assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_schedule_is_usage_error(self, tmp_path):

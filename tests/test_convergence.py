@@ -24,7 +24,7 @@ from projsum import (
     trend_acceptable,
 )
 from projsum import convergence as convergence_module
-from projsum import hermitization
+from projsum import model
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -270,14 +270,15 @@ class TestConvergenceRun:
         # and n=4 the tightness-probe ones
         p, q = demo_laws
         drawn = []
-        real = convergence_module.two_projection_eigenvalues
+        real = model.two_projection_eigenvalues
 
         def recording(spec):
             drawn.append((spec.n, spec.seed))
             return real(spec)
 
+        # pooled_eigenvalues looks the kernel up in model; tightness_probe in convergence
+        monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
         monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
-        monkeypatch.setattr(hermitization, "two_projection_eigenvalues", recording)
         convergence_run(p, q, (2, 4), samples=3, seed=77)
         converge = {n: {s for m, s in drawn if m == n} for n in (2, 4)}
         drawn.clear()
@@ -289,6 +290,22 @@ class TestConvergenceRun:
         assert len(converge[2]) == len(converge[4]) == len(tightness) == len(grid) == 3
         assert converge[2].isdisjoint(grid)
         assert converge[4].isdisjoint(tightness)
+
+    @pytest.mark.parametrize("resolution", [float("nan"), 0.0])
+    def test_resolution_checked_before_any_draw(self, demo_laws, monkeypatch, resolution):
+        p, q = demo_laws
+        drawn = []
+        real = model.two_projection_eigenvalues
+
+        def recording(spec):
+            drawn.append(spec.n)
+            return real(spec)
+
+        monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
+        monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
+        with pytest.raises(ValueError, match="grid_resolution must be finite and positive"):
+            convergence_run(p, q, (16, 32), samples=3, seed=5, grid_resolution=resolution)
+        assert drawn == []
 
     def test_small_schedule(self, demo_laws):
         p, q = demo_laws

@@ -115,12 +115,15 @@ class TestPotentialGrid:
         assert pert.used == 0.25 + 0.25j
 
     def test_collisions_in_two_chunks_independent_of_threads(self, monkeypatch):
-        # 41 x 41 = 1681 nodes span four 512-node chunks; flat 85 and 1240 lie in two of them
+        # atoms enough for 512-node chunks under the pair budget: 41 x 41 = 1681
+        # nodes span four chunks, and flat 85 and 1240 lie in two of them
         window = (-1.0, 1.0, -1.0, 1.0)
         nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
+        rng = np.random.default_rng(41)
+        filler = np.array([1.0, 1j]) @ rng.uniform(-1.0, 1.0, (2, hermitization._PAIR_BUDGET // 512 - 2))
         m = WeightedPointMeasure(
-            points=np.array([nodes[2, 3], nodes[30, 10], 0.123 + 0.456j]),
-            weights=np.array([0.25, 0.25, 0.5]),
+            points=np.concatenate([[nodes[2, 3], nodes[30, 10]], filler]),
+            weights=np.concatenate([[0.25, 0.25], np.full(filler.size, 0.5 / filler.size)]),
         )
         grids = []
         for threads in ("1", "4"):
@@ -144,8 +147,10 @@ class TestPotentialGrid:
 
         monkeypatch.setattr(hermitization, "_eval_chunks", recording)
         p, q = demo_laws
-        sample_potential_grid(ModelSpec(p, q, n=400, seed=3), (-0.5, 1.5, -0.5, 1.5), 5, 5, 1)
-        assert sizes == [102]
+        for samples in (1, 2):
+            sample_potential_grid(ModelSpec(p, q, n=400, seed=3), (-0.5, 1.5, -0.5, 1.5), 5, 5, samples)
+        # two samples share the zero and the corner atom: one call on 2 * 100 + 2 atoms
+        assert sizes == [102, 202]
 
     def test_repeated_atoms_match_merged_measure(self):
         window = (-1.0, 1.0, -1.0, 1.0)
@@ -235,14 +240,13 @@ class TestSampledPipeline:
         window = (-0.5, 1.5, -0.5, 1.5)
         grid = sample_potential_grid(spec, window, 15, 15, 2)
         seeds = [substream_seed(901, GRID, i) for i in range(2)]
-        parts = [
-            potential_grid(
-                WeightedPointMeasure.uniform(two_projection_eigenvalues(replace(spec, seed=s))),
-                window, 15, 15,
-            ).values
-            for s in seeds
-        ]
-        assert np.array_equal(grid.values, (parts[0] + parts[1]) / 2)
+        spectra = [two_projection_eigenvalues(replace(spec, seed=s)) for s in seeds]
+        pooled = potential_grid(WeightedPointMeasure.uniform(np.concatenate(spectra)), window, 15, 15)
+        assert np.array_equal(grid.values, pooled.values)
+        # the log potential is linear in the measure: the pooled grid is the per-sample mean
+        parts = [potential_grid(WeightedPointMeasure.uniform(x), window, 15, 15).values for x in spectra]
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(grid.values))))
+        assert np.max(np.abs(grid.values - (parts[0] + parts[1]) / 2)) <= tol
         assert len(set(seeds)) == 2
 
     def test_pipeline_deterministic(self, demo_laws):

@@ -218,22 +218,33 @@ class TestSubstreamTable:
     def test_every_key_in_src_starts_with_a_stream_id(self):
         # a key that does not lead with a table entry, or two call sites
         # sharing one, could collide with another consumer's substream
+        key_at = {"substream_seed": 1, "substream_rng": 1, "pooled_eigenvalues": 2}
         used = []
+        forwarded = []
         for path in Path(model.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # pooled_eigenvalues passes its callers' keys on as *key; those call sites are checked below
+            helper = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "pooled_eigenvalues"]
+            inside = {id(node) for f in helper for node in ast.walk(f)}
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name not in ("substream_seed", "substream_rng"):
+                if name not in key_at:
                     continue
-                assert len(node.args) >= 2, f"{path.name}:{node.lineno} has no key"
-                first = node.args[1]
+                assert len(node.args) > key_at[name], f"{path.name}:{node.lineno} has no key"
+                first = node.args[key_at[name]]
+                if id(node) in inside and isinstance(first, ast.Starred):
+                    assert ast.unparse(first) == "*key"
+                    forwarded.append(name)
+                    continue
                 assert isinstance(first, ast.Name) and first.id in STREAMS, (
                     f"{path.name}:{node.lineno} key does not start with a stream id"
                 )
                 used.append(first.id)
         assert sorted(used) == sorted(STREAMS)
+        assert forwarded == ["substream_seed"]
 
 
 def _law(weight: float, loc: float, gap: float, magnitude: float) -> TwoAtomLaw:
