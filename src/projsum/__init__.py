@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .model import (
     InvalidDimensionError,
@@ -29,7 +29,6 @@ from .geometry import (
     DegenerateGeometryError,
     HyperbolaRectangle,
     atom_weights,
-    dist_to_hr,
     dist_to_hr_many,
     hr_points,
     hyperbola_residual,

@@ -29,7 +29,6 @@ __all__ = [
     "on_hyperbola",
     "in_rectangle",
     "hr_points",
-    "dist_to_hr",
     "dist_to_hr_many",
     "atom_weights",
 ]
@@ -258,7 +257,10 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     the m samples of that quadrant's branch of ``hr_points(geom, m)``, in
     blocks of 256 points; one elementwise golden-section refinement then
     searches the curve around the winning sample on the mirror side given
-    by the sign of the point's wide-gap coordinate (see :func:`dist_to_hr`).
+    by the sign of the point's wide-gap coordinate, tight enough that points
+    on the set return ~0 (below 1e-10 * scale).  The sampling resolution m
+    only affects how good the coarse bracket is; 512 is ample for the
+    geometries at hand.
 
     A point within tau = 1e-12 * max(scale, |center_x|, |center_y|) of a
     center line, or with a NaN coordinate, also takes the branches and the
@@ -327,24 +329,6 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
     for side, part in zip(sides, np.split(refined, [sides[0].size])):
         coarse[side] = np.minimum(coarse[side], part)
     return coarse.reshape(shape)
-
-
-def dist_to_hr(geom: HyperbolaRectangle, z: complex, m: int = 512) -> float:
-    """Distance from z to H intersect R.
-
-    The coarse stage takes the minimum of |z - w| over the samples of
-    ``hr_points(geom, m)`` on the branch in z's own quadrant; the winning
-    sample is then refined by a golden-section search along the curve on
-    the mirror side of z's wide-gap coordinate (elementwise over arrays in
-    :func:`dist_to_hr_many`), tight enough that points on the set return ~0
-    (below 1e-10 * scale).  Within tau = 1e-12 * max(scale, |center_x|,
-    |center_y|) of a center line z also takes the branches and side across
-    it, merged so that ties keep the lowest sample index, which keeps the
-    result bit for bit that of a search over all four branches and both sides.
-    The sampling resolution m only affects how good the coarse bracket is;
-    512 is ample for the geometries at hand.
-    """
-    return float(dist_to_hr_many(geom, [z], m)[0])
 
 
 def atom_weights(a: float, b: float) -> BrownAtomWeights:

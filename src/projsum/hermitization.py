@@ -157,6 +157,21 @@ def _eval_chunks(
     return np.concatenate([v for v, _ in parts]), np.concatenate([h for _, h in parts])
 
 
+def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float]:
+    """Node spacings (hx, hy) of the grid; InvalidGridError for an unusable one."""
+    xmin, xmax, ymin, ymax = map(float, window)
+    if not (xmax > xmin and ymax > ymin):
+        raise InvalidGridError(f"window must be nondegenerate, got {window!r}")
+    if nx < 3 or ny < 3:
+        raise InvalidGridError(f"need at least 3 nodes per axis, got {nx}x{ny}")
+    return (xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)
+
+
+def _require_square(hx: float, hy: float) -> None:
+    if abs(hx - hy) > 1e-12 * max(hx, hy):
+        raise InvalidGridError(f"recovery stencil needs square cells, got hx={hx!r}, hy={hy!r}")
+
+
 def potential_grid(
     measure: WeightedPointMeasure,
     window: tuple[float, float, float, float],
@@ -176,13 +191,8 @@ def potential_grid(
     linearity the potential is the same up to roundoff, and the nudged
     nodes depend only on the set of atoms; each is recorded once.
     """
-    xmin, xmax, ymin, ymax = map(float, window)
-    if not (xmax > xmin and ymax > ymin):
-        raise InvalidGridError(f"window must be nondegenerate, got {window!r}")
-    if nx < 3 or ny < 3:
-        raise InvalidGridError(f"need at least 3 nodes per axis, got {nx}x{ny}")
-    hx = (xmax - xmin) / (nx - 1)
-    hy = (ymax - ymin) / (ny - 1)
+    hx, hy = _grid_steps(window, nx, ny)
+    xmin, ymin = float(window[0]), float(window[2])
     xs = xmin + hx * np.arange(nx)
     ys = ymin + hy * np.arange(ny)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
@@ -233,8 +243,7 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
     Negative entries are clamped to zero in the returned measure but kept in
     the raw grid and totals, since they diagnose under-resolution.
     """
-    if abs(grid.hx - grid.hy) > 1e-12 * max(grid.hx, grid.hy):
-        raise InvalidGridError(f"recovery stencil needs square cells, got hx={grid.hx!r}, hy={grid.hy!r}")
+    _require_square(grid.hx, grid.hy)
     v = grid.values
     raw = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]) / (2.0 * math.pi)
     clamped = np.maximum(raw, 0.0)
@@ -268,8 +277,10 @@ def sample_potential_grid(
     The log potential is linear in the measure, so the potential of the
     pooled ESD is the mean of the per-sample potentials; it is evaluated
     once, by one :func:`potential_grid` call on the uniform measure over
-    the pooled points, and each nudged node is recorded once.
+    the pooled points, and each nudged node is recorded once.  The window
+    and node counts are checked before any draw.
     """
+    _grid_steps(window, nx, ny)
     points = pooled_eigenvalues(spec, samples, GRID)
     return potential_grid(WeightedPointMeasure.uniform(points), window, nx, ny)
 
@@ -286,7 +297,9 @@ def brown_pipeline(
     Evaluates the log potential of the ESD pooled over ``samples``
     independent realizations of ``spec`` on the grid
     (:func:`sample_potential_grid`) and applies the Laplacian stencil
-    (:func:`laplacian_recover`).  Deterministic: identical arguments give
+    (:func:`laplacian_recover`).  The grid, square cells included, is
+    checked before any draw.  Deterministic: identical arguments give
     identical results.
     """
+    _require_square(*_grid_steps(window, nx, ny))
     return laplacian_recover(sample_potential_grid(spec, window, nx, ny, samples))

@@ -19,12 +19,14 @@ from projsum import (
     bl_distance,
     convergence_run,
     corner_atom_masses,
+    make_geometry,
     sample_potential_grid,
     tightness_probe,
     trend_acceptable,
 )
 from projsum import convergence as convergence_module
 from projsum import model
+from projsum.model import CONVERGE
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -84,6 +86,27 @@ def _reference_pairs():
     return pairs
 
 
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Constraint matrix and result of every transport LP that reaches HiGHS."""
+    solves = []
+    real = convergence_module.linprog
+
+    def recording(c, **kwargs):
+        res = real(c, **kwargs)
+        solves.append(SimpleNamespace(a_eq=sparse.csr_matrix(kwargs["A_eq"]), res=res))
+        return res
+
+    monkeypatch.setattr(convergence_module, "linprog", recording)
+    return solves
+
+
+def _hub_flow(solve) -> float:
+    # the hub row is the last one; its inflow legs carry +1
+    hub_row = solve.a_eq[-1]
+    return float(solve.res.x[hub_row.indices[hub_row.data > 0]].sum())
+
+
 class TestBlDistance:
     @pytest.mark.parametrize("pair", _reference_pairs())
     def test_matches_dense_transport_lp(self, pair):
@@ -105,12 +128,16 @@ class TestBlDistance:
         monkeypatch.setattr(convergence_module, "linprog", recording)
         return sizes
 
-    def test_lp_moves_only_the_surplus(self, lp_sizes):
-        # the shared mass at 0 stays put: one supply bin, two demand bins, two variables, not four
+    def test_lp_moves_only_the_surplus(self, lp_solves):
+        # the shared mass at 0 stays put: one supply bin and two demand bins
+        # reach HiGHS, with at most two transport edges, not four
         m1 = _measure([0j, 0.5 + 0j], [0.75, 0.25])
         m2 = _measure([0j, 0.25 + 0j], [0.9, 0.1])
         assert bl_distance(m1, m2, 0.01) == pytest.approx(_dense_bl(m1, m2, 0.01), abs=1e-12)
-        assert lp_sizes == [2]
+        assert len(lp_solves) == 1
+        rows, cols = lp_solves[0].a_eq.shape
+        assert rows == 1 + 2 + 1  # supply, demand, hub
+        assert cols - (1 + 2) <= 2  # one hub leg per bin; the rest are transport edges
 
     def test_roundoff_weights_on_one_support(self, lp_sizes):
         # the same atoms, listed in another order and with a zero-weight extra
@@ -207,6 +234,68 @@ class TestBlDistance:
         nu = _measure([0.5j, 3], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite and positive"):
             bl_distance(mu, nu, resolution)
+
+
+@pytest.fixture(scope="module")
+def criterion_08_pools(demo_laws):
+    """Criterion 08's pooled ESDs by dimension, drawn as ``convergence_run`` draws them."""
+    p, q = demo_laws
+    return {
+        n: WeightedPointMeasure.uniform(model.pooled_eigenvalues(ModelSpec(p, q, n, seed=4000), 10, CONVERGE, n))
+        for n in (50, 100, 200, 400, 800)
+    }
+
+
+class TestBlPricing:
+    """The restricted program with its hub and pricing loop reaches the full optimum."""
+
+    def test_one_neighbour_forces_pricing_rounds(self, monkeypatch, lp_solves):
+        # one starting edge per bin leaves most of the optimal plan out, so
+        # the hub carries flow on a first solve and pricing adds the rest
+        monkeypatch.setattr(convergence_module, "_NEIGHBOURS", 1)
+        solves_per_call = []
+        for mu1, mu2 in _reference_pairs():
+            expected = _dense_bl(mu1, mu2, 0.05)
+            for a, b in ((mu1, mu2), (mu2, mu1)):
+                first = len(lp_solves)
+                assert abs(bl_distance(a, b, 0.05) - expected) <= 1e-12
+                solves_per_call.append(lp_solves[first:])
+        assert max(len(solves) for solves in solves_per_call) >= 3
+        assert any(_hub_flow(solves[0]) > 0.5 for solves in solves_per_call)
+
+    def test_criterion_08_distances_match_dense(self, criterion_08_pools, demo_laws, lp_solves):
+        reference = criterion_08_pools[800]
+        resolution = make_geometry(*demo_laws).scale / 200.0
+        for n in (50, 100, 200, 400):
+            got = bl_distance(criterion_08_pools[n], reference, resolution)
+            assert abs(got - _dense_bl(criterion_08_pools[n], reference, resolution)) <= 1e-12
+        # the full programs have 21 600 to 25 725 pairs; no restricted one comes close
+        assert max(solve.a_eq.shape[1] for solve in lp_solves) < 10_000
+
+    def test_fine_resolution_matches_dense(self, criterion_08_pools, lp_solves):
+        # about 1.4e5 surplus pairs: 300-odd supply by 400-odd demand bins
+        got = bl_distance(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)
+        hub_legs = lp_solves[0].a_eq[-1].data
+        assert np.sum(hub_legs > 0) * np.sum(hub_legs < 0) > 100_000
+        assert abs(got - _dense_bl(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)) <= 1e-12
+
+    def test_every_solve_is_status_checked(self, monkeypatch):
+        # the first solve succeeds and leaves pairs to price in; the second fails
+        monkeypatch.setattr(convergence_module, "_NEIGHBOURS", 1)
+        calls = []
+        real = convergence_module.linprog
+
+        def failing_second(c, **kwargs):
+            calls.append(len(c))
+            if len(calls) == 2:
+                return SimpleNamespace(status=4, message="Numerical difficulties encountered.", fun=None)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(convergence_module, "linprog", failing_second)
+        mu1, mu2 = _reference_pairs()[0]
+        with pytest.raises(ComputationError, match="status 4"):
+            bl_distance(mu1, mu2, 0.05)
+        assert len(calls) == 2
 
 
 class TestCornerAtomMasses:

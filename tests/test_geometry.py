@@ -14,7 +14,6 @@ from projsum import (
     DegenerateGeometryError,
     TwoAtomLaw,
     atom_weights,
-    dist_to_hr,
     dist_to_hr_many,
     hr_points,
     hyperbola_residual,
@@ -213,7 +212,7 @@ class TestDistance:
         # nearest points to the center are the hyperbola vertices at
         # distance sqrt(|A^2 - B^2|)/2
         expect = math.sqrt(abs(DEMO.gap_a**2 - DEMO.gap_b**2)) / 2
-        assert dist_to_hr(DEMO, DEMO.center) == pytest.approx(expect, abs=1e-9)
+        assert dist_to_hr_many(DEMO, [DEMO.center])[0] == pytest.approx(expect, abs=1e-9)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(17)
@@ -228,7 +227,7 @@ class TestDistance:
     def test_far_points(self):
         z = 100.0 + 100.0j
         bound = abs(z - DEMO.center) + 2 * DEMO.scale
-        assert abs(z) - 2 * DEMO.scale <= dist_to_hr(DEMO, z) <= bound
+        assert abs(z) - 2 * DEMO.scale <= dist_to_hr_many(DEMO, [z])[0] <= bound
 
     @given(
         z1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
@@ -236,23 +235,23 @@ class TestDistance:
     )
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, z1: complex, z2: complex):
-        d1 = dist_to_hr(DEMO, z1, m=128)
-        d2 = dist_to_hr(DEMO, z2, m=128)
+        d1 = dist_to_hr_many(DEMO, [z1], m=128)[0]
+        d2 = dist_to_hr_many(DEMO, [z2], m=128)[0]
         assert abs(d1 - d2) <= abs(z1 - z2) + 1e-9
 
     def test_equal_gaps_degenerate_to_lines(self):
         # A^2 = B^2 makes H the pair of diagonals through the center
         g = make_geometry(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 1.0))
-        assert dist_to_hr(g, g.center) <= 1e-13
-        assert dist_to_hr(g, 0.25 + 0.25j) <= 1e-13
+        assert dist_to_hr_many(g, [g.center])[0] <= 1e-13
+        assert dist_to_hr_many(g, [0.25 + 0.25j])[0] <= 1e-13
         # midpoint of an edge is at distance (edge/2)/sqrt(2) from a diagonal
-        assert dist_to_hr(g, 0.5 + 0.0j) == pytest.approx(0.25 * math.sqrt(2), abs=1e-9)
+        assert dist_to_hr_many(g, [0.5 + 0.0j])[0] == pytest.approx(0.25 * math.sqrt(2), abs=1e-9)
 
     def test_wide_vertical_gap(self):
         # mirror geometry with B^2 > A^2; vertices sit on the vertical axis
         g = make_geometry(TwoAtomLaw(0.5, 0.0, 0.8), TwoAtomLaw(0.5, 0.0, 1.0))
         off = math.sqrt(abs(g.gap_a**2 - g.gap_b**2)) / 2
-        assert dist_to_hr(g, g.center) == pytest.approx(off, abs=1e-9)
+        assert dist_to_hr_many(g, [g.center])[0] == pytest.approx(off, abs=1e-9)
         pts = hr_points(g, 50)
         assert np.max(dist_to_hr_many(g, pts)) <= 1e-13
 
@@ -268,7 +267,7 @@ class TestDistance:
             [g.center, 100 + 100j],
         ])
         batch = dist_to_hr_many(g, zs)
-        single = np.array([dist_to_hr(g, z) for z in zs])
+        single = np.array([dist_to_hr_many(g, [z])[0] for z in zs])
         assert batch.tobytes() == single.tobytes()
         assert dist_to_hr_many(g, zs[::-1])[::-1].tobytes() == batch.tobytes()
 
@@ -284,7 +283,7 @@ class TestDistance:
         for sel in _branch_selections(DEMO, zs):
             assert on_curve[sel[255]] and on_curve[sel[256]]
         batch = dist_to_hr_many(DEMO, zs)
-        single = np.array([dist_to_hr(DEMO, z) for z in zs])
+        single = np.array([dist_to_hr_many(DEMO, [z])[0] for z in zs])
         assert batch.tobytes() == single.tobytes()
         assert np.max(batch[on_curve]) <= 1e-13
 
@@ -352,7 +351,7 @@ class TestQuadrantSearch:
         assert np.all(np.isnan(d_nan))
         assert np.all(d_inf == inf)
         assert empty.shape == (0,) and empty.dtype == np.float64
-        assert math.isnan(dist_to_hr(DEMO, complex(nan, 0.0)))
+        assert math.isnan(dist_to_hr_many(DEMO, [complex(nan, 0.0)])[0])
 
 
 class TestCornerLocations:

@@ -24,7 +24,7 @@ from projsum import (
     two_projection_eigenvalues,
     worker_count,
 )
-from projsum import hermitization
+from projsum import hermitization, model
 from projsum.model import GRID
 from tests.conftest import P_LAW, Q_LAW
 
@@ -248,6 +248,26 @@ class TestSampledPipeline:
         tol = 1e-13 * max(1.0, float(np.max(np.abs(grid.values))))
         assert np.max(np.abs(grid.values - (parts[0] + parts[1]) / 2)) <= tol
         assert len(set(seeds)) == 2
+
+    @pytest.mark.parametrize("pipeline,window,nx,ny,message", [
+        (sample_potential_grid, (-0.5, 1.5, -0.5, 1.5), 2, 200, "at least 3 nodes per axis"),
+        (sample_potential_grid, (1.5, -0.5, -0.5, 1.5), 21, 21, "nondegenerate"),
+        (brown_pipeline, (-0.5, 1.5, -0.5, 1.5), 1, 21, "at least 3 nodes per axis"),
+        (brown_pipeline, (-0.5, 1.5, -0.5, 1.5), 21, 41, "square cells"),
+    ], ids=["sample-nodes", "sample-window", "brown-nodes", "brown-square"])
+    def test_grid_checked_before_any_draw(self, demo_laws, monkeypatch, pipeline, window, nx, ny, message):
+        p, q = demo_laws
+        drawn = []
+        real = model.two_projection_eigenvalues
+
+        def recording(spec):
+            drawn.append(spec.n)
+            return real(spec)
+
+        monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
+        with pytest.raises(InvalidGridError, match=message):
+            pipeline(ModelSpec(p, q, n=16, seed=5), window, nx, ny, 3)
+        assert drawn == []
 
     def test_pipeline_deterministic(self, demo_laws):
         p, q = demo_laws
