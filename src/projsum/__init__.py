@@ -38,14 +38,10 @@ from .geometry import (
 )
 from .spectra import (
     ComputationError,
-    PairingReport,
     StructureReport,
     WeightedPointMeasure,
-    centered_model,
-    eigenspace_pairing_check,
     esd,
     freeness_diagnostic,
-    min_singular_value,
     nu_n_z,
     structure_report,
     verify_sv_bound,
@@ -56,7 +52,6 @@ from .hermitization import (
     PerturbedNode,
     PotentialGrid,
     brown_pipeline,
-    fk_determinant,
     laplacian_recover,
     log_potential,
     potential_grid,

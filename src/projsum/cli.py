@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .convergence import convergence_run, corner_atom_masses
 from .geometry import atom_weights, make_geometry
-from .hermitization import InvalidGridError, PotentialGrid, laplacian_recover, sample_potential_grid
+from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
 from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, _realize, assemble_model, substream_rng
 from .spectra import ComputationError, esd, structure_report, verify_sv_bound
 
@@ -240,6 +240,7 @@ def cmd_recover(args) -> int:
     if missing:
         raise ValueError(f"potential manifest lacks params {missing}")
     nx, ny = params["nx"], params["ny"]
+    hx, hy = _grid_steps((params["xmin"], params["xmax"], params["ymin"], params["ymax"]), nx, ny)
     with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if "L" not in (reader.fieldnames or ()):
@@ -251,8 +252,8 @@ def cmd_recover(args) -> int:
     grid = PotentialGrid(
         x0=params["xmin"],
         y0=params["ymin"],
-        hx=(params["xmax"] - params["xmin"]) / (nx - 1),
-        hy=(params["ymax"] - params["ymin"]) / (ny - 1),
+        hx=hx,
+        hy=hy,
         nx=nx,
         ny=ny,
         values=values,

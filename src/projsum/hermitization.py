@@ -25,7 +25,6 @@ __all__ = [
     "PotentialGrid",
     "LaplacianRecovery",
     "log_potential",
-    "fk_determinant",
     "potential_grid",
     "sample_potential_grid",
     "laplacian_recover",
@@ -106,23 +105,6 @@ def log_potential(measure: WeightedPointMeasure, z: complex) -> float:
     if np.any(d == 0.0):
         return -math.inf
     return float(np.log(d) @ measure.weights)
-
-
-def fk_determinant(matrix: np.ndarray, z: complex) -> float:
-    """Normalized positive determinant |det(z - matrix)|^(1/n).
-
-    Computed as exp of the mean log singular value, which stays finite and
-    accurate where the plain determinant would over/underflow.  An exactly
-    singular shift returns 0.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    shifted = z * np.eye(matrix.shape[0]) - matrix
-    svals = np.linalg.svd(shifted, compute_uv=False)
-    if svals[-1] == 0.0:
-        return 0.0
-    return float(math.exp(np.mean(np.log(svals))))
 
 
 def _eval_chunks(

@@ -229,17 +229,32 @@ class TestPotentialRecover:
                    str(tmp_path / "m3")])
         assert rc == E_USAGE
 
-    def test_recover_rejects_malformed_potential(self, tmp_path):
-        prefix = self._potential(tmp_path, name="bad", nx=5, ny=5)
-        manifest = Path(str(prefix) + ".manifest.json")
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-        del data["params"]["ny"]
-        manifest.write_text(json.dumps(data), encoding="utf-8")
-        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(tmp_path / "m5")]) == E_USAGE
-        prefix = self._potential(tmp_path, name="nocol", nx=5, ny=5)
-        grid = Path(str(prefix) + ".potential.csv")
-        grid.write_text(grid.read_text().replace("re,im,L", "re,im,V"))
-        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(tmp_path / "m6")]) == E_USAGE
+    def test_recover_rejects_malformed_potential(self, tmp_path, capsys):
+        # (params edit, potential file header, message); every case keeps
+        # the 5 x 5 grid's 25-row file, and a None value deletes the param
+        cases = [
+            ({"ny": None}, "re,im,L", "lacks params"),
+            ({}, "re,im,V", "no L column"),
+            ({"nx": 1, "ny": 25}, "re,im,L", "at least 3 nodes per axis"),
+            ({"xmax": -0.5}, "re,im,L", "nondegenerate"),
+        ]
+        for k, (edit, header, message) in enumerate(cases):
+            prefix = self._potential(tmp_path, name=f"bad{k}", nx=5, ny=5)
+            manifest = Path(str(prefix) + ".manifest.json")
+            data = json.loads(manifest.read_text(encoding="utf-8"))
+            for key, value in edit.items():
+                if value is None:
+                    del data["params"][key]
+                else:
+                    data["params"][key] = value
+            manifest.write_text(json.dumps(data), encoding="utf-8")
+            grid = Path(str(prefix) + ".potential.csv")
+            grid.write_text(grid.read_text().replace("re,im,L", header))
+            capsys.readouterr()
+            out = tmp_path / f"m{k}"
+            assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
+            assert message in capsys.readouterr().err
+            assert not Path(str(out) + ".measure.csv").exists()
 
     def test_recover_missing_input(self, tmp_path):
         rc = main(["recover", "--in-prefix", str(tmp_path / "nope"),

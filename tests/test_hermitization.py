@@ -1,4 +1,4 @@
-"""Log potentials, Fuglede-Kadison determinants, Laplacian measure recovery."""
+"""Log potentials, the hermitization identity, Laplacian measure recovery."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ import pytest
 from projsum import (
     InvalidGridError,
     ModelSpec,
+    TwoAtomLaw,
     WeightedPointMeasure,
+    assemble_model,
     brown_pipeline,
     esd,
-    fk_determinant,
     laplacian_recover,
     log_potential,
     nu_n_z,
@@ -49,27 +50,6 @@ class TestLogPotential:
         assert log_potential(_delta(0.3 + 0.4j), 0.3 + 0.4j) == -math.inf
 
 
-class TestFkDeterminant:
-    def test_identity_matrix(self):
-        assert fk_determinant(np.eye(2), 3.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_exactly_singular_shift(self):
-        assert fk_determinant(np.diag([3.0, 1.0]), 3.0) == 0.0
-
-    def test_equals_potential_of_eigenvalues(self):
-        rng = np.random.default_rng(12)
-        mat = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-        m = WeightedPointMeasure.uniform(np.linalg.eigvals(mat))
-        for z in (7.0 + 2j, -3.0 + 0.5j, 0.2 - 6j):
-            left = math.log(fk_determinant(mat, z))
-            right = log_potential(m, z)
-            assert abs(left - right) <= 1e-8 * (1.0 + abs(right))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            fk_determinant(np.zeros((2, 3)), 0.0)
-
-
 class TestHermitizationIdentity:
     def test_potential_equals_half_nu_log_moment(self, small_realization):
         # L(esd, z) = (1/2) * mean log nu points: both sides are
@@ -81,6 +61,25 @@ class TestHermitizationIdentity:
             rhs = 0.5 * float(np.mean(np.log(nu.points)))
             lhs = log_potential(measure, z)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
+
+    def test_identity_matrix(self):
+        # X = I: (z - X_n)^*(z - X_n) = 4 I at z = 3, and the ESD is delta_1
+        realization = assemble_model(
+            ModelSpec(TwoAtomLaw(1.0, 1.0, 0.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0),
+            commuting=True,
+        )
+        nu = nu_n_z(realization, 3.0)
+        assert 0.5 * float(np.mean(np.log(nu.points))) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert log_potential(esd(realization), 3.0) == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_exactly_singular_shift(self):
+        # X = diag(1, 3): z = 3 is an eigenvalue, so nu has an atom at 0
+        realization = assemble_model(
+            ModelSpec(TwoAtomLaw(0.5, 1.0, 3.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0),
+            commuting=True,
+        )
+        assert nu_n_z(realization, 3.0).points[0] == 0.0
+        assert log_potential(esd(realization), 3.0) == -math.inf
 
 
 class TestPotentialGrid:

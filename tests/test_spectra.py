@@ -1,21 +1,19 @@
-"""Spectral layer: ESD, nu measures, structure identities, pairing, freeness."""
+"""Spectral layer: ESD, nu measures, structure identities, reflection symmetry, freeness."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from projsum import (
     ModelSpec,
     TwoAtomLaw,
     WeightedPointMeasure,
     assemble_model,
-    centered_model,
-    eigenspace_pairing_check,
     esd,
     freeness_diagnostic,
     make_geometry,
-    min_singular_value,
     nu_n_z,
     structure_report,
     verify_sv_bound,
@@ -54,6 +52,16 @@ class TestWeightedPointMeasure:
         assert np.all(m.weights == 0.25)
         assert not m.points.flags.writeable
 
+    def test_caller_arrays_stay_writeable(self):
+        points = np.array([0j, 1j])
+        weights = np.array([0.25, 0.75])
+        m = WeightedPointMeasure(points=points, weights=weights)
+        assert points.flags.writeable and weights.flags.writeable
+        points[0] = 5.0
+        weights[:] = 0.5
+        assert np.array_equal(m.points, [0j, 1j])
+        assert np.array_equal(m.weights, [0.25, 0.75])
+
 
 class TestEsd:
     def test_scalar_model(self):
@@ -88,13 +96,6 @@ class TestNu:
         z = complex(esd(small_realization).points[0])
         nu = nu_n_z(small_realization, z)
         assert nu.points[0] <= 1e-12
-        assert min_singular_value(small_realization, z) <= 1e-10
-
-    def test_min_sv_is_sqrt_of_smallest(self, small_realization):
-        z = 0.3 + 0.9j
-        nu = nu_n_z(small_realization, z)
-        sv = min_singular_value(small_realization, z)
-        assert sv**2 == pytest.approx(float(nu.points[0]), abs=1e-10)
 
 
 class TestStructure:
@@ -109,12 +110,12 @@ class TestStructure:
         assert rep.support_deviation <= 1e-8 * geom.scale
 
     def test_centered_squares_are_scalars(self, demo_realization):
-        xt, gap_a, gap_b = centered_model(demo_realization)
-        assert (gap_a, gap_b) == (1.0, 0.8)
         n = demo_realization.n
         geom = make_geometry(
             demo_realization.realized_p_law, demo_realization.realized_q_law
         )
+        gap_a, gap_b = geom.gap_a, geom.gap_b
+        assert (gap_a, gap_b) == (1.0, 0.8)
         pt = demo_realization.p_matrix - geom.center_x * np.eye(n)
         qt = demo_realization.q_matrix - geom.center_y * np.eye(n)
         assert np.max(np.abs(pt @ pt - 0.25 * gap_a**2 * np.eye(n))) <= 1e-12
@@ -166,44 +167,21 @@ class TestSvBound:
         assert verify_sv_bound(small_realization, geom, 30 + 40j) > 1.0
 
 
-class TestPairing:
-    def test_commuting_corner_clusters(self, commuting8):
-        rep = eigenspace_pairing_check(commuting8)
-        assert rep.conclusive and rep.pairing_ok and rep.interior_symmetric
-        assert rep.max_residual <= 1e-10
-        assert len(rep.clusters) == 2
-        by_im = sorted(rep.clusters, key=lambda c: c.rho.imag)
-        lo, hi = by_im
-        assert hi.rho == pytest.approx(0.09 + 0.4j, abs=1e-12)
-        assert lo.rho == pytest.approx(0.09 - 0.4j, abs=1e-12)
-        assert (hi.dim, lo.dim) == (6, 2)
-        # both clusters sit at the extreme imaginary part, where the two
-        # square roots are opposite corners and may be unbalanced
-        assert hi.at_im_bound and lo.at_im_bound
-        assert (hi.n_plus, hi.n_minus) == (1, 5)
-        assert (lo.n_plus, lo.n_minus) == (2, 0)
-
-    def test_generic_realization(self, demo_realization):
-        rep = eigenspace_pairing_check(demo_realization)
-        assert rep.conclusive
-        assert rep.pairing_ok
-        assert rep.interior_symmetric
-        assert rep.max_residual <= 1e-8
-        assert sum(c.dim for c in rep.clusters) == demo_realization.n
-        geom = make_geometry(
-            demo_realization.realized_p_law, demo_realization.realized_q_law
-        )
-        for c in rep.clusters:
-            assert abs(c.rho.real - geom.re_constant) <= 1e-9 * geom.scale**2
-            assert abs(c.rho.imag) <= geom.im_halfwidth + 1e-9
-            assert c.n_plus + c.n_minus == c.dim
-
-    def test_interior_clusters_balance(self, demo_realization):
-        rep = eigenspace_pairing_check(demo_realization)
-        interior = [c for c in rep.clusters if not c.at_im_bound]
-        assert interior, "generic draw should have interior spectrum"
-        for c in interior:
-            assert c.n_plus == c.n_minus == c.dim // 2
+class TestReflection:
+    @pytest.mark.parametrize("fixture", ["demo_realization", "small_realization"])
+    def test_interior_spectrum_is_symmetric(self, request, fixture):
+        # off the corners the spectrum of X~ = X - center is symmetric
+        # under lambda -> -lambda: each generic 2x2 block of the two
+        # projections has trace 0 once centered
+        realization = request.getfixturevalue(fixture)
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        points = esd(realization).points
+        corner_dist = np.min(np.abs(points[:, None] - np.array(geom.corners)[None, :]), axis=1)
+        lam = points[corner_dist > 1e-9 * geom.scale] - geom.center
+        assert lam.size > 0
+        cost = np.abs(lam[:, None] + lam[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert np.max(cost[rows, cols]) <= 1e-8 * geom.scale
 
 
 class TestFreeness:
