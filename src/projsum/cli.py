@@ -240,6 +240,8 @@ def cmd_recover(args) -> int:
     if missing:
         raise ValueError(f"potential manifest lacks params {missing}")
     nx, ny = params["nx"], params["ny"]
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (nx, ny)):
+        raise InvalidGridError(f"node counts must be integers, got nx={nx!r}, ny={ny!r}")
     hx, hy = _grid_steps((params["xmin"], params["xmax"], params["ymin"], params["ymax"]), nx, ny)
     with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

@@ -7,8 +7,9 @@ closed rectangle spanned by the four corner points alpha + i*beta, ...,
 alpha' + i*beta'.  Writing gaps A = alpha' - alpha, B = beta' - beta and
 centering z at ((alpha + alpha')/2, (beta + beta')/2), the hyperbola reads
 (x')^2 - A^2/4 = (y')^2 - B^2/4, and a point of H lies in R exactly when the
-shared level s = (x')^2 - A^2/4 is nonpositive.  That level is the
-parameterization used throughout this module.
+shared level s = (x')^2 - A^2/4 is nonpositive.  ``hr_points`` samples the
+set along that level; ``dist_to_hr_many`` folds each point into one quadrant
+and searches the single arc left there.
 """
 
 from __future__ import annotations
@@ -209,25 +210,10 @@ def hr_points(geom: HyperbolaRectangle, m: int) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _curve_distance(geom: HyperbolaRectangle, zs: np.ndarray, sign, t: np.ndarray) -> np.ndarray:
-    """|z - w(t)| elementwise, w(t) the curve point on the mirror side ``sign``.
-
-    The curve is parameterized by the coordinate with the smaller gap
-    (t = y' when A^2 >= B^2, else t = x'); the other coordinate is
-    +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  Unlike the level s, this
-    parameter has curve speed between 1 and sqrt(2) everywhere, so bracket
-    precision eps in t locates the distance to O(eps).  ``sign`` is +-1,
-    a scalar or one entry per point.
-    """
-    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
-    r = sign * np.sqrt(c + t * t)
-    if geom.gap_a**2 >= geom.gap_b**2:
-        return np.hypot(zs.real - (geom.center_x + r), zs.imag - (geom.center_y + t))
-    return np.hypot(zs.real - (geom.center_x + t), zs.imag - (geom.center_y + r))
-
-
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
+def _golden_min(f, lo, hi, iters: int = 80) -> np.ndarray:
     """Elementwise golden-section minimum of f over the brackets [lo, hi].
+
+    ``lo`` and ``hi`` are scalars or arrays that broadcast against f's values.
 
     Library scalar minimizers stop at a sqrt(eps)*|x| relative floor, which
     is ~1e-8 here and too coarse for on-curve distances; a fixed iteration
@@ -248,87 +234,41 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarra
     return np.minimum(np.minimum(fc, fd), np.minimum(f(lo), f(hi)))
 
 
-def dist_to_hr_many(geom: HyperbolaRectangle, zs, m: int = 512) -> np.ndarray:
+def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     """Distances from each point of ``zs`` to H intersect R, in the shape of ``zs``.
 
-    H intersect R is symmetric about both center lines, so a point's nearest
-    sample and nearest curve point lie in its own quadrant (the signs of
-    x - center_x and y - center_y).  The coarse stage takes the minimum over
-    the m samples of that quadrant's branch of ``hr_points(geom, m)``, in
-    blocks of 256 points; one elementwise golden-section refinement then
-    searches the curve around the winning sample on the mirror side given
-    by the sign of the point's wide-gap coordinate, tight enough that points
-    on the set return ~0 (below 1e-10 * scale).  The sampling resolution m
-    only affects how good the coarse bracket is; 512 is ample for the
-    geometries at hand.
+    H intersect R is symmetric about both center lines, so a point's
+    reflections across them all have its distance, and folding the point
+    into the first quadrant, u = |x - center_x| and v = |y - center_y|, loses
+    nothing; ``abs`` is exact, so points on a center line need no special
+    case.  With u the wide-gap coordinate (swap u and v when B^2 > A^2), the
+    folded set is the single arc G(t) = (sqrt(c + t^2), t), t in [0, h], with
+    c = |A^2 - B^2|/4 and h = min(|A|, |B|)/2; its speed lies between 1 and
+    sqrt(2), so precision eps in t locates the distance to O(eps).  One
+    golden section over the whole arc finds the global minimum:
 
-    A point within tau = 1e-12 * max(scale, |center_x|, |center_y|) of a
-    center line, or with a NaN coordinate, also takes the branches and the
-    side across that line: there the mirror images tie up to rounding, since
-    center + x' and center - x' round differently.  Branches are merged in
-    ``hr_points`` order and a later one wins only if strictly closer, so ties
-    keep the lowest sample index, as an argmin over all 4m samples does; the
-    tests check the result bit for bit against that four-branch, two-side
-    search.
+    Let f(t) = |(u, v) - G(t)|^2.  Then f'(t)/2 = phi(t) - v with
+    phi(t) = t (2 - u / sqrt(c + t^2)).  phi(0) = 0, and
+    phi'(t) = 2 - u c / (c + t^2)^(3/2) is nondecreasing since u >= 0, so phi
+    is convex.  A convex function that is <= 0 at t = 0 stays positive once it
+    is positive, and phi(0) - v = -v <= 0; so f' changes sign at most once,
+    from - to +, and f is unimodal on [0, h].  When c = 0 (equal gaps, H the
+    two diagonals), f = (u - t)^2 + (v - t)^2 is a convex quadratic.
 
-    The refinement takes ``np.hypot`` of the coordinate differences, not the
+    The search takes ``np.hypot`` of the coordinate differences, not the
     complex ``np.abs``, whose SIMD form differs from libm ``hypot`` in the
     last bit for many inputs; so a point's distance is the same, bit for
-    bit, alone as in any batch.
+    bit, alone as in any batch.  Points on the set return ~0 (below
+    1e-13 * max(scale, |center_x|, |center_y|)); a NaN coordinate gives NaN
+    and an infinite one gives inf.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"need at least 2 samples per branch, got {m!r}")
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    shape = zs.shape
-    zs = zs.ravel()
-    branches = hr_points(geom, m).reshape(4, m)
-    _, xp, yp = _level_grid(geom, m)
-    half = 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
-    a_is_wide = geom.gap_a**2 >= geom.gap_b**2
-    # t is the small-gap coordinate of the level samples; |t| grows with s
-    t_abs = yp if a_is_wide else xp
-    t_signs = np.array([sy if a_is_wide else sx for sx, sy in _BRANCH_SIGNS])
-    # a point takes the side sign of a center line unless it lies beyond tau on
-    # the other side; NaN compares false, so it takes both
-    tau = 1e-12 * max(geom.scale, abs(geom.center_x), abs(geom.center_y))
-    xr, yr = zs.real - geom.center_x, zs.imag - geom.center_y
-    takes_x = {1.0: ~(xr < -tau), -1.0: ~(xr > tau)}
-    takes_y = {1.0: ~(yr < -tau), -1.0: ~(yr > tau)}
-    win = np.zeros(zs.shape, dtype=np.intp)
-    coarse = np.zeros(zs.shape, dtype=np.float64)
-    seen = np.zeros(zs.shape, dtype=bool)
-    # small blocks bound the block x m difference array; the refinement is elementwise
-    block = 256
-    for k, (sx, sy) in enumerate(_BRANCH_SIGNS):
-        sel = np.flatnonzero(takes_x[sx] & takes_y[sy])
-        for lo in range(0, sel.size, block):
-            idx = sel[lo : lo + block]
-            d = np.abs(zs[idx, None] - branches[k][None, :])
-            j = np.argmin(d, axis=1)
-            c = d[np.arange(idx.size), j]
-            better = ~seen[idx] | (c < coarse[idx])
-            idx = idx[better]
-            win[idx], coarse[idx], seen[idx] = k * m + j[better], c[better], True
-    j = win % m
-    tsign = t_signs[win // m]
-    jlo = np.maximum(j - 3, 0)
-    t1, t2 = tsign * t_abs[jlo], tsign * t_abs[np.minimum(j + 3, m - 1)]
-    t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
-    # near the vertex (t ~ 0) the mirror side is adjacent; cover it too
-    vertex = jlo == 0
-    t_hi = np.where(vertex, np.maximum(np.abs(t_lo), np.abs(t_hi)), t_hi)
-    t_lo = np.where(vertex, -t_hi, t_lo)
-    t_lo, t_hi = np.maximum(t_lo, -half), np.minimum(t_hi, half)
-    # one golden section per (point, side) pair: the own side, both in the band
-    takes_side = takes_x if a_is_wide else takes_y
-    sides = [np.flatnonzero(takes_side[sign]) for sign in (1.0, -1.0)]
-    idx = np.concatenate(sides)
-    sign = np.repeat([1.0, -1.0], [s.size for s in sides])
-    z_idx = zs[idx]
-    refined = _golden_min(lambda t: _curve_distance(geom, z_idx, sign, t), t_lo[idx], t_hi[idx])
-    for side, part in zip(sides, np.split(refined, [sides[0].size])):
-        coarse[side] = np.minimum(coarse[side], part)
-    return coarse.reshape(shape)
+    u, v = np.abs(zs.real - geom.center_x), np.abs(zs.imag - geom.center_y)
+    if geom.gap_b**2 > geom.gap_a**2:
+        u, v = v, u
+    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
+    h = 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
+    return _golden_min(lambda t: np.hypot(u - np.sqrt(c + t * t), v - t), 0.0, h)
 
 
 def atom_weights(a: float, b: float) -> BrownAtomWeights:

@@ -111,8 +111,8 @@ def structure_report(
 
     ``geom`` must be the geometry of the realized laws, and is built from
     them when omitted; its center and gaps (A, B) define X~ = X - center.
-    ``measure`` defaults to ``esd(realization)``.  The support distances
-    sample each branch at the default resolution of :func:`dist_to_hr_many`.
+    ``measure`` defaults to ``esd(realization)``; its support deviation is
+    the largest :func:`dist_to_hr_many` over its points.
     """
     if geom is None:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
@@ -154,8 +154,7 @@ def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) 
     z is an eigenvalue both sides vanish.  Returns
     sigma_min - dist^2 / opnorm, which tests compare against a small
     negative floating-point allowance, elementwise for an array ``z`` (one
-    distance call for all points, at its default branch resolution) and as
-    a float for a scalar ``z``.
+    distance call for all points) and as a float for a scalar ``z``.
     """
     zs = np.asarray(z, dtype=np.complex128)
     dist = dist_to_hr_many(geom, zs).reshape(zs.shape)

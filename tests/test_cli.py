@@ -237,6 +237,8 @@ class TestPotentialRecover:
             ({}, "re,im,V", "no L column"),
             ({"nx": 1, "ny": 25}, "re,im,L", "at least 3 nodes per axis"),
             ({"xmax": -0.5}, "re,im,L", "nondegenerate"),
+            ({"nx": 5.0}, "re,im,L", "node counts must be integers"),
+            ({"nx": "5"}, "re,im,L", "node counts must be integers"),
         ]
         for k, (edit, header, message) in enumerate(cases):
             prefix = self._potential(tmp_path, name=f"bad{k}", nx=5, ny=5)

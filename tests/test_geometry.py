@@ -21,10 +21,35 @@ from projsum import (
     make_geometry,
     on_hyperbola,
 )
-from projsum.geometry import _BRANCH_SIGNS, _curve_distance, _golden_min, _level_grid
+from projsum.geometry import _BRANCH_SIGNS, _golden_min, _level_grid
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO = make_geometry(P_LAW, Q_LAW)
+
+# the distance tests' geometries: demo, B^2 > A^2, equal gaps, both gaps
+# negative, and a center far from the origin
+GEOMETRIES = {
+    "demo": (P_LAW, Q_LAW),
+    "wide_vertical_gap": (TwoAtomLaw(0.5, 0.0, 0.8), TwoAtomLaw(0.5, 0.0, 1.0)),
+    "equal_gaps": (TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 1.0)),
+    "negative_gaps": (TwoAtomLaw(0.5, 1.0, 0.0), TwoAtomLaw(0.5, 1.0, -0.4)),
+    "far_center": (TwoAtomLaw(0.5, -3.7, -1.3), TwoAtomLaw(0.5, 412.9, 413.45)),
+}
+
+
+def _curve_distance(geom, zs, sign, t):
+    """|z - w(t)| elementwise, w(t) the curve point on the mirror side ``sign``.
+
+    The curve is parameterized by the coordinate with the smaller gap
+    (t = y' when A^2 >= B^2, else t = x'); the other coordinate is
+    +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  ``sign`` is +-1, a scalar
+    or one entry per point.
+    """
+    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
+    r = sign * np.sqrt(c + t * t)
+    if geom.gap_a**2 >= geom.gap_b**2:
+        return np.hypot(zs.real - (geom.center_x + r), zs.imag - (geom.center_y + t))
+    return np.hypot(zs.real - (geom.center_x + t), zs.imag - (geom.center_y + r))
 
 
 def _dist_to_hr_many_050(geom, zs, m=512):
@@ -64,16 +89,9 @@ def _nudged(v: float, ulps: int) -> float:
     return float(v)
 
 
-def _branch_selections(geom, zs):
-    """The points each branch's coarse pass scans, in order: the tau rule of dist_to_hr_many."""
-    tau = 1e-12 * max(geom.scale, abs(geom.center_x), abs(geom.center_y))
-    xr, yr = zs.real - geom.center_x, zs.imag - geom.center_y
-    return [np.flatnonzero(~(sx * xr < -tau) & ~(sy * yr < -tau)) for sx, sy in _BRANCH_SIGNS]
-
-
 def _probe_points(g, rng) -> np.ndarray:
     """Random points, samples of the set, corners and center, and points on
-    and 1-4 ulps off each center line (the quadrant search's tie band)."""
+    and 1-4 ulps off each center line (the fold's mirror lines)."""
     s = g.scale
     along_x = g.center_x + s * rng.standard_normal(12)
     along_y = g.center_y + s * rng.standard_normal(12)
@@ -214,15 +232,19 @@ class TestDistance:
         expect = math.sqrt(abs(DEMO.gap_a**2 - DEMO.gap_b**2)) / 2
         assert dist_to_hr_many(DEMO, [DEMO.center])[0] == pytest.approx(expect, abs=1e-9)
 
-    def test_matches_bruteforce(self):
+    @pytest.mark.parametrize("laws", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    def test_matches_bruteforce(self, laws):
+        # the one golden section over the folded arc finds the global minimum
+        g = make_geometry(*laws)
         rng = np.random.default_rng(17)
-        zs = rng.uniform(-1, 2, 60) + 1j * rng.uniform(-1, 2, 60)
-        ref_pts = hr_points(DEMO, 200_001)
-        d = dist_to_hr_many(DEMO, zs)
+        zs = g.center + g.scale * (rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60))
+        ref_pts = hr_points(g, 200_001)
+        d = dist_to_hr_many(g, zs)
+        tol = 1e-12 * max(g.scale, abs(g.center_x), abs(g.center_y))
         for z, di in zip(zs, d):
             ref = np.min(np.abs(z - ref_pts))
-            assert di <= ref + 1e-12
-            assert di >= ref - 4.0 * DEMO.scale / math.sqrt(200_001)
+            assert di <= ref + tol
+            assert di >= ref - 4.0 * g.scale / math.sqrt(200_001)
 
     def test_far_points(self):
         z = 100.0 + 100.0j
@@ -235,8 +257,8 @@ class TestDistance:
     )
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, z1: complex, z2: complex):
-        d1 = dist_to_hr_many(DEMO, [z1], m=128)[0]
-        d2 = dist_to_hr_many(DEMO, [z2], m=128)[0]
+        d1 = dist_to_hr_many(DEMO, [z1])[0]
+        d2 = dist_to_hr_many(DEMO, [z2])[0]
         assert abs(d1 - d2) <= abs(z1 - z2) + 1e-9
 
     def test_equal_gaps_degenerate_to_lines(self):
@@ -271,25 +293,15 @@ class TestDistance:
         assert batch.tobytes() == single.tobytes()
         assert dist_to_hr_many(g, zs[::-1])[::-1].tobytes() == batch.tobytes()
 
-    def test_batch_across_coarse_blocks(self):
-        # the coarse pass blocks each branch's own selected points by 256; a
-        # 40-point on-curve run of each branch straddles its 256th selected point
-        rng = np.random.default_rng(41)
-        zs = DEMO.center + 1.5 * (rng.standard_normal(1061) + 1j * rng.standard_normal(1061))
-        on_curve = np.zeros(zs.shape, dtype=bool)
-        for k, run in enumerate(hr_points(DEMO, 40).reshape(4, 40)):
-            at = _branch_selections(DEMO, zs)[k][256 - 20]
-            zs, on_curve = np.insert(zs, at, run), np.insert(on_curve, at, np.ones(40, dtype=bool))
-        for sel in _branch_selections(DEMO, zs):
-            assert on_curve[sel[255]] and on_curve[sel[256]]
-        batch = dist_to_hr_many(DEMO, zs)
-        single = np.array([dist_to_hr_many(DEMO, [z])[0] for z in zs])
-        assert batch.tobytes() == single.tobytes()
-        assert np.max(batch[on_curve]) <= 1e-13
-
 
 class TestQuadrantSearch:
-    """The own-quadrant search returns the 0.5.0 four-branch bytes."""
+    """The folded search matches the 0.5.0 four-branch search up to rounding."""
+
+    @staticmethod
+    def _assert_matches_050(g, zs, m=512):
+        atol = 1e-13 * max(g.scale, abs(g.center_x), abs(g.center_y))
+        np.testing.assert_allclose(dist_to_hr_many(g, zs), _dist_to_hr_many_050(g, zs, m),
+                                   rtol=0, atol=atol)
 
     @pytest.mark.parametrize("p_law,q_law", [
         (P_LAW, Q_LAW),
@@ -300,8 +312,7 @@ class TestQuadrantSearch:
     ])
     def test_matches_four_branch_search(self, p_law, q_law):
         g = make_geometry(p_law, q_law)
-        zs = _probe_points(g, np.random.default_rng(29))
-        assert dist_to_hr_many(g, zs).tobytes() == _dist_to_hr_many_050(g, zs).tobytes()
+        self._assert_matches_050(g, _probe_points(g, np.random.default_rng(29)))
 
     @given(
         center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
@@ -316,7 +327,7 @@ class TestQuadrantSearch:
         rng = np.random.default_rng(seed)
         # the centers hypothesis picks are mostly round numbers, at which
         # center + x' and center - x' round alike; a generic offset makes the
-        # points off a center line exercise the tie band
+        # mirror images of points near a center line round differently
         (cx, cy), (ga, gb) = (v + rng.uniform(-1, 1) for v in center), gaps
         if equal_gaps:
             # multiples of 2^-10 below 2^11 make every atom and both gaps exact
@@ -327,12 +338,11 @@ class TestQuadrantSearch:
                           TwoAtomLaw(0.5, cy - gb / 2, cy + gb / 2))
         if equal_gaps:
             assert abs(g.gap_a) == abs(g.gap_b)
-        zs = _probe_points(g, rng)
-        assert dist_to_hr_many(g, zs, m).tobytes() == _dist_to_hr_many_050(g, zs, m).tobytes()
+        # m is the reference's sampling resolution only
+        self._assert_matches_050(g, _probe_points(g, rng), m)
 
     @pytest.mark.parametrize("shape", [(3, 5), (4, 2048)])
     def test_array_input_keeps_its_shape(self, shape):
-        # the last axis must not broadcast against the branch samples
         rng = np.random.default_rng(5)
         zs = DEMO.center + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         d = dist_to_hr_many(DEMO, zs)
