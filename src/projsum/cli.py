@@ -242,7 +242,8 @@ def cmd_recover(args) -> int:
     nx, ny = params["nx"], params["ny"]
     if not all(isinstance(k, int) and not isinstance(k, bool) for k in (nx, ny)):
         raise InvalidGridError(f"node counts must be integers, got nx={nx!r}, ny={ny!r}")
-    hx, hy = _grid_steps((params["xmin"], params["xmax"], params["ymin"], params["ymax"]), nx, ny)
+    window = tuple(params[key] for key in ("xmin", "xmax", "ymin", "ymax"))
+    hx, hy = _grid_steps(window, nx, ny)
     with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if "L" not in (reader.fieldnames or ()):
@@ -252,8 +253,8 @@ def cmd_recover(args) -> int:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
     values = np.asarray(flat).reshape(nx, ny)
     grid = PotentialGrid(
-        x0=params["xmin"],
-        y0=params["ymin"],
+        x0=float(window[0]),
+        y0=float(window[2]),
         hx=hx,
         hy=hy,
         nx=nx,
@@ -331,6 +332,9 @@ def _add_sample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     _add_law_flags(p)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_commuting_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--commuting", action="store_true",
                    help="skip the Haar rotations (U = V = I); test variant")
 
@@ -345,11 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw one realization and write its ESD")
     _add_sample_flags(p)
+    _add_commuting_flag(p)
     p.add_argument("--out-prefix", default="sample")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="run structural checks on one realization")
     _add_sample_flags(p)
+    _add_commuting_flag(p)
     p.add_argument("--z-grid", type=int, default=20,
                    help="random z count for the bound check; 0 skips it")
     p.add_argument("--perturb", type=float, default=0.0,

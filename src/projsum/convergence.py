@@ -178,9 +178,9 @@ class CornerAtomMasses:
     """Per-corner masses, in the fixed corner order of the geometry.
 
     ``esd_mass`` counts ESD points within the corner radius;
-    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n computed from
-    principal angles between the exact eigenspaces.  The two agree for
-    every realization, and both are bounded below by
+    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n counted from the
+    spectra of Pi_p + Pi_q and Pi_p - Pi_q (see :func:`corner_atom_masses`).
+    The two agree for every realization, and both are bounded below by
     max(0, a_n + b_n - 1) with the realized weights of the matching atoms.
     """
 
@@ -189,15 +189,9 @@ class CornerAtomMasses:
     intersection_mass: tuple[float, float, float, float]
 
 
-# corner radius relative to scale, and 1 minus the cosine that counts as an intersection
+# corner radius relative to scale, and how far an eigenvalue of Pi_p +- Pi_q
+# may sit from its intersection value 0, -1, 1 or 2 (1 - cosine on a block)
 _CORNER_TOL = 1e-9
-
-
-def _eigenspaces(matrix: np.ndarray, law: TwoAtomLaw) -> dict[float, np.ndarray]:
-    """Eigenvectors of ``matrix`` for each atom of ``law``, from one ``eigh`` call."""
-    vals, vecs = np.linalg.eigh(matrix)
-    half_gap = 0.5 * abs(law.gap)
-    return {loc: vecs[:, np.abs(vals - loc) < half_gap] for loc in (law.loc, law.loc_alt)}
 
 
 def corner_atom_masses(
@@ -208,11 +202,20 @@ def corner_atom_masses(
 
     Corner eigenvalues are exact joint eigenvalues, not approximate
     clusters, so the radius 1e-9 * scale is tiny on purpose.  The subspace
-    dimension counts principal-angle cosines above 1 - 1e-9 between the
-    relevant eigenspaces of P_n and Q_n.  Weight-degenerate laws (weight 0
-    or 1 with distinct atoms) are fine here: the empty eigenspace just
-    contributes zero everywhere.  ``measure`` defaults to
-    ``esd(realization)``; pass it to reuse a spectrum already computed.
+    masses use Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B, the
+    projections onto the alpha' and beta' eigenspaces.  By the two-subspace
+    theorem (Halmos) C^n splits into the four intersections of their ranges
+    and kernels and 2 x 2 blocks at principal angles 0 < theta < pi/2.
+    Pi_p + Pi_q is 2 on ran int ran, 0 on ker int ker and 1 +- cos(theta)
+    on a block; Pi_p - Pi_q is 1 on ran Pi_p int ker Pi_q, -1 on ker Pi_p
+    int ran Pi_q and +-sin(theta) on a block.  So one ``eigvalsh`` of each
+    gives the four dimensions, in corner order: sum below 1e-9, difference
+    below -1 + 1e-9, difference above 1 - 1e-9, sum above 2 - 1e-9.  That
+    counts the principal-angle cosines above 1 - 1e-9 between the two
+    eigenspaces (sin(theta) between a range and a kernel).  A
+    weight-degenerate law (weight 0 or 1) needs no special case: its
+    projection is 0 or I.  ``measure`` defaults to ``esd(realization)``;
+    pass it to reuse a spectrum already computed.
     """
     if measure is None:
         measure = esd(realization)
@@ -227,23 +230,16 @@ def corner_atom_masses(
         complex(p_law.loc_alt, q_law.loc),
         complex(p_law.loc_alt, q_law.loc_alt),
     )
-    bases_p = _eigenspaces(realization.p_matrix, p_law)
-    bases_q = _eigenspaces(realization.q_matrix, q_law)
-    esd_mass = []
-    inter_mass = []
-    for corner in corners:
-        esd_mass.append(measure.mass_within(corner, _CORNER_TOL * scale))
-        ba = bases_p[corner.real]
-        bb = bases_q[corner.imag]
-        if ba.size == 0 or bb.size == 0:
-            inter_mass.append(0.0)
-            continue
-        cosines = np.linalg.svd(ba.conj().T @ bb, compute_uv=False)
-        inter_mass.append(int(np.sum(cosines > 1.0 - _CORNER_TOL)) / n)
+    eye = np.eye(n)
+    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
+    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
+    total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
+    tol = _CORNER_TOL
+    found = (total < tol, diff < tol - 1.0, diff > 1.0 - tol, total > 2.0 - tol)
     return CornerAtomMasses(
         corners=corners,
-        esd_mass=tuple(esd_mass),
-        intersection_mass=tuple(inter_mass),
+        esd_mass=tuple(measure.mass_within(c, tol * scale) for c in corners),
+        intersection_mass=tuple(int(np.sum(f)) / n for f in found),
     )
 
 

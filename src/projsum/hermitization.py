@@ -10,6 +10,7 @@ the 5-point stencil on a square grid recovers the measure cell by cell.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -141,6 +142,8 @@ def _eval_chunks(
 
 def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float]:
     """Node spacings (hx, hy) of the grid; InvalidGridError for an unusable one."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in window):
+        raise InvalidGridError(f"window bounds must be finite numbers, got {window!r}")
     xmin, xmax, ymin, ymax = map(float, window)
     if not (xmax > xmin and ymax > ymin):
         raise InvalidGridError(f"window must be nondegenerate, got {window!r}")

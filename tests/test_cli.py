@@ -239,6 +239,8 @@ class TestPotentialRecover:
             ({"xmax": -0.5}, "re,im,L", "nondegenerate"),
             ({"nx": 5.0}, "re,im,L", "node counts must be integers"),
             ({"nx": "5"}, "re,im,L", "node counts must be integers"),
+            ({"xmin": "-0.3"}, "re,im,L", "window bounds must be finite numbers"),
+            ({"xmin": True}, "re,im,L", "window bounds must be finite numbers"),
         ]
         for k, (edit, header, message) in enumerate(cases):
             prefix = self._potential(tmp_path, name=f"bad{k}", nx=5, ny=5)
@@ -257,6 +259,25 @@ class TestPotentialRecover:
             assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
             assert message in capsys.readouterr().err
             assert not Path(str(out) + ".measure.csv").exists()
+
+    def test_potential_rejects_infinite_bound(self, tmp_path, capsys):
+        prefix = tmp_path / "inf"
+        rc = main(["potential", "--n", "8", *DEMO_FLAGS, "--xmin=-inf", "--xmax", "1.3",
+                   "--ymin", "-0.3", "--ymax", "1.3", "--nx", "5", "--ny", "5",
+                   "--out-prefix", str(prefix)])
+        assert rc == E_USAGE
+        assert "window bounds must be finite numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_potential_takes_no_commuting_flag(self, tmp_path):
+        # the grid always pools Haar-rotated draws, so the flag would be recorded and ignored
+        prefix = tmp_path / "comm"
+        rc = main(["potential", "--n", "16", *DEMO_FLAGS, "--commuting", "--seed", "3",
+                   "--xmin", "-0.3", "--xmax", "1.3", "--ymin", "-0.3", "--ymax", "1.3",
+                   "--nx", "5", "--ny", "5", "--out-prefix", str(prefix)])
+        assert rc == E_USAGE
+        assert not Path(str(prefix) + ".potential.csv").exists()
+        assert "commuting" not in cli._command_params("potential")
 
     def test_recover_missing_input(self, tmp_path):
         rc = main(["recover", "--in-prefix", str(tmp_path / "nope"),

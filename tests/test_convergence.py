@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -84,6 +86,51 @@ def _reference_pairs():
     pairs.append((_delta(0.2 + 0.2j), _lattice_measure(rng, 20)))
     pairs.append((_lattice_measure(rng, 7, 0.7 + 0.7j), _delta(0.3j)))
     return pairs
+
+
+def _intersection_masses_reference(realization) -> tuple[float, float, float, float]:
+    """The 0.10.0 subspace masses: eigenvectors of P_n and Q_n, one SVD per corner.
+
+    Each atom's eigenspace is spanned by the ``eigh`` eigenvectors whose
+    eigenvalues lie within half the atom gap of it; a corner's mass counts
+    the principal-angle cosines above 1 - 1e-9 between its two eigenspaces.
+    """
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+
+    def eigenspaces(matrix, law):
+        vals, vecs = np.linalg.eigh(matrix)
+        half_gap = 0.5 * abs(law.gap)
+        return {loc: vecs[:, np.abs(vals - loc) < half_gap] for loc in (law.loc, law.loc_alt)}
+
+    bases_p = eigenspaces(realization.p_matrix, p_law)
+    bases_q = eigenspaces(realization.q_matrix, q_law)
+    masses = []
+    for a in (p_law.loc, p_law.loc_alt):
+        for b in (q_law.loc, q_law.loc_alt):
+            ba, bb = bases_p[a], bases_q[b]
+            if ba.size == 0 or bb.size == 0:
+                masses.append(0.0)
+                continue
+            cosines = np.linalg.svd(ba.conj().T @ bb, compute_uv=False)
+            masses.append(int(np.sum(cosines > 1.0 - 1e-9)) / realization.n)
+    return tuple(masses)
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _law_pairs(draw):
+    """Laws with atoms up to 5e3 and gaps 0.05..3 of either sign; b may equal a or 1 - a."""
+
+    def law(weight):
+        loc = draw(st.floats(min_value=-5e3, max_value=5e3))
+        gap = draw(st.floats(min_value=0.05, max_value=3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return TwoAtomLaw(weight, loc, loc + gap)
+
+    a = draw(_WEIGHTS)
+    b = draw(st.one_of(_WEIGHTS, st.just(a), st.just(1.0 - a)))
+    return law(a), law(b)
 
 
 @pytest.fixture
@@ -345,6 +392,31 @@ class TestCornerAtomMasses:
         b_n = r.realized_q_law.weight
         assert cm.esd_mass == pytest.approx((b_n, 1 - b_n, 0.0, 0.0), abs=1e-12)
         assert cm.intersection_mass == pytest.approx((b_n, 1 - b_n, 0.0, 0.0), abs=1e-12)
+
+    def test_commuting_masses_in_closed_form(self, demo_laws):
+        # P_n, Q_n diagonal: their leading k1 = 3 and k2 = 1 entries are the
+        # alpha' and beta' atoms, so the corners hold n - 3, 0, 3 - 1 and 1 entries
+        p, q = demo_laws
+        r = assemble_model(ModelSpec(p, q, n=8, seed=0), commuting=True)
+        cm = corner_atom_masses(r)
+        assert cm.intersection_mass == (5 / 8, 0.0, 2 / 8, 1 / 8)
+        assert cm.esd_mass == pytest.approx((5 / 8, 0.0, 2 / 8, 1 / 8), abs=1e-12)
+
+    @given(
+        laws=_law_pairs(),
+        n=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        commuting=st.booleans(),
+    )
+    @example(laws=(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 0.8)), n=40, seed=1, commuting=False)
+    @example(laws=(TwoAtomLaw(0.3, 2.0, -1.0), TwoAtomLaw(0.7, 4e3, 4e3 + 0.05)), n=50, seed=2, commuting=False)
+    @example(laws=(TwoAtomLaw(0.0, 0.0, 1.0), TwoAtomLaw(1.0, -3.0, 0.5)), n=7, seed=3, commuting=True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigenspace_reference(self, laws, n, seed, commuting):
+        r = assemble_model(ModelSpec(*laws, n=n, seed=seed), commuting=commuting)
+        # the ESD plays no part in the subspace masses; a stand-in skips its eigvals
+        got = corner_atom_masses(r, measure=_delta(0j)).intersection_mass
+        assert got == _intersection_masses_reference(r)
 
     def test_rejects_coincident_atoms(self):
         p = TwoAtomLaw(0.5, 0.3, 0.3)
