@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .model import (
     InvalidDimensionError,
@@ -17,7 +17,6 @@ from .model import (
     ModelSpec,
     TwoAtomLaw,
     assemble_model,
-    build_two_atom_hermitian,
     pooled_eigenvalues,
     sample_haar_unitary,
     substream_rng,

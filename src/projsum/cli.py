@@ -85,6 +85,13 @@ def _write_manifest(args, realized_laws: dict | None, timings: dict, extra: dict
     _write_json(Path(args.out_prefix + ".manifest.json"), manifest)
 
 
+def _read_manifest(path: str) -> dict:
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} holds a JSON {type(manifest).__name__}, not an object")
+    return manifest
+
+
 def _laws_from(args) -> tuple[TwoAtomLaw, TwoAtomLaw]:
     p_law = TwoAtomLaw(weight=args.a, loc=args.alpha, loc_alt=args.alpha_prime)
     q_law = TwoAtomLaw(weight=args.b, loc=args.beta, loc_alt=args.beta_prime)
@@ -230,12 +237,14 @@ def cmd_potential(args) -> int:
 
 def cmd_recover(args) -> int:
     t0 = time.perf_counter()
-    src_manifest = json.loads(Path(args.in_prefix + ".manifest.json").read_text(encoding="utf-8"))
+    src_manifest = _read_manifest(args.in_prefix + ".manifest.json")
     if src_manifest.get("command") != "potential":
         raise ValueError(
             f"--in-prefix must point at a `potential` run, found {src_manifest.get('command')!r}"
         )
     params = src_manifest.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError(f"potential manifest params must be an object, got {params!r}")
     missing = [key for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax") if key not in params]
     if missing:
         raise ValueError(f"potential manifest lacks params {missing}")
@@ -298,21 +307,24 @@ def cmd_converge(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_manifest(args.manifest)
     if manifest.get("tool_version") != __version__:
         raise ValueError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
     command = manifest.get("command")
-    if command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _HANDLERS:
         raise ValueError(f"manifest names unknown command {command!r}")
     if not isinstance(manifest.get("params"), dict):
         raise ValueError("manifest has no params")
     params = dict(manifest["params"])
     expected = _command_params(command)
-    if params.keys() != expected:
+    if params.keys() != expected.keys():
         raise ValueError(
-            f"manifest params do not match `{command}`: missing {sorted(expected - params.keys())},"
-            f" unexpected {sorted(params.keys() - expected)}"
+            f"manifest params do not match `{command}`: missing {sorted(expected.keys() - params.keys())},"
+            f" unexpected {sorted(params.keys() - expected.keys())}"
         )
+    mistyped = [f"{key}={value!r}" for key, value in params.items() if type(value) not in expected[key]]
+    if mistyped:
+        raise ValueError(f"manifest params of `{command}` have the wrong type: {', '.join(sorted(mistyped))}")
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
     replay_args = argparse.Namespace(command=command, **params)
@@ -400,10 +412,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_params(command: str) -> set[str]:
-    """Destinations of ``command``'s flags: the params its manifest records."""
+def _command_params(command: str) -> dict[str, tuple[type, ...]]:
+    """Destinations of ``command``'s flags (the params its manifest records), each
+    with the exact types its value may take: bool for a switch, else the flag's
+    ``type`` (str when it has none), plus None where an optional flag defaults to it.
+    """
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    types = {}
+    for action in sub.choices[command]._actions:
+        if isinstance(action, argparse._StoreTrueAction):
+            types[action.dest] = (bool,)
+        elif not isinstance(action, argparse._HelpAction):
+            none = (type(None),) if action.default is None and not action.required else ()
+            types[action.dest] = (action.type or str, *none)
+    return types
 
 
 _HANDLERS = {

@@ -25,6 +25,7 @@ from .geometry import (
 from .model import (
     CONVERGE,
     TIGHTNESS,
+    InvalidDimensionError,
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
@@ -286,6 +287,8 @@ def convergence_run(
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"schedule must be strictly increasing, got {n_schedule!r}")
+    if schedule[0] < 1:
+        raise InvalidDimensionError(f"dimension must be a positive integer, got {schedule[0]!r}")
     if reference_n is None:
         reference_n = schedule[-1]
     if reference_n < schedule[-1]:

@@ -1,9 +1,10 @@
 """Random matrix model: sums of independently Haar-rotated two-atom Hermitian matrices.
 
-The model is X_n = P_n + i*Q_n where P_n = U P' U* and Q_n = V Q' V*.  The seeds
-P', Q' are deterministic diagonal matrices whose spectra are two-atom laws, and
-U, V are independent Haar unitaries.  Every constructor here is a pure function
-of (law parameters, dimension, seed), so realizations reproduce bit for bit.
+The model is X_n = P_n + i*Q_n where P_n = U P' U* = alpha + A*Pi1 and Q_n = V Q' V*
+= beta + B*Pi2: P', Q' are diagonal with two-atom spectra, U, V independent Haar
+unitaries, and Pi1, Pi2 the projections onto the leading k1 columns of U and k2 of V.
+Every constructor here is a pure function of (law parameters, dimension, seed),
+so realizations reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "ModelSpec",
     "ModelRealization",
     "sample_haar_unitary",
-    "build_two_atom_hermitian",
     "assemble_model",
     "two_projection_eigenvalues",
     "pooled_eigenvalues",
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 # Substream table: every spawn key derived from a seed starts with its owner's id.
-HAAR_P = 0  # U in assemble_model and two_projection_eigenvalues: (HAAR_P,)
-HAAR_Q = 1  # V in assemble_model and two_projection_eigenvalues: (HAAR_Q,)
+HAAR_P = 0  # ran Pi1 in _ginibre_pair (assemble_model, two_projection_eigenvalues): (HAAR_P,)
+HAAR_Q = 1  # ran Pi2 in _ginibre_pair (assemble_model, two_projection_eigenvalues): (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 TIGHTNESS = 4  # tightness_probe, law pair i: (TIGHTNESS, i)
@@ -141,13 +141,6 @@ def _ginibre_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return g.view(np.complex128)[..., 0].T
 
 
-def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
-    """Orthonormal factor of ``g`` with its columns rotated by the phases of diag(R)."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an n x n unitary matrix from Haar measure on U(n).
 
@@ -158,6 +151,9 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     R) the unique one with positive triangular diagonal, and the orthogonal
     factor of that unique factorization is exactly Haar distributed; raw QR
     output is not.
+
+    ``assemble_model`` draws only the leading columns it needs; its tests
+    rebuild P_n = U P' U* from this full U as the reference.
 
     Parameters
     ----------
@@ -173,7 +169,9 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
-    return _haar_from_ginibre(_ginibre_columns(rng, n, n))
+    q, r = np.linalg.qr(_ginibre_columns(rng, n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _ginibre_pair(spec: ModelSpec, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,59 +203,46 @@ def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
     return k, TwoAtomLaw(weight=(n - k) / n, loc=law.loc, loc_alt=law.loc_alt)
 
 
-def build_two_atom_hermitian(law: TwoAtomLaw, n: int) -> tuple[np.ndarray, TwoAtomLaw]:
-    """Diagonal Hermitian seed matrix realizing ``law`` at dimension n.
-
-    The leading k = round(n * (1 - weight)) diagonal entries equal loc_alt
-    and the remaining n - k equal loc, so the realized weight of loc is
-    (n - k) / n.  Rounding is round-half-even.
-
-    Returns
-    -------
-    (numpy.ndarray, TwoAtomLaw)
-        The n x n real diagonal matrix and the law actually realized.
-    """
-    k, realized = _realize(law, n)
-    diag = np.full(n, law.loc, dtype=np.float64)
-    diag[:k] = law.loc_alt
-    return np.diag(diag), realized
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
+    """Read-only loc*I + gap*B B* for the orthonormal columns B = ``basis``, exactly Hermitian."""
+    m = (basis * law.gap) @ basis.conj().T
+    # exact Hermitian symmetrization; B B* is Hermitian only to roundoff
+    m += m.conj().T
+    m *= 0.5
+    m.flat[:: m.shape[0] + 1] += law.loc
+    m.setflags(write=False)
+    return m
 
 
 def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealization:
     """Sample one realization of the model from ``spec``.
 
-    P_n and Q_n are conjugations of the diagonal seeds by independent Haar
-    unitaries drawn from disjoint substreams of ``spec.seed``, so adding
-    further consumers of the seed never perturbs these draws.  The result is
-    a pure function of ``spec``: identical inputs give bit-identical
-    matrices regardless of thread count.
+    P_n = U P' U* equals alpha + A*U1 U1* with U1 the leading k1 columns of
+    U, and U1 is the thin QR factor of the leading k1 Ginibre columns up to
+    column phases (Householder QR makes its first k columns from those of G
+    alone), which cancel in U1 U1*.  So P_n and Q_n are built from the k1 + k2
+    columns ``two_projection_eigenvalues`` draws, on substreams of
+    ``spec.seed`` no other consumer shares.  The result is a pure function of
+    ``spec``: identical inputs give bit-identical matrices regardless of
+    thread count.
 
     With ``commuting=True`` the rotations are skipped (U = V = I), leaving
-    the diagonal seeds themselves.  This deterministic variant exists for
-    tests with closed-form spectra and is exposed on the command line.
+    diagonal P_n and Q_n.  This deterministic variant exists for tests with
+    closed-form spectra and is exposed on the command line.
     """
-    p_diag, realized_p = build_two_atom_hermitian(spec.p_law, spec.n)
-    q_diag, realized_q = build_two_atom_hermitian(spec.q_law, spec.n)
+    k1, realized_p = _realize(spec.p_law, spec.n)
+    k2, realized_q = _realize(spec.q_law, spec.n)
     if commuting:
-        p = p_diag.astype(np.complex128)
-        q = q_diag.astype(np.complex128)
+        bases = (np.eye(spec.n, k, dtype=np.complex128) for k in (k1, k2))
     else:
-        u, v = (_haar_from_ginibre(g) for g in _ginibre_pair(spec, spec.n, spec.n))
-        p = (u * np.diagonal(p_diag)) @ u.conj().T
-        q = (v * np.diagonal(q_diag)) @ v.conj().T
-        # exact Hermitian symmetrization; conjugation is Hermitian only to roundoff
-        p = 0.5 * (p + p.conj().T)
-        q = 0.5 * (q + q.conj().T)
+        bases = (np.linalg.qr(g)[0] for g in _ginibre_pair(spec, k1, k2))
+    p, q = map(_two_atom_matrix, (realized_p, realized_q), bases)
     x = p + 1j * q
+    x.setflags(write=False)
     return ModelRealization(
-        p_matrix=_freeze(p),
-        q_matrix=_freeze(q),
-        x_matrix=_freeze(x),
+        p_matrix=p,
+        q_matrix=q,
+        x_matrix=x,
         realized_p_law=realized_p,
         realized_q_law=realized_q,
         seed=spec.seed,
@@ -281,8 +266,8 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
 
     Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
     roundoff (up to order) without forming any n x n product.  It draws
-    only the leading k1 and k2 Ginibre columns (the same numbers
-    ``assemble_model`` reads first) and needs no orthonormal basis: with
+    only the leading k1 and k2 Ginibre columns (it makes the same draw
+    ``assemble_model`` makes) and needs no orthonormal basis: with
     G1 = U1 R1 and G2 = V2 R2, the cosines are the singular values of
     R1^-* (G1* G2) R2^-1.  A side with 2k <= n takes only R from its QR; a
     side with 2k > n, where R is ill conditioned, forms the thin Q (see

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from projsum import ModelSpec, __version__, assemble_model, make_geometry
-from projsum import cli, convergence
+from projsum import cli, convergence, model
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
@@ -136,7 +136,7 @@ class TestCheck:
 
     def test_tolerances_are_not_flags(self):
         # the verdict's tolerances live in CHECK_TOLERANCES; the manifest records only these
-        assert cli._command_params("check") == {
+        assert cli._command_params("check").keys() == {
             "n", "a", "alpha", "alpha_prime", "b", "beta", "beta_prime",
             "seed", "commuting", "z_grid", "perturb", "out_prefix",
         }
@@ -330,6 +330,17 @@ class TestConverge:
                    "--out-prefix", str(tmp_path / "x")])
         assert rc == E_USAGE
 
+    def test_nonpositive_dimension_is_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        draws = []
+        kernel = model.two_projection_eigenvalues
+        monkeypatch.setattr(model, "two_projection_eigenvalues", lambda spec: draws.append(spec.n) or kernel(spec))
+        rc = main(["converge", *DEMO_FLAGS, "--schedule=0,400", "--reference-n", "800",
+                   "--samples", "10", "--out-prefix", str(tmp_path / "conv")])
+        assert rc == E_USAGE
+        assert draws == []
+        assert "dimension must be a positive integer, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReplay:
     def test_replay_sample_bytes(self, tmp_path):
@@ -396,6 +407,36 @@ class TestReplay:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "extra.esd.csv", "extra.manifest.json", "short.json",
         ]
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: {**m, "params": {**m["params"], "z_grid": "4"}}, id="z_grid-str"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "a": "0.625"}}, id="a-str"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "perturb": "x"}}, id="perturb-str"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "commuting": 1}}, id="commuting-int"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "alpha": None}}, id="required-null"),
+        pytest.param(lambda m: {**m, "command": ["check"]}, id="command-list"),
+        pytest.param(lambda m: [], id="list-manifest"),
+    ])
+    def test_replay_refuses_edited_manifest(self, tmp_path, capsys, edit):
+        chk = tmp_path / "chk"
+        assert main(["check", "--n", "24", *DEMO_FLAGS, "--z-grid", "4",
+                     "--out-prefix", str(chk)]) == E_OK
+        manifest = Path(str(chk) + ".manifest.json")
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))), encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.replay.*"))
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        {"command": "potential", "params": ["nx", "ny", "xmin", "xmax", "ymin", "ymax"]},
+    ])
+    def test_recover_refuses_non_object_manifest(self, tmp_path, capsys, manifest):
+        (tmp_path / "pot.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        rc = main(["recover", "--in-prefix", str(tmp_path / "pot"), "--out-prefix", str(tmp_path / "meas")])
+        assert rc == E_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.measure.csv"))
 
     def test_handler_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def broken(args):

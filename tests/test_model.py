@@ -1,4 +1,4 @@
-"""Sampling layer: Haar unitaries, two-atom Hermitians, model assembly."""
+"""Sampling layer: Haar unitaries, realized two-atom laws, model assembly."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from projsum import (
     TwoAtomLaw,
     assemble_model,
     atom_weights,
-    build_two_atom_hermitian,
     sample_haar_unitary,
     substream_rng,
     two_projection_eigenvalues,
@@ -27,6 +26,12 @@ from projsum import model
 from tests.conftest import P_LAW, Q_LAW
 
 STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "TIGHTNESS", "CONVERGE")
+
+
+def _seed_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
+    """Diagonal of the seed P' = diag(loc_alt x k, loc x (n - k)) that U P' U* rotates."""
+    k = model._realize(law, n)[0]
+    return np.where(np.arange(n) < k, law.loc_alt, law.loc)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -123,24 +128,31 @@ class TestTwoAtomLaw:
 
 
 class TestBuildTwoAtomHermitian:
+    """The discretization of a law at dimension n: rank k of Pi and the realized law."""
+
     def test_demo_law_diagonal_counts(self):
-        mat, realized = build_two_atom_hermitian(P_LAW, 8)
+        k, realized = model._realize(P_LAW, 8)
         # round(8 * 3/8) = 3 leading alt entries
-        assert np.array_equal(np.diag(mat), np.array([1, 1, 1, 0, 0, 0, 0, 0.0]))
+        assert k == 3
         assert realized.weight == 5 / 8
+        r = assemble_model(ModelSpec(P_LAW, P_LAW, n=8, seed=0), commuting=True)
+        assert np.array_equal(np.diag(r.p_matrix), np.array([1, 1, 1, 0, 0, 0, 0, 0.0]))
 
     def test_round_half_even_tie(self):
         # n * (1 - w) = 1.5 rounds to 2 under banker's rounding
-        mat, realized = build_two_atom_hermitian(TwoAtomLaw(0.5, -1.0, 1.0), 3)
-        assert np.array_equal(np.diag(mat), np.array([1.0, 1.0, -1.0]))
+        law = TwoAtomLaw(0.5, -1.0, 1.0)
+        k, realized = model._realize(law, 3)
+        assert k == 2
         assert realized.weight == pytest.approx(1 / 3)
+        r = assemble_model(ModelSpec(law, law, n=3, seed=0), commuting=True)
+        assert np.array_equal(np.diag(r.p_matrix), np.array([1.0, 1.0, -1.0]))
 
     def test_degenerate_weights(self):
-        mat, realized = build_two_atom_hermitian(TwoAtomLaw(1.0, 0.3, 9.0), 4)
-        assert np.array_equal(np.diag(mat), np.full(4, 0.3))
+        k, realized = model._realize(TwoAtomLaw(1.0, 0.3, 9.0), 4)
+        assert k == 0
         assert realized.weight == 1.0
-        mat, realized = build_two_atom_hermitian(TwoAtomLaw(0.0, 0.3, 9.0), 4)
-        assert np.array_equal(np.diag(mat), np.full(4, 9.0))
+        k, realized = model._realize(TwoAtomLaw(0.0, 0.3, 9.0), 4)
+        assert k == 4
         assert realized.weight == 0.0
 
     @given(
@@ -149,9 +161,9 @@ class TestBuildTwoAtomHermitian:
     )
     @settings(max_examples=200, deadline=None)
     def test_realized_weight_within_half_spacing(self, w: float, n: int):
-        mat, realized = build_two_atom_hermitian(TwoAtomLaw(w, 0.0, 1.0), n)
-        count_loc = int(np.sum(np.diag(mat) == 0.0))
-        assert realized.weight == count_loc / n
+        k, realized = model._realize(TwoAtomLaw(w, 0.0, 1.0), n)
+        assert 0 <= k <= n
+        assert realized.weight == (n - k) / n
         assert abs(realized.weight - w) <= 0.5 / n + 1e-12
         assert realized.loc == 0.0 and realized.loc_alt == 1.0
 
@@ -172,10 +184,10 @@ class TestAssembleModel:
         r = small_realization
         scale = max(1.0, abs(P_LAW.loc), abs(P_LAW.loc_alt))
         vals = np.linalg.eigvalsh(r.p_matrix)
-        target = np.sort(np.diag(build_two_atom_hermitian(P_LAW, r.n)[0]))
+        target = np.sort(_seed_diagonal(P_LAW, r.n))
         assert np.max(np.abs(vals - target)) <= 1e-10 * scale
         vals_q = np.linalg.eigvalsh(r.q_matrix)
-        target_q = np.sort(np.diag(build_two_atom_hermitian(Q_LAW, r.n)[0]))
+        target_q = np.sort(_seed_diagonal(Q_LAW, r.n))
         assert np.max(np.abs(vals_q - target_q)) <= 1e-10
 
     def test_realized_laws_recorded(self, small_realization):
@@ -262,6 +274,28 @@ _LAWS = st.builds(
 )
 
 
+class TestHaarConjugationReference:
+    @given(
+        p_law=_LAWS,
+        q_law=_LAWS,
+        n=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(p_law=TwoAtomLaw(0.5, 0.0, 1.0), q_law=TwoAtomLaw(0.5, 1e3, -1e3), n=7, seed=5)
+    @example(p_law=TwoAtomLaw(0.01, 0.0, 1.0), q_law=TwoAtomLaw(0.02, 0.0, -0.8), n=64, seed=6)  # k near n
+    @example(p_law=TwoAtomLaw(0.005, 1e3, 0.0), q_law=TwoAtomLaw(0.0, 0.0, 0.8), n=400, seed=7)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_conjugated_diagonal_seeds(self, p_law, q_law, n, seed):
+        # the definition P_n = U P' U* with the full Haar unitary of the HAAR_P
+        # substream (Q_n: HAAR_Q); assemble_model draws only U's leading k1 columns
+        r = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
+        for matrix, law, stream in ((r.p_matrix, p_law, model.HAAR_P), (r.q_matrix, q_law, model.HAAR_Q)):
+            u = sample_haar_unitary(n, substream_rng(seed, stream))
+            reference = (u * _seed_diagonal(law, n)) @ u.conj().T
+            scale = max(1.0, abs(law.loc), abs(law.loc_alt))
+            assert np.max(np.abs(matrix - reference)) <= 1e-12 * scale
+
+
 def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
     kernel = two_projection_eigenvalues(spec)
     dense = np.linalg.eigvals(assemble_model(spec).x_matrix)
@@ -273,8 +307,8 @@ def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
     assert np.max(cost[rows, cols]) <= 1e-12 * scale
     if spec.p_law.gap == 0.0 or spec.q_law.gap == 0.0:
         return  # coinciding corners: the parallelogram law does not apply
-    p_law = build_two_atom_hermitian(spec.p_law, spec.n)[1]
-    q_law = build_two_atom_hermitian(spec.q_law, spec.n)[1]
+    p_law = model._realize(spec.p_law, spec.n)[1]
+    q_law = model._realize(spec.q_law, spec.n)[1]
     corners = (
         complex(p_law.loc, q_law.loc),
         complex(p_law.loc, q_law.loc_alt),
