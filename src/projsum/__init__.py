@@ -29,11 +29,7 @@ from .geometry import (
     HyperbolaRectangle,
     atom_weights,
     dist_to_hr_many,
-    hr_points,
-    hyperbola_residual,
-    in_rectangle,
     make_geometry,
-    on_hyperbola,
 )
 from .spectra import (
     ComputationError,
@@ -60,12 +56,16 @@ from .hermitization import (
 from .convergence import (
     ConvergenceReport,
     CornerAtomMasses,
-    TightnessEntry,
     bl_distance,
     convergence_run,
     corner_atom_masses,
-    tightness_probe,
     trend_acceptable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import convergence, geometry, hermitization, model, spectra
+
+__all__ = [
+    name
+    for module in (model, geometry, spectra, hermitization, convergence)
+    for name in module.__all__
+]

@@ -261,6 +261,9 @@ def cmd_recover(args) -> int:
     if len(flat) != nx * ny:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
     values = np.asarray(flat).reshape(nx, ny)
+    if not np.all(np.isfinite(values)):
+        # `potential` nudges nodes off atoms, so a genuine grid is finite everywhere
+        raise InvalidGridError("potential file has a non-finite L value")
     grid = PotentialGrid(
         x0=float(window[0]),
         y0=float(window[2]),

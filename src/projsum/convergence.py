@@ -2,9 +2,8 @@
 
 The empirical spectral distributions converge to the limit law supported on
 H intersect R with corner atoms; at desk scale this module measures that
-convergence with a bounded-Lipschitz distance between pooled ESDs, checks
-the deterministic corner masses through an exact subspace-rank computation,
-and probes tightness when atoms are pushed out to infinity.
+convergence with a bounded-Lipschitz distance between pooled ESDs and checks
+the deterministic corner masses through an exact subspace-rank computation.
 """
 
 from __future__ import annotations
@@ -24,26 +23,21 @@ from .geometry import (
 )
 from .model import (
     CONVERGE,
-    TIGHTNESS,
     InvalidDimensionError,
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
     _realize,
     pooled_eigenvalues,
-    substream_seed,
-    two_projection_eigenvalues,
 )
 from .spectra import ComputationError, WeightedPointMeasure, esd
 
 __all__ = [
     "CornerAtomMasses",
     "ConvergenceReport",
-    "TightnessEntry",
     "bl_distance",
     "corner_atom_masses",
     "convergence_run",
-    "tightness_probe",
     "trend_acceptable",
 ]
 
@@ -339,53 +333,3 @@ def trend_acceptable(distances, noises=None) -> bool:
         if inversions > 1 or excess > allowance:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class TightnessEntry:
-    """Escape diagnostics for one law pair; informational only."""
-
-    p_law: TwoAtomLaw
-    q_law: TwoAtomLaw
-    escaped_mass: float
-    window: tuple[float, float, float, float]
-
-
-def tightness_probe(
-    p_law_sequence,
-    q_law_sequence,
-    n: int,
-    seed: int,
-    window: tuple[float, float, float, float] | None = None,
-) -> tuple[TightnessEntry, ...]:
-    """ESD mass escaping a fixed window as atoms are pushed outward.
-
-    The window defaults to the corner bounding box of the first law pair
-    padded by half its scale.  When far atoms keep fixed weight the escaped
-    mass stays bounded below (no tight limit exists); when their weight
-    vanishes the escaped mass vanishes with it.  No pass/fail semantics.
-    """
-    pairs = list(zip(p_law_sequence, q_law_sequence))
-    if not pairs:
-        return ()
-    if window is None:
-        first = make_geometry(*pairs[0])
-        pad = 0.5 * first.scale
-        xs = [c.real for c in first.corners]
-        ys = [c.imag for c in first.corners]
-        window = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
-    xmin, xmax, ymin, ymax = window
-    out = []
-    for i, (p_law, q_law) in enumerate(pairs):
-        child = substream_seed(seed, TIGHTNESS, i)
-        pts = two_projection_eigenvalues(ModelSpec(p_law=p_law, q_law=q_law, n=n, seed=child))
-        inside = (pts.real >= xmin) & (pts.real <= xmax) & (pts.imag >= ymin) & (pts.imag <= ymax)
-        out.append(
-            TightnessEntry(
-                p_law=p_law,
-                q_law=q_law,
-                escaped_mass=float(np.mean(~inside)),
-                window=window,
-            )
-        )
-    return tuple(out)

@@ -7,9 +7,8 @@ closed rectangle spanned by the four corner points alpha + i*beta, ...,
 alpha' + i*beta'.  Writing gaps A = alpha' - alpha, B = beta' - beta and
 centering z at ((alpha + alpha')/2, (beta + beta')/2), the hyperbola reads
 (x')^2 - A^2/4 = (y')^2 - B^2/4, and a point of H lies in R exactly when the
-shared level s = (x')^2 - A^2/4 is nonpositive.  ``hr_points`` samples the
-set along that level; ``dist_to_hr_many`` folds each point into one quadrant
-and searches the single arc left there.
+shared level s = (x')^2 - A^2/4 is nonpositive.  ``dist_to_hr_many`` folds
+each point into one quadrant and searches the single arc left there.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ __all__ = [
     "HyperbolaRectangle",
     "BrownAtomWeights",
     "make_geometry",
-    "hyperbola_residual",
-    "on_hyperbola",
-    "in_rectangle",
-    "hr_points",
     "dist_to_hr_many",
     "atom_weights",
 ]
@@ -63,23 +58,6 @@ class HyperbolaRectangle:
     def __post_init__(self) -> None:
         if self.gap_a == 0.0 or self.gap_b == 0.0:
             raise DegenerateGeometryError("gaps must be nonzero; laws must be two-atom")
-
-    # exact corner coordinates: center -+ gap/2 can round a corner off H or out of R
-    @property
-    def alpha(self) -> float:
-        return self.corners[0].real
-
-    @property
-    def alpha_prime(self) -> float:
-        return self.corners[3].real
-
-    @property
-    def beta(self) -> float:
-        return self.corners[0].imag
-
-    @property
-    def beta_prime(self) -> float:
-        return self.corners[3].imag
 
     @property
     def center(self) -> complex:
@@ -145,66 +123,6 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
         gap_b=b1 - b0,
         corners=corners,
     )
-
-
-def hyperbola_residual(geom: HyperbolaRectangle, z) -> np.ndarray | float:
-    """|(x - alpha)(x - alpha') - (y - beta)(y - beta')|, elementwise."""
-    z = np.asarray(z, dtype=np.complex128)
-    x, y = z.real, z.imag
-    res = np.abs(
-        (x - geom.alpha) * (x - geom.alpha_prime) - (y - geom.beta) * (y - geom.beta_prime)
-    )
-    return res if res.ndim else float(res)
-
-
-def on_hyperbola(geom: HyperbolaRectangle, z, tol: float = 1e-10):
-    """Whether z satisfies the hyperbola equation within tol * scale^2."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return hyperbola_residual(geom, z) <= tol * geom.scale**2
-
-
-def in_rectangle(geom: HyperbolaRectangle, z):
-    """Whether z lies in the closed rectangle of atom coordinates."""
-    z = np.asarray(z, dtype=np.complex128)
-    x, y = z.real, z.imag
-    xlo, xhi = sorted((geom.alpha, geom.alpha_prime))
-    ylo, yhi = sorted((geom.beta, geom.beta_prime))
-    ok = (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi)
-    return ok if ok.ndim else bool(ok)
-
-
-def _level_grid(geom: HyperbolaRectangle, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared-level samples s in [-min(A^2,B^2)/4, 0] with |x'|, |y'| values."""
-    a2 = geom.gap_a**2
-    b2 = geom.gap_b**2
-    s = np.linspace(-0.25 * min(a2, b2), 0.0, m)
-    # the subtractions below are exact at the endpoint, so sqrt never sees -0.0-eps
-    xp = np.sqrt(0.25 * a2 + s)
-    yp = np.sqrt(0.25 * b2 + s)
-    return s, xp, yp
-
-
-_BRANCH_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-
-
-def hr_points(geom: HyperbolaRectangle, m: int) -> np.ndarray:
-    """Dense sampling of H intersect R along the shared-level parameterization.
-
-    Each of the four sign branches (sx, sy) contributes the m points
-    center + sx*|x'(s)| + i*sy*|y'(s)| for s uniform in [-min(A^2,B^2)/4, 0],
-    endpoints included: s = 0 gives the four rectangle corners and the lower
-    endpoint gives the hyperbola vertices (shared points are repeated).  The
-    result is the concatenation branch by branch, 4*m points in total, all of
-    which satisfy both closed membership conditions.
-    """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"need at least 2 samples per branch, got {m!r}")
-    _, xp, yp = _level_grid(geom, m)
-    out = np.empty(4 * m, dtype=np.complex128)
-    for i, (sx, sy) in enumerate(_BRANCH_SIGNS):
-        out[i * m : (i + 1) * m] = (geom.center_x + sx * xp) + 1j * (geom.center_y + sy * yp)
-    return out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

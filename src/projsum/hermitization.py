@@ -30,6 +30,7 @@ __all__ = [
     "sample_potential_grid",
     "laplacian_recover",
     "brown_pipeline",
+    "worker_count",
 ]
 
 # node x atom pairs per chunk: a function of the input alone, so results do not

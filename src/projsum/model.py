@@ -33,7 +33,7 @@ HAAR_P = 0  # ran Pi1 in _ginibre_pair (assemble_model, two_projection_eigenvalu
 HAAR_Q = 1  # ran Pi2 in _ginibre_pair (assemble_model, two_projection_eigenvalues): (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
-TIGHTNESS = 4  # tightness_probe, law pair i: (TIGHTNESS, i)
+# id 4 is retired: its stream is gone, and no new stream may take the id
 CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
 
 
@@ -74,10 +74,6 @@ class TwoAtomLaw:
     def gap(self) -> float:
         """Signed atom gap loc_alt - loc."""
         return self.loc_alt - self.loc
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.loc + self.loc_alt)
 
 
 @dataclass(frozen=True)

@@ -230,19 +230,22 @@ class TestPotentialRecover:
         assert rc == E_USAGE
 
     def test_recover_rejects_malformed_potential(self, tmp_path, capsys):
-        # (params edit, potential file header, message); every case keeps
-        # the 5 x 5 grid's 25-row file, and a None value deletes the param
+        # (params edit, potential file header, first L value, message); every
+        # case keeps the 5 x 5 grid's 25-row file, a None param value deletes
+        # the param, and a None L value keeps the computed one
         cases = [
-            ({"ny": None}, "re,im,L", "lacks params"),
-            ({}, "re,im,V", "no L column"),
-            ({"nx": 1, "ny": 25}, "re,im,L", "at least 3 nodes per axis"),
-            ({"xmax": -0.5}, "re,im,L", "nondegenerate"),
-            ({"nx": 5.0}, "re,im,L", "node counts must be integers"),
-            ({"nx": "5"}, "re,im,L", "node counts must be integers"),
-            ({"xmin": "-0.3"}, "re,im,L", "window bounds must be finite numbers"),
-            ({"xmin": True}, "re,im,L", "window bounds must be finite numbers"),
+            ({"ny": None}, "re,im,L", None, "lacks params"),
+            ({}, "re,im,V", None, "no L column"),
+            ({"nx": 1, "ny": 25}, "re,im,L", None, "at least 3 nodes per axis"),
+            ({"xmax": -0.5}, "re,im,L", None, "nondegenerate"),
+            ({"nx": 5.0}, "re,im,L", None, "node counts must be integers"),
+            ({"nx": "5"}, "re,im,L", None, "node counts must be integers"),
+            ({"xmin": "-0.3"}, "re,im,L", None, "window bounds must be finite numbers"),
+            ({"xmin": True}, "re,im,L", None, "window bounds must be finite numbers"),
+            ({}, "re,im,L", "nan", "non-finite L value"),
+            ({}, "re,im,L", "inf", "non-finite L value"),
         ]
-        for k, (edit, header, message) in enumerate(cases):
+        for k, (edit, header, first_l, message) in enumerate(cases):
             prefix = self._potential(tmp_path, name=f"bad{k}", nx=5, ny=5)
             manifest = Path(str(prefix) + ".manifest.json")
             data = json.loads(manifest.read_text(encoding="utf-8"))
@@ -253,7 +256,11 @@ class TestPotentialRecover:
                     data["params"][key] = value
             manifest.write_text(json.dumps(data), encoding="utf-8")
             grid = Path(str(prefix) + ".potential.csv")
-            grid.write_text(grid.read_text().replace("re,im,L", header))
+            lines = grid.read_bytes().decode("utf-8").split("\r\n")
+            lines[0] = lines[0].replace("re,im,L", header)
+            if first_l is not None:
+                lines[1] = lines[1].rsplit(",", 1)[0] + "," + first_l
+            grid.write_bytes("\r\n".join(lines).encode("utf-8"))
             capsys.readouterr()
             out = tmp_path / f"m{k}"
             assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE

@@ -1,4 +1,4 @@
-"""BL distances, corner atom masses, convergence trends, tightness probes."""
+"""BL distances, corner atom masses, convergence trends."""
 
 from __future__ import annotations
 
@@ -23,13 +23,12 @@ from projsum import (
     corner_atom_masses,
     make_geometry,
     sample_potential_grid,
-    tightness_probe,
     trend_acceptable,
 )
 from projsum import convergence as convergence_module
 from projsum import model
 from projsum.model import CONVERGE
-from tests.conftest import P_LAW, Q_LAW
+from tests.conftest import Q_LAW
 
 
 def _delta(z: complex) -> WeightedPointMeasure:
@@ -426,9 +425,8 @@ class TestCornerAtomMasses:
 
 
 class TestConvergenceRun:
-    def test_draws_disjoint_from_grid_and_tightness(self, demo_laws, monkeypatch):
+    def test_draws_disjoint_from_grid(self, demo_laws, monkeypatch):
         # with keys (seed, n, i), n=2 redrew the potential-grid realizations
-        # and n=4 the tightness-probe ones
         p, q = demo_laws
         drawn = []
         real = model.two_projection_eigenvalues
@@ -437,20 +435,15 @@ class TestConvergenceRun:
             drawn.append((spec.n, spec.seed))
             return real(spec)
 
-        # pooled_eigenvalues looks the kernel up in model; tightness_probe in convergence
+        # pooled_eigenvalues looks the kernel up in model
         monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
-        monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
         convergence_run(p, q, (2, 4), samples=3, seed=77)
         converge = {n: {s for m, s in drawn if m == n} for n in (2, 4)}
         drawn.clear()
-        tightness_probe([p] * 3, [q] * 3, n=4, seed=77)
-        tightness = {s for _, s in drawn}
-        drawn.clear()
         sample_potential_grid(ModelSpec(p, q, n=2, seed=77), (-0.5, 1.5, -0.5, 1.5), 3, 3, 3)
         grid = {s for _, s in drawn}
-        assert len(converge[2]) == len(converge[4]) == len(tightness) == len(grid) == 3
+        assert len(converge[2]) == len(converge[4]) == len(grid) == 3
         assert converge[2].isdisjoint(grid)
-        assert converge[4].isdisjoint(tightness)
 
     @pytest.mark.parametrize("resolution", [float("nan"), 0.0])
     def test_resolution_checked_before_any_draw(self, demo_laws, monkeypatch, resolution):
@@ -463,7 +456,6 @@ class TestConvergenceRun:
             return real(spec)
 
         monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
-        monkeypatch.setattr(convergence_module, "two_projection_eigenvalues", recording)
         with pytest.raises(ValueError, match="grid_resolution must be finite and positive"):
             convergence_run(p, q, (16, 32), samples=3, seed=5, grid_resolution=resolution)
         assert drawn == []
@@ -517,33 +509,3 @@ class TestTrendAcceptable:
 
     def test_without_noise_any_rise_fails(self):
         assert not trend_acceptable([1.0, 1.0 + 1e-9])
-
-
-class TestTightnessProbe:
-    def test_fixed_weight_mass_escapes(self):
-        far = (1.0, 8.0, 64.0)
-        p_seq = [TwoAtomLaw(5 / 8, 0.0, alt) for alt in far]
-        q_seq = [Q_LAW] * len(far)
-        entries = tightness_probe(p_seq, q_seq, n=64, seed=35)
-        assert len(entries) == 3
-        assert entries[0].escaped_mass == 0.0
-        # the far atom keeps weight 3/8, so ~3/8 of the spectrum tracks it
-        assert entries[-1].escaped_mass >= 0.2
-        assert entries[0].window == entries[-1].window
-
-    def test_vanishing_weight_mass_stays(self):
-        far = (1.0, 8.0, 64.0)
-        weights = (5 / 8, 1 - 1 / 16, 1 - 1 / 64)
-        p_seq = [TwoAtomLaw(w, 0.0, alt) for w, alt in zip(weights, far)]
-        q_seq = [Q_LAW] * len(far)
-        entries = tightness_probe(p_seq, q_seq, n=64, seed=36)
-        assert entries[-1].escaped_mass <= 0.05
-
-    def test_empty_sequences(self):
-        assert tightness_probe([], [], n=16, seed=1) == ()
-
-    def test_explicit_window(self):
-        entries = tightness_probe(
-            [P_LAW], [Q_LAW], n=32, seed=2, window=(-10.0, 10.0, -10.0, 10.0)
-        )
-        assert entries[0].escaped_mass == 0.0

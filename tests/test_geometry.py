@@ -1,4 +1,4 @@
-"""Support geometry: hyperbola-rectangle membership, distance, atom weights."""
+"""Support geometry: the on-set oracle, distance, atom weights."""
 
 from __future__ import annotations
 
@@ -15,13 +15,9 @@ from projsum import (
     TwoAtomLaw,
     atom_weights,
     dist_to_hr_many,
-    hr_points,
-    hyperbola_residual,
-    in_rectangle,
     make_geometry,
-    on_hyperbola,
 )
-from projsum.geometry import _BRANCH_SIGNS, _golden_min, _level_grid
+from projsum.geometry import _golden_min
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO = make_geometry(P_LAW, Q_LAW)
@@ -35,6 +31,59 @@ GEOMETRIES = {
     "negative_gaps": (TwoAtomLaw(0.5, 1.0, 0.0), TwoAtomLaw(0.5, 1.0, -0.4)),
     "far_center": (TwoAtomLaw(0.5, -3.7, -1.3), TwoAtomLaw(0.5, 412.9, 413.45)),
 }
+
+
+def _atoms(geom):
+    """(alpha, alpha', beta, beta') read off the exact corners."""
+    return geom.corners[0].real, geom.corners[3].real, geom.corners[0].imag, geom.corners[3].imag
+
+
+def _residual(geom, z) -> np.ndarray:
+    """|(x - alpha)(x - alpha') - (y - beta)(y - beta')|, elementwise."""
+    a0, a1, b0, b1 = _atoms(geom)
+    z = np.asarray(z, dtype=np.complex128)
+    return np.abs((z.real - a0) * (z.real - a1) - (z.imag - b0) * (z.imag - b1))
+
+
+def _in_rectangle(geom, z) -> np.ndarray:
+    """Whether z lies in the closed rectangle of atom coordinates, elementwise."""
+    a0, a1, b0, b1 = _atoms(geom)
+    z = np.asarray(z, dtype=np.complex128)
+    return ((min(a0, a1) <= z.real) & (z.real <= max(a0, a1))
+            & (min(b0, b1) <= z.imag) & (z.imag <= max(b0, b1)))
+
+
+def _level_grid(geom, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared-level samples s in [-min(A^2,B^2)/4, 0] with |x'|, |y'| values."""
+    a2 = geom.gap_a**2
+    b2 = geom.gap_b**2
+    s = np.linspace(-0.25 * min(a2, b2), 0.0, m)
+    # the subtractions below are exact at the endpoint, so sqrt never sees -0.0-eps
+    xp = np.sqrt(0.25 * a2 + s)
+    yp = np.sqrt(0.25 * b2 + s)
+    return s, xp, yp
+
+
+_BRANCH_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def hr_points(geom, m: int) -> np.ndarray:
+    """On-set oracle: dense sampling of H intersect R along the shared level.
+
+    Each of the four sign branches (sx, sy) contributes the m points
+    center + sx*|x'(s)| + i*sy*|y'(s)| for s uniform in [-min(A^2,B^2)/4, 0],
+    endpoints included: s = 0 gives the four rectangle corners and the lower
+    endpoint gives the hyperbola vertices (shared points are repeated).  The
+    result is the concatenation branch by branch, 4*m points in total, all of
+    which satisfy both closed membership conditions.
+    """
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"need at least 2 samples per branch, got {m!r}")
+    _, xp, yp = _level_grid(geom, m)
+    out = np.empty(4 * m, dtype=np.complex128)
+    for i, (sx, sy) in enumerate(_BRANCH_SIGNS):
+        out[i * m : (i + 1) * m] = (geom.center_x + sx * xp) + 1j * (geom.center_y + sy * yp)
+    return out
 
 
 def _curve_distance(geom, zs, sign, t):
@@ -136,39 +185,10 @@ class TestMakeGeometry:
             DEMO.corners, key=lambda c: (c.real, c.imag)
         )
         zs = np.array([0.3 + 0.1j, -1 + 2j, 0.5 + 0.4j, 1.7 - 0.3j])
-        assert np.allclose(
-            hyperbola_residual(DEMO, zs), hyperbola_residual(g2, zs), atol=1e-14
-        )
-        assert np.array_equal(in_rectangle(DEMO, zs), in_rectangle(g2, zs))
         assert np.allclose(dist_to_hr_many(DEMO, zs), dist_to_hr_many(g2, zs), atol=1e-12)
 
 
 class TestMembership:
-    def test_corners_satisfy_equation_exactly(self):
-        for c in DEMO.corners:
-            assert hyperbola_residual(DEMO, c) == 0.0
-            assert on_hyperbola(DEMO, c, tol=1e-15)
-            assert in_rectangle(DEMO, c)
-
-    def test_vertex_and_center(self):
-        # A^2 > B^2 here, so the vertices sit at center_x +- sqrt(A^2-B^2)/2
-        # on the horizontal center line
-        off = math.sqrt(1.0 - 0.64) / 2
-        vertex = complex(0.5 + off, 0.4)
-        assert on_hyperbola(DEMO, vertex, tol=1e-12)
-        assert in_rectangle(DEMO, vertex)
-        assert not on_hyperbola(DEMO, DEMO.center)
-        assert in_rectangle(DEMO, DEMO.center)
-        assert not in_rectangle(DEMO, 2.0 + 0.0j)
-        assert not in_rectangle(DEMO, 0.5 + 0.81j)
-
-    def test_array_membership_matches_scalar(self):
-        zs = np.array([0j, 0.5 + 0.4j, 3 + 3j])
-        hits = on_hyperbola(DEMO, zs)
-        assert hits.tolist() == [on_hyperbola(DEMO, z) for z in zs]
-        ins = in_rectangle(DEMO, zs)
-        assert ins.tolist() == [in_rectangle(DEMO, z) for z in zs]
-
     def test_level_characterization_of_membership(self):
         # independent check of the three equivalent descriptions of a
         # hyperbola point lying in R: level s <= 0, rectangle membership,
@@ -182,8 +202,8 @@ class TestMembership:
         z = (DEMO.center_x + sx * np.sqrt(0.25 * a2 + s)) + 1j * (
             DEMO.center_y + sy * np.sqrt(0.25 * b2 + s)
         )
-        assert np.all(on_hyperbola(DEMO, z, tol=1e-12))
-        inside = in_rectangle(DEMO, z)
+        assert np.all(_residual(DEMO, z) <= 1e-12 * DEMO.scale**2)
+        inside = _in_rectangle(DEMO, z)
         assert np.array_equal(inside, s <= 0)
         im_part = np.abs(np.imag((z - DEMO.center) ** 2))
         assert np.array_equal(inside, im_part <= DEMO.im_halfwidth + 1e-12)
@@ -193,8 +213,8 @@ class TestHrPoints:
     def test_all_points_are_members(self):
         pts = hr_points(DEMO, 257)
         assert pts.shape == (4 * 257,)
-        assert np.all(on_hyperbola(DEMO, pts, tol=1e-12))
-        assert np.all(in_rectangle(DEMO, pts))
+        assert np.all(_residual(DEMO, pts) <= 1e-12 * DEMO.scale**2)
+        assert np.all(_in_rectangle(DEMO, pts))
 
     def test_endpoints_are_corners_and_vertices(self):
         m = 33
@@ -373,10 +393,11 @@ class TestCornerLocations:
     @settings(max_examples=300, deadline=None)
     def test_corners_lie_exactly_on_the_set(self, locs):
         g = make_geometry(TwoAtomLaw(0.5, locs[0], locs[1]), TwoAtomLaw(0.5, locs[2], locs[3]))
-        assert (g.alpha, g.alpha_prime, g.beta, g.beta_prime) == tuple(locs)
+        a0, a1, b0, b1 = locs
+        assert g.corners == (complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1))
         for c in g.corners:
-            assert in_rectangle(g, c)
-            assert hyperbola_residual(g, c) == 0.0
+            assert _in_rectangle(g, c)
+            assert _residual(g, c) == 0.0
 
 
 class TestAtomWeights:

@@ -25,7 +25,9 @@ from projsum import (
 from projsum import model
 from tests.conftest import P_LAW, Q_LAW
 
-STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "TIGHTNESS", "CONVERGE")
+STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
+# ids of streams that are gone; no live stream may reuse one
+RETIRED_STREAM_IDS = (4,)
 
 
 def _seed_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
@@ -121,7 +123,6 @@ class TestTwoAtomLaw:
     def test_derived_quantities(self):
         law = TwoAtomLaw(weight=5 / 8, loc=0.0, loc_alt=1.0)
         assert law.gap == 1.0
-        assert law.midpoint == 0.5
         assert law.is_two_atom
         assert not TwoAtomLaw(weight=1.0, loc=0.0, loc_alt=1.0).is_two_atom
         assert not TwoAtomLaw(weight=0.5, loc=0.3, loc_alt=0.3).is_two_atom
@@ -226,6 +227,7 @@ class TestSubstreamTable:
         ids = [getattr(model, name) for name in STREAMS]
         assert all(type(i) is int for i in ids)
         assert len(set(ids)) == len(STREAMS)
+        assert set(ids).isdisjoint(RETIRED_STREAM_IDS)
 
     def test_every_key_in_src_starts_with_a_stream_id(self):
         # a key that does not lead with a table entry, or two call sites
