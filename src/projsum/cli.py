@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ from .convergence import convergence_run, corner_atom_masses
 from .geometry import atom_weights, make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
 from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, _realize, assemble_model, substream_rng
-from .spectra import ComputationError, esd, structure_report, verify_sv_bound
+from .spectra import ComputationError, _projection_spectra, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
 
@@ -132,6 +133,8 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     if args.z_grid < 0:
         raise ValueError(f"--z-grid must be >= 0, got {args.z_grid}")
+    if not math.isfinite(args.perturb):
+        raise ValueError(f"--perturb must be finite, got {args.perturb}")
     spec = _spec_from(args)
     realization = assemble_model(spec, commuting=args.commuting)
     if args.perturb:
@@ -140,6 +143,7 @@ def cmd_check(args) -> int:
     scale = geom.scale
     measure = esd(realization)
     report = structure_report(realization, geom, measure=measure)
+    spectra = _projection_spectra(realization)
 
     tol = CHECK_TOLERANCES
     checks = []
@@ -160,14 +164,14 @@ def cmd_check(args) -> int:
         zs = x0 + (x1 - x0) * rng.random(args.z_grid) + 1j * (y0 + (y1 - y0) * rng.random(args.z_grid))
         margins = [
             {"re": float(z.real), "im": float(z.imag), "margin": float(margin)}
-            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs))
+            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs, spectra=spectra))
         ]
         worst = min(m["margin"] for m in margins)
         checks.append(("sv_bound", worst >= -tol["sv_bound"] * scale, f"worst_margin={worst:.3e}"))
     else:
         margins = []
 
-    masses = corner_atom_masses(realization, measure=measure)
+    masses = corner_atom_masses(realization, measure=measure, spectra=spectra)
     weights = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
     corner_ok = True
     for e_mass, i_mass, lower in zip(masses.esd_mass, masses.intersection_mass, weights.corner_weights):

@@ -30,7 +30,7 @@ from .model import (
     _realize,
     pooled_eigenvalues,
 )
-from .spectra import ComputationError, WeightedPointMeasure, esd
+from .spectra import ComputationError, WeightedPointMeasure, _ProjectionSpectra, _projection_spectra, esd
 
 __all__ = [
     "CornerAtomMasses",
@@ -192,6 +192,8 @@ _CORNER_TOL = 1e-9
 def corner_atom_masses(
     realization: ModelRealization,
     measure: WeightedPointMeasure | None = None,
+    *,
+    spectra: _ProjectionSpectra | None = None,
 ) -> CornerAtomMasses:
     """Empirical and subspace corner masses of one realization.
 
@@ -209,8 +211,9 @@ def corner_atom_masses(
     counts the principal-angle cosines above 1 - 1e-9 between the two
     eigenspaces (sin(theta) between a range and a kernel).  A
     weight-degenerate law (weight 0 or 1) needs no special case: its
-    projection is 0 or I.  ``measure`` defaults to ``esd(realization)``;
-    pass it to reuse a spectrum already computed.
+    projection is 0 or I.  ``measure`` defaults to ``esd(realization)``
+    and ``spectra`` to ``_projection_spectra(realization)``; pass them to
+    reuse spectra already computed.
     """
     if measure is None:
         measure = esd(realization)
@@ -225,10 +228,9 @@ def corner_atom_masses(
         complex(p_law.loc_alt, q_law.loc),
         complex(p_law.loc_alt, q_law.loc_alt),
     )
-    eye = np.eye(n)
-    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
-    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
-    total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
+    if spectra is None:
+        spectra = _projection_spectra(realization)
+    total, diff = spectra.total, spectra.diff
     tol = _CORNER_TOL
     found = (total < tol, diff < tol - 1.0, diff > 1.0 - tol, total > 2.0 - tol)
     return CornerAtomMasses(

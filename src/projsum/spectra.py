@@ -6,16 +6,25 @@ every finite n: X~^2 = (X - center)^2 is normal with constant real part
 (A^2 - B^2)/4 and imaginary part bounded by |A*B|/2 in operator norm, the
 eigenvalues of X_n lie on H intersect R, and sigma_min(z - X_n) is bounded
 below by dist(z, H intersect R)^2 / ||z - X_n||.
+
+The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and the
+spectra of Pi_p + Pi_q and Pi_p - Pi_q are taken once per realization by
+``_projection_spectra``; ``verify_sv_bound`` reads the singular values of
+z - X_n off them in closed form (two-subspace theorem), certifies them
+against the dense matrix by Weyl's inequality, and takes a dense SVD only at
+a z the certificate cannot decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import HyperbolaRectangle, dist_to_hr_many, make_geometry
-from .model import ModelRealization
+from .model import ModelRealization, _realize
 
 __all__ = [
     "ComputationError",
@@ -147,7 +156,125 @@ def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
     return WeightedPointMeasure.uniform(np.maximum(vals, 0.0))
 
 
-def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) -> np.ndarray | float:
+class _ProjectionSpectra(NamedTuple):
+    """Pi_p, Pi_q and the ascending eigenvalues of Pi_p + Pi_q and Pi_p - Pi_q."""
+
+    pi_p: np.ndarray
+    pi_q: np.ndarray
+    total: np.ndarray
+    diff: np.ndarray
+
+
+def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
+    """Projections onto the loc_alt eigenspaces of P_n and Q_n, and the spectra
+    of their sum and difference.
+
+    Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B with the realized laws,
+    whose atom locations must be distinct.  ``corner_atom_masses`` and
+    ``verify_sv_bound`` both read these; pass one result to both to take the
+    two ``eigvalsh`` once.
+    """
+    eye = np.eye(realization.n)
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
+    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
+    return _ProjectionSpectra(pi_p, pi_q, np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q))
+
+
+# unit roundoff of float64
+_U = np.finfo(np.float64).eps / 2
+# a block margin stands in for the dense one only when certified this close to it, times
+# scale: the allowance `check` gives a margin
+_MARGIN_ACCURACY = 1e-8
+
+
+def _ranks(realization: ModelRealization) -> tuple[int, int]:
+    """Ranks k1, k2 of Pi_p and Pi_q: the loc_alt counts of the realized laws."""
+    return tuple(_realize(law, realization.n)[0] for law in (realization.realized_p_law, realization.realized_q_law))
+
+
+def _certified_sigmas(
+    realization: ModelRealization, spectra: _ProjectionSpectra, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, eps) for each z in ``zs``: the smallest and largest singular
+    values of z - Y, and a bound eps on their distance from those of z - X_n.
+
+    Y = alpha + i*beta + (direct sum of the 1 x 1 excess corners and of one
+    2 x 2 block A*diag(1, 0) + iB*v v^T, v = (c, s), per principal angle),
+    with c and s read from the computed spectra; see ``verify_sv_bound`` for
+    the layout and the proof.  Real arithmetic only, so each z gives the
+    same bits in any array shape.
+    """
+    n = realization.n
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    a, b = p_law.gap, q_law.gap
+    k1, k2 = _ranks(realization)
+    m = min(k1, k2, n - k1, n - k2)
+    e_sum, e_diff = max(0, k1 + k2 - n), max(0, k1 - k2)
+    # the j-th largest cosine pairs with the j-th smallest sine
+    c = spectra.total[::-1][e_sum : e_sum + m] - 1.0
+    s = spectra.diff[::-1][e_diff : e_diff + m][::-1]
+    # the excess corners, as offsets from alpha + i*beta
+    corners = []
+    if k1 + k2 != n:
+        corners.append((a, b) if k1 + k2 > n else (0.0, 0.0))
+    if k1 != k2:
+        corners.append((a, 0.0) if k1 > k2 else (0.0, b))
+    x = (zs.real - p_law.loc)[..., None]
+    y = (zs.imag - q_law.loc)[..., None]
+    # M = w - N with w = x + iy and N = [[A + iBc^2, iBt], [iBt, iBs^2]], t = cs:
+    # entries (ar + i ai, -i t, -i t, x + i di)
+    t = b * c * s
+    ar, ai, di = x - a, y - b * c * c, y - b * s * s
+    p = ar * ar + ai * ai + t * t  # row norms of M, squared
+    q = t * t + x * x + di * di
+    cross = t * t * ((ai + di) ** 2 + a * a)  # |<row 1, row 2>|^2
+    # sigma_max^2 = (F + sqrt(F^2 - 4 det^2))/2 with F^2 - 4 det^2 = (p - q)^2 + 4 cross,
+    # which does not cancel when the two singular values are close
+    smax = np.sqrt(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * cross)))
+    det_re, det_im = ar * x - ai * di + t * t, ar * di + ai * x
+    smin = np.sqrt(det_re * det_re + det_im * det_im) / smax
+    dc = [np.sqrt((x - cx) ** 2 + (y - cy) ** 2) for cx, cy in corners]
+    lo = np.concatenate([smin, *dc], axis=-1).min(axis=-1)
+    hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1)
+    # rounding of the shift to w and of the closed forms
+    size = hi + np.sqrt(zs.real**2 + zs.imag**2) + math.hypot(p_law.loc, q_law.loc)
+    return lo, hi, _certificate_eps(realization, spectra) + 16.0 * _U * size
+
+
+def _certificate_eps(realization: ModelRealization, spectra: _ProjectionSpectra) -> float:
+    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when
+    the projections are too far from exact ones of ranks k1, k2 to certify."""
+    n = realization.n
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    a, b = abs(p_law.gap), abs(q_law.gap)
+    idem = []
+    for pi, k in zip((spectra.pi_p, spectra.pi_q), _ranks(realization)):
+        # ||Pi^2 - Pi||_F plus its rounding, (n + 3)u || |Pi| |Pi| ||_F at most;
+        # || |Pi| |Pi| ||_F <= ||Pi||_F times the largest row sum of |Pi|
+        rounding = (n + 3) * _U * float(np.abs(pi).sum(axis=1).max()) * float(np.linalg.norm(pi))
+        bound = float(np.linalg.norm(pi @ pi - pi)) + rounding
+        # every eigenvalue within 1/8 of 0 or 1, and the nearest projection of rank k
+        if not 2.0 * math.sqrt(n) * bound + abs(float(np.trace(pi).real) - k) < 0.25:
+            return math.inf
+        idem.append(bound)
+    i_p, i_q = idem
+    center = complex(p_law.loc, q_law.loc)
+    resid = realization.x_matrix - p_law.gap * spectra.pi_p - 1j * (q_law.gap * spectra.pi_q)
+    resid.flat[:: n + 1] -= center
+    norms = (np.linalg.norm(realization.x_matrix), a * np.linalg.norm(spectra.pi_p), b * np.linalg.norm(spectra.pi_q))
+    resid_bound = float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center))
+    delta = 2.0 * (i_p + i_q) + 4.0 * (n + 1) * _U
+    return resid_bound + 2.0 * (a * i_p + b * i_q) + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
+
+
+def verify_sv_bound(
+    realization: ModelRealization,
+    geom: HyperbolaRectangle,
+    z,
+    *,
+    spectra: _ProjectionSpectra | None = None,
+) -> np.ndarray | float:
     """Signed margin of sigma_min(z - X_n) >= dist(z, H n R)^2 / ||z - X_n||.
 
     Nonnegative in exact arithmetic for every z and every realization; when
@@ -155,16 +282,87 @@ def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) 
     sigma_min - dist^2 / opnorm, which tests compare against a small
     negative floating-point allowance, elementwise for an array ``z`` (one
     distance call for all points) and as a float for a scalar ``z``.
+    ``spectra`` defaults to ``_projection_spectra(realization)``; pass it to
+    reuse the spectra ``corner_atom_masses`` takes.
+
+    The singular values come from the two-subspace theorem (Halmos, 1969),
+    in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
+    Pi^ is the exact projection nearest to Pi (round each eigenvalue to 0
+    or 1).  One unitary puts Pi_p^ and Pi_q^ in block form: 1 x 1 corner
+    blocks, where X^ is a corner c, and 2 x 2 blocks diag(1, 0) and v v^T,
+    v = (c, s) = (cos theta, sin theta), one per principal angle.  The
+    ranks k1, k2 fix the layout without thresholds: k1 + k2 - n excess
+    corners at alpha' + i*beta' if that is positive, else n - k1 - k2 at
+    alpha + i*beta; |k1 - k2| at alpha' + i*beta or alpha + i*beta'; and
+    m = min(k1, k2, n - k1, n - k2) blocks (an angle of 0 or pi/2 is an
+    ordinary block).  Pi_p + Pi_q is 2, 0 or 1 on the corners and 1 +- c on
+    a block, Pi_p - Pi_q is 0 or +-1 on the corners and +-s on a block; so
+    c is the descending sum spectrum after the excess 2's, m at a time,
+    minus 1, and s the descending difference spectrum after the excess +1's,
+    m at a time and reversed, so that the j-th largest c pairs with the j-th
+    smallest s.  Neither is formed from the other: sqrt(1 - c^2) loses half
+    the digits at small angles.  The singular values of z - X^ are
+    |z - corner| on the excess corners and those of one 2 x 2 matrix M per
+    block, with sigma_max^2 = (F + sqrt(F^2 - 4|det M|^2))/2, F = ||M||_F^2,
+    and sigma_min = |det M| / sigma_max, which avoids cancellation.  F^2 -
+    4|det M|^2 is evaluated as (p - q)^2 + 4|r|^2 from the Gram matrix
+    [[p, r], [r*, q]] of M's rows, which does not cancel when the two
+    singular values are close (far from the spectrum).  lo and hi are the
+    minimum and maximum over all pieces.
+
+    Certificate.  By Weyl's inequality each singular value of z - X_n lies
+    within ||X_n - Y|| of the matching one of z - Y, where Y is the matrix
+    whose pieces are evaluated (the blocks with the computed c and s), and
+    ||X_n - Y|| <= eps, the sum of:
+
+    * the computed ||X_n - (alpha + A*Pi_p) - i(beta + B*Pi_q)||_F, which
+      covers ``check --perturb``, plus 4u times the norms it subtracts;
+    * |A|*||Pi_p - Pi_p^|| + |B|*||Pi_q - Pi_q^||, each at most 2I with I
+      the computed ||Pi^2 - Pi||_F plus (n + 3)u ||Pi||_F max_i sum_j
+      |Pi_ij|, which bounds its rounding: an eigenvalue lambda at distance
+      d < 1/2 from {0, 1} has |lambda^2 - lambda| >= d/2;
+    * ||X^ - Y|| <= |B| * max_j ||v v^T - v^ v^^T|| <= |B|*sqrt2*delta*(2
+      + sqrt2*delta), where delta bounds |c - c^| and |s - s^| at each
+      sorted index: by Weyl again, the two distances 2I to the nearest
+      projections, plus LAPACK's backward error of ``eigvalsh`` (n u ||S||)
+      and the rounding of the sum, of the difference and of the shift by 1,
+      together 4(n + 1)u;
+    * the rounding of the shift z - (alpha + i*beta) and of the closed
+      forms, 16u(hi + |z| + |alpha + i*beta|) per z.
+
+    The layout needs each Pi^ to have rank k: 2 sqrt(n) I + |tr Pi - k| <
+    1/4 puts every eigenvalue of Pi within 1/8 of 0 or 1, and tr Pi within
+    1/4 of rank Pi^ (|tr Pi - rank Pi^| <= sqrt(n) * 2I).  Otherwise eps is
+    infinite.  Where hi > eps and (lo - eps) - dist^2/(hi - eps) >= 0, the
+    dense margin is provably nonnegative; it also lies within
+    eps * (1 + dist^2/(hi (hi - eps))) of the block margin lo - dist^2/hi.
+    Where both hold and that distance is at most 1e-8 * scale (the allowance
+    ``check`` gives a margin), the block margin is returned: it is
+    nonnegative, so at every tolerance >= 0 its verdict is the dense
+    verdict.  At every other z, a perturbed X_n's included, the dense SVD
+    gives the margin.
     """
     zs = np.asarray(z, dtype=np.complex128)
     dist = dist_to_hr_many(geom, zs).reshape(zs.shape)
-    margins = np.empty(zs.shape)
-    for idx, zi in np.ndenumerate(zs):
-        shifted = zi * np.eye(realization.n) - realization.x_matrix
+    if spectra is None:
+        spectra = _projection_spectra(realization)
+    lo, hi, eps = _certified_sigmas(realization, spectra, zs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        margins = np.array(lo - dist**2 / hi)
+        slack = hi - eps
+        certified = (
+            (slack > 0.0)
+            & (lo - eps - dist**2 / slack >= 0.0)
+            & (eps * (1.0 + dist**2 / (hi * slack)) <= _MARGIN_ACCURACY * geom.scale)
+        )
+    for idx, ok in np.ndenumerate(certified):
+        if ok:
+            continue
+        shifted = zs[idx] * np.eye(realization.n) - realization.x_matrix
         try:
             svals = np.linalg.svd(shifted, compute_uv=False)
         except np.linalg.LinAlgError as exc:
-            raise ComputationError(f"SVD failed at z={complex(zi)!r} ({exc})") from exc
+            raise ComputationError(f"SVD failed at z={complex(zs[idx])!r} ({exc})") from exc
         margins[idx] = float(svals[-1]) - float(dist[idx]) ** 2 / float(svals[0])
     return margins if margins.ndim else float(margins)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from projsum import ModelSpec, __version__, assemble_model, make_geometry
-from projsum import cli, convergence, model
+from projsum import cli, convergence, model, spectra
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
@@ -127,6 +127,29 @@ class TestCheck:
         assert rc == E_USAGE
         assert "--z-grid must be >= 0, got -3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_perturb_is_usage_error(self, tmp_path, capsys, value):
+        rc = main(["check", "--n", "10", *DEMO_FLAGS, "--perturb", value,
+                   "--out-prefix", str(tmp_path / "bad")])
+        assert rc == E_USAGE
+        assert f"--perturb must be finite, got {float(value)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_projection_spectra_taken_once(self, tmp_path, monkeypatch):
+        # the sv bound and the corner masses share one pair of eigvalsh
+        calls = []
+        real = spectra._projection_spectra
+
+        def counting(realization):
+            calls.append(realization.n)
+            return real(realization)
+
+        for module in (spectra, convergence, cli):
+            monkeypatch.setattr(module, "_projection_spectra", counting)
+        assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
+                     "--out-prefix", str(tmp_path / "once")]) == E_OK
+        assert calls == [40]
 
     def test_commuting_variant_also_passes(self, tmp_path):
         prefix = tmp_path / "comm"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from projsum import (
@@ -11,6 +13,7 @@ from projsum import (
     TwoAtomLaw,
     WeightedPointMeasure,
     assemble_model,
+    dist_to_hr_many,
     esd,
     freeness_diagnostic,
     make_geometry,
@@ -18,6 +21,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
+from projsum import cli, spectra
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -165,6 +169,108 @@ class TestSvBound:
             small_realization.realized_p_law, small_realization.realized_q_law
         )
         assert verify_sv_bound(small_realization, geom, 30 + 40j) > 1.0
+
+
+def _dense_margins(realization, geom, zs):
+    """The margins from one dense SVD per z: the reference of the block route."""
+    dist = dist_to_hr_many(geom, zs)
+    margins = []
+    for z, d in zip(zs, dist):
+        svals = np.linalg.svd(z * np.eye(realization.n) - realization.x_matrix, compute_uv=False)
+        margins.append(float(svals[-1]) - float(d) ** 2 / float(svals[0]))
+    return np.array(margins)
+
+
+def _box_points(geom, count, seed):
+    """Uniform points on the corners' bounding box padded by scale, as `check` draws them."""
+    rng = np.random.default_rng(seed)
+    xs = [c.real for c in geom.corners]
+    ys = [c.imag for c in geom.corners]
+    x0, x1 = min(xs) - geom.scale, max(xs) + geom.scale
+    y0, y1 = min(ys) - geom.scale, max(ys) + geom.scale
+    return x0 + (x1 - x0) * rng.random(count) + 1j * (y0 + (y1 - y0) * rng.random(count))
+
+
+@st.composite
+def _ranked_specs(draw):
+    """Specs with ranks k1, k2 in [0, n] (k2 may equal k1 or n - k1), atoms
+    in [-2, 2] and gaps 0.05..3 of either sign."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    k1 = draw(st.integers(min_value=0, max_value=n))
+    k2 = draw(st.one_of(st.integers(min_value=0, max_value=n), st.just(k1), st.just(n - k1)))
+
+    def law(k):
+        loc = draw(st.floats(min_value=-2.0, max_value=2.0))
+        gap = draw(st.floats(min_value=0.05, max_value=3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return TwoAtomLaw((n - k) / n, loc, loc + gap)
+
+    return ModelSpec(law(k1), law(k2), n=n, seed=draw(st.integers(min_value=0, max_value=2**64 - 1)))
+
+
+def _ranked(n, k1, k2):
+    return ModelSpec(TwoAtomLaw((n - k1) / n, 0.3, 1.1), TwoAtomLaw((n - k2) / n, -0.4, -1.6), n=n, seed=1)
+
+
+class TestSvBlocks:
+    @given(spec=_ranked_specs(), commuting=st.booleans())
+    @example(spec=_ranked(12, 6, 6), commuting=False)  # k1 = k2 and k1 + k2 = n
+    @example(spec=_ranked(12, 4, 8), commuting=False)  # k1 + k2 = n
+    @example(spec=_ranked(12, 5, 5), commuting=True)  # k1 = k2, all angles 0
+    @example(spec=_ranked(12, 1, 11), commuting=False)  # k in {1, n - 1}
+    @example(spec=_ranked(12, 11, 1), commuting=True)
+    @example(spec=_ranked(12, 0, 12), commuting=False)  # weights 1 and 0
+    @example(spec=_ranked(24, 9, 17), commuting=False)
+    @settings(max_examples=150, deadline=None)
+    def test_certified_interval_holds_the_dense_singular_values(self, spec, commuting):
+        realization = assemble_model(spec, commuting=commuting)
+        # the geometry depends on the atoms alone; weight 1/2 lets make_geometry
+        # build it for the weights 0 and 1 as well
+        p, q = realization.realized_p_law, realization.realized_q_law
+        geom = make_geometry(TwoAtomLaw(0.5, p.loc, p.loc_alt), TwoAtomLaw(0.5, q.loc, q.loc_alt))
+        far = geom.center + 10.0 * geom.scale * np.exp(1j * np.array([0.3, 1.9, 4.0]))
+        zs = np.concatenate([
+            np.array(geom.corners), esd(realization).points, far, _box_points(geom, 8, spec.n),
+        ])
+        lo, hi, eps = spectra._certified_sigmas(realization, spectra._projection_spectra(realization), zs)
+        dense = np.array([np.linalg.svd(z * np.eye(spec.n) - realization.x_matrix, compute_uv=False)
+                          for z in zs])
+        assert np.max(eps) <= 1e-12 * geom.scale
+        # eps bounds the distance to the exact singular values; the dense
+        # reference errs by up to LAPACK's n * machine epsilon * sigma_max itself
+        slack = eps + spec.n * np.finfo(np.float64).eps * dense[:, 0]
+        assert np.all(np.abs(lo - dense[:, -1]) <= slack)
+        assert np.all(np.abs(hi - dense[:, 0]) <= slack)
+
+    def test_tiny_perturbation_takes_no_dense_svd(self, monkeypatch):
+        realization = cli._perturbed(assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42)), 1e-12)
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        zs = _box_points(geom, 20, 0)
+        dense = _dense_margins(realization, geom, zs)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        margins = verify_sv_bound(realization, geom, zs)
+        assert calls == []
+        assert np.all(margins >= 0.0) and np.all(dense >= 0.0)
+        assert np.max(np.abs(margins - dense)) <= 1e-8 * geom.scale
+
+    @pytest.mark.parametrize("shift", [1e-3, 1e-1])
+    def test_perturbation_takes_the_dense_fallback(self, monkeypatch, shift):
+        # a perturbed X_n is no two-projection matrix: its margins come from
+        # dense SVDs, and on its own eigenvalues they turn negative
+        realization = cli._perturbed(assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42)), shift)
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        zs = np.concatenate([_box_points(geom, 20, 0), esd(realization).points[:10]])
+        dense = _dense_margins(realization, geom, zs)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        margins = verify_sv_bound(realization, geom, zs)
+        assert len(calls) > 0
+        tol = -1e-8 * geom.scale
+        assert np.min(dense) < tol
+        assert np.array_equal(margins >= tol, dense >= tol)
+        assert margins.tobytes() == dense.tobytes()
 
 
 class TestReflection:
