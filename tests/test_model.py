@@ -346,3 +346,47 @@ class TestTwoProjectionEigenvalues:
         # (2.9e-11 off at n = 800 through R alone), so both sides form Q
         spec = ModelSpec(TwoAtomLaw(weight, 0.0, 1.0), TwoAtomLaw(weight, 0.0, 0.8), n=n, seed=n + 1)
         _assert_kernel_matches_dense(spec)
+
+    @pytest.mark.parametrize("n", [*range(2, 65, 2), 200])
+    def test_gram_cholesky_cosines_match_thin_q(self, n, monkeypatch):
+        # k1 = k2 = n/2, the worst conditioned case the Cholesky route takes:
+        # the cosines the kernel's SVD returns against sv(Q1* Q2) of thin Q
+        spec = ModelSpec(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 0.8), n=n, seed=n)
+        g1, g2 = model._ginibre_pair(spec, n // 2, n // 2)
+        assert model._range_factors(g1)[1] is not None
+        assert model._range_factors(g2)[1] is not None
+        svd, recorded = np.linalg.svd, []
+
+        def recording_svd(*args, **kwargs):
+            recorded.append(svd(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        two_projection_eigenvalues(spec)
+        monkeypatch.undo()
+        (q1, _), (q2, _) = np.linalg.qr(g1), np.linalg.qr(g2)
+        reference = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
+        assert len(recorded) == 1
+        assert np.max(np.abs(recorded[0] - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("p_weight,q_weight", [(1.0, 6 / 7), (6 / 7, 6 / 7), (1.0, 1.0), (6 / 7, 1.0)])
+    def test_empty_and_single_column_ranges_are_silent(self, p_weight, q_weight, capfd):
+        # k = 0 (weight 1) and k = 1 at n = 7: a Gram product through BLAS
+        # zherk would print an "illegal value" message at k = 0 (OpenBLAS
+        # writes it to stdout, so both streams are checked)
+        spec = ModelSpec(TwoAtomLaw(p_weight, 0.0, 1.0), TwoAtomLaw(q_weight, 0.0, 0.8), n=7, seed=9)
+        _assert_kernel_matches_dense(spec)
+        assert capfd.readouterr() == ("", "")
+
+    def test_demo_laws_take_no_qr(self, monkeypatch):
+        # k1 = 150 and k2 = 50 at n = 400: both sides take R from the Gram matrix
+        qr, calls = np.linalg.qr, []
+
+        def recording_qr(*args, **kwargs):
+            calls.append(kwargs.get("mode", "reduced"))
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        eigenvalues = two_projection_eigenvalues(ModelSpec(P_LAW, Q_LAW, n=400, seed=400))
+        assert eigenvalues.shape == (400,)
+        assert calls == []
