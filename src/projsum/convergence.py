@@ -43,9 +43,19 @@ __all__ = [
 
 
 def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Snap a measure to the shared grid of spacing ``resolution``."""
+    """Snap a measure to the shared grid of spacing ``resolution``.
+
+    Raises ValueError when a bin index does not fit in int64, i.e. when some
+    coordinate over ``resolution`` rounds to a magnitude of 2**63 or more
+    (or is not finite): the cast would wrap it onto some other bin.
+    """
     pts = np.asarray(measure.points, dtype=np.complex128)
     ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
+    if not np.all(np.abs(ij) < 2.0**63):
+        raise ValueError(
+            f"grid_resolution {resolution!r} is too fine for points of magnitude up to "
+            f"{np.max(np.abs(pts)):.3g}: bin indices overflow int64"
+        )
     uniq, inverse = np.unique(ij.astype(np.int64), axis=0, return_inverse=True)
     w = np.zeros(len(uniq))
     np.add.at(w, inverse, measure.weights)

@@ -347,6 +347,16 @@ class TestConverge:
         assert "grid_resolution must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("resolution", ["1e-19", "1e-300"])
+    def test_resolution_overflowing_bin_indices_is_usage_error(self, tmp_path, capsys, resolution):
+        # eigenvalues near 1 over 1e-19 exceed 2**63; the bins used to wrap
+        # and the run reported a distance with exit 0
+        rc = main(["converge", *DEMO_FLAGS, "--schedule", "4,8", "--samples", "1",
+                   "--resolution", resolution, "--out-prefix", str(tmp_path / "conv")])
+        assert rc == E_USAGE
+        assert "bin indices overflow int64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_is_usage_error(self, tmp_path, capsys, samples):
         rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32", "--samples", samples,

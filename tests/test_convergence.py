@@ -281,6 +281,23 @@ class TestBlDistance:
         with pytest.raises(ValueError, match="finite and positive"):
             bl_distance(mu, nu, resolution)
 
+    @pytest.mark.parametrize("resolution", [1e-19, 1e-300])
+    def test_rejects_bin_indices_beyond_int64(self, resolution):
+        # 0.93 / 1e-19 rounds above 2**63; the int64 cast used to wrap such
+        # an index onto another bin and return a wrong distance silently
+        mu = _measure([0.1, 0.93 + 0.2j], [0.5, 0.5])
+        nu = _measure([0.1j, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="overflow int64"):
+            bl_distance(mu, nu, resolution)
+        with pytest.raises(ValueError, match="overflow int64"):
+            bl_distance(nu, mu, resolution)
+
+    def test_fine_resolution_below_int64_limit_still_bins(self):
+        # at 1e-17 every index of a point within the unit square fits
+        mu = _measure([0.0, 0.93 + 0.2j], [0.5, 0.5])
+        nu = _measure([0.25j, 0.93 + 0.2j], [0.5, 0.5])
+        assert bl_distance(mu, nu, 1e-17) == pytest.approx(0.125, abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def criterion_08_pools(demo_laws):

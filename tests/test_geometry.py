@@ -17,7 +17,6 @@ from projsum import (
     dist_to_hr_many,
     make_geometry,
 )
-from projsum.geometry import _golden_min
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO = make_geometry(P_LAW, Q_LAW)
@@ -99,6 +98,46 @@ def _curve_distance(geom, zs, sign, t):
     if geom.gap_a**2 >= geom.gap_b**2:
         return np.hypot(zs.real - (geom.center_x + r), zs.imag - (geom.center_y + t))
     return np.hypot(zs.real - (geom.center_x + t), zs.imag - (geom.center_y + r))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo, hi, iters: int = 80) -> np.ndarray:
+    """Elementwise golden-section minimum of f over the brackets [lo, hi].
+
+    ``lo`` and ``hi`` are scalars or arrays that broadcast against f's values.
+    A fixed iteration count shrinks every bracket below 1e-13 times its
+    width unconditionally, and each element takes the steps it would take
+    alone.
+    """
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return np.minimum(np.minimum(fc, fd), np.minimum(f(lo), f(hi)))
+
+
+def _arc(geom) -> tuple[float, float]:
+    """(c, h) of the folded arc (sqrt(c + t^2), t), t in [0, h]."""
+    return 0.25 * abs(geom.gap_a**2 - geom.gap_b**2), 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
+
+
+def _dist_to_hr_many_0140(geom, zs):
+    """Reference: the 0.14.0 golden-section search over the whole folded arc."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    u, v = np.abs(zs.real - geom.center_x), np.abs(zs.imag - geom.center_y)
+    if geom.gap_b**2 > geom.gap_a**2:
+        u, v = v, u
+    c, h = _arc(geom)
+    return _golden_min(lambda t: np.hypot(u - np.sqrt(c + t * t), v - t), 0.0, h)
 
 
 def _dist_to_hr_many_050(geom, zs, m=512):
@@ -254,7 +293,7 @@ class TestDistance:
 
     @pytest.mark.parametrize("laws", GEOMETRIES.values(), ids=GEOMETRIES.keys())
     def test_matches_bruteforce(self, laws):
-        # the one golden section over the folded arc finds the global minimum
+        # the search over the folded arc finds the global minimum
         g = make_geometry(*laws)
         rng = np.random.default_rng(17)
         zs = g.center + g.scale * (rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60))
@@ -382,6 +421,114 @@ class TestQuadrantSearch:
         assert np.all(d_inf == inf)
         assert empty.shape == (0,) and empty.dtype == np.float64
         assert math.isnan(dist_to_hr_many(DEMO, [complex(nan, 0.0)])[0])
+
+
+def _unfold(geom, u, v, rng):
+    """Points with folded coordinates (u, v), each reflected into a random quadrant."""
+    if geom.gap_b**2 > geom.gap_a**2:
+        u, v = v, u
+    sx, sy = rng.choice([-1.0, 1.0], u.size), rng.choice([-1.0, 1.0], u.size)
+    return (geom.center_x + sx * u) + 1j * (geom.center_y + sy * v)
+
+
+def _hard_points(geom, rng, m=64) -> np.ndarray:
+    """Points in the regions where a search along the folded arc is hardest.
+
+    Near v = 0 around the vertex's center of curvature u = 2 sqrt(c), on and
+    near the arc's evolute (where f has a double root), on the set and
+    within 1e-9 of it, on the center lines, and out to 1e6 * scale.
+    """
+    c, h = _arc(geom)
+    s = geom.scale
+    rc = math.sqrt(c)
+    t = h * rng.uniform(0, 1, m)
+    x = np.sqrt(c + t * t)
+    # the evolute: G(t) plus its radius of curvature along the inward normal
+    k = np.hypot(1.0, t / x)
+    radius = k**3 * x**3 / c if c > 0 else np.zeros(m)
+    jitter = 1 + rng.normal(0, 1e-3, m) * rng.integers(0, 2, m)
+    near = 1e-9 * s * rng.normal(0, 1, m)
+    tiny = 10 ** rng.uniform(-16, -1, m) * rng.choice([-1.0, 1.0], m)
+    u = np.concatenate([
+        2 * rc * (1 + tiny),
+        np.abs(x + radius / k) * jitter,
+        x,
+        np.abs(x + near),
+        np.zeros(m),
+        np.abs(2 * s * rng.normal(0, 1, m)),
+        np.abs(1e6 * s * rng.normal(0, 1, m)),
+    ])
+    v = np.concatenate([
+        np.abs(1e-12 * s * rng.normal(0, 1, m)) * rng.integers(0, 2, m),
+        np.abs(t - radius * (t / x) / k) * jitter,
+        t,
+        np.abs(t - near),
+        np.abs(2 * s * rng.normal(0, 1, m)),
+        np.zeros(m),
+        np.abs(1e6 * s * rng.normal(0, 1, m)),
+    ])
+    return np.concatenate([_unfold(geom, u, v, rng), [geom.center], hr_points(geom, 17)])
+
+
+class TestNewtonSearch:
+    """The Newton search matches the 0.14.0 golden section in the hard regions."""
+
+    @given(
+        kind=st.sampled_from(["tiny_c", "equal_gaps", "near_equal", "generic"]),
+        center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        gap=st.floats(1e-7, 5.0),
+        ratio=st.floats(0.0, 1.0),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+        b_wide=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_golden_section_in_hard_regions(self, kind, center, gap, ratio, signs, b_wide, seed):
+        rng = np.random.default_rng(seed)
+        cx, cy = center
+        wide = gap
+        if kind == "tiny_c":
+            # |A|, |B| up to 1e-3 keep scale at 1 while B = A (1 - rel) puts
+            # c = A^2 rel (2 - rel)/4 at most 5e-21; a zero center keeps both
+            # gaps exact
+            cx = cy = 0.0
+            wide = min(gap, 1e-3)
+            rel = 2.0 ** -50 * (1e-20 / (2.0 ** -50 * wide * wide)) ** ratio
+            narrow = wide * (1 - rel)
+        elif kind == "equal_gaps":
+            # multiples of 2^-10 below 2^11 make every atom and both gaps exact
+            cx, cy, wide = (round(x * 1024) / 1024 for x in (cx, cy, max(gap, 2.0**-10)))
+            narrow = wide
+        elif kind == "near_equal":
+            narrow = wide * (1 - 10 ** (-15 + 14 * ratio))
+        else:
+            narrow = wide * max(ratio, 1e-3)
+        ga, gb = (narrow, wide) if b_wide else (wide, narrow)
+        ga, gb = signs[0] * ga, signs[1] * gb
+        g = make_geometry(TwoAtomLaw(0.5, cx - ga / 2, cx + ga / 2),
+                          TwoAtomLaw(0.5, cy - gb / 2, cy + gb / 2))
+        c, _ = _arc(g)
+        if kind == "tiny_c":
+            assert 0.0 < c <= 1e-20 * g.scale**2
+        if kind == "equal_gaps":
+            assert c == 0.0
+        zs = _hard_points(g, rng)
+        tol = 1e-13 * max(g.scale, abs(g.center_x), abs(g.center_y))
+        np.testing.assert_allclose(dist_to_hr_many(g, zs), _dist_to_hr_many_0140(g, zs), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("laws", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    def test_finite_input_raises_no_warning(self, laws):
+        # the equal-gap center would be 0/0 in the Newton step; the closed
+        # form takes it.  Points near the float limit must not overflow.
+        g = make_geometry(*laws)
+        big = [1e308 + 1e308j, -1.7e308 + 3e307j, 1e308 + g.center_y * 1j, g.center_x + 1e308j]
+        zs = np.concatenate([_hard_points(g, np.random.default_rng(41)), [g.center, g.center + 1e-300], big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dist_to_hr_many(g, zs)
+        assert np.all(np.isfinite(d))
+        if g.gap_a**2 == g.gap_b**2:
+            assert dist_to_hr_many(g, [g.center])[0] == 0.0
 
 
 class TestCornerLocations:
