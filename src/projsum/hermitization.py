@@ -33,8 +33,9 @@ __all__ = [
     "worker_count",
 ]
 
-# node x atom pairs per chunk: a function of the input alone, so results do not
-# depend on the worker count, and chunk memory does not grow with the atom count
+# node x atom pairs per buffer (an atom tile, a chunk of directly evaluated
+# nodes): a function of the input alone, so results do not depend on the worker
+# count, and buffer memory does not grow with the atom count
 _PAIR_BUDGET = 2**16
 
 
@@ -43,7 +44,7 @@ class InvalidGridError(ValueError):
 
 
 def worker_count() -> int:
-    """Parallelism cap: PROJSUM_THREADS if set, else the CPU count."""
+    """Parallelism cap: PROJSUM_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("PROJSUM_THREADS")
     if env is not None:
         try:
@@ -53,6 +54,8 @@ def worker_count() -> int:
         if k < 1:
             raise ValueError(f"PROJSUM_THREADS must be >= 1, got {k}")
         return k
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -109,36 +112,78 @@ def log_potential(measure: WeightedPointMeasure, z: complex) -> float:
     return float(np.log(d) @ measure.weights)
 
 
-def _eval_chunks(
-    zs: np.ndarray, points: np.ndarray, weights: np.ndarray, radius: float, shift: complex
+def _tile_sums(
+    xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Potential values on a flat node array, chunked and thread-mapped.
+    """Sums of w_j log((x - px_j)^2 + (y - py_j)^2) over the atoms, per node of xs x ys.
 
-    A chunk holds ``_PAIR_BUDGET // len(points)`` nodes, at least one.  A
-    node closer than ``radius`` to an atom is evaluated at node + ``shift``
-    instead; collisions are rare, so a chunk is recomputed only when it has
-    one.  Returns the values and the flat indices of the moved nodes.
+    The nodes form a product grid, so a squared gap along x depends only on
+    (ix, atom) and one along y only on (iy, atom).  The loop runs over the
+    lines of nodes along the longer axis, one per node of the shorter axis.
+    Atoms go in tiles of ``_PAIR_BUDGET // len(line)``, at least one; per
+    tile each axis gets one table of squared gaps, and each line costs one
+    add, one min, one log and the gemv per node-atom pair, in one reused
+    tile x len(line) buffer.  Lines are mapped over the worker threads in
+    contiguous ranges; a line's bits depend only on its own coordinates,
+    never on its range.  Returns the sums and, per node, the least squared
+    distance to an atom.  An atom on a node gives log 0 = -inf there; the
+    caller recomputes such nodes.
     """
-    chunk = max(1, _PAIR_BUDGET // points.size)
+    # a short line leaves too little work per step, a tile of a few atoms
+    # too short a min and gemv, so the lines follow the longer axis
+    flip = xs.size > ys.size
+    if flip:
+        xs, ys, px, py = ys, xs, py, px
+    tile = max(1, _PAIR_BUDGET // ys.size)
 
-    def one(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        zc = zs[lo : lo + chunk]
-        d = np.abs(zc[:, None] - points[None, :])
-        hit = np.flatnonzero(np.min(d, axis=1) < radius)
-        if hit.size:
-            zc = zc.copy()
-            zc[hit] += shift
-            d = np.abs(zc[:, None] - points[None, :])
-        return np.log(d) @ weights, lo + hit
+    def lines(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums = np.zeros((block.size, ys.size))
+        near = np.full((block.size, ys.size), np.inf)
+        # errstate is per thread: set it in the thread that takes the logs
+        with np.errstate(divide="ignore"):
+            for lo in range(0, px.size, tile):
+                dx2 = np.square(px[lo : lo + tile, None] - block[None, :])
+                dy2 = np.square(py[lo : lo + tile, None] - ys[None, :])
+                wt = w[lo : lo + tile]
+                buf = np.empty_like(dy2)
+                for i in range(block.size):
+                    np.add(dy2, dx2[:, i, None], out=buf)
+                    np.minimum(near[i], buf.min(axis=0), out=near[i])
+                    np.log(buf, out=buf)
+                    sums[i] += wt @ buf
+        return sums, near
 
-    starts = range(0, zs.size, chunk)
-    workers = worker_count()
-    if workers == 1 or zs.size <= chunk:
-        parts = [one(lo) for lo in starts]
+    workers = min(worker_count(), xs.size)
+    if workers == 1:
+        parts = [lines(xs)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, starts))
-    return np.concatenate([v for v, _ in parts]), np.concatenate([h for _, h in parts])
+            parts = list(pool.map(lines, np.array_split(xs, workers)))
+    sums, near = (np.concatenate(a) for a in zip(*parts))
+    return (np.ascontiguousarray(sums.T), near.T) if flip else (sums, near)
+
+
+def _direct_values(
+    zs: np.ndarray, points: np.ndarray, weights: np.ndarray, radius: float, shift: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Potential at the nodes ``zs`` from complex distances, in chunks of ``_PAIR_BUDGET // len(points)``.
+
+    A node closer than ``radius`` to an atom is evaluated at node +
+    ``shift`` instead.  Returns the values and the mask of moved nodes.
+    """
+    chunk = max(1, _PAIR_BUDGET // points.size)
+    values = np.empty(zs.size)
+    moved = np.zeros(zs.size, dtype=bool)
+    for lo in range(0, zs.size, chunk):
+        zc = zs[lo : lo + chunk]
+        d = np.abs(zc[:, None] - points[None, :])
+        hit = np.min(d, axis=1) < radius
+        if hit.any():
+            zc = np.where(hit, zc + shift, zc)
+            d = np.abs(zc[:, None] - points[None, :])
+        values[lo : lo + chunk] = np.log(d) @ weights
+        moved[lo : lo + chunk] = hit
+    return values, moved
 
 
 def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float]:
@@ -176,21 +221,47 @@ def potential_grid(
     hundreds of times, and a pooled ESD repeats them in every sample.  By
     linearity the potential is the same up to roundoff, and the nudged
     nodes depend only on the set of atoms; each is recorded once.
+
+    Each term is log|z - p| = (1/2) log((x - px)^2 + (y - py)^2), taken in
+    the frame 2^-e that brings the largest coordinate of a node or an atom
+    below 1: scaling by a power of two is exact, no square overflows, and
+    e log 2 per unit weight is added back.  The squared gaps come from one
+    table per axis and atom tile (see ``_tile_sums``).  A node whose nearest
+    square falls below four times the squared radius, or below the smallest
+    normal number, where it has lost bits, is evaluated again from complex
+    distances; that pass decides the collisions, by the rule above.
     """
     hx, hy = _grid_steps(window, nx, ny)
     xmin, ymin = float(window[0]), float(window[2])
     xs = xmin + hx * np.arange(nx)
     ys = ymin + hy * np.arange(ny)
-    zs = (xs[:, None] + 1j * ys[None, :]).ravel()
 
     points, inverse = np.unique(measure.points, return_inverse=True)
     weights = np.bincount(inverse, weights=measure.weights)
-    scale = max(1.0, float(np.max(np.abs(points))))
+    px, py = points.real, points.imag
+    total = float(weights.sum())
+    radius = 1e-13 * max(1.0, float(np.max(np.abs(points))))
     shift = 0.5 * hx + 0.5j * hy
-    values, hits = _eval_chunks(zs, points, weights, 1e-13 * scale, shift)
+    # the frame 2^-e takes every coordinate below 1 in magnitude, exactly, so
+    # no squared gap overflows; log 2^e per unit weight is added back
+    e = math.frexp(max(float(np.max(np.abs(v))) for v in (xs, ys, px, py)))[1]
+    sums, near = _tile_sums(*(np.ldexp(v, -e) for v in (xs, ys, px, py)), 0.5 * weights)
+    values = sums + e * math.log(2.0) * total
+
+    # the margin of twice the radius keeps a rounded square from hiding a
+    # collision; scaled distances stay below 2 sqrt(2), so capping the radius
+    # at 4 changes no comparison and keeps its square finite
+    with np.errstate(over="ignore"):
+        reach = min(float(np.ldexp(radius, -e)), 4.0)
+    ix, iy = np.nonzero(near < 4.0 * max(reach * reach, np.finfo(np.float64).tiny))
+    zs = xs[ix] + 1j * ys[iy]
+    # the direct pass halves coordinates past 2^1021 until no gap overflows
+    frame = 2.0 ** -max(0, e - 1021)
+    direct, moved = _direct_values(zs * frame, points * frame, weights, radius * frame, shift * frame)
+    values[ix, iy] = direct - math.log(frame) * total
     perturbed = [
-        PerturbedNode(*divmod(int(flat), ny), original=complex(zs[flat]), used=complex(zs[flat] + shift))
-        for flat in hits
+        PerturbedNode(int(i), int(j), original=complex(z), used=complex(z + shift))
+        for i, j, z in zip(ix[moved], iy[moved], zs[moved])
     ]
     return PotentialGrid(
         x0=xmin,
@@ -199,7 +270,7 @@ def potential_grid(
         hy=hy,
         nx=nx,
         ny=ny,
-        values=values.reshape(nx, ny),
+        values=values,
         perturbations=tuple(perturbed),
     )
 

@@ -290,8 +290,11 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     if r2 is not None:
         m = solve_triangular(r2, m.T, trans="T").T
     cosines = np.linalg.svd(m, compute_uv=False)
-    t = complex(a, b)
-    det = 1j * a * b * (1.0 - cosines**2)
+    # solve the blocks in the frame of s, the largest power of two <= max(|A|, |B|):
+    # dividing by s is exact, so no square overflows and no other bit moves
+    s = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 1)
+    t = complex(a / s, b / s)
+    det = 1j * (a / s) * (b / s) * (1.0 - cosines**2)
     disc = np.sqrt(t * t - 4.0 * det)
     # the sign that avoids cancellation gives the larger-modulus root
     big = 0.5 * (t + np.where((t.conjugate() * disc).real >= 0.0, disc, -disc))
@@ -300,7 +303,7 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     extra = np.full(abs(k1 - k2), a if k1 > k2 else 1j * b, dtype=np.complex128)
     # svd returns the cosines in descending order: the intersection ones lead
     roots = np.concatenate(
-        [big, small[max(0, k1 + k2 - spec.n):], extra, np.zeros(max(0, spec.n - k1 - k2))]
+        [s * big, s * small[max(0, k1 + k2 - spec.n):], extra, np.zeros(max(0, spec.n - k1 - k2))]
     )
     return complex(p_law.loc, q_law.loc) + roots
 

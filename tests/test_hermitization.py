@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projsum import (
     InvalidGridError,
@@ -32,6 +35,64 @@ from tests.conftest import P_LAW, Q_LAW
 
 def _delta(z: complex) -> WeightedPointMeasure:
     return WeightedPointMeasure(points=np.array([z]), weights=np.array([1.0]))
+
+
+def _ulps(v: float, k: int) -> float:
+    for _ in range(abs(k)):
+        v = float(np.nextafter(v, math.copysign(math.inf, k)))
+    return v
+
+
+@st.composite
+def _grid_cases(draw):
+    """A measure, window and node counts at one scale, with atoms on, next to and near nodes.
+
+    The window spans ``scale`` times up to 1e6; an anchor atom at twice the
+    window's half-width fixes max|p|, so the collision radius is known while
+    the other atoms are placed: some a fraction of it or just inside or
+    outside it from a node.  Atoms repeat up to three times.
+    """
+    scale = 10.0 ** draw(st.integers(-200, 300))
+    width = scale * 10.0 ** draw(st.sampled_from([0, 3, 6]))
+    stretch = st.floats(0.25, 1.0)
+    window = (-width * draw(stretch), width, -width * draw(stretch), width)
+    nx, ny = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    hx, hy = (window[1] - window[0]) / (nx - 1), (window[3] - window[2]) / (ny - 1)
+    radius = 1e-13 * max(1.0, 2.0 * width)
+    atoms = [complex(2.0 * width, 0.0)]
+    for kind in draw(st.lists(st.sampled_from(["inside", "on", "ulps", "radius"]), min_size=1, max_size=8)):
+        ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        x, y = window[0] + hx * ix, window[2] + hy * iy
+        if kind == "inside":
+            x, y = (scale * draw(st.floats(-1.0, 1.0)) for _ in range(2))
+        elif kind == "ulps":
+            x, y = (_ulps(v, draw(st.integers(-3, 3))) for v in (x, y))
+        elif kind == "radius":
+            r = radius * draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0]))
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            x, y = x + r * math.cos(angle), y + r * math.sin(angle)
+        atoms.append(complex(x, y))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(atoms), max_size=len(atoms)))
+    points = np.repeat(atoms, repeats)
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=points.size, max_size=points.size)))
+    return WeightedPointMeasure(points=points, weights=raw / raw.sum()), window, nx, ny
+
+
+def _term_by_term(measure: WeightedPointMeasure, window, nx: int, ny: int):
+    """Reference grid: one log|z - p| per point, repeats included, at the nodes the rule uses.
+
+    Distances are taken at a quarter scale, which is exact here, so no
+    difference of coordinates near the top of the range overflows.
+    """
+    hx, hy = (window[1] - window[0]) / (nx - 1), (window[3] - window[2]) / (ny - 1)
+    nodes = (window[0] + hx * np.arange(nx))[:, None] + 1j * (window[2] + hy * np.arange(ny))[None, :]
+    p = measure.points * 0.25
+    radius = 1e-13 * max(1.0, float(np.max(np.abs(measure.points))))
+    hit = np.min(np.abs(nodes[:, :, None] * 0.25 - p), axis=2) < 0.25 * radius
+    used = np.where(hit, nodes + (0.5 * hx + 0.5j * hy), nodes)
+    values = np.log(np.abs(used[:, :, None] * 0.25 - p)) @ measure.weights + math.log(4.0)
+    moved = [(int(ix), int(iy), complex(nodes[ix, iy]), complex(used[ix, iy])) for ix, iy in zip(*np.nonzero(hit))]
+    return values, moved
 
 
 class TestLogPotential:
@@ -114,16 +175,20 @@ class TestPotentialGrid:
         assert pert.used == 0.25 + 0.25j
 
     def test_collisions_in_two_chunks_independent_of_threads(self, monkeypatch):
-        # atoms enough for 512-node chunks under the pair budget: 41 x 41 = 1681
-        # nodes span four chunks, and flat 85 and 1240 lie in two of them
+        # 41 x 41 nodes take atom tiles of 2**16 // 41 = 1598: with 3196 atoms
+        # the two colliding atoms (at x = -0.9 and x = 0.5 once sorted) fall in
+        # different tiles, and rows 2 and 30 in different ranges of four threads
         window = (-1.0, 1.0, -1.0, 1.0)
         nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
+        tile = hermitization._PAIR_BUDGET // 41
         rng = np.random.default_rng(41)
-        filler = np.array([1.0, 1j]) @ rng.uniform(-1.0, 1.0, (2, hermitization._PAIR_BUDGET // 512 - 2))
+        filler = np.array([1.0, 1j]) @ rng.uniform(-1.0, 1.0, (2, 2 * tile - 2))
+        colliding = np.array([nodes[2, 3], nodes[30, 10]])
         m = WeightedPointMeasure(
-            points=np.concatenate([[nodes[2, 3], nodes[30, 10]], filler]),
+            points=np.concatenate([colliding, filler]),
             weights=np.concatenate([[0.25, 0.25], np.full(filler.size, 0.5 / filler.size)]),
         )
+        assert list(np.searchsorted(np.unique(m.points), colliding) // tile) == [0, 1]
         grids = []
         for threads in ("1", "4"):
             monkeypatch.setenv("PROJSUM_THREADS", threads)
@@ -138,13 +203,13 @@ class TestPotentialGrid:
         # n=400, k1=150, k2=50: 200 kernel zeros, 100 equal copies of one
         # corner atom and 100 block roots leave 102 distinct atoms
         sizes = []
-        real = hermitization._eval_chunks
+        real = hermitization._tile_sums
 
-        def recording(zs, points, weights, radius, shift):
-            sizes.append(points.size)
-            return real(zs, points, weights, radius, shift)
+        def recording(xs, ys, px, py, w):
+            sizes.append(px.size)
+            return real(xs, ys, px, py, w)
 
-        monkeypatch.setattr(hermitization, "_eval_chunks", recording)
+        monkeypatch.setattr(hermitization, "_tile_sums", recording)
         p, q = demo_laws
         for samples in (1, 2):
             sample_potential_grid(ModelSpec(p, q, n=400, seed=3), (-0.5, 1.5, -0.5, 1.5), 5, 5, samples)
@@ -171,6 +236,30 @@ class TestPotentialGrid:
         tol = 1e-13 * np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= tol
         assert np.max(np.abs(got.values - term_by_term)) <= tol
+
+    @given(case=_grid_cases())
+    @example(case=(  # differences of coordinates past 2^1021 overflow unless halved
+        WeightedPointMeasure(points=np.array([8e307 + 8e307j, -1.5e308 - 1.5e308j]), weights=np.array([0.5, 0.5])),
+        (-8e307, 8e307, -8e307, 8e307), 5, 3,
+    ))
+    @example(case=(  # np.abs(p) < radius = 2e-13, yet the rounded squares of p's parts sum past radius^2
+        WeightedPointMeasure(
+            points=np.array([2.0 + 0j, 7.400289013406082e-14 + 1.8580519974372656e-13j]),
+            weights=np.array([0.5, 0.5]),
+        ),
+        (-1.0, 1.0, -1.0, 1.0), 3, 3,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_by_term_logs_at_any_scale(self, case):
+        measure, window, nx, ny = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = potential_grid(measure, window, nx, ny)
+        values, moved = _term_by_term(measure, window, nx, ny)
+        assert [(p.ix, p.iy, p.original, p.used) for p in grid.perturbations] == moved
+        assert np.all(np.isfinite(grid.values))
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(values))))
+        assert np.max(np.abs(grid.values - values)) <= tol
 
     def test_rejects_bad_windows(self):
         m = _delta(0j)
@@ -298,3 +387,10 @@ class TestSampledPipeline:
             worker_count()
         monkeypatch.delenv("PROJSUM_THREADS")
         assert worker_count() >= 1
+
+    def test_worker_count_defaults_to_the_affinity_set(self, monkeypatch):
+        # the CPUs the process may run on, not every CPU of the machine
+        monkeypatch.delenv("PROJSUM_THREADS", raising=False)
+        monkeypatch.setattr(hermitization.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(hermitization.os, "cpu_count", lambda: 64)
+        assert worker_count() == 2

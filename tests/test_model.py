@@ -378,6 +378,27 @@ class TestTwoProjectionEigenvalues:
         _assert_kernel_matches_dense(spec)
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_scaled_laws_scale_the_roots_bit_for_bit(self, k):
+        # the blocks are solved in a power-of-two frame, so scaling both laws by
+        # 2^k scales every root by 2^k exactly; unscaled, gaps near 1e180 gave NaN
+        laws = (TwoAtomLaw(0.625, -0.3, 1.1), TwoAtomLaw(0.875, 0.2, -0.7))
+        scaled = (TwoAtomLaw(w.weight, math.ldexp(w.loc, k), math.ldexp(w.loc_alt, k)) for w in laws)
+        base = two_projection_eigenvalues(ModelSpec(*laws, n=64, seed=13))
+        got = two_projection_eigenvalues(ModelSpec(*scaled, n=64, seed=13))
+        want = np.ldexp(base.real, k) + 1j * np.ldexp(base.imag, k)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_matches_dense_eigvals_at_extreme_gaps(self, scale):
+        spec = ModelSpec(TwoAtomLaw(0.625, 0.3 * scale, scale), TwoAtomLaw(0.875, 0.0, -0.8 * scale), n=40, seed=14)
+        kernel = two_projection_eigenvalues(spec)
+        dense = np.linalg.eigvals(assemble_model(spec).x_matrix)
+        cost = np.abs(kernel[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert np.max(cost[rows, cols]) <= 1e-12 * scale
+
     def test_demo_laws_take_no_qr(self, monkeypatch):
         # k1 = 150 and k2 = 50 at n = 400: both sides take R from the Gram matrix
         qr, calls = np.linalg.qr, []
