@@ -195,7 +195,12 @@ def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> 
         raise InvalidGridError(f"window must be nondegenerate, got {window!r}")
     if nx < 3 or ny < 3:
         raise InvalidGridError(f"need at least 3 nodes per axis, got {nx}x{ny}")
-    return (xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)
+    hx, hy = (xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)
+    last = (xmin + hx * (nx - 1), ymin + hy * (ny - 1))
+    # a width past the float range makes a step or a last node infinite; a subnormal step has lost bits
+    if min(hx, hy) < np.finfo(np.float64).tiny or not all(map(math.isfinite, last)):
+        raise InvalidGridError(f"window {window!r} gives steps ({hx!r}, {hy!r}) or nodes outside the float range")
+    return hx, hy
 
 
 def _require_square(hx: float, hy: float) -> None:
@@ -213,9 +218,10 @@ def potential_grid(
 
     ``window`` is (xmin, xmax, ymin, ymax); nodes are the nx * ny points of
     the inclusive linspace grid.  A node closer than 1e-13 * scale to an
-    atom is moved half a cell diagonally before evaluation (the potential is
-    defined almost everywhere; node collisions are a gridding artifact) and
-    the move is recorded in ``perturbations``.  Exactly equal atoms are
+    atom, where scale is the largest coordinate magnitude of a node or an
+    atom, is moved half a cell diagonally before evaluation (the potential
+    is defined almost everywhere; node collisions are a gridding artifact)
+    and the move is recorded in ``perturbations``.  Exactly equal atoms are
     merged first, their weights summed, so each distinct atom costs one
     log per node: the two-projection kernel repeats its corner atoms
     hundreds of times, and a pooled ESD repeats them in every sample.  By
@@ -240,24 +246,22 @@ def potential_grid(
     weights = np.bincount(inverse, weights=measure.weights)
     px, py = points.real, points.imag
     total = float(weights.sum())
-    radius = 1e-13 * max(1.0, float(np.max(np.abs(points))))
+    scale = max(float(np.max(np.abs(v))) for v in (xs, ys, px, py))
     shift = 0.5 * hx + 0.5j * hy
     # the frame 2^-e takes every coordinate below 1 in magnitude, exactly, so
     # no squared gap overflows; log 2^e per unit weight is added back
-    e = math.frexp(max(float(np.max(np.abs(v))) for v in (xs, ys, px, py)))[1]
+    e = math.frexp(scale)[1]
     sums, near = _tile_sums(*(np.ldexp(v, -e) for v in (xs, ys, px, py)), 0.5 * weights)
     values = sums + e * math.log(2.0) * total
 
     # the margin of twice the radius keeps a rounded square from hiding a
-    # collision; scaled distances stay below 2 sqrt(2), so capping the radius
-    # at 4 changes no comparison and keeps its square finite
-    with np.errstate(over="ignore"):
-        reach = min(float(np.ldexp(radius, -e)), 4.0)
+    # collision; the scaled radius lies in [5e-14, 1e-13)
+    reach = 1e-13 * math.ldexp(scale, -e)
     ix, iy = np.nonzero(near < 4.0 * max(reach * reach, np.finfo(np.float64).tiny))
     zs = xs[ix] + 1j * ys[iy]
     # the direct pass halves coordinates past 2^1021 until no gap overflows
     frame = 2.0 ** -max(0, e - 1021)
-    direct, moved = _direct_values(zs * frame, points * frame, weights, radius * frame, shift * frame)
+    direct, moved = _direct_values(zs * frame, points * frame, weights, 1e-13 * scale * frame, shift * frame)
     values[ix, iy] = direct - math.log(frame) * total
     perturbed = [
         PerturbedNode(int(i), int(j), original=complex(z), used=complex(z + shift))

@@ -80,9 +80,14 @@ class WeightedPointMeasure:
 class StructureReport:
     """Deviations from the structural identities of one realization.
 
-    re_deviation: max |Re(rho) - (A^2 - B^2)/4| over eigenvalues rho of X~^2.
-    im_norm: operator norm of Im(X~^2); theory bounds it by |A*B|/2.
-    normality_residual: ||[X~^2, (X~^2)*]|| / ||X~^2||^2; 0 for a normal matrix.
+    Residuals of W = X~^2 = c + iK, c = (A^2 - B^2)/4, K Hermitian; each
+    bounds from above its eigenvalue form, so no check on it is looser.
+    re_deviation: ||Re W - c||_2, Re W = (W + W*)/2; for W v = rho v, |v| = 1,
+        |Re(rho) - c| = |v*(Re W - c)v| <= re_deviation (numerical range).
+    im_norm: operator norm of Im W = (W - W*)/2i; theory bounds it by |A*B|/2.
+    normality_residual: ||[W, W*]||_F / max(|c| - re_deviation, im_norm)^2 >=
+        ||[W, W*]||_2 / ||W||_2^2, as ||W|| >= ||Re W|| >= |c| - re_deviation
+        and ||W|| >= ||Im W||; 0 if the denominator is (W is Hermitian then).
     support_deviation: max distance of ESD points from H intersect R.
     """
 
@@ -92,23 +97,15 @@ class StructureReport:
     support_deviation: float
 
 
-def _eigvals(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"eigensolver failed on {what}: n={mat.shape[0]}, "
-            f"max|entry|={np.abs(mat).max():.3e} ({exc})"
-        ) from exc
-
-
 def esd(realization: ModelRealization) -> WeightedPointMeasure:
     """Empirical spectral distribution of X_n: eigenvalues with weight 1/n each."""
-    return WeightedPointMeasure.uniform(_eigvals(realization.x_matrix, "x_matrix"))
-
-
-def _opnorm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    x = realization.x_matrix
+    try:
+        return WeightedPointMeasure.uniform(np.linalg.eigvals(x))
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(
+            f"eigensolver failed on x_matrix: n={x.shape[0]}, max|entry|={np.abs(x).max():.3e} ({exc})"
+        ) from exc
 
 
 def structure_report(
@@ -121,27 +118,25 @@ def structure_report(
     ``geom`` must be the geometry of the realized laws, and is built from
     them when omitted; its center and gaps (A, B) define X~ = X - center.
     ``measure`` defaults to ``esd(realization)``; its support deviation is
-    the largest :func:`dist_to_hr_many` over its points.
+    the largest :func:`dist_to_hr_many` over its points.  W = X~^2 = c + iK is
+    checked as an operator identity, with no eigenvalue or SVD of W; see
+    :class:`StructureReport` for the fields and their upper-bound argument.
     """
     if geom is None:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
-    xt = realization.x_matrix - geom.center * np.eye(realization.n)
+    eye, c = np.eye(realization.n), geom.re_constant
+    xt = realization.x_matrix - geom.center * eye
     w = xt @ xt
-    rho = _eigvals(w, "centered square")
-    re_dev = float(np.max(np.abs(rho.real - geom.re_constant)))
-    im_part = (w - w.conj().T) / 2j
-    im_norm = float(np.max(np.abs(np.linalg.eigvalsh(im_part))))
-    comm = w @ w.conj().T - w.conj().T @ w
-    normality = float(np.max(np.abs(np.linalg.eigvalsh(comm)))) / _opnorm(w) ** 2
+    wh = w.conj().T
+    re_dev = float(np.max(np.abs(np.linalg.eigvalsh((w + wh) / 2 - c * eye))))
+    im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
+    comm = float(np.linalg.norm(w @ wh - wh @ w))
+    floor = max(abs(c) - re_dev, im_norm)
     if measure is None:
         measure = esd(realization)
     support_dev = float(np.max(dist_to_hr_many(geom, measure.points)))
-    return StructureReport(
-        re_deviation=re_dev,
-        im_norm=im_norm,
-        normality_residual=normality,
-        support_deviation=support_dev,
-    )
+    # divided twice, so that floor^2 cannot underflow
+    return StructureReport(re_dev, im_norm, comm / floor / floor if floor > 0.0 else 0.0, support_dev)
 
 
 def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -297,6 +298,18 @@ class TestPotentialRecover:
                    "--out-prefix", str(prefix)])
         assert rc == E_USAGE
         assert "window bounds must be finite numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_potential_rejects_overflowing_window(self, tmp_path, capsys):
+        # the width 2e308 is past the float range: the step would be inf and the grid nan
+        prefix = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["potential", "--n", "8", *DEMO_FLAGS, "--xmin=-1e308", "--xmax", "1e308",
+                       "--ymin=-1", "--ymax", "1", "--nx", "5", "--ny", "5",
+                       "--out-prefix", str(prefix)])
+        assert rc == E_USAGE
+        assert "outside the float range" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_potential_takes_no_commuting_flag(self, tmp_path):

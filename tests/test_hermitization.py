@@ -48,9 +48,10 @@ def _grid_cases(draw):
     """A measure, window and node counts at one scale, with atoms on, next to and near nodes.
 
     The window spans ``scale`` times up to 1e6; an anchor atom at twice the
-    window's half-width fixes max|p|, so the collision radius is known while
-    the other atoms are placed: some a fraction of it or just inside or
-    outside it from a node.  Atoms repeat up to three times.
+    window's half-width is the largest coordinate of an atom or a node, so the
+    collision radius is known while the other atoms are placed: some a
+    fraction of it or just inside or outside it from a node.  Atoms repeat
+    up to three times.
     """
     scale = 10.0 ** draw(st.integers(-200, 300))
     width = scale * 10.0 ** draw(st.sampled_from([0, 3, 6]))
@@ -58,7 +59,7 @@ def _grid_cases(draw):
     window = (-width * draw(stretch), width, -width * draw(stretch), width)
     nx, ny = draw(st.integers(3, 9)), draw(st.integers(3, 9))
     hx, hy = (window[1] - window[0]) / (nx - 1), (window[3] - window[2]) / (ny - 1)
-    radius = 1e-13 * max(1.0, 2.0 * width)
+    radius = 1e-13 * 2.0 * width
     atoms = [complex(2.0 * width, 0.0)]
     for kind in draw(st.lists(st.sampled_from(["inside", "on", "ulps", "radius"]), min_size=1, max_size=8)):
         ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
@@ -87,7 +88,7 @@ def _term_by_term(measure: WeightedPointMeasure, window, nx: int, ny: int):
     hx, hy = (window[1] - window[0]) / (nx - 1), (window[3] - window[2]) / (ny - 1)
     nodes = (window[0] + hx * np.arange(nx))[:, None] + 1j * (window[2] + hy * np.arange(ny))[None, :]
     p = measure.points * 0.25
-    radius = 1e-13 * max(1.0, float(np.max(np.abs(measure.points))))
+    radius = 1e-13 * max(float(np.max(np.abs(v))) for v in (nodes.real, nodes.imag, p.real * 4.0, p.imag * 4.0))
     hit = np.min(np.abs(nodes[:, :, None] * 0.25 - p), axis=2) < 0.25 * radius
     used = np.where(hit, nodes + (0.5 * hx + 0.5j * hy), nodes)
     values = np.log(np.abs(used[:, :, None] * 0.25 - p)) @ measure.weights + math.log(4.0)
@@ -267,6 +268,32 @@ class TestPotentialGrid:
             potential_grid(m, (1.0, -1.0, 0.0, 1.0), 5, 5)
         with pytest.raises(InvalidGridError):
             potential_grid(m, (-1.0, 1.0, 0.0, 1.0), 2, 5)
+
+    @pytest.mark.parametrize("window, nx", [
+        ((-1e308, 1e308, -1.0, 1.0), 5),  # the width overflows: the step is inf
+        ((0.0, 1.7976931348623157e308, -1.0, 1.0), 4),  # a finite step, yet the last node rounds to inf
+        ((0.0, 1e-310, -1.0, 1.0), 5),  # a subnormal step
+    ])
+    def test_rejects_steps_outside_the_float_range(self, window, nx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="outside the float range"):
+                potential_grid(_delta(0j), window, nx, 5)
+
+    def test_collision_radius_scales_with_the_atoms(self):
+        # scaling atoms and window by 2^-66 (about 1.4e-20) keeps the one node
+        # on an atom the only collision; a radius with a floor at 1e-13 would
+        # cover every node of the small grid
+        m = WeightedPointMeasure(points=np.array([0.5 + 0.5j, 0.3 - 0.7j]), weights=np.array([0.5, 0.5]))
+        window = (-1.0, 1.0, -1.0, 1.0)
+        unit = potential_grid(m, window, 5, 5)
+        k = -66
+        small = potential_grid(
+            WeightedPointMeasure(points=m.points * 2.0**k, weights=m.weights), tuple(v * 2.0**k for v in window), 5, 5
+        )
+        assert [(p.ix, p.iy) for p in unit.perturbations] == [(3, 3)]
+        assert [(p.ix, p.iy) for p in small.perturbations] == [(3, 3)]
+        assert np.max(np.abs(small.values - k * math.log(2.0) - unit.values)) <= 1e-13 * np.max(np.abs(unit.values))
 
 
 class TestLaplacianRecover:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -192,10 +194,10 @@ def _box_points(geom, count, seed):
 
 
 @st.composite
-def _ranked_specs(draw):
+def _ranked_specs(draw, min_n=1, max_n=24):
     """Specs with ranks k1, k2 in [0, n] (k2 may equal k1 or n - k1), atoms
     in [-2, 2] and gaps 0.05..3 of either sign."""
-    n = draw(st.integers(min_value=1, max_value=24))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     k1 = draw(st.integers(min_value=0, max_value=n))
     k2 = draw(st.one_of(st.integers(min_value=0, max_value=n), st.just(k1), st.just(n - k1)))
 
@@ -271,6 +273,62 @@ class TestSvBlocks:
         assert np.min(dense) < tol
         assert np.array_equal(margins >= tol, dense >= tol)
         assert margins.tobytes() == dense.tobytes()
+
+
+def _dense_structure(w: np.ndarray, c: float) -> tuple[float, float, float]:
+    """The eigenvalue forms of the structure fields: max |Re(rho) - c| over
+    the eigenvalues of w, ||Im w||_2, and ||[w, w*]||_2 / ||w||_2^2."""
+    wh = w.conj().T
+    re_dev = float(np.max(np.abs(np.linalg.eigvals(w).real - c)))
+    im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
+    comm = float(np.max(np.abs(np.linalg.eigvalsh(w @ wh - wh @ w))))
+    return re_dev, im_norm, comm / float(np.linalg.svd(w, compute_uv=False)[0]) ** 2
+
+
+class TestStructureResiduals:
+    @given(spec=_ranked_specs(min_n=2, max_n=40), commuting=st.booleans(),
+           shift=st.sampled_from([0.0, 1e-9, 1e-4, 1e-1]))
+    @example(spec=ModelSpec(P_LAW, Q_LAW, n=40, seed=3), commuting=False, shift=0.0)
+    @example(spec=ModelSpec(P_LAW, Q_LAW, n=40, seed=3), commuting=False, shift=1e-1)
+    @example(spec=_ranked(12, 6, 6), commuting=False, shift=0.0)  # no corner atom
+    @example(spec=_ranked(12, 5, 5), commuting=True, shift=1e-4)
+    @settings(max_examples=150, deadline=None)
+    def test_fields_bound_the_dense_values(self, spec, commuting, shift):
+        realization = assemble_model(spec, commuting=commuting)
+        n = spec.n
+        # a Gaussian perturbation makes W = X~^2 far from normal, so the bounds are tested at size
+        re, im = np.random.default_rng(n).standard_normal((2, n, n))
+        realization = replace(realization, x_matrix=realization.x_matrix + shift * (re + 1j * im))
+        p, q = realization.realized_p_law, realization.realized_q_law
+        geom = make_geometry(TwoAtomLaw(0.5, p.loc, p.loc_alt), TwoAtomLaw(0.5, q.loc, q.loc_alt))
+        rep = structure_report(realization, geom)
+        xt = realization.x_matrix - geom.center * np.eye(n)
+        w = xt @ xt
+        re_dev, im_norm, normality = _dense_structure(w, geom.re_constant)
+        # the dense solvers err by about n * u * ||W|| (eigvals, svd) and n * u * ||[W, W*]|| (eigvalsh)
+        u = np.finfo(np.float64).eps / 2
+        fro, top = float(np.linalg.norm(w)), float(np.linalg.svd(w, compute_uv=False)[0])
+        assert rep.re_deviation >= re_dev - 8 * n * u * fro
+        assert rep.im_norm == im_norm
+        assert rep.normality_residual >= normality * (1.0 - 16 * n * u * fro / top)
+        if shift >= 1e-4:
+            # a perturbed W is not normal: the residuals are well above roundoff
+            assert rep.normality_residual > 1e-10
+            assert rep.re_deviation > 1e-9 * geom.scale**2
+
+    def test_zero_denominator(self):
+        # equal gaps make c = 0, so the denominator max(|c| - re_deviation, ||Im W||) is 0 whenever Im W is
+        law = TwoAtomLaw(0.5, 0.0, 1.0)
+        geom = make_geometry(law, law)
+        base = assemble_model(ModelSpec(law, law, n=2, seed=0))
+        center = geom.center * np.eye(2)
+        # X~ nilpotent: W = X~^2 = 0, and the zero matrix is normal
+        rep = structure_report(replace(base, x_matrix=center + np.array([[0.0, 1.0], [0.0, 0.0]])), geom)
+        assert (rep.re_deviation, rep.im_norm, rep.normality_residual) == (0.0, 0.0, 0.0)
+        # X~ Hermitian: W = [[5, 2], [2, 4]] is Hermitian, hence normal
+        rep = structure_report(replace(base, x_matrix=center + np.array([[1.0, 2.0], [2.0, 0.0]])), geom)
+        assert rep.re_deviation == pytest.approx(4.5 + 17**0.5 / 2, rel=1e-15)
+        assert (rep.im_norm, rep.normality_residual) == (0.0, 0.0)
 
 
 class TestReflection:
