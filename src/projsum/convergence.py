@@ -27,6 +27,7 @@ from .model import (
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
+    _AngleSpectrum,
     _realize,
     pooled_eigenvalues,
 )
@@ -183,8 +184,8 @@ class CornerAtomMasses:
     """Per-corner masses, in the fixed corner order of the geometry.
 
     ``esd_mass`` counts ESD points within the corner radius;
-    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n counted from the
-    spectra of Pi_p + Pi_q and Pi_p - Pi_q (see :func:`corner_atom_masses`).
+    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n counted on the
+    angle spectrum of Pi_p and Pi_q (see :func:`corner_atom_masses`).
     The two agree for every realization, and both are bounded below by
     max(0, a_n + b_n - 1) with the realized weights of the matching atoms.
     """
@@ -194,9 +195,23 @@ class CornerAtomMasses:
     intersection_mass: tuple[float, float, float, float]
 
 
-# corner radius relative to scale, and how far an eigenvalue of Pi_p +- Pi_q
-# may sit from its intersection value 0, -1, 1 or 2 (1 - cosine on a block)
+# corner radius over the larger atom gap, and how near 1 a block's c or s counts at a corner
 _CORNER_TOL = 1e-9
+
+
+def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
+    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
+    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
+
+
+def _corner_counts(angles: _AngleSpectrum) -> tuple[int, int, int, int]:
+    """Dimensions of the four intersections of ranges and kernels, in corner
+    order: the excess of the layout of ``_AngleSpectrum`` (``s`` measured), plus
+    the blocks with c (ker int ker, ran int ran) or s (the mixed two) within 1e-9 of 1."""
+    excess, c, s = angles.layout()
+    aligned = int(np.sum(c > 1.0 - _CORNER_TOL))
+    crossed = int(np.sum(s > 1.0 - _CORNER_TOL))
+    return tuple(e + k for e, k in zip(excess, (aligned, crossed, crossed, aligned)))
 
 
 def corner_atom_masses(
@@ -208,30 +223,18 @@ def corner_atom_masses(
     """Empirical and subspace corner masses of one realization.
 
     Corner eigenvalues are exact joint eigenvalues, not approximate
-    clusters, so the radius 1e-9 * scale is tiny on purpose.  The subspace
-    masses use Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B, the
-    projections onto the alpha' and beta' eigenspaces.  By the two-subspace
-    theorem (Halmos) C^n splits into the four intersections of their ranges
-    and kernels and 2 x 2 blocks at principal angles 0 < theta < pi/2.
-    Pi_p + Pi_q is 2 on ran int ran, 0 on ker int ker and 1 +- cos(theta)
-    on a block; Pi_p - Pi_q is 1 on ran Pi_p int ker Pi_q, -1 on ker Pi_p
-    int ran Pi_q and +-sin(theta) on a block.  So one ``eigvalsh`` of each
-    gives the four dimensions, in corner order: sum below 1e-9, difference
-    below -1 + 1e-9, difference above 1 - 1e-9, sum above 2 - 1e-9.  That
-    counts the principal-angle cosines above 1 - 1e-9 between the two
-    eigenspaces (sin(theta) between a range and a kernel).  A
-    weight-degenerate law (weight 0 or 1) needs no special case: its
-    projection is 0 or I.  ``measure`` defaults to ``esd(realization)``
+    clusters, so the radius 1e-9 * max(|A|, |B|) is tiny on purpose (see
+    ``_corner_radius``).  The subspace masses are counted on the angle
+    spectrum of Pi_p and Pi_q (``_corner_counts``), where a law of weight 0
+    or 1 needs no special case.  ``measure`` defaults to ``esd(realization)``
     and ``spectra`` to ``_projection_spectra(realization)``; pass them to
     reuse spectra already computed.
     """
     if measure is None:
         measure = esd(realization)
-    n = realization.n
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     if p_law.loc == p_law.loc_alt or q_law.loc == q_law.loc_alt:
         raise DegenerateGeometryError("corner masses need distinct atom locations")
-    scale = max(abs(p_law.gap), abs(q_law.gap), 1.0)
     corners = (
         complex(p_law.loc, q_law.loc),
         complex(p_law.loc, q_law.loc_alt),
@@ -240,13 +243,10 @@ def corner_atom_masses(
     )
     if spectra is None:
         spectra = _projection_spectra(realization)
-    total, diff = spectra.total, spectra.diff
-    tol = _CORNER_TOL
-    found = (total < tol, diff < tol - 1.0, diff > 1.0 - tol, total > 2.0 - tol)
     return CornerAtomMasses(
         corners=corners,
-        esd_mass=tuple(measure.mass_within(c, tol * scale) for c in corners),
-        intersection_mass=tuple(int(np.sum(f)) / n for f in found),
+        esd_mass=tuple(measure.mass_within(c, _corner_radius(p_law, q_law)) for c in corners),
+        intersection_mass=tuple(k / realization.n for k in _corner_counts(spectra.angles)),
     )
 
 
@@ -317,7 +317,7 @@ def convergence_run(
         distances.append(bl_distance(pooled, reference, grid_resolution))
         support_devs.append(float(np.max(dist_to_hr_many(geom, pooled.points))))
         predicted = atom_weights(_realize(p_law, n)[1].weight, _realize(q_law, n)[1].weight).corner_weights
-        empirical = [pooled.mass_within(c, _CORNER_TOL * geom.scale) for c in geom.corners]
+        empirical = [pooled.mass_within(c, _corner_radius(p_law, q_law)) for c in geom.corners]
         corner_errors.append(max(abs(e - p) for e, p in zip(empirical, predicted)))
     return ConvergenceReport(
         n_schedule=schedule,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -252,36 +253,46 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
     )
 
 
-def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
-    """Eigenvalues of X_n for the realization ``assemble_model(spec)`` would build.
+class _AngleSpectrum(NamedTuple):
+    """Two projections Pi_p, Pi_q of ranks k1, k2 on C^n, up to unitary equivalence.
 
-    P_n = alpha + A*Pi1 and Q_n = beta + B*Pi2 with A, B the atom gaps and
-    Pi1 = U1 U1*, Pi2 = V2 V2* the projections onto the leading k1 columns
-    of U and k2 columns of V.  By the two-subspace theorem (Halmos) X_n
-    splits into 2 x 2 blocks, one per principal-angle cosine c (a singular
-    value of U1* V2), on which X_n - (alpha + i*beta) has trace t = A + iB
-    and determinant iAB(1 - c^2); the larger root of each block quadratic
-    is taken directly and the other as det/root.  The rest of ran Pi1 or
-    ran Pi2 contributes |k1 - k2| eigenvalues A or iB, and the common
-    kernel n - k1 - k2 zeros; when k1 + k2 > n the k1 + k2 - n largest
-    cosines belong to ran Pi1 int ran Pi2, which has no kernel partner, so
-    their zero roots are dropped.
-
-    Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
-    roundoff (up to order) without forming any n x n product.  It draws
-    only the leading k1 and k2 Ginibre columns (it makes the same draw
-    ``assemble_model`` makes) and needs no orthonormal basis: with
-    G1 = U1 R1 and G2 = V2 R2, the cosines are the singular values of
-    R1^-* (G1* G2) R2^-1.  A side with 2k <= n takes R from a Cholesky
-    factor of its Gram matrix G* G, whose error grows as kappa(G)^2 but
-    which is cheaper than a QR and accurate there because an n x k Ginibre
-    matrix with 2k <= n is well conditioned; a side with 2k > n, where
-    kappa(G)^2 would cost digits, forms the thin Q (see
-    ``_range_factors``).  The rest is one k1 x k2 product and SVD.
+    By the two-subspace theorem (Halmos, 1969) one unitary splits C^n into
+    the four intersections of ranges and kernels, where Pi_p and Pi_q are 0
+    or 1, and m = min(k1, k2, n - k1, n - k2) 2 x 2 blocks on which
+    Pi_p = diag(1, 0) and Pi_q = v v^T, v = (c, s) = (cos theta, sin theta).
+    In the corner order, ker int ker, ker Pi_p int ran Pi_q, ran Pi_p int
+    ker Pi_q and ran int ran hold the excess dimensions (n - k1 - k2)+,
+    (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``layout``), plus one per
+    block at angle 0 (ker int ker and ran int ran) or pi/2 (the mixed two).
+    ``c`` holds the min(k1, k2) principal-angle cosines between the ranges,
+    descending, and ``s`` their sines, ascending: the leading (k1 + k2 - n)+
+    span ran int ran, the last m are the blocks'.  ``s`` is None where not
+    measured (the kernel producer), and never formed from ``c``: sqrt(1 - c^2)
+    loses half the digits at small angles.
     """
-    k1, p_law = _realize(spec.p_law, spec.n)
-    k2, q_law = _realize(spec.q_law, spec.n)
-    a, b = p_law.gap, q_law.gap
+
+    n: int
+    k1: int
+    k2: int
+    c: np.ndarray
+    s: np.ndarray | None = None
+
+    def layout(self) -> tuple[tuple[int, int, int, int], np.ndarray, np.ndarray | None]:
+        """The excess dimension at each corner, in corner order, and the c and s of the m blocks."""
+        n, k1, k2 = self.n, self.k1, self.k2
+        excess = (max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n))
+        # the blocks are the last m angles, after those of ran Pi_p int ran Pi_q
+        return excess, self.c[excess[3] :], None if self.s is None else self.s[excess[3] :]
+
+
+def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
+    """Kernel producer: the angles of ``assemble_model(spec)`` from its Ginibre draw alone.
+
+    With G1 = U1 R1 and G2 = V2 R2 the leading k1 and k2 columns (R from
+    ``_range_factors``), the cosines are the singular values of the k1 x k2
+    matrix R1^-* (G1* G2) R2^-1.  No ``s``: the roots read ``c`` alone.
+    """
+    k1, k2 = (_realize(law, spec.n)[0] for law in (spec.p_law, spec.q_law))
     (w1, r1), (w2, r2) = (_range_factors(g) for g in _ginibre_pair(spec, k1, k2))
     # U1 = W1 R1^-1 and V2 = W2 R2^-1 (Bjorck & Golub): U1* V2 = R1^-* (W1* W2) R2^-1
     m = w1.conj().T @ w2
@@ -289,23 +300,69 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
         m = solve_triangular(r1, m, trans="C")
     if r2 is not None:
         m = solve_triangular(r2, m.T, trans="T").T
+    # svd returns the cosines in descending order: the intersection ones lead
     cosines = np.linalg.svd(m, compute_uv=False)
+    return _AngleSpectrum(spec.n, k1, k2, cosines)
+
+
+class _ProjectionSpectra(NamedTuple):
+    """Pi_p, Pi_q of a realization and their angle spectrum."""
+
+    pi_p: np.ndarray
+    pi_q: np.ndarray
+    angles: _AngleSpectrum
+
+
+def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
+    """Dense producer: the projections Pi_p = (P_n - alpha)/A, Pi_q = (Q_n - beta)/B
+    onto the loc_alt eigenspaces (distinct atoms only) and their angle spectrum.
+
+    Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, and
+    Pi_p - Pi_q 0, -1, 1, 0 and +-s: c is the min(k1, k2) largest eigenvalues
+    of the sum, minus 1, and s the min(k1, k2) smallest of the k1 largest of
+    the difference.  The ranks are the loc_alt counts of the realized laws.
+    Pass one result to both ``corner_atom_masses`` and ``verify_sv_bound``
+    to take the two ``eigvalsh`` once.
+    """
+    n, eye = realization.n, np.eye(realization.n)
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
+    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
+    k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
+    total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
+    # ascending spectra: the j-th largest cosine pairs with the j-th smallest sine
+    angles = _AngleSpectrum(n, k1, k2, total[::-1][: min(k1, k2)] - 1.0, diff[n - k1 : n - k1 + min(k1, k2)])
+    return _ProjectionSpectra(pi_p, pi_q, angles)
+
+
+def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
+    """Eigenvalues of X_n for the realization ``assemble_model(spec)`` would build.
+
+    X_n - (alpha + i*beta) = A*Pi1 + iB*Pi2 in the kernel producer's layout
+    (``_AngleSpectrum``) is 0, iB and A on the first three excess corners;
+    on a block of trace t = A + iB and determinant iAB(1 - c^2) it has the
+    larger root of the quadratic, taken directly, and det/root.  On the
+    leading (k1 + k2 - n)+ cosines, of ran int ran, the larger root is that
+    corner's A + iB and the smaller, with no kernel partner, is dropped.
+    Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
+    roundoff (up to order) without forming any n x n product.
+    """
+    angles = _kernel_angles(spec)
+    (kk, kr, rk, rr), _, _ = angles.layout()
+    a, b = spec.p_law.gap, spec.q_law.gap
     # solve the blocks in the frame of s, the largest power of two <= max(|A|, |B|):
     # dividing by s is exact, so no square overflows and no other bit moves
     s = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 1)
     t = complex(a / s, b / s)
-    det = 1j * (a / s) * (b / s) * (1.0 - cosines**2)
+    det = 1j * (a / s) * (b / s) * (1.0 - angles.c**2)
     disc = np.sqrt(t * t - 4.0 * det)
     # the sign that avoids cancellation gives the larger-modulus root
     big = 0.5 * (t + np.where((t.conjugate() * disc).real >= 0.0, disc, -disc))
     # big is 0 only when A = B = 0, where det is 0 as well
     small = np.divide(det, big, out=np.zeros_like(det), where=big != 0)
-    extra = np.full(abs(k1 - k2), a if k1 > k2 else 1j * b, dtype=np.complex128)
-    # svd returns the cosines in descending order: the intersection ones lead
-    roots = np.concatenate(
-        [s * big, s * small[max(0, k1 + k2 - spec.n):], extra, np.zeros(max(0, spec.n - k1 - k2))]
-    )
-    return complex(p_law.loc, q_law.loc) + roots
+    extra = [np.full(rk, a, dtype=np.complex128), np.full(kr, 1j * b, dtype=np.complex128), np.zeros(kk)]
+    roots = np.concatenate([s * big, s * small[rr:], *extra])
+    return complex(spec.p_law.loc, spec.q_law.loc) + roots
 
 
 def pooled_eigenvalues(spec: ModelSpec, samples: int, *key: int) -> np.ndarray:

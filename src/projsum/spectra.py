@@ -7,24 +7,23 @@ every finite n: X~^2 = (X - center)^2 is normal with constant real part
 eigenvalues of X_n lie on H intersect R, and sigma_min(z - X_n) is bounded
 below by dist(z, H intersect R)^2 / ||z - X_n||.
 
-The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and the
-spectra of Pi_p + Pi_q and Pi_p - Pi_q are taken once per realization by
-``_projection_spectra``; ``verify_sv_bound`` reads the singular values of
-z - X_n off them in closed form (two-subspace theorem), certifies them
-against the dense matrix by Weyl's inequality, and takes a dense SVD only at
-a z the certificate cannot decide.
+The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and their
+angle spectrum (``model._AngleSpectrum``) are taken once per realization by
+the dense producer ``model._projection_spectra``; ``verify_sv_bound`` reads
+the singular values of z - X_n off the angle spectrum in closed form,
+certifies them against the dense matrix by Weyl's inequality, and takes a
+dense SVD only at a z the certificate cannot decide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import HyperbolaRectangle, dist_to_hr_many, make_geometry
-from .model import ModelRealization, _realize
+from .model import ModelRealization, _ProjectionSpectra, _projection_spectra
 
 __all__ = [
     "ComputationError",
@@ -151,41 +150,11 @@ def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
     return WeightedPointMeasure.uniform(np.maximum(vals, 0.0))
 
 
-class _ProjectionSpectra(NamedTuple):
-    """Pi_p, Pi_q and the ascending eigenvalues of Pi_p + Pi_q and Pi_p - Pi_q."""
-
-    pi_p: np.ndarray
-    pi_q: np.ndarray
-    total: np.ndarray
-    diff: np.ndarray
-
-
-def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
-    """Projections onto the loc_alt eigenspaces of P_n and Q_n, and the spectra
-    of their sum and difference.
-
-    Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B with the realized laws,
-    whose atom locations must be distinct.  ``corner_atom_masses`` and
-    ``verify_sv_bound`` both read these; pass one result to both to take the
-    two ``eigvalsh`` once.
-    """
-    eye = np.eye(realization.n)
-    p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
-    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
-    return _ProjectionSpectra(pi_p, pi_q, np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q))
-
-
 # unit roundoff of float64
 _U = np.finfo(np.float64).eps / 2
 # a block margin stands in for the dense one only when certified this close to it, times
 # scale: the allowance `check` gives a margin
 _MARGIN_ACCURACY = 1e-8
-
-
-def _ranks(realization: ModelRealization) -> tuple[int, int]:
-    """Ranks k1, k2 of Pi_p and Pi_q: the loc_alt counts of the realized laws."""
-    return tuple(_realize(law, realization.n)[0] for law in (realization.realized_p_law, realization.realized_q_law))
 
 
 def _certified_sigmas(
@@ -194,27 +163,15 @@ def _certified_sigmas(
     """(lo, hi, eps) for each z in ``zs``: the smallest and largest singular
     values of z - Y, and a bound eps on their distance from those of z - X_n.
 
-    Y = alpha + i*beta + (direct sum of the 1 x 1 excess corners and of one
-    2 x 2 block A*diag(1, 0) + iB*v v^T, v = (c, s), per principal angle),
-    with c and s read from the computed spectra; see ``verify_sv_bound`` for
-    the layout and the proof.  Real arithmetic only, so each z gives the
-    same bits in any array shape.
+    Y = alpha + i*beta + A*Pi_p + iB*Pi_q in the layout of ``model._AngleSpectrum``,
+    with the computed c and s; see ``verify_sv_bound`` for the proof.  Real
+    arithmetic only, so each z gives the same bits in any array shape.
     """
-    n = realization.n
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = p_law.gap, q_law.gap
-    k1, k2 = _ranks(realization)
-    m = min(k1, k2, n - k1, n - k2)
-    e_sum, e_diff = max(0, k1 + k2 - n), max(0, k1 - k2)
-    # the j-th largest cosine pairs with the j-th smallest sine
-    c = spectra.total[::-1][e_sum : e_sum + m] - 1.0
-    s = spectra.diff[::-1][e_diff : e_diff + m][::-1]
+    excess, c, s = spectra.angles.layout()
     # the excess corners, as offsets from alpha + i*beta
-    corners = []
-    if k1 + k2 != n:
-        corners.append((a, b) if k1 + k2 > n else (0.0, 0.0))
-    if k1 != k2:
-        corners.append((a, 0.0) if k1 > k2 else (0.0, b))
+    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), excess) if e]
     x = (zs.real - p_law.loc)[..., None]
     y = (zs.imag - q_law.loc)[..., None]
     # M = w - N with w = x + iy and N = [[A + iBc^2, iBt], [iBt, iBs^2]], t = cs:
@@ -244,7 +201,7 @@ def _certificate_eps(realization: ModelRealization, spectra: _ProjectionSpectra)
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = abs(p_law.gap), abs(q_law.gap)
     idem = []
-    for pi, k in zip((spectra.pi_p, spectra.pi_q), _ranks(realization)):
+    for pi, k in zip((spectra.pi_p, spectra.pi_q), (spectra.angles.k1, spectra.angles.k2)):
         # ||Pi^2 - Pi||_F plus its rounding, (n + 3)u || |Pi| |Pi| ||_F at most;
         # || |Pi| |Pi| ||_F <= ||Pi||_F times the largest row sum of |Pi|
         rounding = (n + 3) * _U * float(np.abs(pi).sum(axis=1).max()) * float(np.linalg.norm(pi))
@@ -283,20 +240,9 @@ def verify_sv_bound(
     The singular values come from the two-subspace theorem (Halmos, 1969),
     in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
     Pi^ is the exact projection nearest to Pi (round each eigenvalue to 0
-    or 1).  One unitary puts Pi_p^ and Pi_q^ in block form: 1 x 1 corner
-    blocks, where X^ is a corner c, and 2 x 2 blocks diag(1, 0) and v v^T,
-    v = (c, s) = (cos theta, sin theta), one per principal angle.  The
-    ranks k1, k2 fix the layout without thresholds: k1 + k2 - n excess
-    corners at alpha' + i*beta' if that is positive, else n - k1 - k2 at
-    alpha + i*beta; |k1 - k2| at alpha' + i*beta or alpha + i*beta'; and
-    m = min(k1, k2, n - k1, n - k2) blocks (an angle of 0 or pi/2 is an
-    ordinary block).  Pi_p + Pi_q is 2, 0 or 1 on the corners and 1 +- c on
-    a block, Pi_p - Pi_q is 0 or +-1 on the corners and +-s on a block; so
-    c is the descending sum spectrum after the excess 2's, m at a time,
-    minus 1, and s the descending difference spectrum after the excess +1's,
-    m at a time and reversed, so that the j-th largest c pairs with the j-th
-    smallest s.  Neither is formed from the other: sqrt(1 - c^2) loses half
-    the digits at small angles.  The singular values of z - X^ are
+    or 1).  In the layout of ``model._AngleSpectrum``, X^ is a corner on
+    each excess dimension and alpha + i*beta + A*diag(1, 0) + iB*v v^T,
+    v = (c, s), on each of the m blocks.  The singular values of z - X^ are
     |z - corner| on the excess corners and those of one 2 x 2 matrix M per
     block, with sigma_max^2 = (F + sqrt(F^2 - 4|det M|^2))/2, F = ||M||_F^2,
     and sigma_min = |det M| / sigma_max, which avoids cancellation.  F^2 -

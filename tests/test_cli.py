@@ -138,9 +138,9 @@ class TestCheck:
         assert list(tmp_path.iterdir()) == []
 
     def test_projection_spectra_taken_once(self, tmp_path, monkeypatch):
-        # the sv bound and the corner masses share one pair of eigvalsh
+        # the sv bound and the corner masses share one dense angle spectrum
         calls = []
-        real = spectra._projection_spectra
+        real = model._projection_spectra
 
         def counting(realization):
             calls.append(realization.n)
@@ -193,6 +193,19 @@ class TestCheck:
                    "--b", "0.875", "--beta", "0", "--beta-prime", "0.8",
                    "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_OK
+
+    @pytest.mark.parametrize("gap", ["1e-8", "1e-200"])
+    def test_corner_radius_shrinks_with_the_gaps(self, tmp_path, gap):
+        # a radius floored at 1e-9 held continuous-part eigenvalues at these
+        # gaps: ESD mass (0.1, 0, 0.4, 0.1) at 1e-8, and 1.0 at every corner at 1e-200
+        prefix = tmp_path / "tiny"
+        rc = main(["check", "--n", "50", "--a", "0.3", "--alpha", "0", "--alpha-prime", gap,
+                   "--b", "0.7", "--beta", "0", "--beta-prime", gap,
+                   "--z-grid", "5", "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        masses = json.loads(Path(str(prefix) + ".check.json").read_text())["corner_masses"]
+        assert masses["intersection_mass"] == [0.0, 0.0, 0.4, 0.0]
+        assert masses["esd_mass"] == pytest.approx(masses["intersection_mass"], abs=1e-12)
 
 
 class TestPotentialRecover:

@@ -488,6 +488,13 @@ class TestConvergenceRun:
         assert all(d <= 1e-8 for d in rep.support_devs)
         assert all(e <= 1e-12 for e in rep.corner_mass_errors)
 
+    def test_corner_radius_shrinks_with_the_gaps(self):
+        # at gaps 1e-8 a radius floored at 1e-9 counted continuous-part
+        # eigenvalues as corner atoms: a corner error of 0.01 at n = 100
+        p, q = TwoAtomLaw(0.625, 0.0, 1e-8), TwoAtomLaw(0.875, 0.0, 0.8e-8)
+        rep = convergence_run(p, q, (50, 100), samples=2, seed=0)
+        assert max(rep.corner_mass_errors) <= 1e-12
+
     def test_external_reference(self, demo_laws):
         p, q = demo_laws
         rep = convergence_run(p, q, (32,), samples=1, seed=5, reference_n=64)

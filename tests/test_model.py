@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from projsum import (
     substream_rng,
     two_projection_eigenvalues,
 )
-from projsum import model
+from projsum import convergence, model
 from tests.conftest import P_LAW, Q_LAW
 
 STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
@@ -411,3 +412,51 @@ class TestTwoProjectionEigenvalues:
         eigenvalues = two_projection_eigenvalues(ModelSpec(P_LAW, Q_LAW, n=400, seed=400))
         assert eigenvalues.shape == (400,)
         assert calls == []
+
+
+def _spec_of_ranks(n: int, k1: int, k2: int, seed: int = 3) -> ModelSpec:
+    return ModelSpec(TwoAtomLaw((n - k1) / n, 0.3, 1.1), TwoAtomLaw((n - k2) / n, -0.4, -1.6), n=n, seed=seed)
+
+
+@st.composite
+def _edge_rank_specs(draw):
+    """Specs at n 1..24 whose ranks favour the edges of the angle layout:
+    k in {0, 1, n - 1, n}, k1 = k2 and k1 + k2 = n."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    edge = st.sampled_from([0, 1, n - 1, n])
+    k1 = draw(st.one_of(edge, st.integers(min_value=0, max_value=n)))
+    k2 = draw(st.one_of(edge, st.just(k1), st.just(n - k1), st.integers(min_value=0, max_value=n)))
+    return _spec_of_ranks(n, k1, k2, draw(st.integers(min_value=0, max_value=2**64 - 1)))
+
+
+class TestAngleSpectrum:
+    @given(spec=_edge_rank_specs(), commuting=st.booleans())
+    @example(spec=_spec_of_ranks(16, 12, 14), commuting=False)  # k1 + k2 > n, k1 < k2
+    @example(spec=_spec_of_ranks(16, 8, 8), commuting=False)  # k1 = k2 = n/2: no excess
+    @example(spec=_spec_of_ranks(16, 0, 16), commuting=False)
+    @example(spec=_spec_of_ranks(1, 1, 1), commuting=False)
+    @example(spec=_spec_of_ranks(12, 9, 5), commuting=True)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_dense_producers_agree(self, spec, commuting):
+        realization = assemble_model(spec, commuting=commuting)
+        dense = model._projection_spectra(realization).angles
+        n, k1, k2 = dense.n, dense.k1, dense.k2
+        counts = convergence._corner_counts(dense)
+        if commuting:
+            # diagonal projections onto the leading k1 and k2 coordinates
+            assert counts == (n - max(k1, k2), max(0, k2 - k1), max(0, k1 - k2), min(k1, k2))
+            # Pi_q onto the trailing k2 coordinates instead: every block angle is pi/2
+            q = realization.q_matrix[::-1, ::-1]
+            flipped = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
+            crossed = model._projection_spectra(flipped)
+            expected = (max(0, n - k1 - k2), min(k2, n - k1), min(k1, n - k2), max(0, k1 + k2 - n))
+            assert convergence._corner_counts(crossed.angles) == expected
+            return
+        kernel = model._kernel_angles(spec)
+        assert (kernel.n, kernel.k1, kernel.k2) == (n, k1, k2)
+        assert kernel.s is None
+        assert kernel.c.shape == dense.c.shape == dense.s.shape == (min(k1, k2),)
+        # the kernel measures no sines; sqrt(1 - c^2) is accurate where s is near 1, where the counts read it
+        kernel = kernel._replace(s=np.sqrt(np.maximum(0.0, 1.0 - kernel.c**2)))
+        assert convergence._corner_counts(kernel) == counts
+        assert np.max(np.abs(kernel.c - dense.c), initial=0.0) <= 1e-13

@@ -305,16 +305,20 @@ class TestStructureResiduals:
         xt = realization.x_matrix - geom.center * np.eye(n)
         w = xt @ xt
         re_dev, im_norm, normality = _dense_structure(w, geom.re_constant)
-        # the dense solvers err by about n * u * ||W|| (eigvals, svd) and n * u * ||[W, W*]|| (eigvalsh)
+        # the dense solvers err by about n * u * ||W|| (eigvals, svd) and n * u * ||[W, W*]|| (eigvalsh);
+        # both commutators W W* - W* W carry up to 2 n u ||W||_F^2 of product rounding
         u = np.finfo(np.float64).eps / 2
         fro, top = float(np.linalg.norm(w)), float(np.linalg.svd(w, compute_uv=False)[0])
         assert rep.re_deviation >= re_dev - 8 * n * u * fro
         assert rep.im_norm == im_norm
-        assert rep.normality_residual >= normality * (1.0 - 16 * n * u * fro / top)
+        assert rep.normality_residual >= normality * (1.0 - 16 * n * u * fro / top) - 4 * n * u * (fro / top) ** 2
         if shift >= 1e-4:
             # a perturbed W is not normal: the residuals are well above roundoff
-            assert rep.normality_residual > 1e-10
             assert rep.re_deviation > 1e-9 * geom.scale**2
+            # except at n = 2, commuting with k1 = k2 = 1, where X~ = diag(z, -z): a perturbation E
+            # moves W by X~E + EX~ + E^2, whose first-order part is diagonal, so W stays normal to first order
+            if not (commuting and n == 2 and p.weight == q.weight == 0.5):
+                assert rep.normality_residual > 1e-10
 
     def test_zero_denominator(self):
         # equal gaps make c = 0, so the denominator max(|c| - re_deviation, ||Im W||) is 0 whenever Im W is
