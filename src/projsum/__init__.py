@@ -16,6 +16,7 @@ from .model import (
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
+    UsageError,
     assemble_model,
     pooled_eigenvalues,
     sample_haar_unitary,

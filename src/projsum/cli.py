@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import __version__
 from .convergence import convergence_run, corner_atom_masses
 from .geometry import atom_weights, make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
-from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, _realize, assemble_model, substream_rng
+from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
 from .spectra import ComputationError, _projection_spectra, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
@@ -46,50 +46,73 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: list[str], rows, footer: str | None = None) -> None:
+def _write_csv(path: Path, columns: dict[str, np.ndarray], footer: str | None = None) -> None:
+    """Write equal-length flat float columns under their names as header.
+
+    Each value is written as its ``repr``, so it reads back bit for bit;
+    the ``footer`` line, if any, follows the last row.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC 4180 line endings
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
+    writer.writerow(columns)
+    writer.writerows(np.column_stack(list(columns.values())).tolist())
     text = buf.getvalue()
     if footer is not None:
         text += footer + "\r\n"
     _atomic_write(path, text)
 
 
+def _encode(obj):
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as sorted, indented JSON.
 
-
-def _law_dict(law: TwoAtomLaw) -> dict:
-    return {"weight": law.weight, "loc": law.loc, "loc_alt": law.loc_alt}
+    A dataclass is written as the dict of its fields and a complex number as
+    ``[re, im]``, so a result type reaches the file with every field it has.
+    """
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
 def _realized_laws(p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int) -> dict:
-    return {"p": _law_dict(_realize(p_law, n)[1]), "q": _law_dict(_realize(q_law, n)[1])}
+    return {"p": _realize(p_law, n)[1], "q": _realize(q_law, n)[1]}
 
 
-def _write_manifest(args, realized_laws: dict | None, timings: dict, extra: dict | None = None) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+def _run(args) -> int:
+    """Run the handler ``args.func`` and write its manifest; no other code writes one.
+
+    The handler returns its exit code and a record of what only it knows:
+    its realized laws, its stage timings and any further manifest keys.  A
+    handler that raises leaves no manifest.
+    """
+    t0 = time.perf_counter()
+    code, record = args.func(args)
     manifest = {
         "command": args.command,
-        "params": params,
-        "realized_laws": realized_laws,
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "realized_laws": None,
         "tool_version": __version__,
-        "timings": timings,
+        **record,
+        "timings": {**record.get("timings", {}), "total_s": time.perf_counter() - t0},
         # BLAS threading changes roundoff, hence output bytes; recorded, never replayed
         "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    if extra:
-        manifest.update(extra)
     _write_json(Path(args.out_prefix + ".manifest.json"), manifest)
+    return code
 
 
 def _read_manifest(path: str) -> dict:
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise UsageError(f"manifest {path} is not a JSON file: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {path} holds a JSON {type(manifest).__name__}, not an object")
+        raise UsageError(f"manifest {path} holds a JSON {type(manifest).__name__}, not an object")
     return manifest
 
 
@@ -104,23 +127,14 @@ def _spec_from(args) -> ModelSpec:
     return ModelSpec(p_law=p_law, q_law=q_law, n=args.n, seed=args.seed)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     spec = _spec_from(args)
     realization = assemble_model(spec, commuting=args.commuting)
-    measure = esd(realization)
-    t1 = time.perf_counter()
-    _write_csv(
-        Path(args.out_prefix + ".esd.csv"),
-        ["re", "im"],
-        ((p.real, p.imag) for p in measure.points),
-    )
-    _write_manifest(
-        args,
-        _realized_laws(spec.p_law, spec.q_law, spec.n),
-        {"sample_s": t1 - t0, "total_s": time.perf_counter() - t0},
-    )
-    return E_OK
+    points = esd(realization).points
+    sample_s = time.perf_counter() - t0
+    _write_csv(Path(args.out_prefix + ".esd.csv"), {"re": points.real, "im": points.imag})
+    return E_OK, {"realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n), "timings": {"sample_s": sample_s}}
 
 
 def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
@@ -129,12 +143,11 @@ def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
     return replace(realization, x_matrix=x)
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check(args) -> tuple[int, dict]:
     if args.z_grid < 0:
-        raise ValueError(f"--z-grid must be >= 0, got {args.z_grid}")
+        raise UsageError(f"--z-grid must be >= 0, got {args.z_grid}")
     if not math.isfinite(args.perturb):
-        raise ValueError(f"--perturb must be finite, got {args.perturb}")
+        raise UsageError(f"--perturb must be finite, got {args.perturb}")
     spec = _spec_from(args)
     realization = assemble_model(spec, commuting=args.commuting)
     if args.perturb:
@@ -182,160 +195,110 @@ def cmd_check(args) -> int:
 
     first_failure = next((name for name, ok, _ in checks if not ok), None)
     payload = {
-        "structure": {
-            "re_deviation": report.re_deviation,
-            "im_norm": report.im_norm,
-            "normality_residual": report.normality_residual,
-            "support_deviation": report.support_deviation,
-        },
+        "structure": report,
         "sv_margins": margins,
-        "corner_masses": {
-            "corners": [[c.real, c.imag] for c in masses.corners],
-            "esd_mass": list(masses.esd_mass),
-            "intersection_mass": list(masses.intersection_mass),
-        },
+        "corner_masses": masses,
         "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
         "first_failure": first_failure,
     }
     _write_json(Path(args.out_prefix + ".check.json"), payload)
-    _write_manifest(
-        args,
-        _realized_laws(spec.p_law, spec.q_law, spec.n),
-        {"total_s": time.perf_counter() - t0},
-    )
+    record = {"realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n)}
     if first_failure is not None:
         print(f"check failed: {first_failure}", file=sys.stderr)
-        return E_CHECK
+        return E_CHECK, record
     print("all checks passed")
-    return E_OK
+    return E_OK, record
 
 
-def cmd_potential(args) -> int:
+def cmd_potential(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     spec = _spec_from(args)
     window = (args.xmin, args.xmax, args.ymin, args.ymax)
     grid = sample_potential_grid(spec, window, args.nx, args.ny, args.samples)
-    t1 = time.perf_counter()
-    nodes = grid.nodes()
-    rows = (
-        (nodes[ix, iy].real, nodes[ix, iy].imag, grid.values[ix, iy])
-        for ix in range(grid.nx)
-        for iy in range(grid.ny)
-    )
-    _write_csv(Path(args.out_prefix + ".potential.csv"), ["re", "im", "L"], rows)
-    extra = {
-        "perturbed_nodes": [
-            {"ix": p.ix, "iy": p.iy, "original": [p.original.real, p.original.imag],
-             "used": [p.used.real, p.used.imag]}
-            for p in grid.perturbations
-        ]
+    grid_s = time.perf_counter() - t0
+    nodes = grid.nodes().ravel()
+    _write_csv(Path(args.out_prefix + ".potential.csv"), {"re": nodes.real, "im": nodes.imag, "L": grid.values.ravel()})
+    return E_OK, {
+        "realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n),
+        "timings": {"grid_s": grid_s},
+        "perturbed_nodes": grid.perturbations,
     }
-    _write_manifest(
-        args,
-        _realized_laws(spec.p_law, spec.q_law, spec.n),
-        {"grid_s": t1 - t0, "total_s": time.perf_counter() - t0},
-        extra,
-    )
-    return E_OK
 
 
-def cmd_recover(args) -> int:
-    t0 = time.perf_counter()
+def cmd_recover(args) -> tuple[int, dict]:
     src_manifest = _read_manifest(args.in_prefix + ".manifest.json")
     if src_manifest.get("command") != "potential":
-        raise ValueError(
-            f"--in-prefix must point at a `potential` run, found {src_manifest.get('command')!r}"
-        )
+        raise UsageError(f"--in-prefix must point at a `potential` run, found {src_manifest.get('command')!r}")
     params = src_manifest.get("params") or {}
     if not isinstance(params, dict):
-        raise ValueError(f"potential manifest params must be an object, got {params!r}")
+        raise UsageError(f"potential manifest params must be an object, got {params!r}")
     missing = [key for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax") if key not in params]
     if missing:
-        raise ValueError(f"potential manifest lacks params {missing}")
+        raise UsageError(f"potential manifest lacks params {missing}")
     nx, ny = params["nx"], params["ny"]
     if not all(isinstance(k, int) and not isinstance(k, bool) for k in (nx, ny)):
         raise InvalidGridError(f"node counts must be integers, got nx={nx!r}, ny={ny!r}")
     window = tuple(params[key] for key in ("xmin", "xmax", "ymin", "ymax"))
     hx, hy = _grid_steps(window, nx, ny)
-    with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if "L" not in (reader.fieldnames or ()):
-            raise InvalidGridError("potential file has no L column")
-        flat = [float(row["L"]) for row in reader]
+    try:
+        with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            flat = [float(row["L"]) for row in reader] if "L" in (reader.fieldnames or ()) else None
+    except (TypeError, ValueError) as exc:  # bytes that are not UTF-8, or a cell that is no number (None if missing)
+        raise UsageError(f"potential file has an unreadable L value: {exc}") from exc
+    if flat is None:
+        raise InvalidGridError("potential file has no L column")
     if len(flat) != nx * ny:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
     values = np.asarray(flat).reshape(nx, ny)
     if not np.all(np.isfinite(values)):
         # `potential` nudges nodes off atoms, so a genuine grid is finite everywhere
         raise InvalidGridError("potential file has a non-finite L value")
-    grid = PotentialGrid(
-        x0=float(window[0]),
-        y0=float(window[2]),
-        hx=hx,
-        hy=hy,
-        nx=nx,
-        ny=ny,
-        values=values,
-    )
+    grid = PotentialGrid(x0=float(window[0]), y0=float(window[2]), hx=hx, hy=hy, nx=nx, ny=ny, values=values)
     rec = laplacian_recover(grid)
-    nodes = grid.interior_nodes()
-    mass = rec.grid.mass
-    rows = (
-        (nodes[i, j].real, nodes[i, j].imag, mass[i, j])
-        for i in range(nx - 2)
-        for j in range(ny - 2)
-    )
+    nodes = grid.interior_nodes().ravel()
     footer = f"# raw_total={rec.raw_total!r} negative_mass={rec.negative_mass!r}"
-    _write_csv(Path(args.out_prefix + ".measure.csv"), ["re", "im", "mass"], rows, footer=footer)
-    _write_manifest(args, None, {"total_s": time.perf_counter() - t0})
-    return E_OK
+    _write_csv(Path(args.out_prefix + ".measure.csv"),
+               {"re": nodes.real, "im": nodes.imag, "mass": rec.grid.mass.ravel()}, footer=footer)
+    return E_OK, {}
 
 
-def cmd_converge(args) -> int:
-    t0 = time.perf_counter()
+def cmd_converge(args) -> tuple[int, dict]:
     p_law, q_law = _laws_from(args)
-    schedule = [int(tok) for tok in args.schedule.split(",") if tok.strip()]
-    report = convergence_run(
-        p_law,
-        q_law,
-        schedule,
-        samples=args.samples,
-        seed=args.seed,
-        reference_n=args.reference_n,
-        grid_resolution=args.resolution,
-    )
+    try:
+        schedule = [int(tok) for tok in args.schedule.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--schedule must list integers, got {args.schedule!r}") from exc
+    report = convergence_run(p_law, q_law, schedule, samples=args.samples, seed=args.seed,
+                             reference_n=args.reference_n, grid_resolution=args.resolution)
     _write_json(Path(args.out_prefix + ".converge.json"), report.to_dict())
-    _write_manifest(
-        args,
-        _realized_laws(p_law, q_law, report.reference_n),
-        {"total_s": time.perf_counter() - t0},
-    )
-    return E_OK
+    return E_OK, {"realized_laws": _realized_laws(p_law, q_law, report.reference_n)}
 
 
 def cmd_replay(args) -> int:
     manifest = _read_manifest(args.manifest)
     if manifest.get("tool_version") != __version__:
-        raise ValueError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
+        raise UsageError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
     command = manifest.get("command")
-    if not isinstance(command, str) or command not in _HANDLERS:
-        raise ValueError(f"manifest names unknown command {command!r}")
+    commands = _subcommands()
+    # replay writes no manifest of its own, so one naming it is not a record of any run
+    if not isinstance(command, str) or command not in commands or command == "replay":
+        raise UsageError(f"manifest names unknown command {command!r}")
     if not isinstance(manifest.get("params"), dict):
-        raise ValueError("manifest has no params")
+        raise UsageError("manifest has no params")
     params = dict(manifest["params"])
     expected = _command_params(command)
     if params.keys() != expected.keys():
-        raise ValueError(
+        raise UsageError(
             f"manifest params do not match `{command}`: missing {sorted(expected.keys() - params.keys())},"
             f" unexpected {sorted(params.keys() - expected.keys())}"
         )
     mistyped = [f"{key}={value!r}" for key, value in params.items() if type(value) not in expected[key]]
     if mistyped:
-        raise ValueError(f"manifest params of `{command}` have the wrong type: {', '.join(sorted(mistyped))}")
+        raise UsageError(f"manifest params of `{command}` have the wrong type: {', '.join(sorted(mistyped))}")
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
-    replay_args = argparse.Namespace(command=command, **params)
-    return _HANDLERS[command](replay_args)
+    return _run(argparse.Namespace(command=command, func=commands[command].get_default("func"), **params))
 
 
 def _add_law_flags(p: argparse.ArgumentParser) -> None:
@@ -419,29 +382,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, from a new parser, so a patched handler is seen."""
+    return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _command_params(command: str) -> dict[str, tuple[type, ...]]:
     """Destinations of ``command``'s flags (the params its manifest records), each
     with the exact types its value may take: bool for a switch, else the flag's
     ``type`` (str when it has none), plus None where an optional flag defaults to it.
     """
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     types = {}
-    for action in sub.choices[command]._actions:
+    for action in _subcommands()[command]._actions:
         if isinstance(action, argparse._StoreTrueAction):
             types[action.dest] = (bool,)
         elif not isinstance(action, argparse._HelpAction):
             none = (type(None),) if action.default is None and not action.required else ()
             types[action.dest] = (action.type or str, *none)
     return types
-
-
-_HANDLERS = {
-    "sample": cmd_sample,
-    "check": cmd_check,
-    "potential": cmd_potential,
-    "recover": cmd_recover,
-    "converge": cmd_converge,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -451,12 +409,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    # LinAlgError subclasses ValueError, so the numeric clause comes first
+        return args.func(args) if args.command == "replay" else _run(args)
     except (ComputationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return E_NUMERIC
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return E_USAGE
 

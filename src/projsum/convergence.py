@@ -27,6 +27,7 @@ from .model import (
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
+    UsageError,
     _AngleSpectrum,
     _realize,
     pooled_eigenvalues,
@@ -46,14 +47,14 @@ __all__ = [
 def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Snap a measure to the shared grid of spacing ``resolution``.
 
-    Raises ValueError when a bin index does not fit in int64, i.e. when some
+    Raises UsageError when a bin index does not fit in int64, i.e. when some
     coordinate over ``resolution`` rounds to a magnitude of 2**63 or more
     (or is not finite): the cast would wrap it onto some other bin.
     """
     pts = np.asarray(measure.points, dtype=np.complex128)
     ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
     if not np.all(np.abs(ij) < 2.0**63):
-        raise ValueError(
+        raise UsageError(
             f"grid_resolution {resolution!r} is too fine for points of magnitude up to "
             f"{np.max(np.abs(pts)):.3g}: bin indices overflow int64"
         )
@@ -66,7 +67,7 @@ def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.n
 
 def _check_resolution(grid_resolution: float) -> None:
     if not (math.isfinite(grid_resolution) and grid_resolution > 0):
-        raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
+        raise UsageError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
 
 
 # transport edges each supply and each demand bin starts with, to its nearest bins on the other side
@@ -142,7 +143,7 @@ def bl_distance(
     solve and the optimum is multiplied back by the mean of the two
     surpluses, so the distance is homogeneous in the surplus however small
     it is.  Identical binned measures leave no surplus and give 0.0
-    without a solve.  Raises ValueError for a resolution that is not
+    without a solve.  Raises UsageError for a resolution that is not
     finite and positive, and :class:`ComputationError` when HiGHS reports a
     non-zero status on any solve.
     """
@@ -292,13 +293,13 @@ def convergence_run(
     """
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"schedule must be strictly increasing, got {n_schedule!r}")
+        raise UsageError(f"schedule must be strictly increasing, got {n_schedule!r}")
     if schedule[0] < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {schedule[0]!r}")
     if reference_n is None:
         reference_n = schedule[-1]
     if reference_n < schedule[-1]:
-        raise ValueError("reference_n must be at least the largest schedule entry")
+        raise UsageError("reference_n must be at least the largest schedule entry")
     geom = make_geometry(p_law, q_law)
     if grid_resolution is None:
         grid_resolution = geom.scale / 200.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoAtomLaw
+from .model import TwoAtomLaw, UsageError
 
 __all__ = [
     "DegenerateGeometryError",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class DegenerateGeometryError(ValueError):
+class DegenerateGeometryError(UsageError):
     """Raised when a one-atom law is passed where two atoms are required."""
 
 

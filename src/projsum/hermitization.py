@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GRID, ModelSpec, pooled_eigenvalues
+from .model import GRID, ModelSpec, UsageError, pooled_eigenvalues
 from .spectra import WeightedPointMeasure
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 _PAIR_BUDGET = 2**16
 
 
-class InvalidGridError(ValueError):
+class InvalidGridError(UsageError):
     """Raised for non-square cells or otherwise unusable grids."""
 
 
@@ -50,9 +50,9 @@ def worker_count() -> int:
         try:
             k = int(env)
         except ValueError as exc:
-            raise ValueError(f"PROJSUM_THREADS must be an integer, got {env!r}") from exc
+            raise UsageError(f"PROJSUM_THREADS must be an integer, got {env!r}") from exc
         if k < 1:
-            raise ValueError(f"PROJSUM_THREADS must be >= 1, got {k}")
+            raise UsageError(f"PROJSUM_THREADS must be >= 1, got {k}")
         return k
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 __all__ = [
+    "UsageError",
     "InvalidDimensionError",
     "TwoAtomLaw",
     "ModelSpec",
@@ -38,7 +39,11 @@ CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
 
 
-class InvalidDimensionError(ValueError):
+class UsageError(ValueError):
+    """Raised for bad input: a flag, a manifest, an input file or PROJSUM_THREADS."""
+
+
+class InvalidDimensionError(UsageError):
     """Raised when a matrix dimension is not a positive integer."""
 
 
@@ -51,9 +56,9 @@ class TwoAtomLaw:
     weight : float
         Mass of the atom at ``loc``; must lie in [0, 1].
     loc, loc_alt : float
-        Atom positions.  They may coincide (degenerate one-atom law), in
-        which case :attr:`is_two_atom` is False and geometry constructors
-        will refuse the law.
+        Atom positions, finite and with a finite gap.  They may coincide
+        (degenerate one-atom law), in which case :attr:`is_two_atom` is
+        False and geometry constructors will refuse the law.
     """
 
     weight: float
@@ -62,9 +67,11 @@ class TwoAtomLaw:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.weight) and 0.0 <= self.weight <= 1.0):
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight!r}")
+            raise UsageError(f"weight must lie in [0, 1], got {self.weight!r}")
         if not (math.isfinite(self.loc) and math.isfinite(self.loc_alt)):
-            raise ValueError("atom locations must be finite")
+            raise UsageError("atom locations must be finite")
+        if not math.isfinite(self.gap):
+            raise UsageError(f"atom gap must be finite, got {self.loc!r} to {self.loc_alt!r}")
 
     @property
     def is_two_atom(self) -> bool:
@@ -90,7 +97,7 @@ class ModelSpec:
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidDimensionError(f"dimension must be a positive integer, got {self.n!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -374,6 +381,6 @@ def pooled_eigenvalues(spec: ModelSpec, samples: int, *key: int) -> np.ndarray:
     The uniform measure on the result is the pooled ESD.
     """
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+        raise UsageError(f"samples must be >= 1, got {samples!r}")
     children = [replace(spec, seed=substream_seed(spec.seed, *key, i)) for i in range(samples)]
     return np.concatenate([two_projection_eigenvalues(child) for child in children])

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from projsum import ModelSpec, __version__, assemble_model, make_geometry
-from projsum import cli, convergence, model, spectra
+from projsum import cli, convergence, hermitization, model, spectra
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
 
@@ -281,6 +282,7 @@ class TestPotentialRecover:
             ({"xmin": True}, "re,im,L", None, "window bounds must be finite numbers"),
             ({}, "re,im,L", "nan", "non-finite L value"),
             ({}, "re,im,L", "inf", "non-finite L value"),
+            ({}, "re,im,L", "abc", "'abc'"),
         ]
         for k, (edit, header, first_l, message) in enumerate(cases):
             prefix = self._potential(tmp_path, name=f"bad{k}", nx=5, ny=5)
@@ -303,6 +305,17 @@ class TestPotentialRecover:
             assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
             assert message in capsys.readouterr().err
             assert not Path(str(out) + ".measure.csv").exists()
+
+    def test_recover_rejects_a_short_row(self, tmp_path, capsys):
+        prefix = self._potential(tmp_path, name="short", nx=5, ny=5)
+        grid = Path(str(prefix) + ".potential.csv")
+        lines = grid.read_bytes().split(b"\r\n")
+        lines[1] = lines[1].rsplit(b",", 1)[0]
+        grid.write_bytes(b"\r\n".join(lines))
+        out = tmp_path / "m"
+        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
+        assert "unreadable L value" in capsys.readouterr().err
+        assert not Path(str(out) + ".measure.csv").exists()
 
     def test_potential_rejects_infinite_bound(self, tmp_path, capsys):
         prefix = tmp_path / "inf"
@@ -396,6 +409,12 @@ class TestConverge:
                    "--out-prefix", str(tmp_path / "x")])
         assert rc == E_USAGE
 
+    def test_non_integer_schedule_token_is_usage_error(self, tmp_path, capsys):
+        rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,x", "--out-prefix", str(tmp_path / "x")])
+        assert rc == E_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonpositive_dimension_is_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         draws = []
         kernel = model.two_projection_eigenvalues
@@ -448,6 +467,24 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "explode", "params": {}, "tool_version": __version__}))
         assert main(["replay", "--manifest", str(bad)]) == E_USAGE
         assert main(["replay", "--manifest", str(tmp_path / "missing.json")]) == E_USAGE
+
+    def test_replay_refuses_non_json_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text("{", encoding="utf-8")
+        assert main(["replay", "--manifest", str(bad)]) == E_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_replay_refuses_a_replay_manifest(self, tmp_path, capsys):
+        # the parser knows `replay`, so a manifest naming it would replay itself forever
+        loop = tmp_path / "loop.manifest.json"
+        loop.write_text(json.dumps({
+            "command": "replay", "params": {"manifest": str(loop), "out_prefix": None},
+            "tool_version": __version__,
+        }), encoding="utf-8")
+        assert main(["replay", "--manifest", str(loop)]) == E_USAGE
+        assert "unknown command 'replay'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [loop]
 
     def test_replay_manifest_without_command(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -512,6 +549,16 @@ class TestReplay:
         with pytest.raises(KeyError):
             main(["sample", "--n", "4", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "k")])
 
+    def test_handler_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # only UsageError means bad input; a bare ValueError is a bug and must surface
+        def broken(args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "cmd_sample", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["sample", "--n", "4", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "v")])
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_records_blas_threads_and_replay_ignores_them(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -535,6 +582,39 @@ class TestReplay:
         assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
         assert "0.0.0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.replay.*"))
+
+
+class TestManifests:
+    KEYS = {"command", "params", "realized_laws", "tool_version", "timings", "blas_threads"}
+
+    def test_manifests_share_their_keys_and_results_keep_every_field(self, tmp_path):
+        # the window of TestPotentialRecover puts two corner eigenvalues on grid nodes
+        window = ["--xmin", "-0.5", "--xmax", "1.5", "--ymin", "-0.6", "--ymax", "1.4", "--nx", "41", "--ny", "41"]
+        runs = {
+            "sample": ["sample", "--n", "8", *DEMO_FLAGS],
+            "check": ["check", "--n", "8", *DEMO_FLAGS, "--z-grid", "2"],
+            "potential": ["potential", "--n", "40", *DEMO_FLAGS, "--seed", "21", "--samples", "2", *window],
+            "recover": ["recover", "--in-prefix", str(tmp_path / "potential")],
+            "converge": ["converge", *DEMO_FLAGS, "--schedule", "8,16", "--samples", "1"],
+        }
+        stage_timings = {"sample": {"sample_s"}, "potential": {"grid_s"}}
+        law_fields = {f.name for f in fields(model.TwoAtomLaw)}
+        for command, argv in runs.items():
+            assert main([*argv, "--out-prefix", str(tmp_path / command)]) == E_OK
+            manifest = json.loads(Path(str(tmp_path / command) + ".manifest.json").read_text())
+            extra = {"perturbed_nodes"} if command == "potential" else set()
+            assert manifest.keys() == self.KEYS | extra
+            assert manifest["command"] == command
+            assert manifest["timings"].keys() == {"total_s"} | stage_timings.get(command, set())
+            laws = manifest["realized_laws"]
+            assert laws is None if command == "recover" else laws["p"].keys() == laws["q"].keys() == law_fields
+
+        payload = json.loads(Path(str(tmp_path / "check") + ".check.json").read_text())
+        assert payload["structure"].keys() == {f.name for f in fields(spectra.StructureReport)}
+        assert payload["corner_masses"].keys() == {f.name for f in fields(convergence.CornerAtomMasses)}
+        assert all(len(c) == 2 for c in payload["corner_masses"]["corners"])
+        nodes = json.loads(Path(str(tmp_path / "potential") + ".manifest.json").read_text())["perturbed_nodes"]
+        assert nodes and all(node.keys() == {f.name for f in fields(hermitization.PerturbedNode)} for node in nodes)
 
 
 class TestThreadsEnv:
@@ -573,6 +653,15 @@ class TestUsageErrors:
                    "--b", "0.875", "--beta", "0", "--beta-prime", "0.8",
                    "--out-prefix", str(tmp_path / "z")])
         assert rc == E_USAGE
+
+    def test_overflowing_atom_gap(self, tmp_path, capsys):
+        # finite locations whose gap is inf would reach the library as non-finite eigenvalues
+        rc = main(["potential", "--n", "8", "--a", "0.625", "--alpha=-1e308", "--alpha-prime", "1e308",
+                   "--b", "0.875", "--beta", "0", "--beta-prime", "0.8", "--xmin=-1", "--xmax", "1",
+                   "--ymin=-1", "--ymax", "1", "--nx", "5", "--ny", "5", "--out-prefix", str(tmp_path / "z")])
+        assert rc == E_USAGE
+        assert "atom gap must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == E_OK
