@@ -149,6 +149,10 @@ def cmd_check(args) -> tuple[int, dict]:
     if not math.isfinite(args.perturb):
         raise UsageError(f"--perturb must be finite, got {args.perturb}")
     spec = _spec_from(args)
+    gap = max(abs(spec.p_law.gap), abs(spec.q_law.gap))
+    if math.isinf(gap * gap):
+        # the structure identities square X_n - center, and their tolerances the gaps
+        raise UsageError(f"check needs atom gaps whose square is finite, got a gap of {gap!r}")
     realization = assemble_model(spec, commuting=args.commuting)
     if args.perturb:
         realization = _perturbed(realization, args.perturb)
@@ -164,7 +168,7 @@ def cmd_check(args) -> tuple[int, dict]:
                    f"support_deviation={report.support_deviation:.3e}"))
     checks.append(("normality", report.normality_residual <= tol["normality"],
                    f"normality_residual={report.normality_residual:.3e}"))
-    checks.append(("re_constant", report.re_deviation <= tol["re_constant"] * scale**2,
+    checks.append(("re_constant", report.re_deviation <= tol["re_constant"] * scale * scale,
                    f"re_deviation={report.re_deviation:.3e}"))
     checks.append(("im_bound", report.im_norm <= geom.im_halfwidth + tol["im_bound"],
                    f"im_norm={report.im_norm:.12e} bound={geom.im_halfwidth:.12e}"))
@@ -318,7 +322,7 @@ def _add_sample_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_commuting_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--commuting", action="store_true",
-                   help="skip the Haar rotations (U = V = I); test variant")
+                   help="skip the Haar rotation (V = I), so P_n and Q_n are diagonal; test variant")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ left there by a monotone Newton iteration (closed form for equal gaps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,7 @@ class HyperbolaRectangle:
     @property
     def re_constant(self) -> float:
         """The constant value (A^2 - B^2)/4 of Re((z - center)^2) on H."""
-        return 0.25 * (self.gap_a**2 - self.gap_b**2)
+        return 0.25 * (self.gap_a * self.gap_a - self.gap_b * self.gap_b)
 
     @property
     def im_halfwidth(self) -> float:
@@ -172,10 +173,19 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     reflections across them all have its distance, and folding the point
     into the first quadrant, u = |x - center_x| and v = |y - center_y|, loses
     nothing; ``abs`` is exact, so points on a center line need no special
-    case.  With u the wide-gap coordinate (swap u and v when B^2 > A^2), the
+    case.  With u the wide-gap coordinate (swap u and v when |B| > |A|), the
     folded set is the single arc G(t) = (sqrt(c + t^2), t), t in [0, h], with
     c = |A^2 - B^2|/4 and h = min(|A|, |B|)/2; its speed lies between 1 and
     sqrt(2).
+
+    The frame.  Everything below runs on u, v and the gaps divided by f,
+    the largest power of two at most max(|A|, |B|), and the distance is
+    multiplied back by f.  Both are exact and every step is homogeneous, so
+    the bits are those of the unscaled arithmetic wherever that neither
+    overflows nor underflows, and gaps up to the float limit leave c finite.
+    A finite point whose scaled coordinate overflows lies more than 2^1023 f
+    from the center, and the set within 2 f of it, so its distance is
+    |z - center| to rounding.
 
     The minimizer.  Let f(t) = |(u, v) - G(t)|^2.  Then f'(t)/2 = g(t) =
     phi(t) - v with phi(t) = t (2 - u / sqrt(c + t^2)).  phi(0) = 0, and
@@ -241,11 +251,18 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     and an infinite one gives inf, with no floating-point warning.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    u, v = np.abs(zs.real - geom.center_x), np.abs(zs.imag - geom.center_y)
-    if geom.gap_b**2 > geom.gap_a**2:
-        u, v = v, u
-    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
-    h = 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
+    x, y = np.abs(zs.real - geom.center_x), np.abs(zs.imag - geom.center_y)
+    a, b = abs(geom.gap_a), abs(geom.gap_b)
+    if b > a:
+        x, y, a, b = y, x, b, a
+    # work in the frame of f, the largest power of two <= a: dividing by f is
+    # exact, so no square of a gap overflows or underflows and no other bit moves
+    f = math.ldexp(1.0, math.frexp(a)[1] - 1)
+    with np.errstate(over="ignore"):
+        u, v = x / f, y / f
+    a, b = a / f, b / f
+    c = 0.25 * (a * a - b * b)
+    h = 0.5 * b
     if c == 0.0:
         t = np.clip(0.5 * u + 0.5 * v, 0.0, h)
     else:
@@ -254,7 +271,12 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     def dist(t):
         return np.hypot(u - np.sqrt(c + t * t), v - t)
 
-    return np.minimum(dist(t), np.minimum(dist(0.0), dist(h)))
+    d = np.minimum(dist(t), np.minimum(dist(0.0), dist(h))) * f
+    # a finite point whose scaled coordinate overflowed lies over 2^1023 f from
+    # the center, and the set within 2 f of it: its distance is |z - center|
+    far = np.isinf(d) & np.isfinite(zs)
+    d[far] = np.hypot(x[far], y[far])
+    return d
 
 
 def atom_weights(a: float, b: float) -> BrownAtomWeights:

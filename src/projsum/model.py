@@ -3,6 +3,15 @@
 The model is X_n = P_n + i*Q_n where P_n = U P' U* = alpha + A*Pi1 and Q_n = V Q' V*
 = beta + B*Pi2: P', Q' are diagonal with two-atom spectra, U, V independent Haar
 unitaries, and Pi1, Pi2 the projections onto the leading k1 columns of U and k2 of V.
+
+Realizations are taken in P_n's eigenbasis.  Conjugation by U* maps
+(P_n, Q_n) to (P', W Q' W*) with W = U* V, and W is Haar distributed, since
+V is Haar and independent of U.  A unitary conjugation changes neither the
+spectrum of X_n nor any other unitarily invariant statistic (the singular
+values of z - X_n, log|det(z - X_n)|, the principal angles between the
+ranges), so these have the same law when P_n = alpha + A*E_k1, with E_k1 the
+projection onto the first k1 coordinates.  Only V is drawn.
+
 Every constructor here is a pure function of (law parameters, dimension, seed),
 so realizations reproduce bit for bit.
 """
@@ -31,11 +40,10 @@ __all__ = [
 ]
 
 # Substream table: every spawn key derived from a seed starts with its owner's id.
-HAAR_P = 0  # ran Pi1 in _ginibre_pair (assemble_model, two_projection_eigenvalues): (HAAR_P,)
-HAAR_Q = 1  # ran Pi2 in _ginibre_pair (assemble_model, two_projection_eigenvalues): (HAAR_Q,)
+# ids 0 and 4 are retired: their streams are gone, and no new stream may take the ids
+HAAR_Q = 1  # ran Pi2 in _q_columns (assemble_model, two_projection_eigenvalues): (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
-# id 4 is retired: its stream is gone, and no new stream may take the id
 CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
 
 
@@ -157,7 +165,7 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     output is not.
 
     ``assemble_model`` draws only the leading columns it needs; its tests
-    rebuild P_n = U P' U* from this full U as the reference.
+    rebuild Q_n = V Q' V* from this full V as the reference.
 
     Parameters
     ----------
@@ -178,12 +186,9 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _ginibre_pair(spec: ModelSpec, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k1 columns of U's and k2 columns of V's Ginibre draws for ``spec``."""
-    return (
-        _ginibre_columns(substream_rng(spec.seed, HAAR_P), spec.n, k1),
-        _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2),
-    )
+def _q_columns(spec: ModelSpec, k2: int) -> np.ndarray:
+    """Leading k2 columns of the Ginibre draw whose range is ran Pi2 for ``spec``."""
+    return _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2)
 
 
 def _range_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -226,28 +231,27 @@ def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
 
 
 def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealization:
-    """Sample one realization of the model from ``spec``.
+    """Sample one realization of the model from ``spec``, in P_n's eigenbasis.
 
-    P_n = U P' U* equals alpha + A*U1 U1* with U1 the leading k1 columns of
-    U, and U1 is the thin QR factor of the leading k1 Ginibre columns up to
+    P_n = alpha + A*E_k1 exactly, E_k1 the projection onto the first k1
+    coordinates (see the module docstring for why this loses nothing).
+    Q_n = V Q' V* equals beta + B*V2 V2* with V2 the leading k2 columns of
+    V, and V2 is the thin QR factor of the leading k2 Ginibre columns up to
     column phases (Householder QR makes its first k columns from those of G
-    alone), which cancel in U1 U1*.  So P_n and Q_n are built from the k1 + k2
-    columns ``two_projection_eigenvalues`` draws, on substreams of
-    ``spec.seed`` no other consumer shares.  The result is a pure function of
-    ``spec``: identical inputs give bit-identical matrices regardless of
-    thread count.
+    alone), which cancel in V2 V2*.  So Q_n is built from the k2 columns
+    ``two_projection_eigenvalues`` draws, on a substream of ``spec.seed`` no
+    other consumer shares.  The result is a pure function of ``spec``:
+    identical inputs give bit-identical matrices regardless of thread count.
 
-    With ``commuting=True`` the rotations are skipped (U = V = I), leaving
+    With ``commuting=True`` the rotation is skipped as well (V = I), leaving
     diagonal P_n and Q_n.  This deterministic variant exists for tests with
     closed-form spectra and is exposed on the command line.
     """
     k1, realized_p = _realize(spec.p_law, spec.n)
     k2, realized_q = _realize(spec.q_law, spec.n)
-    if commuting:
-        bases = (np.eye(spec.n, k, dtype=np.complex128) for k in (k1, k2))
-    else:
-        bases = (np.linalg.qr(g)[0] for g in _ginibre_pair(spec, k1, k2))
-    p, q = map(_two_atom_matrix, (realized_p, realized_q), bases)
+    p_basis = np.eye(spec.n, k1, dtype=np.complex128)
+    q_basis = np.eye(spec.n, k2, dtype=np.complex128) if commuting else np.linalg.qr(_q_columns(spec, k2))[0]
+    p, q = _two_atom_matrix(realized_p, p_basis), _two_atom_matrix(realized_q, q_basis)
     x = p + 1j * q
     x.setflags(write=False)
     return ModelRealization(
@@ -295,18 +299,15 @@ class _AngleSpectrum(NamedTuple):
 def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
     """Kernel producer: the angles of ``assemble_model(spec)`` from its Ginibre draw alone.
 
-    With G1 = U1 R1 and G2 = V2 R2 the leading k1 and k2 columns (R from
-    ``_range_factors``), the cosines are the singular values of the k1 x k2
-    matrix R1^-* (G1* G2) R2^-1.  No ``s``: the roots read ``c`` alone.
+    Pi_p = E_k1, so the cosines are the singular values of E_k1* V2 =
+    V2[:k1], where V2 = W2 R2^-1, with (W2, R2) from ``_range_factors``, is
+    an orthonormal basis of the range of the k2 Ginibre columns.  No ``s``:
+    the roots read ``c`` alone.
     """
     k1, k2 = (_realize(law, spec.n)[0] for law in (spec.p_law, spec.q_law))
-    (w1, r1), (w2, r2) = (_range_factors(g) for g in _ginibre_pair(spec, k1, k2))
-    # U1 = W1 R1^-1 and V2 = W2 R2^-1 (Bjorck & Golub): U1* V2 = R1^-* (W1* W2) R2^-1
-    m = w1.conj().T @ w2
-    if r1 is not None:
-        m = solve_triangular(r1, m, trans="C")
-    if r2 is not None:
-        m = solve_triangular(r2, m.T, trans="T").T
+    w, r = _range_factors(_q_columns(spec, k2))
+    # V2 = W R^-1 (Bjorck & Golub), so V2[:k1] solves X R = W[:k1]
+    m = w[:k1] if r is None else solve_triangular(r, w[:k1].T, trans="T").T
     # svd returns the cosines in descending order: the intersection ones lead
     cosines = np.linalg.svd(m, compute_uv=False)
     return _AngleSpectrum(spec.n, k1, k2, cosines)

@@ -208,6 +208,18 @@ class TestCheck:
         assert masses["intersection_mass"] == [0.0, 0.0, 0.4, 0.0]
         assert masses["esd_mass"] == pytest.approx(masses["intersection_mass"], abs=1e-12)
 
+    def test_gap_whose_square_overflows_is_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # the structure identities square X_n - center; a gap of 1e200 used to
+        # end in an OverflowError (exit 1) from the Python-float square of a gap
+        draws = []
+        monkeypatch.setattr(cli, "assemble_model", lambda *a, **k: draws.append(a))
+        rc = main(["check", "--n", "16", "--a", "0.625", "--alpha", "0", "--alpha-prime", "1e200",
+                   "--b", "0.875", "--beta", "0", "--beta-prime", "0.8e200", "--out-prefix", str(tmp_path / "big")])
+        assert rc == E_USAGE
+        assert draws == []
+        assert "gaps whose square is finite, got a gap of 1e+200" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPotentialRecover:
     def _potential(self, tmp_path, name="pot", nx=41, ny=41,
@@ -367,6 +379,18 @@ class TestConverge:
         assert report["distances"][0] > 0.0
         assert max(report["support_devs"]) <= 1e-8
         assert max(report["corner_mass_errors"]) <= 1e-9
+
+    def test_gaps_near_the_float_limit(self, tmp_path, capfd):
+        # the support distance squares the gaps in the frame of the larger one;
+        # as Python floats the squares of 1e200 raised OverflowError (exit 1)
+        prefix = tmp_path / "big"
+        rc = main(["converge", "--a", "0.625", "--alpha", "0", "--alpha-prime", "1e200",
+                   "--b", "0.875", "--beta", "0", "--beta-prime", "0.8e200",
+                   "--schedule", "8,16", "--samples", "1", "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        assert capfd.readouterr() == ("", "")
+        report = json.loads(Path(str(prefix) + ".converge.json").read_text())
+        assert 0.0 <= max(report["support_devs"]) <= 1e-8 * 1e200
 
     def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -126,15 +126,22 @@ def _golden_min(f, lo, hi, iters: int = 80) -> np.ndarray:
 
 
 def _arc(geom) -> tuple[float, float]:
-    """(c, h) of the folded arc (sqrt(c + t^2), t), t in [0, h]."""
-    return 0.25 * abs(geom.gap_a**2 - geom.gap_b**2), 0.5 * min(abs(geom.gap_a), abs(geom.gap_b))
+    """(c, h) of the folded arc (sqrt(c + t^2), t), t in [0, h].
+
+    The squares are products, correctly rounded as in ``dist_to_hr_many``;
+    Python's ``**`` (libm ``pow``) can round A^2 one unit off, which near
+    equal gaps moves c, and so the distance, far beyond the Newton search's
+    own error.
+    """
+    a, b = abs(geom.gap_a), abs(geom.gap_b)
+    return 0.25 * abs(a * a - b * b), 0.5 * min(a, b)
 
 
 def _dist_to_hr_many_0140(geom, zs):
     """Reference: the 0.14.0 golden-section search over the whole folded arc."""
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     u, v = np.abs(zs.real - geom.center_x), np.abs(zs.imag - geom.center_y)
-    if geom.gap_b**2 > geom.gap_a**2:
+    if abs(geom.gap_b) > abs(geom.gap_a):
         u, v = v, u
     c, h = _arc(geom)
     return _golden_min(lambda t: np.hypot(u - np.sqrt(c + t * t), v - t), 0.0, h)
@@ -319,6 +326,33 @@ class TestDistance:
         d1 = dist_to_hr_many(DEMO, [z1])[0]
         d2 = dist_to_hr_many(DEMO, [z2])[0]
         assert abs(d1 - d2) <= abs(z1 - z2) + 1e-9
+
+    @pytest.mark.parametrize("k", [-900, 600, 1000])
+    @pytest.mark.parametrize("laws", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    def test_scaled_geometry_scales_the_distances_bit_for_bit(self, laws, k):
+        # the arc is solved in the power-of-two frame of the larger gap, so
+        # scaling laws and points by 2^k scales every distance by 2^k exactly;
+        # squared as Python floats, gaps of 2^600 raised OverflowError
+        g = make_geometry(*laws)
+        scaled = make_geometry(*(TwoAtomLaw(w.weight, math.ldexp(w.loc, k), math.ldexp(w.loc_alt, k)) for w in laws))
+        rng = np.random.default_rng(29)
+        zs = np.concatenate([hr_points(g, 41), g.center + g.scale * (rng.uniform(-1.5, 1.5, 60)
+                                                                    + 1j * rng.uniform(-1.5, 1.5, 60))])
+        got = dist_to_hr_many(scaled, zs * 2.0**k)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == np.ldexp(dist_to_hr_many(g, zs), k).tobytes()
+
+    def test_far_point_of_a_tiny_geometry(self):
+        # at gaps near 1e-300 a point at 1e10 overflows the frame of the gaps;
+        # the set is then a point at its scale, and the distance |z - center|.
+        # The center keeps its semi-axis sqrt(A^2 - B^2)/2, whose square underflows unscaled
+        g = make_geometry(TwoAtomLaw(0.5, 0.0, 1e-300), TwoAtomLaw(0.5, 0.0, 0.8e-300))
+        zs = np.array([1e10 + 1e10j, -3e9 + 0j, g.center])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dist_to_hr_many(g, zs)
+        assert d[:2] == pytest.approx(np.abs(zs[:2] - g.center), rel=1e-15)
+        assert d[2] == pytest.approx(0.3e-300, rel=1e-12, abs=0.0)
 
     def test_equal_gaps_degenerate_to_lines(self):
         # A^2 = B^2 makes H the pair of diagonals through the center

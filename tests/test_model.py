@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.optimize import linear_sum_assignment
+from scipy.stats import ks_2samp
 
 from projsum import (
     InvalidDimensionError,
@@ -26,15 +28,16 @@ from projsum import (
 from projsum import convergence, model
 from tests.conftest import P_LAW, Q_LAW
 
-STREAMS = ("HAAR_P", "HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
-# ids of streams that are gone; no live stream may reuse one
-RETIRED_STREAM_IDS = (4,)
+STREAMS = ("HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
+# ids of streams that are gone (0 drew U's columns up to 0.18.0); no live stream may reuse one
+RETIRED_STREAM_IDS = (0, 4)
 
 
 def _seed_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
-    """Diagonal of the seed P' = diag(loc_alt x k, loc x (n - k)) that U P' U* rotates."""
+    """Diagonal of the seed P' = loc*I + gap*E_k that U P' U* rotates: loc + gap
+    (loc_alt up to rounding) on the first k entries, loc on the rest."""
     k = model._realize(law, n)[0]
-    return np.where(np.arange(n) < k, law.loc_alt, law.loc)
+    return law.loc + law.gap * (np.arange(n) < k)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -229,6 +232,7 @@ class TestSubstreamTable:
         assert all(type(i) is int for i in ids)
         assert len(set(ids)) == len(STREAMS)
         assert set(ids).isdisjoint(RETIRED_STREAM_IDS)
+        assert not hasattr(model, "HAAR_P")
 
     def test_every_key_in_src_starts_with_a_stream_id(self):
         # a key that does not lead with a table entry, or two call sites
@@ -289,14 +293,15 @@ class TestHaarConjugationReference:
     @example(p_law=TwoAtomLaw(0.005, 1e3, 0.0), q_law=TwoAtomLaw(0.0, 0.0, 0.8), n=400, seed=7)
     @settings(max_examples=100, deadline=None)
     def test_matches_conjugated_diagonal_seeds(self, p_law, q_law, n, seed):
-        # the definition P_n = U P' U* with the full Haar unitary of the HAAR_P
-        # substream (Q_n: HAAR_Q); assemble_model draws only U's leading k1 columns
+        # the realization is taken in P_n's eigenbasis, so P_n is its seed P'
+        # itself; Q_n is the definition V Q' V* with the full Haar unitary of
+        # the HAAR_Q substream, of which assemble_model draws only the leading k2 columns
         r = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
-        for matrix, law, stream in ((r.p_matrix, p_law, model.HAAR_P), (r.q_matrix, q_law, model.HAAR_Q)):
-            u = sample_haar_unitary(n, substream_rng(seed, stream))
-            reference = (u * _seed_diagonal(law, n)) @ u.conj().T
-            scale = max(1.0, abs(law.loc), abs(law.loc_alt))
-            assert np.max(np.abs(matrix - reference)) <= 1e-12 * scale
+        assert np.array_equal(r.p_matrix, np.diag(_seed_diagonal(p_law, n)))
+        v = sample_haar_unitary(n, substream_rng(seed, model.HAAR_Q))
+        reference = (v * _seed_diagonal(q_law, n)) @ v.conj().T
+        scale = max(1.0, abs(q_law.loc), abs(q_law.loc_alt))
+        assert np.max(np.abs(r.q_matrix - reference)) <= 1e-12 * scale
 
 
 def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
@@ -351,10 +356,9 @@ class TestTwoProjectionEigenvalues:
     @pytest.mark.parametrize("n", [*range(2, 65, 2), 200])
     def test_gram_cholesky_cosines_match_thin_q(self, n, monkeypatch):
         # k1 = k2 = n/2, the worst conditioned case the Cholesky route takes:
-        # the cosines the kernel's SVD returns against sv(Q1* Q2) of thin Q
+        # the cosines the kernel's SVD returns against sv(Q2[:k1]) of thin Q
         spec = ModelSpec(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 0.8), n=n, seed=n)
-        g1, g2 = model._ginibre_pair(spec, n // 2, n // 2)
-        assert model._range_factors(g1)[1] is not None
+        g2 = model._q_columns(spec, n // 2)
         assert model._range_factors(g2)[1] is not None
         svd, recorded = np.linalg.svd, []
 
@@ -365,8 +369,7 @@ class TestTwoProjectionEigenvalues:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         two_projection_eigenvalues(spec)
         monkeypatch.undo()
-        (q1, _), (q2, _) = np.linalg.qr(g1), np.linalg.qr(g2)
-        reference = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
+        reference = np.linalg.svd(np.linalg.qr(g2)[0][: n // 2], compute_uv=False)
         assert len(recorded) == 1
         assert np.max(np.abs(recorded[0] - reference)) <= 1e-13
 
@@ -460,3 +463,44 @@ class TestAngleSpectrum:
         kernel = kernel._replace(s=np.sqrt(np.maximum(0.0, 1.0 - kernel.c**2)))
         assert convergence._corner_counts(kernel) == counts
         assert np.max(np.abs(kernel.c - dense.c), initial=0.0) <= 1e-13
+
+
+def _two_draw_kernel_angles(spec: ModelSpec) -> model._AngleSpectrum:
+    """The kernel producer of projsum 0.18.0, kept as a reference only.
+
+    Both sides Haar-rotated: G1 and G2 the leading k1 and k2 Ginibre columns
+    on the retired stream 0 and on HAAR_Q, R from ``_range_factors``, and the
+    cosines the singular values of R1^-* (G1* G2) R2^-1.
+    """
+    k1, k2 = (model._realize(law, spec.n)[0] for law in (spec.p_law, spec.q_law))
+    draws = ((0, k1), (model.HAAR_Q, k2))
+    (w1, r1), (w2, r2) = (model._range_factors(model._ginibre_columns(substream_rng(spec.seed, key), spec.n, k))
+                          for key, k in draws)
+    m = w1.conj().T @ w2
+    if r1 is not None:
+        m = solve_triangular(r1, m, trans="C")
+    if r2 is not None:
+        m = solve_triangular(r2, m.T, trans="T").T
+    return model._AngleSpectrum(spec.n, k1, k2, np.linalg.svd(m, compute_uv=False))
+
+
+class TestOneDrawLaw:
+    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("a,b", [(5 / 8, 7 / 8), (0.3, 0.45), (0.25, 0.125)])  # the last two: k1 + k2 > n
+    def test_block_cosines_match_the_two_draw_kernel(self, a, b, n):
+        # by unitary invariance Pi_p = E_k1 against one Haar-rotated Pi_q has
+        # the angle law of two independently rotated projections.  The blocks
+        # are compared, not all of c: the intersection cosines are 1 up to
+        # rounding, and a KS over them tests nothing but that rounding.
+        laws = (TwoAtomLaw(a, 0.0, 1.0), TwoAtomLaw(b, 0.0, 0.8))
+        pools = []
+        for producer, seed in ((model._kernel_angles, 0), (_two_draw_kernel_angles, 100)):
+            blocks, counts = [], set()
+            for i in range(8):
+                angles = producer(ModelSpec(*laws, n=n, seed=seed + i))
+                counts.add(convergence._corner_counts(angles._replace(s=np.sqrt(np.maximum(0.0, 1.0 - angles.c**2)))))
+                blocks.append(angles.layout()[1] ** 2)
+            pools.append((counts, np.concatenate(blocks)))
+        (counts, new), (old_counts, old) = pools
+        assert counts == old_counts == {angles.layout()[0]}
+        assert ks_2samp(new, old, method="asymp").pvalue >= 0.01
