@@ -71,8 +71,12 @@ class HyperbolaRectangle:
 
     @property
     def re_constant(self) -> float:
-        """The constant value (A^2 - B^2)/4 of Re((z - center)^2) on H."""
-        return 0.25 * (self.gap_a * self.gap_a - self.gap_b * self.gap_b)
+        """The constant value (A^2 - B^2)/4 of Re((z - center)^2) on H.
+
+        Taken as (A - B)(A + B)/4: near equal gaps a difference of rounded
+        squares cancels, while one of the two factors is exact there.
+        """
+        return 0.25 * (self.gap_a - self.gap_b) * (self.gap_a + self.gap_b)
 
     @property
     def im_halfwidth(self) -> float:
@@ -176,7 +180,9 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     case.  With u the wide-gap coordinate (swap u and v when |B| > |A|), the
     folded set is the single arc G(t) = (sqrt(c + t^2), t), t in [0, h], with
     c = |A^2 - B^2|/4 and h = min(|A|, |B|)/2; its speed lies between 1 and
-    sqrt(2).
+    sqrt(2).  The constant c is taken as (|A| - |B|)(|A| + |B|)/4, which
+    keeps its relative accuracy near equal gaps: there |A| - |B| is exact,
+    while A^2 - B^2 would lose the bits its rounded squares share.
 
     The frame.  Everything below runs on u, v and the gaps divided by f,
     the largest power of two at most max(|A|, |B|), and the distance is
@@ -261,7 +267,8 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     with np.errstate(over="ignore"):
         u, v = x / f, y / f
     a, b = a / f, b / f
-    c = 0.25 * (a * a - b * b)
+    # a - b is exact near equal gaps, where a difference of squares would cancel
+    c = 0.25 * (a - b) * (a + b)
     h = 0.5 * b
     if c == 0.0:
         t = np.clip(0.5 * u + 0.5 * v, 0.0, h)

@@ -37,6 +37,8 @@ __all__ = [
 # nodes): a function of the input alone, so results do not depend on the worker
 # count, and buffer memory does not grow with the atom count
 _PAIR_BUDGET = 2**16
+# equal-weight atoms whose squared gaps share one log (see _tile_sums)
+_GROUP = 8
 
 
 class InvalidGridError(UsageError):
@@ -112,55 +114,114 @@ def log_potential(measure: WeightedPointMeasure, z: complex) -> float:
     return float(np.log(d) @ measure.weights)
 
 
-def _tile_sums(
-    xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sums of w_j log((x - px_j)^2 + (y - py_j)^2) over the atoms, per node of xs x ys.
 
-    The nodes form a product grid, so a squared gap along x depends only on
-    (ix, atom) and one along y only on (iy, atom).  The loop runs over the
-    lines of nodes along the longer axis, one per node of the shorter axis.
-    Atoms go in tiles of ``_PAIR_BUDGET // len(line)``, at least one; per
-    tile each axis gets one table of squared gaps, and each line costs one
-    add, one min, one log and the gemv per node-atom pair, in one reused
-    tile x len(line) buffer.  Lines are mapped over the worker threads in
-    contiguous ranges; a line's bits depend only on its own coordinates,
-    never on its range.  Returns the sums and, per node, the least squared
-    distance to an atom.  An atom on a node gives log 0 = -inf there; the
-    caller recomputes such nodes.
+    The coordinates must lie below 1 in magnitude (the frame of
+    :func:`potential_grid`).  The nodes form a product grid, so a squared
+    gap along x depends only on (ix, atom) and one along y only on (iy,
+    atom).  The loop runs over the lines of nodes along the longer axis, one
+    per node of the shorter axis, and over tiles of atoms; per tile each
+    axis gets one table of squared gaps, and each line adds the two into one
+    reused tile x len(line) buffer.
+
+    Atoms of equal weight share their logs.  In each run of equal weights
+    (a stable sort by weight) every full group of ``_GROUP`` = 8 consecutive
+    atoms goes to the grouped pass, which multiplies the group's eight
+    squared gaps and takes one log of the product, so a node-atom pair costs
+    one add and one eighth of a log.  A squared gap is below 8, so a product
+    is below 2^24.  At every node the caller keeps, each squared gap is at
+    least four times the squared scaled collision radius (a radius of at
+    least 5e-14), 1e-26, so a product is at least 1e-208: it neither
+    overflows nor underflows, and loses no bits to a subnormal.  A group of
+    16 could reach 1e-416.  The other atoms, fewer than 8 per run, go
+    through the per-atom pass in their input order, one log per pair, so a
+    measure with all-distinct weights gets the bits of a per-atom sum.
+    Tiles hold ``_PAIR_BUDGET // len(line)`` atoms, at least one, in the
+    per-atom pass and a multiple of 8 within that budget, at least 8, in the
+    grouped pass.
+
+    Lines are mapped over the worker threads in contiguous ranges; a line's
+    bits depend only on its own coordinates, never on its range.  An atom
+    on a node gives log 0 = -inf there, and a node near an atom a product
+    that has lost bits: the caller recomputes such nodes.
     """
     # a short line leaves too little work per step, a tile of a few atoms
-    # too short a min and gemv, so the lines follow the longer axis
+    # too short a gemv, so the lines follow the longer axis
     flip = xs.size > ys.size
     if flip:
         xs, ys, px, py = ys, xs, py, px
+    order = np.argsort(w, kind="stable")
+    start = np.flatnonzero(np.r_[True, w[order[1:]] != w[order[:-1]]])
+    run = np.diff(np.r_[start, w.size])
+    full = np.arange(w.size) - np.repeat(start, run) < np.repeat(run - run % _GROUP, run)
+    grouped, single = order[full], np.sort(order[~full])
     tile = max(1, _PAIR_BUDGET // ys.size)
+    passes = (
+        (px[single], py[single], w[single], 1, tile),
+        (px[grouped], py[grouped], w[grouped[::_GROUP]], _GROUP, max(1, tile // _GROUP) * _GROUP),
+    )
 
-    def lines(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lines(block: np.ndarray) -> np.ndarray:
         sums = np.zeros((block.size, ys.size))
-        near = np.full((block.size, ys.size), np.inf)
-        # errstate is per thread: set it in the thread that takes the logs
-        with np.errstate(divide="ignore"):
-            for lo in range(0, px.size, tile):
-                dx2 = np.square(px[lo : lo + tile, None] - block[None, :])
-                dy2 = np.square(py[lo : lo + tile, None] - ys[None, :])
-                wt = w[lo : lo + tile]
-                buf = np.empty_like(dy2)
-                for i in range(block.size):
-                    np.add(dy2, dx2[:, i, None], out=buf)
-                    np.minimum(near[i], buf.min(axis=0), out=near[i])
-                    np.log(buf, out=buf)
-                    sums[i] += wt @ buf
-        return sums, near
+        # errstate is per thread: set it in the thread that takes the logs (and
+        # the products, which may underflow at the nodes the caller recomputes)
+        with np.errstate(divide="ignore", under="ignore"):
+            for ax, ay, aw, group, size in passes:
+                for lo in range(0, ax.size, size):
+                    dx2 = np.square(ax[lo : lo + size, None] - block[None, :])
+                    dy2 = np.square(ay[lo : lo + size, None] - ys[None, :])
+                    wt = aw[lo // group : (lo + size) // group]
+                    buf = np.empty_like(dy2)
+                    terms = buf if group == 1 else np.empty((wt.size, ys.size))
+                    for i in range(block.size):
+                        np.add(dy2, dx2[:, i, None], out=buf)
+                        if group > 1:
+                            np.multiply.reduce(buf.reshape(wt.size, group, ys.size), axis=1, out=terms)
+                        np.log(terms, out=terms)
+                        sums[i] += wt @ terms
+        return sums
 
     workers = min(worker_count(), xs.size)
     if workers == 1:
-        parts = [lines(xs)]
+        sums = lines(xs)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lines, np.array_split(xs, workers)))
-    sums, near = (np.concatenate(a) for a in zip(*parts))
-    return (np.ascontiguousarray(sums.T), near.T) if flip else (sums, near)
+            sums = np.concatenate(list(pool.map(lines, np.array_split(xs, workers))))
+    return np.ascontiguousarray(sums.T) if flip else sums
+
+
+def _collisions(
+    xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ix, iy), in row-major order, of the nodes with (x - px)^2 + (y - py)^2 < limit for some atom.
+
+    ``xs`` and ``ys`` must be sorted and ``limit`` a normal number.  The
+    squared gap is computed as in :func:`_tile_sums`, and a computed sum of
+    two squares is at least each of them, so every such node lies within
+    1.5 sqrt(limit) of the atom along each axis: a ``searchsorted`` per atom
+    and axis finds a box of candidates that holds them all.  The candidate
+    pairs are tested in chunks of ``_PAIR_BUDGET``, so memory stays bounded
+    even where the box holds many nodes (a grid finer than the radius).
+    """
+    span = 1.5 * math.sqrt(limit)
+    x_lo, x_hi = np.searchsorted(xs, px - span, "left"), np.searchsorted(xs, px + span, "right")
+    y_lo, y_hi = np.searchsorted(ys, py - span, "left"), np.searchsorted(ys, py + span, "right")
+    rows = y_hi - y_lo
+    count = (x_hi - x_lo) * rows
+    atoms = np.flatnonzero(count)
+    ends = np.cumsum(count[atoms])
+    total = int(count.sum())
+    hit = np.zeros((xs.size, ys.size), dtype=bool)
+    for lo in range(0, total, _PAIR_BUDGET):
+        k = np.arange(lo, min(lo + _PAIR_BUDGET, total))
+        a = np.searchsorted(ends, k, "right")
+        j = atoms[a]
+        r = k - ends[a] + count[j]
+        ix, iy = x_lo[j] + r // rows[j], y_lo[j] + r % rows[j]
+        near = np.square(py[j] - ys[iy]) + np.square(px[j] - xs[ix]) < limit
+        hit[ix[near], iy[near]] = True
+    return np.nonzero(hit)
 
 
 def _direct_values(
@@ -222,20 +283,26 @@ def potential_grid(
     atom, is moved half a cell diagonally before evaluation (the potential
     is defined almost everywhere; node collisions are a gridding artifact)
     and the move is recorded in ``perturbations``.  Exactly equal atoms are
-    merged first, their weights summed, so each distinct atom costs one
-    log per node: the two-projection kernel repeats its corner atoms
-    hundreds of times, and a pooled ESD repeats them in every sample.  By
-    linearity the potential is the same up to roundoff, and the nudged
-    nodes depend only on the set of atoms; each is recorded once.
+    merged first, their weights summed: the two-projection kernel repeats
+    its corner atoms hundreds of times, and a pooled ESD repeats them in
+    every sample.  By linearity the potential is the same up to roundoff,
+    and the nudged nodes depend only on the set of atoms; each is recorded
+    once.
 
     Each term is log|z - p| = (1/2) log((x - px)^2 + (y - py)^2), taken in
     the frame 2^-e that brings the largest coordinate of a node or an atom
     below 1: scaling by a power of two is exact, no square overflows, and
     e log 2 per unit weight is added back.  The squared gaps come from one
-    table per axis and atom tile (see ``_tile_sums``).  A node whose nearest
-    square falls below four times the squared radius, or below the smallest
-    normal number, where it has lost bits, is evaluated again from complex
-    distances; that pass decides the collisions, by the rule above.
+    table per axis and atom tile, and atoms of equal weight (those of a
+    pooled ESD all weigh 1/N, but for the merged ones) share one log per
+    group of eight: in this frame a squared gap is below 8, so a product of
+    eight is below 2^24, and at a node that is not evaluated again it is at
+    least (1e-26)^8 = 1e-208 (see ``_tile_sums``).  A node whose squared
+    gap to some atom falls below four times the squared radius, or below
+    the smallest normal number, where it has lost bits, is evaluated again
+    from complex distances; that pass decides the collisions, by the rule
+    above.  Such nodes are found per atom, among the nodes within a few
+    radii of it (see ``_collisions``), not by a minimum over every pair.
     """
     hx, hy = _grid_steps(window, nx, ny)
     xmin, ymin = float(window[0]), float(window[2])
@@ -251,13 +318,13 @@ def potential_grid(
     # the frame 2^-e takes every coordinate below 1 in magnitude, exactly, so
     # no squared gap overflows; log 2^e per unit weight is added back
     e = math.frexp(scale)[1]
-    sums, near = _tile_sums(*(np.ldexp(v, -e) for v in (xs, ys, px, py)), 0.5 * weights)
-    values = sums + e * math.log(2.0) * total
+    scaled = [np.ldexp(v, -e) for v in (xs, ys, px, py)]
+    values = _tile_sums(*scaled, 0.5 * weights) + e * math.log(2.0) * total
 
     # the margin of twice the radius keeps a rounded square from hiding a
     # collision; the scaled radius lies in [5e-14, 1e-13)
     reach = 1e-13 * math.ldexp(scale, -e)
-    ix, iy = np.nonzero(near < 4.0 * max(reach * reach, np.finfo(np.float64).tiny))
+    ix, iy = _collisions(*scaled, 4.0 * max(reach * reach, np.finfo(np.float64).tiny))
     zs = xs[ix] + 1j * ys[iy]
     # the direct pass halves coordinates past 2^1021 until no gap overflows
     frame = 2.0 ** -max(0, e - 1021)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 
@@ -53,13 +54,20 @@ def _in_rectangle(geom, z) -> np.ndarray:
 
 
 def _level_grid(geom, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared-level samples s in [-min(A^2,B^2)/4, 0] with |x'|, |y'| values."""
-    a2 = geom.gap_a**2
-    b2 = geom.gap_b**2
-    s = np.linspace(-0.25 * min(a2, b2), 0.0, m)
-    # the subtractions below are exact at the endpoint, so sqrt never sees -0.0-eps
-    xp = np.sqrt(0.25 * a2 + s)
-    yp = np.sqrt(0.25 * b2 + s)
+    """Shared-level samples s in [-min(A^2,B^2)/4, 0] with |x'|, |y'| values.
+
+    The narrow-gap coordinate is sqrt(h^2 + s), and the wide one
+    sqrt(c + narrow^2) with (c, h) from ``_arc``, so every sample keeps
+    x'^2 - y'^2 = +-c to rounding even near equal gaps, where two square
+    roots of rounded squares would not; at s = 0 it is the exact half gap.
+    """
+    c, h = _arc(geom)
+    s = np.linspace(-h * h, 0.0, m)
+    # the subtraction is exact at the lower endpoint, so sqrt never sees -0.0-eps
+    narrow = np.sqrt(h * h + s)
+    wide = np.sqrt(c + narrow * narrow)
+    wide[-1] = 0.5 * max(abs(geom.gap_a), abs(geom.gap_b))
+    xp, yp = (wide, narrow) if abs(geom.gap_a) >= abs(geom.gap_b) else (narrow, wide)
     return s, xp, yp
 
 
@@ -93,7 +101,7 @@ def _curve_distance(geom, zs, sign, t):
     +-sqrt(c + t^2) with c = |A^2 - B^2|/4 >= 0.  ``sign`` is +-1, a scalar
     or one entry per point.
     """
-    c = 0.25 * abs(geom.gap_a**2 - geom.gap_b**2)
+    c, _ = _arc(geom)
     r = sign * np.sqrt(c + t * t)
     if geom.gap_a**2 >= geom.gap_b**2:
         return np.hypot(zs.real - (geom.center_x + r), zs.imag - (geom.center_y + t))
@@ -128,13 +136,13 @@ def _golden_min(f, lo, hi, iters: int = 80) -> np.ndarray:
 def _arc(geom) -> tuple[float, float]:
     """(c, h) of the folded arc (sqrt(c + t^2), t), t in [0, h].
 
-    The squares are products, correctly rounded as in ``dist_to_hr_many``;
-    Python's ``**`` (libm ``pow``) can round A^2 one unit off, which near
-    equal gaps moves c, and so the distance, far beyond the Newton search's
-    own error.
+    c is (|A| - |B|)(|A| + |B|)/4, as in ``dist_to_hr_many``: near equal gaps
+    the difference of the gaps is exact, while a difference of rounded
+    squares would move c, and so the distance, far beyond the Newton
+    search's own error.
     """
     a, b = abs(geom.gap_a), abs(geom.gap_b)
-    return 0.25 * abs(a * a - b * b), 0.5 * min(a, b)
+    return 0.25 * abs(a - b) * (a + b), 0.5 * min(a, b)
 
 
 def _dist_to_hr_many_0140(geom, zs):
@@ -267,7 +275,7 @@ class TestHrPoints:
         pts = hr_points(DEMO, m)
         branch_ends = {pts[(i + 1) * m - 1] for i in range(4)}
         assert branch_ends == set(DEMO.corners)
-        off = math.sqrt(DEMO.gap_a**2 - DEMO.gap_b**2) / 2
+        off = math.sqrt((DEMO.gap_a - DEMO.gap_b) * (DEMO.gap_a + DEMO.gap_b)) / 2
         branch_starts = {pts[i * m] for i in range(4)}
         assert branch_starts == {
             complex(0.5 - off, 0.4),
@@ -353,6 +361,22 @@ class TestDistance:
             d = dist_to_hr_many(g, zs)
         assert d[:2] == pytest.approx(np.abs(zs[:2] - g.center), rel=1e-15)
         assert d[2] == pytest.approx(0.3e-300, rel=1e-12, abs=0.0)
+
+    def test_points_on_the_arc_near_equal_gaps(self):
+        # at gaps 5 and 5 (1 - 10^-10.19), c = (A^2 - B^2)/4 taken as a
+        # difference of rounded squares erred by about 1e-6 of itself, and
+        # the distances of points on the arc by up to 1.56e-11; the points
+        # here are on the arc to 50 digits, then rounded once
+        a, b = 5.0, 5.0 * (1.0 - 10.0**-10.19)
+        g = make_geometry(TwoAtomLaw(0.5, -a / 2, a / 2), TwoAtomLaw(0.5, -b / 2, b / 2))
+        assert (g.gap_a, g.gap_b) == (a, b)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            c = (decimal.Decimal(a) ** 2 - decimal.Decimal(b) ** 2) / 4
+            ts = [0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.1, 1.0, b / 2]
+            xs = [float((c + decimal.Decimal(t) ** 2).sqrt()) for t in ts]
+        zs = np.array([complex(sx * x, sy * t) for x, t in zip(xs, ts) for sx in (-1, 1) for sy in (-1, 1)])
+        assert np.max(dist_to_hr_many(g, zs)) <= 1e-13 * g.scale
 
     def test_equal_gaps_degenerate_to_lines(self):
         # A^2 = B^2 makes H the pair of diagonals through the center

@@ -96,6 +96,90 @@ def _term_by_term(measure: WeightedPointMeasure, window, nx: int, ny: int):
     return values, moved
 
 
+def _min_tile_sums(xs, ys, px, py, w):
+    """Reference: the 0.19.0 kernel, one add, min, log and gemv slot per node-atom pair.
+
+    Returns the sums of w_j log((x - px_j)^2 + (y - py_j)^2) and, per node,
+    the least computed squared gap to an atom, on one thread.
+    """
+    flip = xs.size > ys.size
+    if flip:
+        xs, ys, px, py = ys, xs, py, px
+    tile = max(1, hermitization._PAIR_BUDGET // ys.size)
+    sums = np.zeros((xs.size, ys.size))
+    near = np.full((xs.size, ys.size), np.inf)
+    with np.errstate(divide="ignore"):
+        for lo in range(0, px.size, tile):
+            dx2 = np.square(px[lo : lo + tile, None] - xs[None, :])
+            dy2 = np.square(py[lo : lo + tile, None] - ys[None, :])
+            wt = w[lo : lo + tile]
+            buf = np.empty_like(dy2)
+            for i in range(xs.size):
+                np.add(dy2, dx2[:, i, None], out=buf)
+                np.minimum(near[i], buf.min(axis=0), out=near[i])
+                np.log(buf, out=buf)
+                sums[i] += wt @ buf
+    return (np.ascontiguousarray(sums.T), near.T) if flip else (sums, near)
+
+
+def _min_collisions(xs, ys, px, py, limit):
+    """Reference collision set: the nodes whose least computed squared gap is below ``limit``."""
+    return np.nonzero(_min_tile_sums(xs, ys, px, py, np.ones(px.size))[1] < limit)
+
+
+def _reference_grid(measure, window, nx, ny):
+    """``potential_grid`` as 0.19.0 computed it: per-pair logs, and the collision set from the running min."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hermitization, "_tile_sums", lambda *args: _min_tile_sums(*args)[0])
+        patch.setattr(hermitization, "_collisions", _min_collisions)
+        return potential_grid(measure, window, nx, ny)
+
+
+def _collision_sets(measure, window, nx, ny):
+    """The collision set ``potential_grid`` finds, and the reference's on the same scaled input."""
+    calls = []
+    real = hermitization._collisions
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hermitization, "_collisions", recording)
+        potential_grid(measure, window, nx, ny)
+    (args,) = calls
+    return [tuple(map(list, pair)) for pair in (real(*args), _min_collisions(*args))]
+
+
+@st.composite
+def _weight_runs(draw):
+    """A measure whose weights come in runs of equal values, with atoms on, near and off nodes.
+
+    Runs have 1 to 20 atoms, with 7, 8, 9 and 16 drawn often; the atoms are
+    shuffled, so a run's atoms are not adjacent.  Window and atoms are scaled
+    together by a power of two; an anchor atom of its own weight at (2, 2)
+    times that scale fixes the collision radius at 2e-13 times it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = draw(st.integers(3, 24)), draw(st.integers(3, 24))
+    window = (-1.0, 1.0, -1.0, 0.75)
+    hx, hy = 2.0 / (nx - 1), 1.75 / (ny - 1)
+    sizes = draw(st.lists(st.one_of(st.sampled_from([7, 8, 9, 16]), st.integers(1, 20)), min_size=1, max_size=6))
+    count = sum(sizes)
+    ix, iy = rng.integers(0, nx, count), rng.integers(0, ny, count)
+    nodes = (window[0] + hx * ix) + 1j * (window[2] + hy * iy)
+    offset = 2e-13 * rng.choice([0.0, 0.5, 1.5, 2.5, 1e6], count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    off = rng.uniform(size=count) < 0.3
+    atoms = np.where(off, rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(-1.0, 0.75, count), nodes + offset)
+    raw = np.repeat([draw(st.floats(0.1, 1.0)) for _ in sizes], sizes)
+    order = rng.permutation(count)
+    points = np.concatenate([[2.0 + 2.0j], atoms[order]])
+    weights = np.concatenate([[0.05], raw[order] / raw.sum() * 0.95])
+    k = draw(st.integers(-800, 1000))
+    measure = WeightedPointMeasure(points=points * 2.0**k, weights=weights / weights.sum())
+    return measure, tuple(v * 2.0**k for v in window), nx, ny
+
+
 class TestLogPotential:
     def test_single_atom(self):
         m = _delta(0.25 + 0.5j)
@@ -178,7 +262,8 @@ class TestPotentialGrid:
     def test_collisions_in_two_chunks_independent_of_threads(self, monkeypatch):
         # 41 x 41 nodes take atom tiles of 2**16 // 41 = 1598: with 3196 atoms
         # the two colliding atoms (at x = -0.9 and x = 0.5 once sorted) fall in
-        # different tiles, and rows 2 and 30 in different ranges of four threads
+        # different tiles of the sorted atoms, and rows 2 and 30 in different
+        # ranges of four threads; the filler's equal weights take the grouped pass
         window = (-1.0, 1.0, -1.0, 1.0)
         nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
         tile = hermitization._PAIR_BUDGET // 41
@@ -261,6 +346,79 @@ class TestPotentialGrid:
         assert np.all(np.isfinite(grid.values))
         tol = 1e-13 * max(1.0, float(np.max(np.abs(values))))
         assert np.max(np.abs(grid.values - values)) <= tol
+
+    @given(case=_weight_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_logs_match_direct_values(self, case):
+        measure, window, nx, ny = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = potential_grid(measure, window, nx, ny)
+        assert grid.perturbations == _reference_grid(measure, window, nx, ny).perturbations
+        used = grid.nodes()
+        for pert in grid.perturbations:
+            used[pert.ix, pert.iy] = pert.used
+        # radius 0: no node is moved, every atom, repeats included, is a complex distance
+        direct, _ = hermitization._direct_values(used.ravel(), measure.points, measure.weights, 0.0, 0j)
+        assert np.all(np.isfinite(grid.values))
+        tol = 1e-13 * (1.0 + float(np.max(np.abs(direct))))
+        assert np.max(np.abs(grid.values.ravel() - direct)) <= tol
+        z = used[nx // 2, ny // 2]
+        assert abs(grid.values[nx // 2, ny // 2] - log_potential(measure, z)) <= tol
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 1.5, 1.99, 2.01, 2.5], ids=lambda g: f"{g}radii")
+    def test_collision_set_matches_the_running_min(self, gap):
+        # the radius is 1e-13 (the corner nodes fix the scale at 1); a node is
+        # evaluated again within twice it, and moved within it
+        window = (-1.0, 1.0, -1.0, 1.0)
+        nodes = potential_grid(_delta(5 + 5j), window, 21, 17).nodes()
+        rng = np.random.default_rng(17)
+        picks = [nodes[i, j] for i, j in zip(rng.integers(0, 21, 12), rng.integers(0, 17, 12))]
+        atoms = np.array(picks) + gap * 1e-13 * np.exp(2j * np.pi * rng.uniform(size=12))
+        m = WeightedPointMeasure.uniform(np.concatenate([atoms, rng.uniform(-1, 1, 20) + 0.3j]))
+        got, want = _collision_sets(m, window, 21, 17)
+        assert got == want
+        assert (len(got[0]) > 0) == (gap < 2.0)
+
+    def test_collision_set_to_the_last_bit(self):
+        # atoms at 2e-13 +- a few units in the last place to the right of the
+        # nodes on the line x = 0, one per node: twice the radius, where the
+        # computed square meets the limit exactly
+        window = (-1.0, 1.0, -1.0, 1.0)
+        ys = potential_grid(_delta(5 + 5j), window, 21, 17).nodes()[10]
+        assert np.all(ys.real == 0.0)
+        m = WeightedPointMeasure.uniform(np.array([complex(_ulps(2e-13, k), ys[k + 8].imag) for k in range(-6, 7)]))
+        got, want = _collision_sets(m, window, 21, 17)
+        assert got == want
+        assert 0 < len(got[1]) < 13
+
+    def test_collision_set_on_a_grid_finer_than_the_radius(self):
+        # 301 x 301 nodes 1e-15 apart around an atom whose radius is 1e-13:
+        # about 90,000 candidate pairs, in two chunks of the pair budget
+        window = (-1.5e-13, 1.5e-13, -1.5e-13, 1.5e-13)
+        m = WeightedPointMeasure.uniform(np.array([1.0 + 0j, 0j, 3e-14 - 2e-14j]))
+        got, want = _collision_sets(m, window, 301, 301)
+        assert got == want
+        assert len(got[0]) > hermitization._PAIR_BUDGET // 2
+        assert potential_grid(m, window, 301, 301).perturbations == (
+            _reference_grid(m, window, 301, 301).perturbations
+        )
+
+    def test_distinct_weights_give_the_per_atom_bits(self):
+        # no two atoms share a weight, so every atom takes the per-atom pass,
+        # in input order and in the same tiles as the 0.19.0 kernel
+        window = (-1.0, 1.0, -1.0, 1.0)
+        nodes = potential_grid(_delta(5 + 5j), window, 41, 37).nodes()
+        rng = np.random.default_rng(12)
+        points = np.concatenate([nodes[[3, 20], [7, 30]], rng.uniform(-1, 1, 998) + 1j * rng.uniform(-1, 1, 998)])
+        raw = rng.uniform(0.5, 1.0, points.size)
+        m = WeightedPointMeasure(points=points, weights=raw / raw.sum())
+        assert np.unique(m.weights).size == m.weights.size
+        got = potential_grid(m, window, 41, 37)
+        want = _reference_grid(m, window, 41, 37)
+        assert [(p.ix, p.iy) for p in got.perturbations] == [(3, 7), (20, 30)]
+        assert got.perturbations == want.perturbations
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_rejects_bad_windows(self):
         m = _delta(0j)
