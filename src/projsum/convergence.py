@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .geometry import (
     DegenerateGeometryError,
@@ -84,6 +82,8 @@ def _solve_restricted(cost: np.ndarray, active: np.ndarray, b_eq: np.ndarray):
     cost 1/2 each.  Rows: the m supply bins, the k demand bins, and last
     the hub, whose inflow equals its outflow.
     """
+    from scipy import optimize, sparse
+
     m, k = cost.shape
     rows, cols = np.nonzero(active)
     e, hub = rows.size, m + k
@@ -100,7 +100,7 @@ def _solve_restricted(cost: np.ndarray, active: np.ndarray, b_eq: np.ndarray):
     )
     c = np.concatenate([cost[rows, cols], np.full(m + k, 0.5)])
     # presolve costs more than it removes on these programs: about a quarter of each solve
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options={"presolve": False})
+    res = optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options={"presolve": False})
     if res.status != 0:
         raise ComputationError(f"transport LP failed (status {res.status}): {res.message}")
     return res
@@ -207,12 +207,11 @@ def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
 
 def _corner_counts(angles: _AngleSpectrum) -> tuple[int, int, int, int]:
     """Dimensions of the four intersections of ranges and kernels, in corner
-    order: the excess of the layout of ``_AngleSpectrum`` (``s`` measured), plus
-    the blocks with c (ker int ker, ran int ran) or s (the mixed two) within 1e-9 of 1."""
-    excess, c, s = angles.layout()
-    aligned = int(np.sum(c > 1.0 - _CORNER_TOL))
-    crossed = int(np.sum(s > 1.0 - _CORNER_TOL))
-    return tuple(e + k for e, k in zip(excess, (aligned, crossed, crossed, aligned)))
+    order: the excess of ``_AngleSpectrum`` (both c and s measured), plus the
+    blocks with c (ker int ker, ran int ran) or s (the mixed two) within 1e-9 of 1."""
+    aligned = int(np.sum(angles.c > 1.0 - _CORNER_TOL))
+    crossed = int(np.sum(angles.s > 1.0 - _CORNER_TOL))
+    return tuple(e + k for e, k in zip(angles.excess(), (aligned, crossed, crossed, aligned)))
 
 
 def corner_atom_masses(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 __all__ = [
     "UsageError",
@@ -41,7 +40,7 @@ __all__ = [
 
 # Substream table: every spawn key derived from a seed starts with its owner's id.
 # ids 0 and 4 are retired: their streams are gone, and no new stream may take the ids
-HAAR_Q = 1  # ran Pi2 in _q_columns (assemble_model, two_projection_eigenvalues): (HAAR_Q,)
+HAAR_Q = 1  # the smaller of ran Pi2 and ker Pi2, in _q_frame (assemble_model, the kernel): (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
@@ -164,8 +163,8 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     factor of that unique factorization is exactly Haar distributed; raw QR
     output is not.
 
-    ``assemble_model`` draws only the leading columns it needs; its tests
-    rebuild Q_n = V Q' V* from this full V as the reference.
+    ``assemble_model`` draws only the leading min(k2, n - k2) columns; its
+    tests rebuild Q_n from this full V as the reference.
 
     Parameters
     ----------
@@ -186,29 +185,28 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _q_columns(spec: ModelSpec, k2: int) -> np.ndarray:
-    """Leading k2 columns of the Ginibre draw whose range is ran Pi2 for ``spec``."""
-    return _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2)
+def _q_frame(spec: ModelSpec) -> tuple[np.ndarray, TwoAtomLaw]:
+    """The leading q = min(k2, n - k2) HAAR_Q Ginibre columns and the law of Q_n on their range:
+    ran Pi2 and the realized law when 2k2 <= n, else ker Pi2 (Haar distributed
+    too) and that law with loc and loc_alt swapped, Q_n = loc_alt*I - gap*Vc Vc*."""
+    k2, law = _realize(spec.q_law, spec.n)
+    if 2 * k2 > spec.n:
+        k2, law = spec.n - k2, TwoAtomLaw(k2 / spec.n, law.loc_alt, law.loc)
+    return _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2), law
 
 
-def _range_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(W, R) with W R^-1 an orthonormal basis of ran g; R is None when W is one.
+def _range_factors(g: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor R of the Gram matrix g* g: g R^-1 is an orthonormal basis of ran g.
 
-    A side with 2k <= n keeps W = g and takes R as the upper Cholesky factor
-    of the Gram matrix g* g, one BLAS-3 product and a k x k factorization,
-    about half the flops of a Householder QR.  That R equals the QR's
-    triangular factor up to column phases, which leave the cosines
-    unchanged, but its error grows as u*kappa(g)^2 instead of u*kappa(g).
-    For 2k <= n the n x k Ginibre matrix is well conditioned
-    (P(sigma_min < eps) ~ eps^(2(n - k + 1))), so kappa^2 costs no digits
-    that matter.  Towards k = n it is not, and that side forms the thin Q
-    instead.  The product is g.conj().T @ g rather than BLAS zherk, which
-    rejects k = 0 with an "illegal value" message on the console.
+    About half the flops of a Householder QR, whose triangular factor R
+    equals up to column phases, but with error u*kappa(g)^2, not u*kappa(g):
+    ``_q_frame`` draws k <= n/2 columns, where the n x k Ginibre matrix is
+    well conditioned (P(sigma_min < eps) ~ eps^(2(n - k + 1))).  BLAS zherk
+    would reject k = 0 with an "illegal value" message on the console.
     """
-    n, k = g.shape
-    if 2 * k > n:
-        return np.linalg.qr(g)[0], None
-    return g, cholesky(g.conj().T @ g, lower=False, check_finite=False)
+    from scipy.linalg import cholesky
+
+    return cholesky(g.conj().T @ g, lower=False, check_finite=False)
 
 
 def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
@@ -235,23 +233,22 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
 
     P_n = alpha + A*E_k1 exactly, E_k1 the projection onto the first k1
     coordinates (see the module docstring for why this loses nothing).
-    Q_n = V Q' V* equals beta + B*V2 V2* with V2 the leading k2 columns of
-    V, and V2 is the thin QR factor of the leading k2 Ginibre columns up to
-    column phases (Householder QR makes its first k columns from those of G
-    alone), which cancel in V2 V2*.  So Q_n is built from the k2 columns
-    ``two_projection_eigenvalues`` draws, on a substream of ``spec.seed`` no
-    other consumer shares.  The result is a pure function of ``spec``:
-    identical inputs give bit-identical matrices regardless of thread count.
+    Q_n = V Q' V* is built on the smaller side of Pi2 from the columns
+    ``_q_frame`` draws for the kernel too: their thin QR factor equals the
+    leading columns of V up to column phases (Householder QR makes its
+    first k columns from those of G alone), which cancel in V2 V2*.
 
-    With ``commuting=True`` the rotation is skipped as well (V = I), leaving
-    diagonal P_n and Q_n.  This deterministic variant exists for tests with
-    closed-form spectra and is exposed on the command line.
+    With ``commuting=True``, V = I: P_n and Q_n are diagonal, a deterministic
+    variant for tests with closed-form spectra, also on the command line.
     """
     k1, realized_p = _realize(spec.p_law, spec.n)
     k2, realized_q = _realize(spec.q_law, spec.n)
-    p_basis = np.eye(spec.n, k1, dtype=np.complex128)
-    q_basis = np.eye(spec.n, k2, dtype=np.complex128) if commuting else np.linalg.qr(_q_columns(spec, k2))[0]
-    p, q = _two_atom_matrix(realized_p, p_basis), _two_atom_matrix(realized_q, q_basis)
+    p = _two_atom_matrix(realized_p, np.eye(spec.n, k1, dtype=np.complex128))
+    if commuting:
+        q = _two_atom_matrix(realized_q, np.eye(spec.n, k2, dtype=np.complex128))
+    else:
+        g, q_law = _q_frame(spec)
+        q = _two_atom_matrix(q_law, np.linalg.qr(g)[0])
     x = p + 1j * q
     x.setflags(write=False)
     return ModelRealization(
@@ -273,44 +270,46 @@ class _AngleSpectrum(NamedTuple):
     Pi_p = diag(1, 0) and Pi_q = v v^T, v = (c, s) = (cos theta, sin theta).
     In the corner order, ker int ker, ker Pi_p int ran Pi_q, ran Pi_p int
     ker Pi_q and ran int ran hold the excess dimensions (n - k1 - k2)+,
-    (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``layout``), plus one per
+    (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``excess``), plus one per
     block at angle 0 (ker int ker and ran int ran) or pi/2 (the mixed two).
-    ``c`` holds the min(k1, k2) principal-angle cosines between the ranges,
-    descending, and ``s`` their sines, ascending: the leading (k1 + k2 - n)+
-    span ran int ran, the last m are the blocks'.  ``s`` is None where not
-    measured (the kernel producer), and never formed from ``c``: sqrt(1 - c^2)
-    loses half the digits at small angles.
+    The excess is counted, never measured.  ``c`` holds the m block cosines,
+    descending, and ``s`` their sines, ascending; a producer that measures
+    one leaves the other None, never sqrt(1 - x^2), which loses digits.
     """
 
     n: int
     k1: int
     k2: int
-    c: np.ndarray
+    c: np.ndarray | None
     s: np.ndarray | None = None
 
-    def layout(self) -> tuple[tuple[int, int, int, int], np.ndarray, np.ndarray | None]:
-        """The excess dimension at each corner, in corner order, and the c and s of the m blocks."""
+    def excess(self) -> tuple[int, int, int, int]:
+        """The excess dimension at each corner, in corner order."""
         n, k1, k2 = self.n, self.k1, self.k2
-        excess = (max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n))
-        # the blocks are the last m angles, after those of ran Pi_p int ran Pi_q
-        return excess, self.c[excess[3] :], None if self.s is None else self.s[excess[3] :]
+        return max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n)
 
 
 def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
-    """Kernel producer: the angles of ``assemble_model(spec)`` from its Ginibre draw alone.
+    """Kernel producer: the m block angles of ``assemble_model(spec)`` from its Ginibre draw alone.
 
-    Pi_p = E_k1, so the cosines are the singular values of E_k1* V2 =
-    V2[:k1], where V2 = W2 R2^-1, with (W2, R2) from ``_range_factors``, is
-    an orthonormal basis of the range of the k2 Ginibre columns.  No ``s``:
-    the roots read ``c`` alone.
+    The singular values of the r = min(k1, n - k1) rows of V that span ran
+    E_k1 (2k1 <= n) or ker E_k1, against the q columns of ``_q_frame``, are
+    the cosines between those sides (Bjorck & Golub, 1973): r + q <= n, so
+    min(r, q) = m block angles and no intersection.  A same-side pair is at
+    the block angle (``c``), a mixed pair at its complement (``s``).
     """
-    k1, k2 = (_realize(law, spec.n)[0] for law in (spec.p_law, spec.q_law))
-    w, r = _range_factors(_q_columns(spec, k2))
-    # V2 = W R^-1 (Bjorck & Golub), so V2[:k1] solves X R = W[:k1]
-    m = w[:k1] if r is None else solve_triangular(r, w[:k1].T, trans="T").T
-    # svd returns the cosines in descending order: the intersection ones lead
-    cosines = np.linalg.svd(m, compute_uv=False)
-    return _AngleSpectrum(spec.n, k1, k2, cosines)
+    from scipy.linalg import solve_triangular
+
+    n = spec.n
+    k1, k2 = (_realize(law, n)[0] for law in (spec.p_law, spec.q_law))
+    g = _q_frame(spec)[0]
+    # V = g R^-1, so V[rows] solves X R = g[rows]
+    rows = solve_triangular(_range_factors(g), (g[:k1] if 2 * k1 <= n else g[k1:]).T, trans="T").T
+    # svd returns descending values: the cosines in order, the sines reversed
+    values = np.linalg.svd(rows, compute_uv=False)
+    if (2 * k1 <= n) == (2 * k2 <= n):
+        return _AngleSpectrum(n, k1, k2, values)
+    return _AngleSpectrum(n, k1, k2, None, values[::-1])
 
 
 class _ProjectionSpectra(NamedTuple):
@@ -325,12 +324,10 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     """Dense producer: the projections Pi_p = (P_n - alpha)/A, Pi_q = (Q_n - beta)/B
     onto the loc_alt eigenspaces (distinct atoms only) and their angle spectrum.
 
-    Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, and
-    Pi_p - Pi_q 0, -1, 1, 0 and +-s: c is the min(k1, k2) largest eigenvalues
-    of the sum, minus 1, and s the min(k1, k2) smallest of the k1 largest of
-    the difference.  The ranks are the loc_alt counts of the realized laws.
-    Pass one result to both ``corner_atom_masses`` and ``verify_sv_bound``
-    to take the two ``eigvalsh`` once.
+    Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, Pi_p -
+    Pi_q 0, -1, 1, 0 and +-s: the m block values lie next to the (k1 + k2 -
+    n)+ of ran int ran.  Pass one result to both ``corner_atom_masses`` and
+    ``verify_sv_bound`` to take the two ``eigvalsh`` once.
     """
     n, eye = realization.n, np.eye(realization.n)
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
@@ -338,38 +335,37 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
     k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
     total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
+    rr = max(0, k1 + k2 - n)
     # ascending spectra: the j-th largest cosine pairs with the j-th smallest sine
-    angles = _AngleSpectrum(n, k1, k2, total[::-1][: min(k1, k2)] - 1.0, diff[n - k1 : n - k1 + min(k1, k2)])
-    return _ProjectionSpectra(pi_p, pi_q, angles)
+    c, s = total[::-1][rr : min(k1, k2)] - 1.0, diff[n - k1 + rr : n - k1 + min(k1, k2)]
+    return _ProjectionSpectra(pi_p, pi_q, _AngleSpectrum(n, k1, k2, c, s))
 
 
 def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     """Eigenvalues of X_n for the realization ``assemble_model(spec)`` would build.
 
-    X_n - (alpha + i*beta) = A*Pi1 + iB*Pi2 in the kernel producer's layout
-    (``_AngleSpectrum``) is 0, iB and A on the first three excess corners;
-    on a block of trace t = A + iB and determinant iAB(1 - c^2) it has the
-    larger root of the quadratic, taken directly, and det/root.  On the
-    leading (k1 + k2 - n)+ cosines, of ran int ran, the larger root is that
-    corner's A + iB and the smaller, with no kernel partner, is dropped.
+    X_n - (alpha + i*beta) = A*Pi1 + iB*Pi2 has on each block of
+    ``_AngleSpectrum`` trace t = A + iB and determinant iAB s^2 = iAB(1 - c^2),
+    with the s or c measured: its larger root, taken directly, and det/root.
+    The excess corners follow as exact atoms A + iB (ran int ran), A, iB, 0.
     Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
     roundoff (up to order) without forming any n x n product.
     """
     angles = _kernel_angles(spec)
-    (kk, kr, rk, rr), _, _ = angles.layout()
+    kk, kr, rk, rr = angles.excess()
     a, b = spec.p_law.gap, spec.q_law.gap
-    # solve the blocks in the frame of s, the largest power of two <= max(|A|, |B|):
-    # dividing by s is exact, so no square overflows and no other bit moves
-    s = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 1)
-    t = complex(a / s, b / s)
-    det = 1j * (a / s) * (b / s) * (1.0 - angles.c**2)
+    # solve the blocks in the frame of f, the largest power of two <= max(|A|, |B|):
+    # dividing by f is exact, so no square overflows and no other bit moves
+    f = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 1)
+    t = complex(a / f, b / f)
+    det = 1j * (a / f) * (b / f) * (1.0 - angles.c**2 if angles.s is None else angles.s**2)
     disc = np.sqrt(t * t - 4.0 * det)
     # the sign that avoids cancellation gives the larger-modulus root
     big = 0.5 * (t + np.where((t.conjugate() * disc).real >= 0.0, disc, -disc))
     # big is 0 only when A = B = 0, where det is 0 as well
     small = np.divide(det, big, out=np.zeros_like(det), where=big != 0)
-    extra = [np.full(rk, a, dtype=np.complex128), np.full(kr, 1j * b, dtype=np.complex128), np.zeros(kk)]
-    roots = np.concatenate([s * big, s * small[rr:], *extra])
+    corners = [(rr, complex(a, b)), (rk, a), (kr, 1j * b), (kk, 0.0)]
+    roots = np.concatenate([f * big, f * small, *(np.full(k, x, dtype=np.complex128) for k, x in corners)])
     return complex(spec.p_law.loc, spec.q_law.loc) + roots
 
 

@@ -7,12 +7,12 @@ every finite n: X~^2 = (X - center)^2 is normal with constant real part
 eigenvalues of X_n lie on H intersect R, and sigma_min(z - X_n) is bounded
 below by dist(z, H intersect R)^2 / ||z - X_n||.
 
-The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and their
-angle spectrum (``model._AngleSpectrum``) are taken once per realization by
-the dense producer ``model._projection_spectra``; ``verify_sv_bound`` reads
-the singular values of z - X_n off the angle spectrum in closed form,
-certifies them against the dense matrix by Weyl's inequality, and takes a
-dense SVD only at a z the certificate cannot decide.
+The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and the
+c and s of their m blocks (``model._AngleSpectrum``, whose four excess
+corners are counted, not measured) are taken once per realization by the
+dense producer ``model._projection_spectra``; ``verify_sv_bound`` reads the
+singular values of z - X_n off them in closed form, certifies them by
+Weyl's inequality, and takes a dense SVD only where that cannot decide.
 """
 
 from __future__ import annotations
@@ -163,15 +163,15 @@ def _certified_sigmas(
     """(lo, hi, eps) for each z in ``zs``: the smallest and largest singular
     values of z - Y, and a bound eps on their distance from those of z - X_n.
 
-    Y = alpha + i*beta + A*Pi_p + iB*Pi_q in the layout of ``model._AngleSpectrum``,
+    Y = alpha + i*beta + A*Pi_p + iB*Pi_q on the blocks of ``model._AngleSpectrum``,
     with the computed c and s; see ``verify_sv_bound`` for the proof.  Real
     arithmetic only, so each z gives the same bits in any array shape.
     """
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = p_law.gap, q_law.gap
-    excess, c, s = spectra.angles.layout()
+    c, s = spectra.angles.c, spectra.angles.s
     # the excess corners, as offsets from alpha + i*beta
-    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), excess) if e]
+    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), spectra.angles.excess()) if e]
     x = (zs.real - p_law.loc)[..., None]
     y = (zs.imag - q_law.loc)[..., None]
     # M = w - N with w = x + iy and N = [[A + iBc^2, iBt], [iBt, iBs^2]], t = cs:
@@ -240,9 +240,9 @@ def verify_sv_bound(
     The singular values come from the two-subspace theorem (Halmos, 1969),
     in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
     Pi^ is the exact projection nearest to Pi (round each eigenvalue to 0
-    or 1).  In the layout of ``model._AngleSpectrum``, X^ is a corner on
-    each excess dimension and alpha + i*beta + A*diag(1, 0) + iB*v v^T,
-    v = (c, s), on each of the m blocks.  The singular values of z - X^ are
+    or 1).  X^ is alpha + i*beta + A*diag(1, 0) + iB*v v^T, v = (c, s), on
+    each of the m blocks of ``model._AngleSpectrum``, and a corner on each
+    excess dimension, counted from n, k1, k2.  The singular values of z - X^ are
     |z - corner| on the excess corners and those of one 2 x 2 matrix M per
     block, with sigma_max^2 = (F + sqrt(F^2 - 4|det M|^2))/2, F = ||M||_F^2,
     and sigma_min = |det M| / sigma_max, which avoids cancellation.  F^2 -

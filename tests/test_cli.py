@@ -394,7 +394,7 @@ class TestConverge:
 
     def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            convergence, "linprog",
+            "scipy.optimize.linprog",
             lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
         )
         rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.optimize import linprog
 
 from projsum import (
@@ -136,14 +136,14 @@ def _law_pairs(draw):
 def lp_solves(monkeypatch):
     """Constraint matrix and result of every transport LP that reaches HiGHS."""
     solves = []
-    real = convergence_module.linprog
+    real = optimize.linprog
 
     def recording(c, **kwargs):
         res = real(c, **kwargs)
         solves.append(SimpleNamespace(a_eq=sparse.csr_matrix(kwargs["A_eq"]), res=res))
         return res
 
-    monkeypatch.setattr(convergence_module, "linprog", recording)
+    monkeypatch.setattr(optimize, "linprog", recording)
     return solves
 
 
@@ -165,13 +165,13 @@ class TestBlDistance:
     def lp_sizes(self, monkeypatch):
         """Variable count of every transport LP that reaches HiGHS."""
         sizes = []
-        real = convergence_module.linprog
+        real = optimize.linprog
 
         def recording(c, **kwargs):
             sizes.append(len(c))
             return real(c, **kwargs)
 
-        monkeypatch.setattr(convergence_module, "linprog", recording)
+        monkeypatch.setattr(optimize, "linprog", recording)
         return sizes
 
     def test_lp_moves_only_the_surplus(self, lp_solves):
@@ -235,7 +235,7 @@ class TestBlDistance:
 
     def test_lp_failure_is_a_computation_error(self, monkeypatch):
         monkeypatch.setattr(
-            convergence_module, "linprog",
+            optimize, "linprog",
             lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
         )
         with pytest.raises(ComputationError, match="status 2"):
@@ -346,7 +346,7 @@ class TestBlPricing:
         # the first solve succeeds and leaves pairs to price in; the second fails
         monkeypatch.setattr(convergence_module, "_NEIGHBOURS", 1)
         calls = []
-        real = convergence_module.linprog
+        real = optimize.linprog
 
         def failing_second(c, **kwargs):
             calls.append(len(c))
@@ -354,7 +354,7 @@ class TestBlPricing:
                 return SimpleNamespace(status=4, message="Numerical difficulties encountered.", fun=None)
             return real(c, **kwargs)
 
-        monkeypatch.setattr(convergence_module, "linprog", failing_second)
+        monkeypatch.setattr(optimize, "linprog", failing_second)
         mu1, mu2 = _reference_pairs()[0]
         with pytest.raises(ComputationError, match="status 4"):
             bl_distance(mu1, mu2, 0.05)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import ks_2samp
 
@@ -38,6 +37,16 @@ def _seed_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
     (loc_alt up to rounding) on the first k entries, loc on the rest."""
     k = model._realize(law, n)[0]
     return law.loc + law.gap * (np.arange(n) < k)
+
+
+def _drawn_side_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
+    """Diagonal of the Q'' that V Q'' V* rotates, V the full HAAR_Q unitary whose
+    leading columns the model draws: the seed diagonal when 2k <= n, and else loc
+    (loc_alt - gap up to rounding) on the leading n - k entries, whose span is ker Pi2."""
+    k = model._realize(law, n)[0]
+    if 2 * k <= n:
+        return _seed_diagonal(law, n)
+    return law.loc_alt - law.gap * (np.arange(n) < n - k)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -294,12 +303,12 @@ class TestHaarConjugationReference:
     @settings(max_examples=100, deadline=None)
     def test_matches_conjugated_diagonal_seeds(self, p_law, q_law, n, seed):
         # the realization is taken in P_n's eigenbasis, so P_n is its seed P'
-        # itself; Q_n is the definition V Q' V* with the full Haar unitary of
-        # the HAAR_Q substream, of which assemble_model draws only the leading k2 columns
+        # itself; Q_n is V Q'' V* with the full Haar unitary of the HAAR_Q
+        # substream, of which assemble_model draws only the leading min(k2, n - k2) columns
         r = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
         assert np.array_equal(r.p_matrix, np.diag(_seed_diagonal(p_law, n)))
         v = sample_haar_unitary(n, substream_rng(seed, model.HAAR_Q))
-        reference = (v * _seed_diagonal(q_law, n)) @ v.conj().T
+        reference = (v * _drawn_side_diagonal(q_law, n)) @ v.conj().T
         scale = max(1.0, abs(q_law.loc), abs(q_law.loc_alt))
         assert np.max(np.abs(r.q_matrix - reference)) <= 1e-12 * scale
 
@@ -315,8 +324,10 @@ def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
     assert np.max(cost[rows, cols]) <= 1e-12 * scale
     if spec.p_law.gap == 0.0 or spec.q_law.gap == 0.0:
         return  # coinciding corners: the parallelogram law does not apply
-    p_law = model._realize(spec.p_law, spec.n)[1]
-    q_law = model._realize(spec.q_law, spec.n)[1]
+    (k1, p_law), (k2, q_law) = (model._realize(law, spec.n) for law in laws)
+    # ran int ran is written as the exact atom A + iB, never as a block root
+    atom = complex(p_law.loc, q_law.loc) + complex(p_law.gap, q_law.gap)
+    assert int(np.sum(kernel == atom)) == max(0, k1 + k2 - spec.n)
     corners = (
         complex(p_law.loc, q_law.loc),
         complex(p_law.loc, q_law.loc_alt),
@@ -348,8 +359,8 @@ class TestTwoProjectionEigenvalues:
 
     @pytest.mark.parametrize("weight,n", [(0.005, 400), (0.01, 400), (0.0, 800)])
     def test_matches_dense_eigvals_with_nearly_full_ranges(self, weight, n):
-        # k1 = k2 close to n: the triangular factor is ill conditioned there
-        # (2.9e-11 off at n = 800 through R alone), so both sides form Q
+        # k1 = k2 close to n: the triangular factor of k2 columns would be ill
+        # conditioned (2.9e-11 off at n = 800 through R alone), so both sides are read on their kernels
         spec = ModelSpec(TwoAtomLaw(weight, 0.0, 1.0), TwoAtomLaw(weight, 0.0, 0.8), n=n, seed=n + 1)
         _assert_kernel_matches_dense(spec)
 
@@ -358,8 +369,8 @@ class TestTwoProjectionEigenvalues:
         # k1 = k2 = n/2, the worst conditioned case the Cholesky route takes:
         # the cosines the kernel's SVD returns against sv(Q2[:k1]) of thin Q
         spec = ModelSpec(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 0.8), n=n, seed=n)
-        g2 = model._q_columns(spec, n // 2)
-        assert model._range_factors(g2)[1] is not None
+        g2 = model._q_frame(spec)[0]
+        assert g2.shape == (n, n // 2)
         svd, recorded = np.linalg.svd, []
 
         def recording_svd(*args, **kwargs):
@@ -403,8 +414,11 @@ class TestTwoProjectionEigenvalues:
         rows, cols = linear_sum_assignment(cost)
         assert np.max(cost[rows, cols]) <= 1e-12 * scale
 
-    def test_demo_laws_take_no_qr(self, monkeypatch):
-        # k1 = 150 and k2 = 50 at n = 400: both sides take R from the Gram matrix
+    # (P side, Q side) at n = 400: ran/ran (the demo laws, k1 = 150, k2 = 50), ker/ker,
+    # ker/ran and ran/ker; every layout takes R from the Gram matrix of at most n/2 columns
+    @pytest.mark.parametrize("a,b", [(5 / 8, 7 / 8), (0.25, 0.125), (0.25, 0.875), (0.75, 0.125)])
+    def test_kernel_takes_no_qr_at_any_layout(self, a, b, monkeypatch):
+        spec = ModelSpec(TwoAtomLaw(a, 0.0, 1.0), TwoAtomLaw(b, 0.0, 0.8), n=400, seed=400)
         qr, calls = np.linalg.qr, []
 
         def recording_qr(*args, **kwargs):
@@ -412,7 +426,7 @@ class TestTwoProjectionEigenvalues:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
-        eigenvalues = two_projection_eigenvalues(ModelSpec(P_LAW, Q_LAW, n=400, seed=400))
+        eigenvalues = two_projection_eigenvalues(spec)
         assert eigenvalues.shape == (400,)
         assert calls == []
 
@@ -432,9 +446,21 @@ def _edge_rank_specs(draw):
     return _spec_of_ranks(n, k1, k2, draw(st.integers(min_value=0, max_value=2**64 - 1)))
 
 
+def _both_fields(angles: model._AngleSpectrum) -> model._AngleSpectrum:
+    """A kernel spectrum with the field it does not measure read as sqrt(1 - x^2)
+    of the other: accurate where it nears 1, the only place the corner counts read it."""
+    if angles.c is None:
+        return angles._replace(c=np.sqrt(np.maximum(0.0, 1.0 - angles.s**2)))
+    return angles._replace(s=np.sqrt(np.maximum(0.0, 1.0 - angles.c**2)))
+
+
 class TestAngleSpectrum:
     @given(spec=_edge_rank_specs(), commuting=st.booleans())
+    # (P side, Q side) read on (ran, ran), (ker, ker), (ran, ker) and (ker, ran)
+    @example(spec=_spec_of_ranks(16, 5, 3), commuting=False)
     @example(spec=_spec_of_ranks(16, 12, 14), commuting=False)  # k1 + k2 > n, k1 < k2
+    @example(spec=_spec_of_ranks(16, 5, 12), commuting=False)
+    @example(spec=_spec_of_ranks(16, 11, 6), commuting=False)
     @example(spec=_spec_of_ranks(16, 8, 8), commuting=False)  # k1 = k2 = n/2: no excess
     @example(spec=_spec_of_ranks(16, 0, 16), commuting=False)
     @example(spec=_spec_of_ranks(1, 1, 1), commuting=False)
@@ -457,50 +483,52 @@ class TestAngleSpectrum:
             return
         kernel = model._kernel_angles(spec)
         assert (kernel.n, kernel.k1, kernel.k2) == (n, k1, k2)
-        assert kernel.s is None
-        assert kernel.c.shape == dense.c.shape == dense.s.shape == (min(k1, k2),)
-        # the kernel measures no sines; sqrt(1 - c^2) is accurate where s is near 1, where the counts read it
-        kernel = kernel._replace(s=np.sqrt(np.maximum(0.0, 1.0 - kernel.c**2)))
-        assert convergence._corner_counts(kernel) == counts
-        assert np.max(np.abs(kernel.c - dense.c), initial=0.0) <= 1e-13
+        m = min(k1, k2, n - k1, n - k2)
+        assert dense.c.shape == dense.s.shape == (m,)
+        # a same-side frame measures the cosines, a mixed one the sines, and not the other
+        same_side = (2 * k1 <= n) == (2 * k2 <= n)
+        measured, unmeasured = (kernel.c, kernel.s) if same_side else (kernel.s, kernel.c)
+        assert unmeasured is None
+        assert measured.shape == (m,)
+        assert np.max(np.abs(measured - (dense.c if same_side else dense.s)), initial=0.0) <= 1e-13
+        assert convergence._corner_counts(_both_fields(kernel)) == counts
 
 
 def _two_draw_kernel_angles(spec: ModelSpec) -> model._AngleSpectrum:
-    """The kernel producer of projsum 0.18.0, kept as a reference only.
+    """The two-draw kernel producer of projsum 0.18.0, kept as a reference only.
 
-    Both sides Haar-rotated: G1 and G2 the leading k1 and k2 Ginibre columns
-    on the retired stream 0 and on HAAR_Q, R from ``_range_factors``, and the
-    cosines the singular values of R1^-* (G1* G2) R2^-1.
+    Both sides Haar-rotated: Q1 and Q2 the thin Q factors of the leading k1
+    and k2 Ginibre columns on the retired stream 0 and on HAAR_Q.  The
+    singular values of Q1* Q2 are the (k1 + k2 - n)+ cosines of ran int ran,
+    1 up to rounding, then the m block cosines, which are returned.
     """
-    k1, k2 = (model._realize(law, spec.n)[0] for law in (spec.p_law, spec.q_law))
-    draws = ((0, k1), (model.HAAR_Q, k2))
-    (w1, r1), (w2, r2) = (model._range_factors(model._ginibre_columns(substream_rng(spec.seed, key), spec.n, k))
-                          for key, k in draws)
-    m = w1.conj().T @ w2
-    if r1 is not None:
-        m = solve_triangular(r1, m, trans="C")
-    if r2 is not None:
-        m = solve_triangular(r2, m.T, trans="T").T
-    return model._AngleSpectrum(spec.n, k1, k2, np.linalg.svd(m, compute_uv=False))
+    n = spec.n
+    k1, k2 = (model._realize(law, n)[0] for law in (spec.p_law, spec.q_law))
+    q1, q2 = (np.linalg.qr(model._ginibre_columns(substream_rng(spec.seed, key), n, k))[0]
+              for key, k in ((0, k1), (model.HAAR_Q, k2)))
+    cosines = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
+    return model._AngleSpectrum(n, k1, k2, cosines[max(0, k1 + k2 - n) :])
 
 
 class TestOneDrawLaw:
     @pytest.mark.parametrize("n", [400, 800])
-    @pytest.mark.parametrize("a,b", [(5 / 8, 7 / 8), (0.3, 0.45), (0.25, 0.125)])  # the last two: k1 + k2 > n
-    def test_block_cosines_match_the_two_draw_kernel(self, a, b, n):
-        # by unitary invariance Pi_p = E_k1 against one Haar-rotated Pi_q has
-        # the angle law of two independently rotated projections.  The blocks
-        # are compared, not all of c: the intersection cosines are 1 up to
-        # rounding, and a KS over them tests nothing but that rounding.
+    # (P side, Q side) read on (ran, ran), (ker, ker), (ker, ker) and (ker, ran)
+    @pytest.mark.parametrize("a,b", [(5 / 8, 7 / 8), (0.3, 0.45), (0.25, 0.125), (0.25, 0.875)])
+    def test_block_angles_match_the_two_draw_kernel(self, a, b, n):
+        # by unitary invariance Pi_p = E_k1 against one Haar-rotated Pi_q, each
+        # read on its smaller side, has the angle law of two independently
+        # rotated projections.  Where the kernel's frame is mixed it measures
+        # the sines, and the reference's 1 - c^2 stands for s^2.
         laws = (TwoAtomLaw(a, 0.0, 1.0), TwoAtomLaw(b, 0.0, 0.8))
-        pools = []
-        for producer, seed in ((model._kernel_angles, 0), (_two_draw_kernel_angles, 100)):
-            blocks, counts = [], set()
-            for i in range(8):
-                angles = producer(ModelSpec(*laws, n=n, seed=seed + i))
-                counts.add(convergence._corner_counts(angles._replace(s=np.sqrt(np.maximum(0.0, 1.0 - angles.c**2)))))
-                blocks.append(angles.layout()[1] ** 2)
-            pools.append((counts, np.concatenate(blocks)))
-        (counts, new), (old_counts, old) = pools
-        assert counts == old_counts == {angles.layout()[0]}
-        assert ks_2samp(new, old, method="asymp").pvalue >= 0.01
+        k1, k2 = (model._realize(law, n)[0] for law in laws)
+        mixed = (2 * k1 <= n) != (2 * k2 <= n)
+        new, old, counts, old_counts = [], [], set(), set()
+        for i in range(8):
+            kernel = model._kernel_angles(ModelSpec(*laws, n=n, seed=i))
+            reference = _two_draw_kernel_angles(ModelSpec(*laws, n=n, seed=100 + i))
+            counts.add(convergence._corner_counts(_both_fields(kernel)))
+            old_counts.add(convergence._corner_counts(_both_fields(reference)))
+            new.append(kernel.s**2 if mixed else kernel.c**2)
+            old.append(1.0 - reference.c**2 if mixed else reference.c**2)
+        assert counts == old_counts == {reference.excess()}
+        assert ks_2samp(np.concatenate(new), np.concatenate(old), method="asymp").pvalue >= 0.01
