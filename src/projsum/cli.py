@@ -34,7 +34,7 @@ CHECK_TOLERANCES = {
     "support": 1e-8,  # times scale
     "normality": 1e-10,
     "re_constant": 1e-9,  # times scale^2
-    "im_bound": 1e-10,  # added to the |A*B|/2 bound
+    "im_bound": 1e-10,  # times scale^2, added to the |A*B|/2 bound
     "sv_bound": 1e-8,  # times scale, the allowed negative margin
 }
 
@@ -170,7 +170,7 @@ def cmd_check(args) -> tuple[int, dict]:
                    f"normality_residual={report.normality_residual:.3e}"))
     checks.append(("re_constant", report.re_deviation <= tol["re_constant"] * scale * scale,
                    f"re_deviation={report.re_deviation:.3e}"))
-    checks.append(("im_bound", report.im_norm <= geom.im_halfwidth + tol["im_bound"],
+    checks.append(("im_bound", report.im_norm <= geom.im_halfwidth + tol["im_bound"] * scale * scale,
                    f"im_norm={report.im_norm:.12e} bound={geom.im_halfwidth:.12e}"))
 
     if args.z_grid > 0:

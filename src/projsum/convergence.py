@@ -45,9 +45,11 @@ __all__ = [
 def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Snap a measure to the shared grid of spacing ``resolution``.
 
-    Raises UsageError when a bin index does not fit in int64, i.e. when some
-    coordinate over ``resolution`` rounds to a magnitude of 2**63 or more
-    (or is not finite): the cast would wrap it onto some other bin.
+    Bins are keyed by the complex index ``i + 1j*j``, whose sort order is
+    the order of the pairs (i, j).  Raises UsageError when a bin index does
+    not fit in int64, i.e. when some coordinate over ``resolution`` rounds
+    to a magnitude of 2**63 or more (or is not finite): such a resolution
+    is far finer than float64 resolves at those points.
     """
     pts = np.asarray(measure.points, dtype=np.complex128)
     ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
@@ -56,11 +58,11 @@ def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.n
             f"grid_resolution {resolution!r} is too fine for points of magnitude up to "
             f"{np.max(np.abs(pts)):.3g}: bin indices overflow int64"
         )
-    uniq, inverse = np.unique(ij.astype(np.int64), axis=0, return_inverse=True)
+    # + 0.0 turns a rounded -0.0 into 0.0, so a bin at index 0 is keyed and placed at +0.0
+    uniq, inverse = np.unique(ij[:, 0] + 1j * ij[:, 1] + 0.0, return_inverse=True)
     w = np.zeros(len(uniq))
     np.add.at(w, inverse, measure.weights)
-    binned = (uniq[:, 0] + 1j * uniq[:, 1]) * resolution
-    return binned, w / w.sum()
+    return uniq * resolution, w / w.sum()
 
 
 def _check_resolution(grid_resolution: float) -> None:
@@ -74,36 +76,71 @@ _NEIGHBOURS = 24
 _PRICING_TOL = 1e-12
 
 
-def _solve_restricted(cost: np.ndarray, active: np.ndarray, b_eq: np.ndarray):
+def _run_highs(c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b_eq: np.ndarray):
+    """Minimize ``c @ x`` subject to ``A x = b_eq`` and ``x >= 0``, ``A`` given in CSC form.
+
+    The one call into HiGHS, through SciPy's binding ``scipy.optimize._highspy._core``,
+    with the options ``scipy.optimize.linprog(method="highs")`` sets when
+    presolve is off: dual simplex, no output, debug level none.  Returns the
+    HiGHS model status and, when it is optimal, the objective, the primal x
+    and the row duals; otherwise those three are None.
+    """
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    # presolve costs more than it removes on these programs: about a quarter of each solve
+    options.presolve = "off"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    highs = _core._Highs()
+    highs.passOptions(options)
+    # the array form of passModel reads the buffers in place, where filling a
+    # HighsLp converts them element by element; it refuses an empty
+    # integrality, and an all-continuous one leaves the model an LP
+    n = c.size
+    highs.passModel(
+        n, b_eq.size, data.size, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        c, np.zeros(n), np.full(n, _core.kHighsInf), b_eq, b_eq, indptr, indices, data, np.zeros(n, dtype=np.int32),
+    )
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        return status, None, None, None
+    solution = highs.getSolution()
+    fun = highs.getInfo().objective_function_value
+    return status, fun, np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _solve_restricted(cost: np.ndarray, active: np.ndarray, b_eq: np.ndarray) -> tuple[float, np.ndarray]:
     """One HiGHS solve of the transport program on the pairs in ``active``.
 
     Variables: the active pairs (i, j) in row-major order at cost
     ``cost[i, j]``, then supply bin i -> hub and hub -> demand bin j at
     cost 1/2 each.  Rows: the m supply bins, the k demand bins, and last
-    the hub, whose inflow equals its outflow.
+    the hub, whose inflow equals its outflow.  The constraint matrix goes to
+    HiGHS in CSC form through ``_run_highs``.  ``scipy.optimize.linprog``
+    on the same program is the tests' reference: they require the same
+    objective, primal and duals bit for bit.  Returns the optimum and the
+    row duals; raises :class:`ComputationError` when the HiGHS model status
+    is not optimal.
     """
-    from scipy import optimize, sparse
-
     m, k = cost.shape
     rows, cols = np.nonzero(active)
     e, hub = rows.size, m + k
-    edges, to_hub, from_hub = np.arange(e), e + np.arange(m), e + m + np.arange(k)
-    a_eq = sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(2 * (e + m) + k), -np.ones(k)]),
-            (
-                np.concatenate([rows, m + cols, np.arange(m), np.full(m, hub), m + np.arange(k), np.full(k, hub)]),
-                np.concatenate([edges, edges, to_hub, to_hub, from_hub, from_hub]),
-            ),
-        ),
-        shape=(hub + 1, e + m + k),
-    )
+    # every column has two entries, in row order: +1, +1 for a pair (i, m + j)
+    # and a leg (i, hub) into the hub, +1, -1 for a leg (m + j, hub) out of it
+    first = np.concatenate([rows, np.arange(m), m + np.arange(k)])
+    second = np.concatenate([m + cols, np.full(m + k, hub)])
+    indices = np.stack([first, second], axis=1).astype(np.int32).ravel()
+    data = np.ones((e + m + k, 2))
+    data[e + m :, 1] = -1.0
+    indptr = np.arange(0, 2 * (e + m + k) + 1, 2, dtype=np.int32)
     c = np.concatenate([cost[rows, cols], np.full(m + k, 0.5)])
-    # presolve costs more than it removes on these programs: about a quarter of each solve
-    res = optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options={"presolve": False})
-    if res.status != 0:
-        raise ComputationError(f"transport LP failed (status {res.status}): {res.message}")
-    return res
+    status, fun, _, duals = _run_highs(c, indptr, indices, data.ravel(), b_eq)
+    if status.name != "kOptimal":
+        raise ComputationError(f"transport LP failed (status {int(status)}): HiGHS model status {status.name}")
+    return fun, duals
 
 
 def bl_distance(
@@ -137,7 +174,10 @@ def bl_distance(
     left, u and v are feasible for the dual of the full program and their
     value equals the restricted optimum, so by LP duality that optimum is
     the full one.  The pair set grows strictly each round, so the loop
-    ends; on the ESDs at hand it takes one or two solves.
+    ends; on the ESDs at hand it takes one or two solves.  Each solve
+    drives HiGHS's dual simplex directly (``_solve_restricted``) on the
+    program ``scipy.optimize.linprog`` would hand it, which the tests keep
+    as the bit-for-bit reference.
 
     The supply and demand sides are each scaled to unit mass before the
     solve and the optimum is multiplied back by the mean of the two
@@ -145,7 +185,7 @@ def bl_distance(
     it is.  Identical binned measures leave no surplus and give 0.0
     without a solve.  Raises UsageError for a resolution that is not
     finite and positive, and :class:`ComputationError` when HiGHS reports a
-    non-zero status on any solve.
+    model status other than optimal on any solve.
     """
     _check_resolution(grid_resolution)
     p1, w1 = _bin_measure(mu1, grid_resolution)
@@ -172,11 +212,10 @@ def bl_distance(
     s, d = float(surplus.sum()), float(deficit.sum())
     b_eq = np.concatenate([surplus / s, deficit / d, [0.0]])
     while True:
-        res = _solve_restricted(cost, active, b_eq)
-        duals = res.eqlin.marginals
+        fun, duals = _solve_restricted(cost, active, b_eq)
         entering = (cost - duals[:m, None] - duals[None, m : m + k] < -_PRICING_TOL) & ~active
         if not entering.any():
-            return max(0.0, float(res.fun) * 0.5 * (s + d))
+            return max(0.0, float(fun) * 0.5 * (s + d))
         active |= entering
 
 

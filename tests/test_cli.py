@@ -6,12 +6,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from projsum import ModelSpec, __version__, assemble_model, make_geometry
 from projsum import cli, convergence, hermitization, model, spectra
@@ -208,6 +208,34 @@ class TestCheck:
         assert masses["intersection_mass"] == [0.0, 0.0, 0.4, 0.0]
         assert masses["esd_mass"] == pytest.approx(masses["intersection_mass"], abs=1e-12)
 
+    @pytest.mark.parametrize("gap", ["1e3", "1e10"])
+    def test_im_bound_tolerance_grows_with_the_scale_squared(self, tmp_path, gap):
+        # ||Im W|| carries rounding of order u * scale^2; an absolute 1e-10
+        # failed these laws on im_bound alone (im_norm 4e5 over a 4e5 bound at 1e3)
+        prefix = tmp_path / "wide"
+        rc = main(["check", "--n", "64", "--a", "0.625", "--alpha", "0", "--alpha-prime", gap,
+                   "--b", "0.875", "--beta", "0", "--beta-prime", repr(0.8 * float(gap)),
+                   "--seed", "1", "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        checks = json.loads(Path(str(prefix) + ".check.json").read_text())["checks"]
+        assert {c["name"]: c["ok"] for c in checks}["im_bound"] is True
+
+    @pytest.mark.parametrize("excess, ok", [(1e-10, True), (2e-10, False)])
+    def test_im_bound_at_scale_one_is_the_absolute_bound(self, tmp_path, monkeypatch, excess, ok):
+        # at the demo laws scale is 1, so the bound is still |A*B|/2 + 1e-10
+        real = cli.structure_report
+
+        def shifted(realization, geom, **kwargs):
+            assert geom.scale == 1.0
+            return replace(real(realization, geom, **kwargs), im_norm=geom.im_halfwidth + excess)
+
+        monkeypatch.setattr(cli, "structure_report", shifted)
+        prefix = tmp_path / "edge"
+        rc = main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "0", "--out-prefix", str(prefix)])
+        assert rc == (E_OK if ok else E_CHECK)
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert payload["first_failure"] == (None if ok else "im_bound")
+
     def test_gap_whose_square_overflows_is_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # the structure identities square X_n - center; a gap of 1e200 used to
         # end in an OverflowError (exit 1) from the Python-float square of a gap
@@ -393,10 +421,8 @@ class TestConverge:
         assert 0.0 <= max(report["support_devs"]) <= 1e-8 * 1e200
 
     def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "scipy.optimize.linprog",
-            lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
-        )
+        failed = HighsModelStatus.kModelError, None, None, None
+        monkeypatch.setattr(convergence, "_run_highs", lambda *program: failed)
         rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32",
                    "--samples", "2", "--seed", "42", "--out-prefix", str(tmp_path / "conv")])
         assert rc == E_NUMERIC

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from projsum import (
     ComputationError,
@@ -58,6 +59,37 @@ def _dense_bl(mu1: WeightedPointMeasure, mu2: WeightedPointMeasure, resolution: 
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2]), bounds=(0.0, None), method="highs")
     assert res.status == 0, res.message
     return max(0.0, float(res.fun))
+
+
+def _bin_measure_reference(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """The binning ``_bin_measure`` replaced: bins merged by ``np.unique(axis=0)`` on int64 index pairs."""
+    pts = np.asarray(measure.points, dtype=np.complex128)
+    ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
+    uniq, inverse = np.unique(ij.astype(np.int64), axis=0, return_inverse=True)
+    w = np.zeros(len(uniq))
+    np.add.at(w, inverse, measure.weights)
+    return (uniq[:, 0] + 1j * uniq[:, 1]) * resolution, w / w.sum()
+
+
+@st.composite
+def _binned_lattices(draw):
+    """Points within 0.45 of a bin centre, drawn with repeats, and the resolution.
+
+    Bin indices take either sign, 0 with a negative offset rounds to -0.0,
+    and at resolution 1e-17 the indices reach about 2**62.
+    """
+    resolution = draw(st.sampled_from([0.05, 1.0, 1e-17]) | st.floats(min_value=1e-3, max_value=10.0))
+    bound = 2**62 if resolution == 1e-17 else 60
+    index = st.just(0) | st.integers(min_value=-bound, max_value=bound)
+    offset = st.floats(min_value=-0.45, max_value=0.45)
+    size = draw(st.integers(min_value=1, max_value=12))
+    atoms = [
+        complex((draw(index) + draw(offset)) * resolution, (draw(index) + draw(offset)) * resolution)
+        for _ in range(size)
+    ]
+    picks = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=40))
+    weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=len(picks), max_size=len(picks)))
+    return _measure([atoms[i] for i in picks], np.array(weights) / sum(weights)), resolution
 
 
 def _lattice_measure(rng, size: int, offset: complex = 0j, side: int = 6) -> WeightedPointMeasure:
@@ -134,23 +166,28 @@ def _law_pairs(draw):
 
 @pytest.fixture
 def lp_solves(monkeypatch):
-    """Constraint matrix and result of every transport LP that reaches HiGHS."""
+    """Program and result of every transport LP that reaches HiGHS.
+
+    The constraint matrix ``a_eq`` is rebuilt, in CSR form, from the CSC
+    arrays that ``convergence._run_highs`` receives.
+    """
     solves = []
-    real = optimize.linprog
+    real = convergence_module._run_highs
 
-    def recording(c, **kwargs):
-        res = real(c, **kwargs)
-        solves.append(SimpleNamespace(a_eq=sparse.csr_matrix(kwargs["A_eq"]), res=res))
-        return res
+    def recording(c, indptr, indices, data, b_eq):
+        status, fun, x, duals = real(c, indptr, indices, data, b_eq)
+        a_eq = sparse.csc_matrix((data, indices, indptr), shape=(b_eq.size, c.size)).tocsr()
+        solves.append(SimpleNamespace(c=c, a_eq=a_eq, b_eq=b_eq, status=status, fun=fun, x=x, duals=duals))
+        return status, fun, x, duals
 
-    monkeypatch.setattr(optimize, "linprog", recording)
+    monkeypatch.setattr(convergence_module, "_run_highs", recording)
     return solves
 
 
 def _hub_flow(solve) -> float:
     # the hub row is the last one; its inflow legs carry +1
     hub_row = solve.a_eq[-1]
-    return float(solve.res.x[hub_row.indices[hub_row.data > 0]].sum())
+    return float(solve.x[hub_row.indices[hub_row.data > 0]].sum())
 
 
 class TestBlDistance:
@@ -165,13 +202,13 @@ class TestBlDistance:
     def lp_sizes(self, monkeypatch):
         """Variable count of every transport LP that reaches HiGHS."""
         sizes = []
-        real = optimize.linprog
+        real = convergence_module._run_highs
 
-        def recording(c, **kwargs):
+        def recording(c, *program):
             sizes.append(len(c))
-            return real(c, **kwargs)
+            return real(c, *program)
 
-        monkeypatch.setattr(optimize, "linprog", recording)
+        monkeypatch.setattr(convergence_module, "_run_highs", recording)
         return sizes
 
     def test_lp_moves_only_the_surplus(self, lp_solves):
@@ -234,11 +271,9 @@ class TestBlDistance:
         assert bl_distance(mix, mu, 0.01) == pytest.approx(expected, rel=1e-6)
 
     def test_lp_failure_is_a_computation_error(self, monkeypatch):
-        monkeypatch.setattr(
-            optimize, "linprog",
-            lambda c, **kwargs: SimpleNamespace(status=2, message="The problem is infeasible.", fun=None),
-        )
-        with pytest.raises(ComputationError, match="status 2"):
+        failed = HighsModelStatus.kModelError, None, None, None
+        monkeypatch.setattr(convergence_module, "_run_highs", lambda *program: failed)
+        with pytest.raises(ComputationError, match=r"status 2\): HiGHS model status kModelError"):
             bl_distance(_delta(0j), _delta(0.5 + 0j), 0.01)
 
     def test_two_deltas_cost_is_truncated_distance(self):
@@ -291,6 +326,17 @@ class TestBlDistance:
             bl_distance(mu, nu, resolution)
         with pytest.raises(ValueError, match="overflow int64"):
             bl_distance(nu, mu, resolution)
+
+    @given(lattice=_binned_lattices())
+    @example(lattice=(_measure([-0.3, -0.2j, -0.1 - 0.4j, 0.0, -0.3], [0.1, 0.2, 0.3, 0.2, 0.2]), 1.0))
+    @example(lattice=(_measure([0.9 * 2**62 * 1e-17 * (1 - 1j), -0.93 + 0.2j], [0.5, 0.5]), 1e-17))
+    @settings(max_examples=200, deadline=None)
+    def test_complex_key_bins_as_the_index_pairs(self, lattice):
+        measure, resolution = lattice
+        points, weights = convergence_module._bin_measure(measure, resolution)
+        ref_points, ref_weights = _bin_measure_reference(measure, resolution)
+        assert points.tobytes() == ref_points.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
     def test_fine_resolution_below_int64_limit_still_bins(self):
         # at 1e-17 every index of a point within the unit square fits
@@ -346,19 +392,65 @@ class TestBlPricing:
         # the first solve succeeds and leaves pairs to price in; the second fails
         monkeypatch.setattr(convergence_module, "_NEIGHBOURS", 1)
         calls = []
-        real = optimize.linprog
+        real = convergence_module._run_highs
 
-        def failing_second(c, **kwargs):
+        def failing_second(c, *program):
             calls.append(len(c))
             if len(calls) == 2:
-                return SimpleNamespace(status=4, message="Numerical difficulties encountered.", fun=None)
-            return real(c, **kwargs)
+                return HighsModelStatus.kSolveError, None, None, None
+            return real(c, *program)
 
-        monkeypatch.setattr(optimize, "linprog", failing_second)
+        monkeypatch.setattr(convergence_module, "_run_highs", failing_second)
         mu1, mu2 = _reference_pairs()[0]
         with pytest.raises(ComputationError, match="status 4"):
             bl_distance(mu1, mu2, 0.05)
         assert len(calls) == 2
+
+
+def _assert_solves_match_linprog(solves) -> None:
+    """Each recorded solve against ``scipy.optimize.linprog`` on the same program, bit for bit.
+
+    ``convergence._run_highs`` drives SciPy's private HiGHS binding with the
+    options ``linprog`` sets; a SciPy whose binding or options differ fails here.
+    """
+    assert solves
+    for solve in solves:
+        res = linprog(
+            solve.c, A_eq=solve.a_eq, b_eq=solve.b_eq, bounds=(0.0, None), method="highs",
+            options={"presolve": False},
+        )
+        assert res.status == 0, res.message
+        assert solve.status == HighsModelStatus.kOptimal
+        assert float(solve.fun).hex() == float(res.fun).hex()
+        assert solve.x.dtype == res.x.dtype and solve.x.tobytes() == res.x.tobytes()
+        assert solve.duals.dtype == res.eqlin.marginals.dtype
+        assert solve.duals.tobytes() == res.eqlin.marginals.tobytes()
+
+
+class TestHighsBinding:
+    """The direct HiGHS call solves each restricted program as ``linprog`` does."""
+
+    @pytest.mark.parametrize("neighbours", [24, 1])
+    def test_reference_pairs(self, monkeypatch, lp_solves, neighbours):
+        monkeypatch.setattr(convergence_module, "_NEIGHBOURS", neighbours)
+        calls = 0
+        for mu1, mu2 in _reference_pairs():
+            for a, b in ((mu1, mu2), (mu2, mu1)):
+                bl_distance(a, b, 0.05)
+                calls += 1
+        if neighbours == 1:
+            assert len(lp_solves) > calls  # pricing rounds reach the binding too
+        _assert_solves_match_linprog(lp_solves)
+
+    def test_criterion_08_programs(self, criterion_08_pools, demo_laws, lp_solves):
+        resolution = make_geometry(*demo_laws).scale / 200.0
+        for n in (50, 100, 200, 400):
+            bl_distance(criterion_08_pools[n], criterion_08_pools[800], resolution)
+        _assert_solves_match_linprog(lp_solves)
+
+    def test_fine_resolution_program(self, criterion_08_pools, lp_solves):
+        bl_distance(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)
+        _assert_solves_match_linprog(lp_solves)
 
 
 class TestCornerAtomMasses:
