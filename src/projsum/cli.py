@@ -25,7 +25,7 @@ from .convergence import convergence_run, corner_atom_masses
 from .geometry import atom_weights, make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
 from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
-from .spectra import ComputationError, _projection_spectra, esd, structure_report, verify_sv_bound
+from .spectra import ComputationError, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
 
@@ -158,9 +158,7 @@ def cmd_check(args) -> tuple[int, dict]:
         realization = _perturbed(realization, args.perturb)
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     scale = geom.scale
-    measure = esd(realization)
-    report = structure_report(realization, geom, measure=measure)
-    spectra = _projection_spectra(realization)
+    report = structure_report(realization, geom)
 
     tol = CHECK_TOLERANCES
     checks = []
@@ -181,14 +179,14 @@ def cmd_check(args) -> tuple[int, dict]:
         zs = x0 + (x1 - x0) * rng.random(args.z_grid) + 1j * (y0 + (y1 - y0) * rng.random(args.z_grid))
         margins = [
             {"re": float(z.real), "im": float(z.imag), "margin": float(margin)}
-            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs, spectra=spectra))
+            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs))
         ]
         worst = min(m["margin"] for m in margins)
         checks.append(("sv_bound", worst >= -tol["sv_bound"] * scale, f"worst_margin={worst:.3e}"))
     else:
         margins = []
 
-    masses = corner_atom_masses(realization, measure=measure, spectra=spectra)
+    masses = corner_atom_masses(realization)
     weights = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
     corner_ok = True
     for e_mass, i_mass, lower in zip(masses.esd_mass, masses.intersection_mass, weights.corner_weights):
@@ -275,7 +273,7 @@ def cmd_converge(args) -> tuple[int, dict]:
         raise UsageError(f"--schedule must list integers, got {args.schedule!r}") from exc
     report = convergence_run(p_law, q_law, schedule, samples=args.samples, seed=args.seed,
                              reference_n=args.reference_n, grid_resolution=args.resolution)
-    _write_json(Path(args.out_prefix + ".converge.json"), report.to_dict())
+    _write_json(Path(args.out_prefix + ".converge.json"), report)
     return E_OK, {"realized_laws": _realized_laws(p_law, q_law, report.reference_n)}
 
 

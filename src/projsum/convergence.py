@@ -30,7 +30,7 @@ from .model import (
     _realize,
     pooled_eigenvalues,
 )
-from .spectra import ComputationError, WeightedPointMeasure, _ProjectionSpectra, _projection_spectra, esd
+from .spectra import ComputationError, WeightedPointMeasure, esd
 
 __all__ = [
     "CornerAtomMasses",
@@ -253,24 +253,16 @@ def _corner_counts(angles: _AngleSpectrum) -> tuple[int, int, int, int]:
     return tuple(e + k for e, k in zip(angles.excess(), (aligned, crossed, crossed, aligned)))
 
 
-def corner_atom_masses(
-    realization: ModelRealization,
-    measure: WeightedPointMeasure | None = None,
-    *,
-    spectra: _ProjectionSpectra | None = None,
-) -> CornerAtomMasses:
+def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
     """Empirical and subspace corner masses of one realization.
 
     Corner eigenvalues are exact joint eigenvalues, not approximate
     clusters, so the radius 1e-9 * max(|A|, |B|) is tiny on purpose (see
-    ``_corner_radius``).  The subspace masses are counted on the angle
+    ``_corner_radius``).  The empirical masses count ``esd(realization)``.
+    The subspace masses are counted on the realization's cached angle
     spectrum of Pi_p and Pi_q (``_corner_counts``), where a law of weight 0
-    or 1 needs no special case.  ``measure`` defaults to ``esd(realization)``
-    and ``spectra`` to ``_projection_spectra(realization)``; pass them to
-    reuse spectra already computed.
+    or 1 needs no special case.
     """
-    if measure is None:
-        measure = esd(realization)
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     if p_law.loc == p_law.loc_alt or q_law.loc == q_law.loc_alt:
         raise DegenerateGeometryError("corner masses need distinct atom locations")
@@ -280,12 +272,11 @@ def corner_atom_masses(
         complex(p_law.loc_alt, q_law.loc),
         complex(p_law.loc_alt, q_law.loc_alt),
     )
-    if spectra is None:
-        spectra = _projection_spectra(realization)
+    measure = esd(realization)
     return CornerAtomMasses(
         corners=corners,
         esd_mass=tuple(measure.mass_within(c, _corner_radius(p_law, q_law)) for c in corners),
-        intersection_mass=tuple(k / realization.n for k in _corner_counts(spectra.angles)),
+        intersection_mass=tuple(k / realization.n for k in _corner_counts(realization._dense_spectra.angles)),
     )
 
 
@@ -298,15 +289,6 @@ class ConvergenceReport:
     distances: tuple[float, ...]
     support_devs: tuple[float, ...]
     corner_mass_errors: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_schedule": list(self.n_schedule),
-            "reference_n": self.reference_n,
-            "distances": list(self.distances),
-            "support_devs": list(self.support_devs),
-            "corner_mass_errors": list(self.corner_mass_errors),
-        }
 
 
 def convergence_run(

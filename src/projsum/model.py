@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +115,12 @@ class ModelRealization:
     The matrices are read-only; share them freely across threads.  The
     realized laws carry the weights k/n actually used at dimension n, which
     downstream exact checks must use instead of the requested weights.
+
+    A realization takes its dense spectra once: ``_eigenvalues`` and
+    ``_dense_spectra`` fill lazily on first access and are reused after.
+    Two threads that reach one first at the same time compute the same
+    values twice.  ``dataclasses.replace`` starts with an empty cache, so a
+    perturbed copy never sees the statistics of the matrix it came from.
     """
 
     p_matrix: np.ndarray
@@ -126,6 +133,18 @@ class ModelRealization:
     @property
     def n(self) -> int:
         return self.p_matrix.shape[0]
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """Read-only ``np.linalg.eigvals`` of X_n; ``spectra.esd`` reports its failure."""
+        vals = np.linalg.eigvals(self.x_matrix)
+        vals.setflags(write=False)
+        return vals
+
+    @cached_property
+    def _dense_spectra(self) -> _ProjectionSpectra:
+        """``_projection_spectra`` of this realization."""
+        return _projection_spectra(self)
 
 
 def substream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -220,9 +239,10 @@ def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
 def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     """Read-only loc*I + gap*B B* for the orthonormal columns B = ``basis``, exactly Hermitian."""
     m = (basis * law.gap) @ basis.conj().T
-    # exact Hermitian symmetrization; B B* is Hermitian only to roundoff
-    m += m.conj().T
+    # exact Hermitian symmetrization; B B* is Hermitian only to roundoff.  Halved
+    # first, so that a gap near the float limit does not overflow in the sum
     m *= 0.5
+    m += m.conj().T
     m.flat[:: m.shape[0] + 1] += law.loc
     m.setflags(write=False)
     return m
@@ -326,8 +346,8 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
 
     Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, Pi_p -
     Pi_q 0, -1, 1, 0 and +-s: the m block values lie next to the (k1 + k2 -
-    n)+ of ran int ran.  Pass one result to both ``corner_atom_masses`` and
-    ``verify_sv_bound`` to take the two ``eigvalsh`` once.
+    n)+ of ran int ran.  Read it through ``ModelRealization._dense_spectra``,
+    which takes the two ``eigvalsh`` once per realization.
     """
     n, eye = realization.n, np.eye(realization.n)
     p_law, q_law = realization.realized_p_law, realization.realized_q_law

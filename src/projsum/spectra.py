@@ -7,12 +7,14 @@ every finite n: X~^2 = (X - center)^2 is normal with constant real part
 eigenvalues of X_n lie on H intersect R, and sigma_min(z - X_n) is bounded
 below by dist(z, H intersect R)^2 / ||z - X_n||.
 
-The projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B and the
-c and s of their m blocks (``model._AngleSpectrum``, whose four excess
-corners are counted, not measured) are taken once per realization by the
-dense producer ``model._projection_spectra``; ``verify_sv_bound`` reads the
-singular values of z - X_n off them in closed form, certifies them by
-Weyl's inequality, and takes a dense SVD only where that cannot decide.
+A realization takes its dense spectra once: the eigenvalues of X_n
+(``ModelRealization._eigenvalues``, read through ``esd``), and the
+projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B with the c and
+s of their m blocks (``ModelRealization._dense_spectra``; the four excess
+corners of ``model._AngleSpectrum`` are counted, not measured).
+``verify_sv_bound`` reads the singular values of z - X_n off the latter in
+closed form, certifies them by Weyl's inequality, and takes a dense SVD only
+where that cannot decide.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HyperbolaRectangle, dist_to_hr_many, make_geometry
-from .model import ModelRealization, _ProjectionSpectra, _projection_spectra
+from .model import ModelRealization, _ProjectionSpectra
 
 __all__ = [
     "ComputationError",
@@ -97,28 +99,28 @@ class StructureReport:
 
 
 def esd(realization: ModelRealization) -> WeightedPointMeasure:
-    """Empirical spectral distribution of X_n: eigenvalues with weight 1/n each."""
+    """Empirical spectral distribution of X_n: eigenvalues with weight 1/n each.
+
+    The eigenvalues are the realization's cached ``_eigenvalues``, so every
+    call on one realization reads one dense ``eigvals``.
+    """
     x = realization.x_matrix
     try:
-        return WeightedPointMeasure.uniform(np.linalg.eigvals(x))
+        return WeightedPointMeasure.uniform(realization._eigenvalues)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolver failed on x_matrix: n={x.shape[0]}, max|entry|={np.abs(x).max():.3e} ({exc})"
         ) from exc
 
 
-def structure_report(
-    realization: ModelRealization,
-    geom: HyperbolaRectangle | None = None,
-    measure: WeightedPointMeasure | None = None,
-) -> StructureReport:
+def structure_report(realization: ModelRealization, geom: HyperbolaRectangle | None = None) -> StructureReport:
     """Evaluate the structural identities on one realization.
 
     ``geom`` must be the geometry of the realized laws, and is built from
     them when omitted; its center and gaps (A, B) define X~ = X - center.
-    ``measure`` defaults to ``esd(realization)``; its support deviation is
-    the largest :func:`dist_to_hr_many` over its points.  W = X~^2 = c + iK is
-    checked as an operator identity, with no eigenvalue or SVD of W; see
+    The support deviation is the largest :func:`dist_to_hr_many` over the
+    points of ``esd(realization)``.  W = X~^2 = c + iK is checked as an
+    operator identity, with no eigenvalue or SVD of W; see
     :class:`StructureReport` for the fields and their upper-bound argument.
     """
     if geom is None:
@@ -131,9 +133,7 @@ def structure_report(
     im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
     comm = float(np.linalg.norm(w @ wh - wh @ w))
     floor = max(abs(c) - re_dev, im_norm)
-    if measure is None:
-        measure = esd(realization)
-    support_dev = float(np.max(dist_to_hr_many(geom, measure.points)))
+    support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
     # divided twice, so that floor^2 cannot underflow
     return StructureReport(re_dev, im_norm, comm / floor / floor if floor > 0.0 else 0.0, support_dev)
 
@@ -220,22 +220,15 @@ def _certificate_eps(realization: ModelRealization, spectra: _ProjectionSpectra)
     return resid_bound + 2.0 * (a * i_p + b * i_q) + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
 
 
-def verify_sv_bound(
-    realization: ModelRealization,
-    geom: HyperbolaRectangle,
-    z,
-    *,
-    spectra: _ProjectionSpectra | None = None,
-) -> np.ndarray | float:
+def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) -> np.ndarray | float:
     """Signed margin of sigma_min(z - X_n) >= dist(z, H n R)^2 / ||z - X_n||.
 
     Nonnegative in exact arithmetic for every z and every realization; when
     z is an eigenvalue both sides vanish.  Returns
     sigma_min - dist^2 / opnorm, which tests compare against a small
     negative floating-point allowance, elementwise for an array ``z`` (one
-    distance call for all points) and as a float for a scalar ``z``.
-    ``spectra`` defaults to ``_projection_spectra(realization)``; pass it to
-    reuse the spectra ``corner_atom_masses`` takes.
+    distance call for all points) and as a float for a scalar ``z``.  The
+    angle spectrum is the realization's cached ``_dense_spectra``.
 
     The singular values come from the two-subspace theorem (Halmos, 1969),
     in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
@@ -285,9 +278,7 @@ def verify_sv_bound(
     """
     zs = np.asarray(z, dtype=np.complex128)
     dist = dist_to_hr_many(geom, zs).reshape(zs.shape)
-    if spectra is None:
-        spectra = _projection_spectra(realization)
-    lo, hi, eps = _certified_sigmas(realization, spectra, zs)
+    lo, hi, eps = _certified_sigmas(realization, realization._dense_spectra, zs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         margins = np.array(lo - dist**2 / hi)
         slack = hi - eps

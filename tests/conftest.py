@@ -8,6 +8,7 @@ mass 1/4 on the hyperbola arc.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from projsum import ModelSpec, TwoAtomLaw, assemble_model
@@ -29,3 +30,19 @@ def demo_realization():
 @pytest.fixture(scope="session")
 def small_realization():
     return assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=7))
+
+
+@pytest.fixture
+def dense_solves(monkeypatch) -> dict[str, int]:
+    """Counts of the ``np.linalg.eigvals`` and ``eigvalsh`` calls made while the test runs."""
+    calls = {"eigvals": 0, "eigvalsh": 0}
+
+    def counting(name, real):
+        def solve(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls

@@ -73,6 +73,20 @@ class TestSample:
         assert raw.count(b"\r\n") == 6  # header + 5 rows
         assert b"\n" not in raw.replace(b"\r\n", b"")
 
+    @pytest.mark.parametrize("commuting", [[], ["--commuting"]])
+    def test_gaps_near_the_float_limit(self, tmp_path, commuting):
+        # the Hermitian symmetrization summed entries of 1e308 before halving them:
+        # inf entries, overflow warnings and an eigensolver failure (exit 1)
+        prefix = tmp_path / "big"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sample", "--n", "16", "--a", "0.625", "--alpha", "0", "--alpha-prime", "1e308",
+                       "--b", "0.875", "--beta", "0", "--beta-prime", "8e307", *commuting,
+                       "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        header, rows = _read_csv(Path(str(prefix) + ".esd.csv"))
+        assert len(rows) == 16 and np.all(np.isfinite(rows))
+
     def test_same_seed_same_bytes(self, tmp_path):
         a = _sample(tmp_path, "a", seed=99)
         b = _sample(tmp_path, "b", seed=99)
@@ -147,11 +161,17 @@ class TestCheck:
             calls.append(realization.n)
             return real(realization)
 
-        for module in (spectra, convergence, cli):
-            monkeypatch.setattr(module, "_projection_spectra", counting)
+        monkeypatch.setattr(model, "_projection_spectra", counting)
         assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
                      "--out-prefix", str(tmp_path / "once")]) == E_OK
         assert calls == [40]
+
+    def test_dense_solves_per_check(self, tmp_path, dense_solves):
+        # one eigvals for the ESD; two eigvalsh for the structure identities
+        # and two for the angle spectrum, each taken once per realization
+        assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
+                     "--out-prefix", str(tmp_path / "solves")]) == E_OK
+        assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
 
     def test_commuting_variant_also_passes(self, tmp_path):
         prefix = tmp_path / "comm"
@@ -419,6 +439,16 @@ class TestConverge:
         assert capfd.readouterr() == ("", "")
         report = json.loads(Path(str(prefix) + ".converge.json").read_text())
         assert 0.0 <= max(report["support_devs"]) <= 1e-8 * 1e200
+
+    def test_json_holds_exactly_the_report_fields(self, tmp_path):
+        prefix = tmp_path / "fields"
+        assert main(["converge", *DEMO_FLAGS, "--schedule", "16,32", "--samples", "1", "--seed", "8",
+                     "--out-prefix", str(prefix)]) == E_OK
+        report = json.loads(Path(str(prefix) + ".converge.json").read_text())
+        assert report.keys() == {f.name for f in fields(convergence.ConvergenceReport)}
+        assert report["n_schedule"] == [16, 32]
+        assert report["reference_n"] == 32
+        assert isinstance(report["distances"], list) and len(report["distances"]) == 2
 
     def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         failed = HighsModelStatus.kModelError, None, None, None

@@ -523,7 +523,9 @@ class TestCornerAtomMasses:
     def test_matches_eigenspace_reference(self, laws, n, seed, commuting):
         r = assemble_model(ModelSpec(*laws, n=n, seed=seed), commuting=commuting)
         # the ESD plays no part in the subspace masses; a stand-in skips its eigvals
-        got = corner_atom_masses(r, measure=_delta(0j)).intersection_mass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence_module, "esd", lambda realization: _delta(0j))
+            got = corner_atom_masses(r).intersection_mass
         assert got == _intersection_masses_reference(r)
 
     def test_rejects_coincident_atoms(self):
@@ -592,14 +594,6 @@ class TestConvergenceRun:
         rep = convergence_run(p, q, (32,), samples=1, seed=5, reference_n=64)
         assert rep.reference_n == 64
         assert rep.distances[0] > 0.0
-
-    def test_to_dict_round_trip(self, demo_laws):
-        p, q = demo_laws
-        rep = convergence_run(p, q, (16, 32), samples=1, seed=8)
-        d = rep.to_dict()
-        assert d["n_schedule"] == [16, 32]
-        assert d["reference_n"] == 32
-        assert len(d["distances"]) == 2
 
     def test_validates_schedule(self, demo_laws):
         p, q = demo_laws

@@ -15,6 +15,7 @@ from projsum import (
     TwoAtomLaw,
     WeightedPointMeasure,
     assemble_model,
+    corner_atom_masses,
     dist_to_hr_many,
     esd,
     freeness_diagnostic,
@@ -23,7 +24,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
-from projsum import cli, spectra
+from projsum import cli, model, spectra
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -84,6 +85,40 @@ class TestEsd:
             np.array([1 + 0.8j, 1, 1, 0, 0, 0, 0, 0], dtype=np.complex128)
         )
         assert np.max(np.abs(pts - expect)) <= 1e-12
+
+
+class TestDenseSpectraOnce:
+    def test_consumers_share_one_solve_and_a_replaced_matrix_takes_its_own(self, dense_solves):
+        r = assemble_model(ModelSpec(P_LAW, Q_LAW, n=32, seed=3))
+        geom = make_geometry(r.realized_p_law, r.realized_q_law)
+        zs = np.array([0.5 + 0.4j, 2.0 - 1.0j])
+
+        def consume(realization):
+            esd(realization)
+            structure_report(realization, geom)
+            verify_sv_bound(realization, geom, zs)
+            corner_atom_masses(realization)
+
+        # one eigvals and two eigvalsh for the angle spectrum; structure_report
+        # takes two eigvalsh of its own, of W = X~^2, on every call
+        consume(r)
+        assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
+        consume(r)
+        assert dense_solves == {"eigvals": 1, "eigvalsh": 6}
+
+        shifted = replace(r, x_matrix=r.x_matrix + 1e-3 * np.eye(r.n))
+        consume(shifted)
+        assert dense_solves == {"eigvals": 2, "eigvalsh": 10}
+        before, after = np.sort_complex(esd(r).points), np.sort_complex(esd(shifted).points)
+        assert not np.array_equal(before, after)
+        assert np.max(np.abs(after - before - 1e-3)) <= 1e-9
+
+    def test_cached_eigenvalues_are_read_only(self, small_realization):
+        vals = small_realization._eigenvalues
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        assert small_realization._eigenvalues is vals
 
 
 class TestNu:
@@ -233,7 +268,7 @@ class TestSvBlocks:
         zs = np.concatenate([
             np.array(geom.corners), esd(realization).points, far, _box_points(geom, 8, spec.n),
         ])
-        lo, hi, eps = spectra._certified_sigmas(realization, spectra._projection_spectra(realization), zs)
+        lo, hi, eps = spectra._certified_sigmas(realization, model._projection_spectra(realization), zs)
         dense = np.array([np.linalg.svd(z * np.eye(spec.n) - realization.x_matrix, compute_uv=False)
                           for z in zs])
         assert np.max(eps) <= 1e-12 * geom.scale
