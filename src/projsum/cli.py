@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import __version__
 from .convergence import convergence_run, corner_atom_masses
 from .geometry import atom_weights, make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
-from .model import CHECK_Z, ModelRealization, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
+from .model import CHECK_Z, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
 from .spectra import ComputationError, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
@@ -130,32 +130,22 @@ def _spec_from(args) -> ModelSpec:
 def cmd_sample(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     spec = _spec_from(args)
-    realization = assemble_model(spec, commuting=args.commuting)
+    realization = assemble_model(spec)
     points = esd(realization).points
     sample_s = time.perf_counter() - t0
     _write_csv(Path(args.out_prefix + ".esd.csv"), {"re": points.real, "im": points.imag})
     return E_OK, {"realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n), "timings": {"sample_s": sample_s}}
 
 
-def _perturbed(realization: ModelRealization, eps: float) -> ModelRealization:
-    x = realization.x_matrix + eps * np.eye(realization.n)
-    x.setflags(write=False)
-    return replace(realization, x_matrix=x)
-
-
 def cmd_check(args) -> tuple[int, dict]:
     if args.z_grid < 0:
         raise UsageError(f"--z-grid must be >= 0, got {args.z_grid}")
-    if not math.isfinite(args.perturb):
-        raise UsageError(f"--perturb must be finite, got {args.perturb}")
     spec = _spec_from(args)
     gap = max(abs(spec.p_law.gap), abs(spec.q_law.gap))
     if math.isinf(gap * gap):
         # the structure identities square X_n - center, and their tolerances the gaps
         raise UsageError(f"check needs atom gaps whose square is finite, got a gap of {gap!r}")
-    realization = assemble_model(spec, commuting=args.commuting)
-    if args.perturb:
-        realization = _perturbed(realization, args.perturb)
+    realization = assemble_model(spec)
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     scale = geom.scale
     report = structure_report(realization, geom)
@@ -318,11 +308,6 @@ def _add_sample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_commuting_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--commuting", action="store_true",
-                   help="skip the Haar rotation (V = I), so P_n and Q_n are diagonal; test variant")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projsum",
@@ -333,17 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw one realization and write its ESD")
     _add_sample_flags(p)
-    _add_commuting_flag(p)
     p.add_argument("--out-prefix", default="sample")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="run structural checks on one realization")
     _add_sample_flags(p)
-    _add_commuting_flag(p)
     p.add_argument("--z-grid", type=int, default=20,
                    help="random z count for the bound check; 0 skips it")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="test hook: add eps*I to X before checking")
     p.add_argument("--out-prefix", default="check")
     p.set_defaults(func=cmd_check)
 
@@ -391,14 +372,12 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
 
 def _command_params(command: str) -> dict[str, tuple[type, ...]]:
     """Destinations of ``command``'s flags (the params its manifest records), each
-    with the exact types its value may take: bool for a switch, else the flag's
-    ``type`` (str when it has none), plus None where an optional flag defaults to it.
+    with the exact types its value may take: the flag's ``type`` (str when it
+    has none), plus None where an optional flag defaults to it.  No flag is a switch.
     """
     types = {}
     for action in _subcommands()[command]._actions:
-        if isinstance(action, argparse._StoreTrueAction):
-            types[action.dest] = (bool,)
-        elif not isinstance(action, argparse._HelpAction):
+        if not isinstance(action, argparse._HelpAction):
             none = (type(None),) if action.default is None and not action.required else ()
             types[action.dest] = (action.type or str, *none)
     return types

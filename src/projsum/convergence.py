@@ -349,20 +349,6 @@ def convergence_run(
     )
 
 
-def trend_acceptable(distances, noises=None) -> bool:
-    """Weak-decrease check allowing one inversion within the noise allowance.
-
-    ``noises[i]`` is the Monte Carlo noise scale attached to the step from
-    entry i to entry i+1; an inversion of size at most 1.5 times that is
-    tolerated, but only once.
-    """
-    inversions = 0
-    for i in range(len(distances) - 1):
-        excess = distances[i + 1] - distances[i]
-        if excess <= 0:
-            continue
-        inversions += 1
-        allowance = 1.5 * (noises[i] if noises is not None else 0.0)
-        if inversions > 1 or excess > allowance:
-            return False
-    return True
+def trend_acceptable(distances) -> bool:
+    """True when no distance exceeds the one before it; a NaN step is refused."""
+    return all(later <= earlier for earlier, later in zip(distances, distances[1:]))

@@ -386,7 +386,8 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
         grid=replace(grid, mass=raw),
         measure=measure,
         raw_total=float(raw.sum()),
-        negative_mass=float(-raw[raw < 0.0].sum()),
+        # 0.0 - sum, not -sum: an empty sum gives +0.0, never -0.0
+        negative_mass=0.0 - float(raw[raw < 0.0].sum()),
     )
 
 

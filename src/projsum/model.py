@@ -128,7 +128,6 @@ class ModelRealization:
     x_matrix: np.ndarray
     realized_p_law: TwoAtomLaw
     realized_q_law: TwoAtomLaw
-    seed: int
 
     @property
     def n(self) -> int:
@@ -259,7 +258,7 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
     first k columns from those of G alone), which cancel in V2 V2*.
 
     With ``commuting=True``, V = I: P_n and Q_n are diagonal, a deterministic
-    variant for tests with closed-form spectra, also on the command line.
+    variant for tests with closed-form spectra.
     """
     k1, realized_p = _realize(spec.p_law, spec.n)
     k2, realized_q = _realize(spec.q_law, spec.n)
@@ -277,7 +276,6 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         x_matrix=x,
         realized_p_law=realized_p,
         realized_q_law=realized_q,
-        seed=spec.seed,
     )
 
 

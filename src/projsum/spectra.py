@@ -250,7 +250,8 @@ def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) 
     ||X_n - Y|| <= eps, the sum of:
 
     * the computed ||X_n - (alpha + A*Pi_p) - i(beta + B*Pi_q)||_F, which
-      covers ``check --perturb``, plus 4u times the norms it subtracts;
+      covers an X_n that is not P_n + iQ_n, plus 4u times the norms it
+      subtracts;
     * |A|*||Pi_p - Pi_p^|| + |B|*||Pi_q - Pi_q^||, each at most 2I with I
       the computed ||Pi^2 - Pi||_F plus (n + 3)u ||Pi||_F max_i sum_j
       |Pi_ij|, which bounds its rounding: an eigenvalue lambda at distance

@@ -173,7 +173,7 @@ def test_criterion_07_brown_pipeline_atoms():
 
 def test_criterion_08_convergence_trend():
     # pooled-ESD BL distances to the n=800 reference tighten along
-    # {50, 100, 200, 400}, with at most one inversion inside the noise
+    # {50, 100, 200, 400}, never increasing
     rep = convergence_run(
         P_LAW, Q_LAW, (50, 100, 200, 400), samples=10, seed=4000, reference_n=800
     )

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from projsum import ModelSpec, __version__, assemble_model, make_geometry
+from projsum import ModelSpec, __version__, assemble_model, atom_weights, make_geometry
 from projsum import cli, convergence, hermitization, model, spectra
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
 from tests.conftest import P_LAW, Q_LAW
+from tests.test_spectra import _box_points
 
 DEMO_FLAGS = [
     "--a", "0.625", "--alpha", "0", "--alpha-prime", "1",
@@ -28,6 +29,17 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
+
+
+def _perturb_check_input(monkeypatch, eps: float) -> None:
+    """Make `check` read X_n + eps*I, which is no longer P_n + iQ_n: a negative control."""
+    def perturbed(spec):
+        realization = assemble_model(spec)
+        x = realization.x_matrix + eps * np.eye(realization.n)
+        x.setflags(write=False)
+        return replace(realization, x_matrix=x)
+
+    monkeypatch.setattr(cli, "assemble_model", perturbed)
 
 
 def _sample(tmp_path: Path, name: str, n: int = 64, seed: int = 5) -> Path:
@@ -73,19 +85,27 @@ class TestSample:
         assert raw.count(b"\r\n") == 6  # header + 5 rows
         assert b"\n" not in raw.replace(b"\r\n", b"")
 
-    @pytest.mark.parametrize("commuting", [[], ["--commuting"]])
-    def test_gaps_near_the_float_limit(self, tmp_path, commuting):
+    def test_gaps_near_the_float_limit(self, tmp_path):
         # the Hermitian symmetrization summed entries of 1e308 before halving them:
         # inf entries, overflow warnings and an eigensolver failure (exit 1)
         prefix = tmp_path / "big"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["sample", "--n", "16", "--a", "0.625", "--alpha", "0", "--alpha-prime", "1e308",
-                       "--b", "0.875", "--beta", "0", "--beta-prime", "8e307", *commuting,
+                       "--b", "0.875", "--beta", "0", "--beta-prime", "8e307",
                        "--out-prefix", str(prefix)])
         assert rc == E_OK
         header, rows = _read_csv(Path(str(prefix) + ".esd.csv"))
         assert len(rows) == 16 and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sample", "--commuting"), ("check", "--commuting"), ("check", "--perturb=1e-3"),
+    ])
+    def test_retired_flags_are_usage_errors(self, tmp_path, command, flag):
+        # the commuting variant and the perturbed X_n are library and test tools only
+        rc = main([command, "--n", "8", *DEMO_FLAGS, flag, "--out-prefix", str(tmp_path / "gone")])
+        assert rc == E_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = _sample(tmp_path, "a", seed=99)
@@ -112,20 +132,25 @@ class TestCheck:
         assert len(payload["sv_margins"]) == 10
         assert min(m["margin"] for m in payload["sv_margins"]) >= -1e-8
 
-    def test_perturbation_trips_support_first(self, tmp_path, capsys):
+    def test_perturbation_trips_support_first(self, tmp_path, monkeypatch, capsys):
+        _perturb_check_input(monkeypatch, 1e-3)
         prefix = tmp_path / "bad"
         rc = main(["check", "--n", "60", *DEMO_FLAGS, "--seed", "3",
-                   "--perturb", "1e-3", "--z-grid", "5", "--out-prefix", str(prefix)])
+                   "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_CHECK
         assert "support" in capsys.readouterr().err
         payload = json.loads(Path(str(prefix) + ".check.json").read_text())
         assert payload["first_failure"] == "support"
         assert payload["structure"]["support_deviation"] > 1e-8
+        # the margins of a matrix that is not P_n + iQ_n come from the dense SVD
+        margins = [m["margin"] for m in payload["sv_margins"]]
+        assert len(margins) == 5 and all(math.isfinite(m) for m in margins)
 
-    def test_tiny_perturbation_is_within_tolerance(self, tmp_path):
+    def test_tiny_perturbation_is_within_tolerance(self, tmp_path, monkeypatch):
+        _perturb_check_input(monkeypatch, 1e-12)
         prefix = tmp_path / "tiny"
         rc = main(["check", "--n", "60", *DEMO_FLAGS, "--seed", "3",
-                   "--perturb", "1e-12", "--z-grid", "5", "--out-prefix", str(prefix)])
+                   "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_OK
 
     def test_zero_z_grid_skips_bound(self, tmp_path):
@@ -142,14 +167,6 @@ class TestCheck:
                    "--out-prefix", str(tmp_path / "neg")])
         assert rc == E_USAGE
         assert "--z-grid must be >= 0, got -3" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_perturb_is_usage_error(self, tmp_path, capsys, value):
-        rc = main(["check", "--n", "10", *DEMO_FLAGS, "--perturb", value,
-                   "--out-prefix", str(tmp_path / "bad")])
-        assert rc == E_USAGE
-        assert f"--perturb must be finite, got {float(value)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_projection_spectra_taken_once(self, tmp_path, monkeypatch):
@@ -173,17 +190,28 @@ class TestCheck:
                      "--out-prefix", str(tmp_path / "solves")]) == E_OK
         assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
 
-    def test_commuting_variant_also_passes(self, tmp_path):
-        prefix = tmp_path / "comm"
-        rc = main(["check", "--n", "16", *DEMO_FLAGS, "--commuting",
-                   "--z-grid", "5", "--out-prefix", str(prefix)])
-        assert rc == E_OK
+    def test_commuting_variant_also_passes(self):
+        # check's verdict rules on the closed-form commuting realization, built in the library
+        realization = assemble_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0), commuting=True)
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        tol, scale = cli.CHECK_TOLERANCES, geom.scale
+        report = spectra.structure_report(realization, geom)
+        assert report.support_deviation <= tol["support"] * scale
+        assert report.normality_residual <= tol["normality"]
+        assert report.re_deviation <= tol["re_constant"] * scale**2
+        assert report.im_norm <= geom.im_halfwidth + tol["im_bound"] * scale**2
+        margins = spectra.verify_sv_bound(realization, geom, _box_points(geom, 5, 0))
+        assert np.min(margins) >= -tol["sv_bound"] * scale
+        masses = convergence.corner_atom_masses(realization)
+        lower = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight).corner_weights
+        for e_mass, i_mass, w in zip(masses.esd_mass, masses.intersection_mass, lower):
+            assert abs(e_mass - i_mass) <= 1e-12 and e_mass >= w - 1e-12
 
     def test_tolerances_are_not_flags(self):
         # the verdict's tolerances live in CHECK_TOLERANCES; the manifest records only these
         assert cli._command_params("check").keys() == {
             "n", "a", "alpha", "alpha_prime", "b", "beta", "beta_prime",
-            "seed", "commuting", "z_grid", "perturb", "out_prefix",
+            "seed", "z_grid", "out_prefix",
         }
 
     def test_manifest_realized_laws_match_realization(self, tmp_path):
@@ -591,23 +619,25 @@ class TestReplay:
             "extra.esd.csv", "extra.manifest.json", "short.json",
         ]
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda m: {**m, "params": {**m["params"], "z_grid": "4"}}, id="z_grid-str"),
-        pytest.param(lambda m: {**m, "params": {**m["params"], "a": "0.625"}}, id="a-str"),
-        pytest.param(lambda m: {**m, "params": {**m["params"], "perturb": "x"}}, id="perturb-str"),
-        pytest.param(lambda m: {**m, "params": {**m["params"], "commuting": 1}}, id="commuting-int"),
-        pytest.param(lambda m: {**m, "params": {**m["params"], "alpha": None}}, id="required-null"),
-        pytest.param(lambda m: {**m, "command": ["check"]}, id="command-list"),
-        pytest.param(lambda m: [], id="list-manifest"),
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: {**m, "params": {**m["params"], "z_grid": "4"}}, "z_grid='4'", id="z_grid-str"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "a": "0.625"}}, "a='0.625'", id="a-str"),
+        # a flag that `check` no longer takes
+        pytest.param(lambda m: {**m, "params": {**m["params"], "perturb": 0.0}}, "unexpected ['perturb']",
+                     id="perturb-retired"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "alpha": None}}, "alpha=None", id="required-null"),
+        pytest.param(lambda m: {**m, "command": ["check"]}, "unknown command ['check']", id="command-list"),
+        pytest.param(lambda m: [], "holds a JSON list", id="list-manifest"),
     ])
-    def test_replay_refuses_edited_manifest(self, tmp_path, capsys, edit):
+    def test_replay_refuses_edited_manifest(self, tmp_path, capsys, edit, message):
         chk = tmp_path / "chk"
         assert main(["check", "--n", "24", *DEMO_FLAGS, "--z-grid", "4",
                      "--out-prefix", str(chk)]) == E_OK
         manifest = Path(str(chk) + ".manifest.json")
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))), encoding="utf-8")
         assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
         assert not list(tmp_path.glob("*.replay.*"))
 
     @pytest.mark.parametrize("manifest", [

@@ -493,6 +493,12 @@ class TestLaplacianRecover:
         assert rec.grid.mass.shape == (9, 9)
         assert rec.negative_mass >= 0.0
 
+    def test_nothing_clamped_is_positive_zero(self):
+        # the negated empty sum is -0.0, which `recover` wrote as "negative_mass=-0.0"
+        grid = hermitization.PotentialGrid(x0=0.0, y0=0.0, hx=0.25, hy=0.25, nx=5, ny=5, values=np.zeros((5, 5)))
+        rec = laplacian_recover(grid)
+        assert rec.negative_mass == 0.0 and math.copysign(1.0, rec.negative_mass) == 1.0
+
 
 class TestSampledPipeline:
     def test_single_sample_matches_manual(self, demo_laws):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from projsum import (
     TwoAtomLaw,
     assemble_model,
     atom_weights,
+    esd,
     sample_haar_unitary,
     substream_rng,
     two_projection_eigenvalues,
@@ -226,6 +228,15 @@ class TestAssembleModel:
         assert np.array_equal(r.q_matrix, np.diag(np.diag(r.q_matrix)))
         comm = r.p_matrix @ r.q_matrix - r.q_matrix @ r.p_matrix
         assert np.max(np.abs(comm)) == 0.0
+
+    def test_commuting_gaps_near_the_float_limit(self):
+        # the Hermitian symmetrization summed entries of 1e308 before halving them:
+        # inf entries, overflow warnings and an eigensolver failure
+        spec = ModelSpec(TwoAtomLaw(0.625, 0.0, 1e308), TwoAtomLaw(0.875, 0.0, 8e307), n=16, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = esd(assemble_model(spec, commuting=True)).points
+        assert len(points) == 16 and np.all(np.isfinite(points))
 
     def test_rejects_bad_spec(self, demo_laws):
         p, q = demo_laws

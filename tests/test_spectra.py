@@ -24,7 +24,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
-from projsum import cli, model, spectra
+from projsum import model, spectra
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -279,7 +279,8 @@ class TestSvBlocks:
         assert np.all(np.abs(hi - dense[:, 0]) <= slack)
 
     def test_tiny_perturbation_takes_no_dense_svd(self, monkeypatch):
-        realization = cli._perturbed(assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42)), 1e-12)
+        base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42))
+        realization = replace(base, x_matrix=base.x_matrix + 1e-12 * np.eye(base.n))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         zs = _box_points(geom, 20, 0)
         dense = _dense_margins(realization, geom, zs)
@@ -295,7 +296,8 @@ class TestSvBlocks:
     def test_perturbation_takes_the_dense_fallback(self, monkeypatch, shift):
         # a perturbed X_n is no two-projection matrix: its margins come from
         # dense SVDs, and on its own eigenvalues they turn negative
-        realization = cli._perturbed(assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42)), shift)
+        base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=64, seed=42))
+        realization = replace(base, x_matrix=base.x_matrix + shift * np.eye(base.n))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         zs = np.concatenate([_box_points(geom, 20, 0), esd(realization).points[:10]])
         dense = _dense_margins(realization, geom, zs)
