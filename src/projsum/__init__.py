@@ -52,7 +52,6 @@ from .hermitization import (
     log_potential,
     potential_grid,
     sample_potential_grid,
-    worker_count,
 )
 from .convergence import (
     ConvergenceReport,

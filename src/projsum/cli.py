@@ -109,6 +109,8 @@ def _run(args) -> int:
 def _read_manifest(path: str) -> dict:
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"manifest {path} cannot be read: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise UsageError(f"manifest {path} is not a JSON file: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -232,10 +234,13 @@ def cmd_recover(args) -> tuple[int, dict]:
         raise InvalidGridError(f"node counts must be integers, got nx={nx!r}, ny={ny!r}")
     window = tuple(params[key] for key in ("xmin", "xmax", "ymin", "ymax"))
     hx, hy = _grid_steps(window, nx, ny)
+    path = args.in_prefix + ".potential.csv"
     try:
-        with open(args.in_prefix + ".potential.csv", newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             flat = [float(row["L"]) for row in reader] if "L" in (reader.fieldnames or ()) else None
+    except OSError as exc:
+        raise UsageError(f"potential file {path} cannot be read: {exc.strerror}") from exc
     except (TypeError, ValueError) as exc:  # bytes that are not UTF-8, or a cell that is no number (None if missing)
         raise UsageError(f"potential file has an unreadable L value: {exc}") from exc
     if flat is None:

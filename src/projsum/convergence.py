@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import (
     DegenerateGeometryError,
+    _corners,
     atom_weights,
     dist_to_hr_many,
     make_geometry,
@@ -266,12 +267,7 @@ def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     if p_law.loc == p_law.loc_alt or q_law.loc == q_law.loc_alt:
         raise DegenerateGeometryError("corner masses need distinct atom locations")
-    corners = (
-        complex(p_law.loc, q_law.loc),
-        complex(p_law.loc, q_law.loc_alt),
-        complex(p_law.loc_alt, q_law.loc),
-        complex(p_law.loc_alt, q_law.loc_alt),
-    )
+    corners = _corners(p_law, q_law)
     measure = esd(realization)
     return CornerAtomMasses(
         corners=corners,

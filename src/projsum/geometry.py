@@ -105,6 +105,12 @@ class BrownAtomWeights:
         return (self.e00, self.e01, self.e10, self.e11)
 
 
+def _corners(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> tuple[complex, complex, complex, complex]:
+    """The four atom pairs (loc, loc_alt) x (loc, loc_alt) in the corner order of :class:`HyperbolaRectangle`."""
+    a0, a1, b0, b1 = p_law.loc, p_law.loc_alt, q_law.loc, q_law.loc_alt
+    return (complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1))
+
+
 def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
     """Build the hyperbola-rectangle geometry from a pair of two-atom laws.
 
@@ -120,13 +126,12 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
         raise DegenerateGeometryError(f"q law is not two-atom: {q_law}")
     a0, a1 = p_law.loc, p_law.loc_alt
     b0, b1 = q_law.loc, q_law.loc_alt
-    corners = (complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1))
     return HyperbolaRectangle(
         center_x=0.5 * (a0 + a1),
         center_y=0.5 * (b0 + b1),
         gap_a=a1 - a0,
         gap_b=b1 - b0,
-        corners=corners,
+        corners=_corners(p_law, q_law),
     )
 
 

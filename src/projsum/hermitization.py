@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,12 +28,10 @@ __all__ = [
     "sample_potential_grid",
     "laplacian_recover",
     "brown_pipeline",
-    "worker_count",
 ]
 
 # node x atom pairs per buffer (an atom tile, a chunk of directly evaluated
-# nodes): a function of the input alone, so results do not depend on the worker
-# count, and buffer memory does not grow with the atom count
+# nodes), so buffer memory does not grow with the atom count
 _PAIR_BUDGET = 2**16
 # equal-weight atoms whose squared gaps share one log (see _tile_sums)
 _GROUP = 8
@@ -43,22 +39,6 @@ _GROUP = 8
 
 class InvalidGridError(UsageError):
     """Raised for non-square cells or otherwise unusable grids."""
-
-
-def worker_count() -> int:
-    """Parallelism cap: PROJSUM_THREADS if set, else the CPUs this process may run on."""
-    env = os.environ.get("PROJSUM_THREADS")
-    if env is not None:
-        try:
-            k = int(env)
-        except ValueError as exc:
-            raise UsageError(f"PROJSUM_THREADS must be an integer, got {env!r}") from exc
-        if k < 1:
-            raise UsageError(f"PROJSUM_THREADS must be >= 1, got {k}")
-        return k
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -141,10 +121,8 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
     per-atom pass and a multiple of 8 within that budget, at least 8, in the
     grouped pass.
 
-    Lines are mapped over the worker threads in contiguous ranges; a line's
-    bits depend only on its own coordinates, never on its range.  An atom
-    on a node gives log 0 = -inf there, and a node near an atom a product
-    that has lost bits: the caller recomputes such nodes.
+    An atom on a node gives log 0 = -inf there, and a node near an atom a
+    product that has lost bits: the caller recomputes such nodes.
     """
     # a short line leaves too little work per step, a tile of a few atoms
     # too short a gemv, so the lines follow the longer axis
@@ -162,32 +140,23 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
         (px[grouped], py[grouped], w[grouped[::_GROUP]], _GROUP, max(1, tile // _GROUP) * _GROUP),
     )
 
-    def lines(block: np.ndarray) -> np.ndarray:
-        sums = np.zeros((block.size, ys.size))
-        # errstate is per thread: set it in the thread that takes the logs (and
-        # the products, which may underflow at the nodes the caller recomputes)
-        with np.errstate(divide="ignore", under="ignore"):
-            for ax, ay, aw, group, size in passes:
-                for lo in range(0, ax.size, size):
-                    dx2 = np.square(ax[lo : lo + size, None] - block[None, :])
-                    dy2 = np.square(ay[lo : lo + size, None] - ys[None, :])
-                    wt = aw[lo // group : (lo + size) // group]
-                    buf = np.empty_like(dy2)
-                    terms = buf if group == 1 else np.empty((wt.size, ys.size))
-                    for i in range(block.size):
-                        np.add(dy2, dx2[:, i, None], out=buf)
-                        if group > 1:
-                            np.multiply.reduce(buf.reshape(wt.size, group, ys.size), axis=1, out=terms)
-                        np.log(terms, out=terms)
-                        sums[i] += wt @ terms
-        return sums
-
-    workers = min(worker_count(), xs.size)
-    if workers == 1:
-        sums = lines(xs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = np.concatenate(list(pool.map(lines, np.array_split(xs, workers))))
+    sums = np.zeros((xs.size, ys.size))
+    # the logs of an atom on a node divide by zero, and the products at nodes
+    # near an atom may underflow: the caller recomputes those nodes
+    with np.errstate(divide="ignore", under="ignore"):
+        for ax, ay, aw, group, size in passes:
+            for lo in range(0, ax.size, size):
+                dx2 = np.square(ax[lo : lo + size, None] - xs[None, :])
+                dy2 = np.square(ay[lo : lo + size, None] - ys[None, :])
+                wt = aw[lo // group : (lo + size) // group]
+                buf = np.empty_like(dy2)
+                terms = buf if group == 1 else np.empty((wt.size, ys.size))
+                for i in range(xs.size):
+                    np.add(dy2, dx2[:, i, None], out=buf)
+                    if group > 1:
+                        np.multiply.reduce(buf.reshape(wt.size, group, ys.size), axis=1, out=terms)
+                    np.log(terms, out=terms)
+                    sums[i] += wt @ terms
     return np.ascontiguousarray(sums.T) if flip else sums
 
 

@@ -48,7 +48,7 @@ CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via poo
 
 
 class UsageError(ValueError):
-    """Raised for bad input: a flag, a manifest, an input file or PROJSUM_THREADS."""
+    """Raised for bad input: a flag, a manifest or an input file."""
 
 
 class InvalidDimensionError(UsageError):

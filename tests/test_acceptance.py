@@ -238,7 +238,8 @@ def test_criterion_10_manifest_determinism(tmp_path, monkeypatch):
                         .replace(".converge", ".replay.converge"))
         assert replayed.read_bytes() == Path(path).read_bytes(), path
 
-    # identical bytes with 1 and 4 worker threads
+    # identical bytes with PROJSUM_THREADS at 1 and 4: projsum reads no such
+    # variable, so a stray setting moves no byte
     for threads, name in (("1", "t1"), ("4", "t4")):
         monkeypatch.setenv("PROJSUM_THREADS", threads)
         out = tmp_path / name

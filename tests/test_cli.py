@@ -394,6 +394,20 @@ class TestPotentialRecover:
             assert message in capsys.readouterr().err
             assert not Path(str(out) + ".measure.csv").exists()
 
+    @pytest.mark.parametrize("suffix", [".manifest.json", ".potential.csv"])
+    def test_recover_refuses_an_unreadable_input(self, tmp_path, capsys, suffix):
+        prefix = self._potential(tmp_path, nx=5, ny=5)
+        path = Path(str(prefix) + suffix)
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        out = tmp_path / "meas"
+        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and str(path) in err[0]
+        assert not Path(str(out) + ".manifest.json").exists()
+        assert not Path(str(out) + ".measure.csv").exists()
+
     def test_recover_rejects_a_short_row(self, tmp_path, capsys):
         prefix = self._potential(tmp_path, name="short", nx=5, ny=5)
         grid = Path(str(prefix) + ".potential.csv")
@@ -583,6 +597,15 @@ class TestReplay:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
 
+    def test_replay_refuses_an_unreadable_manifest(self, tmp_path, capsys):
+        # a directory: root reads any file, so permissions cannot make one unreadable
+        folder = tmp_path / "dir.manifest.json"
+        folder.mkdir()
+        assert main(["replay", "--manifest", str(folder)]) == E_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: manifest ") and str(folder) in err[0]
+        assert list(tmp_path.rglob("*")) == [folder]
+
     def test_replay_refuses_a_replay_manifest(self, tmp_path, capsys):
         # the parser knows `replay`, so a manifest naming it would replay itself forever
         loop = tmp_path / "loop.manifest.json"
@@ -729,6 +752,7 @@ class TestManifests:
 
 class TestThreadsEnv:
     def test_potential_bytes_independent_of_threads(self, tmp_path, monkeypatch):
+        # projsum reads no thread-count variable of its own: a stray one moves no byte
         def run(name: str) -> bytes:
             prefix = tmp_path / name
             rc = main(["potential", "--n", "30", *DEMO_FLAGS, "--seed", "8",
@@ -739,11 +763,11 @@ class TestThreadsEnv:
             assert rc == E_OK
             return Path(str(prefix) + ".potential.csv").read_bytes()
 
-        monkeypatch.setenv("PROJSUM_THREADS", "1")
-        serial = run("t1")
-        monkeypatch.setenv("PROJSUM_THREADS", "4")
-        threaded = run("t4")
-        assert serial == threaded
+        monkeypatch.delenv("PROJSUM_THREADS", raising=False)
+        plain = run("plain")
+        for stray in ("0", "soon"):
+            monkeypatch.setenv("PROJSUM_THREADS", stray)
+            assert run(stray) == plain, stray
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -26,7 +27,6 @@ from projsum import (
     sample_potential_grid,
     substream_seed,
     two_projection_eigenvalues,
-    worker_count,
 )
 from projsum import hermitization, model
 from projsum.model import GRID
@@ -259,11 +259,11 @@ class TestPotentialGrid:
         assert pert.original == 0j
         assert pert.used == 0.25 + 0.25j
 
-    def test_collisions_in_two_chunks_independent_of_threads(self, monkeypatch):
+    def test_collisions_in_two_tiles(self):
         # 41 x 41 nodes take atom tiles of 2**16 // 41 = 1598: with 3196 atoms
         # the two colliding atoms (at x = -0.9 and x = 0.5 once sorted) fall in
-        # different tiles of the sorted atoms, and rows 2 and 30 in different
-        # ranges of four threads; the filler's equal weights take the grouped pass
+        # different tiles of the sorted atoms; the filler's equal weights take
+        # the grouped pass
         window = (-1.0, 1.0, -1.0, 1.0)
         nodes = potential_grid(_delta(5 + 5j), window, 41, 41).nodes()
         tile = hermitization._PAIR_BUDGET // 41
@@ -275,15 +275,9 @@ class TestPotentialGrid:
             weights=np.concatenate([[0.25, 0.25], np.full(filler.size, 0.5 / filler.size)]),
         )
         assert list(np.searchsorted(np.unique(m.points), colliding) // tile) == [0, 1]
-        grids = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("PROJSUM_THREADS", threads)
-            grids.append(potential_grid(m, window, 41, 41))
-        serial, threaded = grids
-        assert [(p.ix, p.iy) for p in serial.perturbations] == [(2, 3), (30, 10)]
-        assert serial.perturbations == threaded.perturbations
-        assert np.all(np.isfinite(serial.values))
-        assert serial.values.tobytes() == threaded.values.tobytes()
+        grid = potential_grid(m, window, 41, 41)
+        assert [(p.ix, p.iy) for p in grid.perturbations] == [(2, 3), (30, 10)]
+        assert np.all(np.isfinite(grid.values))
 
     def test_kernel_sample_evaluates_distinct_atoms_once(self, demo_laws, monkeypatch):
         # n=400, k1=150, k2=50: 200 kernel zeros, 100 equal copies of one
@@ -558,30 +552,17 @@ class TestSampledPipeline:
         assert a.raw_total == b.raw_total
 
     def test_thread_count_does_not_change_bits(self, demo_laws, monkeypatch):
+        # the grid is evaluated in the calling thread: a stray PROJSUM_THREADS
+        # starts no thread and moves no byte
         p, q = demo_laws
         spec = ModelSpec(p, q, n=25, seed=78)
         window = (-0.5, 1.5, -0.5, 1.5)
-        monkeypatch.setenv("PROJSUM_THREADS", "1")
-        serial = brown_pipeline(spec, window, 33, 33, 1)
+        plain = brown_pipeline(spec, window, 33, 33, 1)
+
+        def refuse(self):
+            raise AssertionError("the grid started a thread")
+
         monkeypatch.setenv("PROJSUM_THREADS", "4")
-        threaded = brown_pipeline(spec, window, 33, 33, 1)
-        assert serial.grid.values.tobytes() == threaded.grid.values.tobytes()
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("PROJSUM_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("PROJSUM_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("PROJSUM_THREADS", "soon")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.delenv("PROJSUM_THREADS")
-        assert worker_count() >= 1
-
-    def test_worker_count_defaults_to_the_affinity_set(self, monkeypatch):
-        # the CPUs the process may run on, not every CPU of the machine
-        monkeypatch.delenv("PROJSUM_THREADS", raising=False)
-        monkeypatch.setattr(hermitization.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-        monkeypatch.setattr(hermitization.os, "cpu_count", lambda: 64)
-        assert worker_count() == 2
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        serial = brown_pipeline(spec, window, 33, 33, 1)
+        assert serial.grid.values.tobytes() == plain.grid.values.tobytes()
