@@ -150,7 +150,7 @@ def cmd_check(args) -> tuple[int, dict]:
     realization = assemble_model(spec)
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     scale = geom.scale
-    report = structure_report(realization, geom)
+    report = structure_report(realization)
 
     tol = CHECK_TOLERANCES
     checks = []
@@ -171,7 +171,7 @@ def cmd_check(args) -> tuple[int, dict]:
         zs = x0 + (x1 - x0) * rng.random(args.z_grid) + 1j * (y0 + (y1 - y0) * rng.random(args.z_grid))
         margins = [
             {"re": float(z.real), "im": float(z.imag), "margin": float(margin)}
-            for z, margin in zip(zs, verify_sv_bound(realization, geom, zs))
+            for z, margin in zip(zs, verify_sv_bound(realization, zs))
         ]
         worst = min(m["margin"] for m in margins)
         checks.append(("sv_bound", worst >= -tol["sv_bound"] * scale, f"worst_margin={worst:.3e}"))

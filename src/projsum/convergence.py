@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DegenerateGeometryError,
-    _corners,
-    atom_weights,
-    dist_to_hr_many,
-    make_geometry,
-)
+from .geometry import atom_weights, dist_to_hr_many, make_geometry
 from .model import (
     CONVERGE,
     InvalidDimensionError,
@@ -265,9 +259,7 @@ def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
     or 1 needs no special case.
     """
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    if p_law.loc == p_law.loc_alt or q_law.loc == q_law.loc_alt:
-        raise DegenerateGeometryError("corner masses need distinct atom locations")
-    corners = _corners(p_law, q_law)
+    corners = make_geometry(p_law, q_law).corners
     measure = esd(realization)
     return CornerAtomMasses(
         corners=corners,

@@ -32,7 +32,7 @@ __all__ = [
 
 
 class DegenerateGeometryError(UsageError):
-    """Raised when a one-atom law is passed where two atoms are required."""
+    """Raised when a law's two atom locations coincide."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class HyperbolaRectangle:
 
     def __post_init__(self) -> None:
         if self.gap_a == 0.0 or self.gap_b == 0.0:
-            raise DegenerateGeometryError("gaps must be nonzero; laws must be two-atom")
+            raise DegenerateGeometryError("each law needs two distinct atom locations")
 
     @property
     def center(self) -> complex:
@@ -68,6 +68,11 @@ class HyperbolaRectangle:
     def scale(self) -> float:
         """Length scale max(|A|, |B|, 1) used by all tolerances."""
         return max(abs(self.gap_a), abs(self.gap_b), 1.0)
+
+    @property
+    def frame(self) -> float:
+        """f, the largest power of two <= max(|A|, |B|): the gaps divided by f square exactly."""
+        return math.ldexp(1.0, math.frexp(max(abs(self.gap_a), abs(self.gap_b)))[1] - 1)
 
     @property
     def re_constant(self) -> float:
@@ -105,25 +110,17 @@ class BrownAtomWeights:
         return (self.e00, self.e01, self.e10, self.e11)
 
 
-def _corners(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> tuple[complex, complex, complex, complex]:
-    """The four atom pairs (loc, loc_alt) x (loc, loc_alt) in the corner order of :class:`HyperbolaRectangle`."""
-    a0, a1, b0, b1 = p_law.loc, p_law.loc_alt, q_law.loc, q_law.loc_alt
-    return (complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1))
-
-
 def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
-    """Build the hyperbola-rectangle geometry from a pair of two-atom laws.
+    """Build the hyperbola-rectangle geometry from the atom locations of two laws.
+
+    The weights play no part: a law of weight 0 or 1 puts the spectrum on
+    the corners, which lie on H intersect R.
 
     Raises
     ------
     DegenerateGeometryError
-        If either law is one-atom (zero gap or weight 0/1); the constant-p
-        and constant-q situations need separate handling by the caller.
+        If either law's two atom locations coincide.
     """
-    if not p_law.is_two_atom:
-        raise DegenerateGeometryError(f"p law is not two-atom: {p_law}")
-    if not q_law.is_two_atom:
-        raise DegenerateGeometryError(f"q law is not two-atom: {q_law}")
     a0, a1 = p_law.loc, p_law.loc_alt
     b0, b1 = q_law.loc, q_law.loc_alt
     return HyperbolaRectangle(
@@ -131,7 +128,7 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
         center_y=0.5 * (b0 + b1),
         gap_a=a1 - a0,
         gap_b=b1 - b0,
-        corners=_corners(p_law, q_law),
+        corners=(complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1)),
     )
 
 
@@ -268,7 +265,7 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
         x, y, a, b = y, x, b, a
     # work in the frame of f, the largest power of two <= a: dividing by f is
     # exact, so no square of a gap overflows or underflows and no other bit moves
-    f = math.ldexp(1.0, math.frexp(a)[1] - 1)
+    f = geom.frame
     with np.errstate(over="ignore"):
         u, v = x / f, y / f
     a, b = a / f, b / f

@@ -64,9 +64,9 @@ class TwoAtomLaw:
     weight : float
         Mass of the atom at ``loc``; must lie in [0, 1].
     loc, loc_alt : float
-        Atom positions, finite and with a finite gap.  They may coincide
-        (degenerate one-atom law), in which case :attr:`is_two_atom` is
-        False and geometry constructors will refuse the law.
+        Atom positions, finite and with a finite gap.  At most two atoms:
+        a weight of 0 or 1 leaves one, and the locations may coincide,
+        which ``geometry.make_geometry`` refuses.
     """
 
     weight: float
@@ -80,11 +80,6 @@ class TwoAtomLaw:
             raise UsageError("atom locations must be finite")
         if not math.isfinite(self.gap):
             raise UsageError(f"atom gap must be finite, got {self.loc!r} to {self.loc_alt!r}")
-
-    @property
-    def is_two_atom(self) -> bool:
-        """True when both atoms carry positive mass at distinct locations."""
-        return 0.0 < self.weight < 1.0 and self.loc != self.loc_alt
 
     @property
     def gap(self) -> float:
@@ -228,9 +223,7 @@ def _range_factors(g: np.ndarray) -> np.ndarray:
 
 
 def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
-    """Number k of loc_alt entries at dimension n, and the realized law."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+    """Number k of loc_alt entries at a validated dimension n, and the realized law."""
     k = round(n * (1.0 - law.weight))
     return k, TwoAtomLaw(weight=(n - k) / n, loc=law.loc, loc_alt=law.loc_alt)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HyperbolaRectangle, dist_to_hr_many, make_geometry
-from .model import ModelRealization, _ProjectionSpectra
+from .geometry import dist_to_hr_many, make_geometry
+from .model import ModelRealization
 
 __all__ = [
     "ComputationError",
@@ -113,20 +113,23 @@ def esd(realization: ModelRealization) -> WeightedPointMeasure:
         ) from exc
 
 
-def structure_report(realization: ModelRealization, geom: HyperbolaRectangle | None = None) -> StructureReport:
+def structure_report(realization: ModelRealization) -> StructureReport:
     """Evaluate the structural identities on one realization.
 
-    ``geom`` must be the geometry of the realized laws, and is built from
-    them when omitted; its center and gaps (A, B) define X~ = X - center.
-    The support deviation is the largest :func:`dist_to_hr_many` over the
-    points of ``esd(realization)``.  W = X~^2 = c + iK is checked as an
-    operator identity, with no eigenvalue or SVD of W; see
-    :class:`StructureReport` for the fields and their upper-bound argument.
+    The geometry is that of the realized laws; its center and gaps (A, B)
+    define X~ = X - center.  The support deviation is the largest
+    :func:`dist_to_hr_many` over the points of ``esd(realization)``.
+    W = X~^2 = c + iK is checked as an operator identity, with no eigenvalue
+    or SVD of W, in the power-of-two frame f = ``geom.frame``, as in
+    :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm
+    multiplied back by f^2.  Both steps are exact, so no bit moves unless the
+    unscaled W over- or underflows.  See :class:`StructureReport` for the fields.
     """
-    if geom is None:
-        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
-    eye, c = np.eye(realization.n), geom.re_constant
-    xt = realization.x_matrix - geom.center * eye
+    geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+    f, eye = geom.frame, np.eye(realization.n)
+    a, b = geom.gap_a / f, geom.gap_b / f
+    c = 0.25 * (a - b) * (a + b)  # geom.re_constant / f^2
+    xt = (realization.x_matrix - geom.center * eye) / f
     w = xt @ xt
     wh = w.conj().T
     re_dev = float(np.max(np.abs(np.linalg.eigvalsh((w + wh) / 2 - c * eye))))
@@ -135,7 +138,7 @@ def structure_report(realization: ModelRealization, geom: HyperbolaRectangle | N
     floor = max(abs(c) - re_dev, im_norm)
     support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
     # divided twice, so that floor^2 cannot underflow
-    return StructureReport(re_dev, im_norm, comm / floor / floor if floor > 0.0 else 0.0, support_dev)
+    return StructureReport(re_dev * f * f, im_norm * f * f, comm / floor / floor if floor > 0.0 else 0.0, support_dev)
 
 
 def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
@@ -157,16 +160,16 @@ _U = np.finfo(np.float64).eps / 2
 _MARGIN_ACCURACY = 1e-8
 
 
-def _certified_sigmas(
-    realization: ModelRealization, spectra: _ProjectionSpectra, zs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, eps) for each z in ``zs``: the smallest and largest singular
     values of z - Y, and a bound eps on their distance from those of z - X_n.
 
-    Y = alpha + i*beta + A*Pi_p + iB*Pi_q on the blocks of ``model._AngleSpectrum``,
-    with the computed c and s; see ``verify_sv_bound`` for the proof.  Real
-    arithmetic only, so each z gives the same bits in any array shape.
+    Y = alpha + i*beta + A*Pi_p + iB*Pi_q on the blocks of the realization's
+    cached angle core, with the computed c and s; see ``verify_sv_bound`` for
+    the proof.  Real arithmetic only, so each z gives the same bits in any
+    array shape.
     """
+    spectra = realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = p_law.gap, q_law.gap
     c, s = spectra.angles.c, spectra.angles.s
@@ -191,13 +194,13 @@ def _certified_sigmas(
     hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1)
     # rounding of the shift to w and of the closed forms
     size = hi + np.sqrt(zs.real**2 + zs.imag**2) + math.hypot(p_law.loc, q_law.loc)
-    return lo, hi, _certificate_eps(realization, spectra) + 16.0 * _U * size
+    return lo, hi, _certificate_eps(realization) + 16.0 * _U * size
 
 
-def _certificate_eps(realization: ModelRealization, spectra: _ProjectionSpectra) -> float:
+def _certificate_eps(realization: ModelRealization) -> float:
     """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when
     the projections are too far from exact ones of ranks k1, k2 to certify."""
-    n = realization.n
+    n, spectra = realization.n, realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = abs(p_law.gap), abs(q_law.gap)
     idem = []
@@ -220,15 +223,16 @@ def _certificate_eps(realization: ModelRealization, spectra: _ProjectionSpectra)
     return resid_bound + 2.0 * (a * i_p + b * i_q) + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
 
 
-def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) -> np.ndarray | float:
+def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     """Signed margin of sigma_min(z - X_n) >= dist(z, H n R)^2 / ||z - X_n||.
 
     Nonnegative in exact arithmetic for every z and every realization; when
     z is an eigenvalue both sides vanish.  Returns
     sigma_min - dist^2 / opnorm, which tests compare against a small
-    negative floating-point allowance, elementwise for an array ``z`` (one
-    distance call for all points) and as a float for a scalar ``z``.  The
-    angle spectrum is the realization's cached ``_dense_spectra``.
+    negative floating-point allowance, as an array in the shape of ``z``
+    (0-d for a scalar; one distance call for all points).  H n R is the
+    geometry of the realized laws, and the angle spectrum is the
+    realization's cached ``_dense_spectra``.
 
     The singular values come from the two-subspace theorem (Halmos, 1969),
     in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
@@ -277,9 +281,10 @@ def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) 
     verdict.  At every other z, a perturbed X_n's included, the dense SVD
     gives the margin.
     """
+    geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     zs = np.asarray(z, dtype=np.complex128)
     dist = dist_to_hr_many(geom, zs).reshape(zs.shape)
-    lo, hi, eps = _certified_sigmas(realization, realization._dense_spectra, zs)
+    lo, hi, eps = _certified_sigmas(realization, zs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         margins = np.array(lo - dist**2 / hi)
         slack = hi - eps
@@ -297,7 +302,7 @@ def verify_sv_bound(realization: ModelRealization, geom: HyperbolaRectangle, z) 
         except np.linalg.LinAlgError as exc:
             raise ComputationError(f"SVD failed at z={complex(zs[idx])!r} ({exc})") from exc
         margins[idx] = float(svals[-1]) - float(dist[idx]) ** 2 / float(svals[0])
-    return margins if margins.ndim else float(margins)
+    return margins
 
 
 def freeness_diagnostic(realization: ModelRealization, order: int) -> float:

@@ -71,7 +71,7 @@ def test_criterion_02_structure_identities():
         for i in range(20):
             r = _realize(n, 1000 + i)
             geom = make_geometry(r.realized_p_law, r.realized_q_law)
-            rep = structure_report(r, geom)
+            rep = structure_report(r)
             assert rep.normality_residual <= 1e-10, (n, i)
             assert rep.re_deviation <= 1e-9 * geom.scale**2, (n, i)
             assert rep.im_norm <= geom.im_halfwidth + 1e-10, (n, i)
@@ -87,7 +87,7 @@ def test_criterion_03_min_singular_value_bound():
         geom = make_geometry(r.realized_p_law, r.realized_q_law)
         zs = rng.uniform(-1, 2, 100) + 1j * rng.uniform(-1, 2, 100)
         # one array call per draw: elementwise the same margins as 100 scalar calls
-        margins = verify_sv_bound(r, geom, zs)
+        margins = verify_sv_bound(r, zs)
         for z, margin in zip(zs, margins):
             assert margin >= -1e-8 * geom.scale, (i, z, margin)
     elapsed = time.perf_counter() - t0

@@ -195,12 +195,12 @@ class TestCheck:
         realization = assemble_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0), commuting=True)
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         tol, scale = cli.CHECK_TOLERANCES, geom.scale
-        report = spectra.structure_report(realization, geom)
+        report = spectra.structure_report(realization)
         assert report.support_deviation <= tol["support"] * scale
         assert report.normality_residual <= tol["normality"]
         assert report.re_deviation <= tol["re_constant"] * scale**2
         assert report.im_norm <= geom.im_halfwidth + tol["im_bound"] * scale**2
-        margins = spectra.verify_sv_bound(realization, geom, _box_points(geom, 5, 0))
+        margins = spectra.verify_sv_bound(realization, _box_points(geom, 5, 0))
         assert np.min(margins) >= -tol["sv_bound"] * scale
         masses = convergence.corner_atom_masses(realization)
         lower = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight).corner_weights
@@ -272,10 +272,11 @@ class TestCheck:
     def test_im_bound_at_scale_one_is_the_absolute_bound(self, tmp_path, monkeypatch, excess, ok):
         # at the demo laws scale is 1, so the bound is still |A*B|/2 + 1e-10
         real = cli.structure_report
+        geom = make_geometry(P_LAW, Q_LAW)
+        assert geom.scale == 1.0
 
-        def shifted(realization, geom, **kwargs):
-            assert geom.scale == 1.0
-            return replace(real(realization, geom, **kwargs), im_norm=geom.im_halfwidth + excess)
+        def shifted(realization):
+            return replace(real(realization), im_norm=geom.im_halfwidth + excess)
 
         monkeypatch.setattr(cli, "structure_report", shifted)
         prefix = tmp_path / "edge"
@@ -283,6 +284,37 @@ class TestCheck:
         assert rc == (E_OK if ok else E_CHECK)
         payload = json.loads(Path(str(prefix) + ".check.json").read_text())
         assert payload["first_failure"] == (None if ok else "im_bound")
+
+    def test_gaps_of_1e50_pass_in_the_power_of_two_frame(self, tmp_path, capsys):
+        # ||[W, W*]||_F of the unscaled W = X~^2 overflowed here: a normality
+        # residual of inf (exit 3) and an overflow RuntimeWarning on stderr
+        prefix = tmp_path / "wide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check", "--n", "50", "--a", "0.625", "--alpha", "0", "--alpha-prime", "1e50",
+                       "--b", "0.875", "--beta", "0", "--beta-prime", "8e49", "--seed", "42",
+                       "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        assert capsys.readouterr().err == ""
+        assert main(["replay", "--manifest", str(prefix) + ".manifest.json"]) == E_OK
+        written = Path(str(prefix) + ".check.json").read_bytes()
+        assert written == Path(str(prefix) + ".replay.check.json").read_bytes()
+
+    @pytest.mark.parametrize("n, laws, masses", [
+        (60, ["--a", "1", "--alpha", "0", "--alpha-prime", "1", "--b", "0.3", "--beta", "0", "--beta-prime", "0.8"],
+         [0.3, 0.7, 0.0, 0.0]),
+        # 0.375 and 0.125 of one entry round to none: both realized laws have weight 1
+        (1, DEMO_FLAGS, [1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_weight_zero_or_one_runs_every_check(self, tmp_path, n, laws, masses):
+        # a projection of rank 0 or n puts the spectrum on the corners, where every theorem holds
+        prefix = tmp_path / "edge"
+        assert main(["check", "--n", str(n), *laws, "--seed", "42", "--out-prefix", str(prefix)]) == E_OK
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert [c["name"] for c in payload["checks"]] == [
+            "support", "normality", "re_constant", "im_bound", "sv_bound", "corner_mass"]
+        assert payload["corner_masses"]["intersection_mass"] == masses
+        assert payload["corner_masses"]["esd_mass"] == pytest.approx(masses, abs=1e-12)
 
     def test_gap_whose_square_overflows_is_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # the structure identities square X_n - center; a gap of 1e200 used to
@@ -419,6 +451,18 @@ class TestPotentialRecover:
         assert "unreadable L value" in capsys.readouterr().err
         assert not Path(str(out) + ".measure.csv").exists()
 
+    def test_recover_refuses_a_missing_row(self, tmp_path, capsys):
+        prefix = self._potential(tmp_path, name="rows", nx=3, ny=3)
+        grid = Path(str(prefix) + ".potential.csv")
+        lines = grid.read_bytes().split(b"\r\n")
+        # the header, 9 rows and the empty tail after the last line ending; drop row 9
+        grid.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
+        out = tmp_path / "m"
+        assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
+        assert "potential file has 8 rows, expected 9" in capsys.readouterr().err
+        assert not Path(str(out) + ".measure.csv").exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_potential_rejects_infinite_bound(self, tmp_path, capsys):
         prefix = tmp_path / "inf"
         rc = main(["potential", "--n", "8", *DEMO_FLAGS, "--xmin=-inf", "--xmax", "1.3",
@@ -467,6 +511,16 @@ class TestConverge:
         assert report["reference_n"] == 48
         assert report["distances"][1] == 0.0
         assert report["distances"][0] > 0.0
+        assert max(report["support_devs"]) <= 1e-8
+        assert max(report["corner_mass_errors"]) <= 1e-9
+
+    @pytest.mark.parametrize("weights", [["--a", "1", "--b", "0.875"], ["--a", "0.625", "--b", "0"]])
+    def test_weight_zero_or_one(self, tmp_path, weights):
+        prefix = tmp_path / "edge"
+        rc = main(["converge", *weights, "--alpha", "0", "--alpha-prime", "1", "--beta", "0", "--beta-prime", "0.8",
+                   "--schedule", "16,32", "--samples", "2", "--seed", "42", "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        report = json.loads(Path(str(prefix) + ".converge.json").read_text())
         assert max(report["support_devs"]) <= 1e-8
         assert max(report["corner_mass_errors"]) <= 1e-9
 
@@ -781,12 +835,16 @@ class TestUsageErrors:
         assert main(["sample", "--n", "0", *DEMO_FLAGS,
                      "--out-prefix", str(tmp_path / "z")]) == E_USAGE
 
-    def test_degenerate_law(self, tmp_path):
-        rc = main(["check", "--n", "10",
-                   "--a", "0.5", "--alpha", "0.3", "--alpha-prime", "0.3",
-                   "--b", "0.875", "--beta", "0", "--beta-prime", "0.8",
-                   "--out-prefix", str(tmp_path / "z")])
-        assert rc == E_USAGE
+    def test_degenerate_law(self, tmp_path, capsys):
+        # coincident atom locations are the one law the geometry refuses
+        for command, size in (("check", ["--n", "10"]), ("converge", ["--schedule", "8,16"])):
+            rc = main([command, *size,
+                       "--a", "0.5", "--alpha", "0.3", "--alpha-prime", "0.3",
+                       "--b", "0.875", "--beta", "0", "--beta-prime", "0.8",
+                       "--out-prefix", str(tmp_path / "z")])
+            assert rc == E_USAGE
+            assert "each law needs two distinct atom locations" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_atom_gap(self, tmp_path, capsys):
         # finite locations whose gap is inf would reach the library as non-finite eigenvalues

@@ -218,16 +218,23 @@ class TestMakeGeometry:
         assert DEMO.gap_b == pytest.approx(0.8)
         assert DEMO.corners == (0j, 0.8j, 1 + 0j, 1 + 0.8j)
         assert DEMO.scale == 1.0
+        assert DEMO.frame == 1.0
+        assert make_geometry(TwoAtomLaw(0.5, 0.0, 1e-8), TwoAtomLaw(0.5, 0.0, 0.8e-8)).frame == 2.0**-27
         assert DEMO.re_constant == pytest.approx((1.0 - 0.64) / 4)
         assert DEMO.im_halfwidth == pytest.approx(0.4)
 
     def test_rejects_one_atom_laws(self):
+        # only coincident locations make a one-atom law the geometry cannot take
         good = TwoAtomLaw(0.5, 0.0, 1.0)
-        for bad in (TwoAtomLaw(1.0, 0.0, 1.0), TwoAtomLaw(0.5, 0.7, 0.7)):
-            with pytest.raises(DegenerateGeometryError):
-                make_geometry(bad, good)
-            with pytest.raises(DegenerateGeometryError):
-                make_geometry(good, bad)
+        bad = TwoAtomLaw(0.5, 0.7, 0.7)
+        for laws in ((bad, good), (good, bad)):
+            with pytest.raises(DegenerateGeometryError, match="two distinct atom locations"):
+                make_geometry(*laws)
+        # a weight of 0 or 1 leaves one atom too, but the geometry reads the locations alone
+        for weight in (0.0, 1.0):
+            edge = TwoAtomLaw(weight, 0.0, 1.0)
+            assert make_geometry(edge, Q_LAW) == make_geometry(good, Q_LAW)
+            assert make_geometry(P_LAW, edge) == make_geometry(P_LAW, good)
 
     def test_atom_swap_leaves_support_invariant(self):
         # relabeling (loc, loc_alt) in either law flips the gap sign but

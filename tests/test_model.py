@@ -138,9 +138,7 @@ class TestTwoAtomLaw:
     def test_derived_quantities(self):
         law = TwoAtomLaw(weight=5 / 8, loc=0.0, loc_alt=1.0)
         assert law.gap == 1.0
-        assert law.is_two_atom
-        assert not TwoAtomLaw(weight=1.0, loc=0.0, loc_alt=1.0).is_two_atom
-        assert not TwoAtomLaw(weight=0.5, loc=0.3, loc_alt=0.3).is_two_atom
+        assert TwoAtomLaw(weight=0.5, loc=0.3, loc_alt=0.3).gap == 0.0
 
 
 class TestBuildTwoAtomHermitian:

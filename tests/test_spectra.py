@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
-from projsum import model, spectra
+from projsum import spectra
 from tests.conftest import P_LAW, Q_LAW
 
 
@@ -90,13 +91,12 @@ class TestEsd:
 class TestDenseSpectraOnce:
     def test_consumers_share_one_solve_and_a_replaced_matrix_takes_its_own(self, dense_solves):
         r = assemble_model(ModelSpec(P_LAW, Q_LAW, n=32, seed=3))
-        geom = make_geometry(r.realized_p_law, r.realized_q_law)
         zs = np.array([0.5 + 0.4j, 2.0 - 1.0j])
 
         def consume(realization):
             esd(realization)
-            structure_report(realization, geom)
-            verify_sv_bound(realization, geom, zs)
+            structure_report(realization)
+            verify_sv_bound(realization, zs)
             corner_atom_masses(realization)
 
         # one eigvals and two eigvalsh for the angle spectrum; structure_report
@@ -177,19 +177,16 @@ class TestSvBound:
         rng = np.random.default_rng(11)
         zs = rng.uniform(-0.6, 1.6, 25) + 1j * rng.uniform(-0.6, 1.4, 25)
         for z in zs:
-            assert verify_sv_bound(small_realization, geom, complex(z)) >= -1e-8 * geom.scale
+            assert verify_sv_bound(small_realization, complex(z)) >= -1e-8 * geom.scale
 
     def test_array_z_matches_scalar_calls(self, small_realization):
-        geom = make_geometry(
-            small_realization.realized_p_law, small_realization.realized_q_law
-        )
         rng = np.random.default_rng(5)
         zs = rng.uniform(-0.6, 1.6, (3, 4)) + 1j * rng.uniform(-0.6, 1.4, (3, 4))
         zs[0, 0] = esd(small_realization).points[3]
-        margins = verify_sv_bound(small_realization, geom, zs)
+        margins = verify_sv_bound(small_realization, zs)
         assert margins.shape == zs.shape
-        single = [verify_sv_bound(small_realization, geom, complex(z)) for z in zs.ravel()]
-        assert all(type(m) is float for m in single)
+        single = [verify_sv_bound(small_realization, complex(z)) for z in zs.ravel()]
+        assert all(isinstance(m, np.ndarray) and m.shape == () for m in single)
         assert margins.ravel().tobytes() == np.array(single).tobytes()
 
     def test_margin_at_eigenvalue_is_tiny(self, small_realization):
@@ -197,15 +194,12 @@ class TestSvBound:
             small_realization.realized_p_law, small_realization.realized_q_law
         )
         z = complex(esd(small_realization).points[3])
-        assert abs(verify_sv_bound(small_realization, geom, z)) <= 1e-8 * geom.scale
+        assert abs(verify_sv_bound(small_realization, z)) <= 1e-8 * geom.scale
 
     def test_margin_far_away(self, small_realization):
         # far from the spectrum sigma_min ~ |z| while dist^2/||.|| ~ |z|,
         # so the margin stays positive but not tiny
-        geom = make_geometry(
-            small_realization.realized_p_law, small_realization.realized_q_law
-        )
-        assert verify_sv_bound(small_realization, geom, 30 + 40j) > 1.0
+        assert verify_sv_bound(small_realization, 30 + 40j) > 1.0
 
 
 def _dense_margins(realization, geom, zs):
@@ -260,15 +254,12 @@ class TestSvBlocks:
     @settings(max_examples=150, deadline=None)
     def test_certified_interval_holds_the_dense_singular_values(self, spec, commuting):
         realization = assemble_model(spec, commuting=commuting)
-        # the geometry depends on the atoms alone; weight 1/2 lets make_geometry
-        # build it for the weights 0 and 1 as well
-        p, q = realization.realized_p_law, realization.realized_q_law
-        geom = make_geometry(TwoAtomLaw(0.5, p.loc, p.loc_alt), TwoAtomLaw(0.5, q.loc, q.loc_alt))
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         far = geom.center + 10.0 * geom.scale * np.exp(1j * np.array([0.3, 1.9, 4.0]))
         zs = np.concatenate([
             np.array(geom.corners), esd(realization).points, far, _box_points(geom, 8, spec.n),
         ])
-        lo, hi, eps = spectra._certified_sigmas(realization, model._projection_spectra(realization), zs)
+        lo, hi, eps = spectra._certified_sigmas(realization, zs)
         dense = np.array([np.linalg.svd(z * np.eye(spec.n) - realization.x_matrix, compute_uv=False)
                           for z in zs])
         assert np.max(eps) <= 1e-12 * geom.scale
@@ -287,7 +278,7 @@ class TestSvBlocks:
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
-        margins = verify_sv_bound(realization, geom, zs)
+        margins = verify_sv_bound(realization, zs)
         assert calls == []
         assert np.all(margins >= 0.0) and np.all(dense >= 0.0)
         assert np.max(np.abs(margins - dense)) <= 1e-8 * geom.scale
@@ -304,12 +295,23 @@ class TestSvBlocks:
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
-        margins = verify_sv_bound(realization, geom, zs)
+        margins = verify_sv_bound(realization, zs)
         assert len(calls) > 0
         tol = -1e-8 * geom.scale
         assert np.min(dense) < tol
         assert np.array_equal(margins >= tol, dense >= tol)
         assert margins.tobytes() == dense.tobytes()
+
+    def test_projections_too_far_from_exact_ones_take_the_dense_margin(self):
+        # P_n moved off a projection: the block layout cannot be certified, so
+        # every z takes the dense SVD
+        base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=24, seed=5))
+        e = np.random.default_rng(24).standard_normal((24, 24))
+        realization = replace(base, p_matrix=base.p_matrix + 0.05 * (e + e.T))
+        assert spectra._certificate_eps(realization) == math.inf
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        zs = _box_points(geom, 3, 1)
+        assert verify_sv_bound(realization, zs).tobytes() == _dense_margins(realization, geom, zs).tobytes()
 
 
 def _dense_structure(w: np.ndarray, c: float) -> tuple[float, float, float]:
@@ -337,8 +339,8 @@ class TestStructureResiduals:
         re, im = np.random.default_rng(n).standard_normal((2, n, n))
         realization = replace(realization, x_matrix=realization.x_matrix + shift * (re + 1j * im))
         p, q = realization.realized_p_law, realization.realized_q_law
-        geom = make_geometry(TwoAtomLaw(0.5, p.loc, p.loc_alt), TwoAtomLaw(0.5, q.loc, q.loc_alt))
-        rep = structure_report(realization, geom)
+        geom = make_geometry(p, q)
+        rep = structure_report(realization)
         xt = realization.x_matrix - geom.center * np.eye(n)
         w = xt @ xt
         re_dev, im_norm, normality = _dense_structure(w, geom.re_constant)
@@ -357,6 +359,27 @@ class TestStructureResiduals:
             if not (commuting and n == 2 and p.weight == q.weight == 0.5):
                 assert rep.normality_residual > 1e-10
 
+    @given(k=st.integers(min_value=-150, max_value=150))
+    @example(k=-150)
+    @example(k=150)
+    @settings(max_examples=30, deadline=None)
+    def test_fields_are_homogeneous_in_the_atom_scale(self, k):
+        # scaling every atom location by 2^e scales X_n exactly, and the fields
+        # follow bit for bit in the power-of-two frame; unscaled, W W* overflowed
+        # from about e = 160 and the commutator underflowed to 0 at e = -300.  e is
+        # even: the eigenvalue solver's shifts take square roots of entries, which
+        # are exact only under a power of four
+        e = 2 * k
+        off_center = (TwoAtomLaw(0.3, -0.75, 1.25), TwoAtomLaw(0.55, 0.5, -0.375))
+        for laws, n in (((P_LAW, Q_LAW), 40), (off_center, 33)):
+            base = structure_report(assemble_model(ModelSpec(*laws, n=n, seed=7)))
+            scaled = [TwoAtomLaw(law.weight, math.ldexp(law.loc, e), math.ldexp(law.loc_alt, e)) for law in laws]
+            rep = structure_report(assemble_model(ModelSpec(*scaled, n=n, seed=7)))
+            assert rep.re_deviation == math.ldexp(base.re_deviation, 2 * e)
+            assert rep.im_norm == math.ldexp(base.im_norm, 2 * e)
+            assert rep.support_deviation == math.ldexp(base.support_deviation, e)
+            assert rep.normality_residual == base.normality_residual > 0.0
+
     def test_zero_denominator(self):
         # equal gaps make c = 0, so the denominator max(|c| - re_deviation, ||Im W||) is 0 whenever Im W is
         law = TwoAtomLaw(0.5, 0.0, 1.0)
@@ -364,10 +387,10 @@ class TestStructureResiduals:
         base = assemble_model(ModelSpec(law, law, n=2, seed=0))
         center = geom.center * np.eye(2)
         # X~ nilpotent: W = X~^2 = 0, and the zero matrix is normal
-        rep = structure_report(replace(base, x_matrix=center + np.array([[0.0, 1.0], [0.0, 0.0]])), geom)
+        rep = structure_report(replace(base, x_matrix=center + np.array([[0.0, 1.0], [0.0, 0.0]])))
         assert (rep.re_deviation, rep.im_norm, rep.normality_residual) == (0.0, 0.0, 0.0)
         # X~ Hermitian: W = [[5, 2], [2, 4]] is Hermitian, hence normal
-        rep = structure_report(replace(base, x_matrix=center + np.array([[1.0, 2.0], [2.0, 0.0]])), geom)
+        rep = structure_report(replace(base, x_matrix=center + np.array([[1.0, 2.0], [2.0, 0.0]])))
         assert rep.re_deviation == pytest.approx(4.5 + 17**0.5 / 2, rel=1e-15)
         assert (rep.im_norm, rep.normality_residual) == (0.0, 0.0)
 
