@@ -14,12 +14,11 @@ left there by a monotone Newton iteration (closed form for equal gaps).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoAtomLaw, UsageError
+from .model import TwoAtomLaw, UsageError, _frame
 
 __all__ = [
     "DegenerateGeometryError",
@@ -68,11 +67,6 @@ class HyperbolaRectangle:
     def scale(self) -> float:
         """Length scale max(|A|, |B|, 1) used by all tolerances."""
         return max(abs(self.gap_a), abs(self.gap_b), 1.0)
-
-    @property
-    def frame(self) -> float:
-        """f, the largest power of two <= max(|A|, |B|): the gaps divided by f square exactly."""
-        return math.ldexp(1.0, math.frexp(max(abs(self.gap_a), abs(self.gap_b)))[1] - 1)
 
     @property
     def re_constant(self) -> float:
@@ -186,8 +180,8 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     keeps its relative accuracy near equal gaps: there |A| - |B| is exact,
     while A^2 - B^2 would lose the bits its rounded squares share.
 
-    The frame.  Everything below runs on u, v and the gaps divided by f,
-    the largest power of two at most max(|A|, |B|), and the distance is
+    The frame.  Everything below runs on u, v and the gaps divided by f =
+    ``model._frame(max(|A|, |B|))``, and the distance is
     multiplied back by f.  Both are exact and every step is homogeneous, so
     the bits are those of the unscaled arithmetic wherever that neither
     overflows nor underflows, and gaps up to the float limit leave c finite.
@@ -263,9 +257,8 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     a, b = abs(geom.gap_a), abs(geom.gap_b)
     if b > a:
         x, y, a, b = y, x, b, a
-    # work in the frame of f, the largest power of two <= a: dividing by f is
-    # exact, so no square of a gap overflows or underflows and no other bit moves
-    f = geom.frame
+    # the power-of-two frame of the larger gap: exact, and no square of a gap overflows
+    f = _frame(a)
     with np.errstate(over="ignore"):
         u, v = x / f, y / f
     a, b = a / f, b / f

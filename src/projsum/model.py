@@ -222,6 +222,12 @@ def _range_factors(g: np.ndarray) -> np.ndarray:
     return cholesky(g.conj().T @ g, lower=False, check_finite=False)
 
 
+def _frame(x):
+    """The largest power of two <= x, elementwise (1/2 at 0).  Every closed form that squares
+    a gap divides by it: exact, and the quotient squares into [1, 4) without over- or underflow."""
+    return np.ldexp(1.0, np.frexp(x)[1] - 1)
+
+
 def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
     """Number k of loc_alt entries at a validated dimension n, and the realized law."""
     k = round(n * (1.0 - law.weight))
@@ -240,7 +246,7 @@ def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     return m
 
 
-def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealization:
+def assemble_model(spec: ModelSpec) -> ModelRealization:
     """Sample one realization of the model from ``spec``, in P_n's eigenbasis.
 
     P_n = alpha + A*E_k1 exactly, E_k1 the projection onto the first k1
@@ -249,18 +255,11 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
     ``_q_frame`` draws for the kernel too: their thin QR factor equals the
     leading columns of V up to column phases (Householder QR makes its
     first k columns from those of G alone), which cancel in V2 V2*.
-
-    With ``commuting=True``, V = I: P_n and Q_n are diagonal, a deterministic
-    variant for tests with closed-form spectra.
     """
     k1, realized_p = _realize(spec.p_law, spec.n)
-    k2, realized_q = _realize(spec.q_law, spec.n)
+    g, q_law = _q_frame(spec)
     p = _two_atom_matrix(realized_p, np.eye(spec.n, k1, dtype=np.complex128))
-    if commuting:
-        q = _two_atom_matrix(realized_q, np.eye(spec.n, k2, dtype=np.complex128))
-    else:
-        g, q_law = _q_frame(spec)
-        q = _two_atom_matrix(q_law, np.linalg.qr(g)[0])
+    q = _two_atom_matrix(q_law, np.linalg.qr(g)[0])
     x = p + 1j * q
     x.setflags(write=False)
     return ModelRealization(
@@ -268,7 +267,7 @@ def assemble_model(spec: ModelSpec, *, commuting: bool = False) -> ModelRealizat
         q_matrix=q,
         x_matrix=x,
         realized_p_law=realized_p,
-        realized_q_law=realized_q,
+        realized_q_law=_realize(spec.q_law, spec.n)[1],
     )
 
 
@@ -365,9 +364,8 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     angles = _kernel_angles(spec)
     kk, kr, rk, rr = angles.excess()
     a, b = spec.p_law.gap, spec.q_law.gap
-    # solve the blocks in the frame of f, the largest power of two <= max(|A|, |B|):
-    # dividing by f is exact, so no square overflows and no other bit moves
-    f = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 1)
+    # solve the blocks in the frame of the larger gap, so that no square overflows
+    f = _frame(max(abs(a), abs(b)))
     t = complex(a / f, b / f)
     det = 1j * (a / f) * (b / f) * (1.0 - angles.c**2 if angles.s is None else angles.s**2)
     disc = np.sqrt(t * t - 4.0 * det)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist_to_hr_many, make_geometry
-from .model import ModelRealization
+from .model import ModelRealization, _frame
 
 __all__ = [
     "ComputationError",
@@ -120,13 +120,13 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     define X~ = X - center.  The support deviation is the largest
     :func:`dist_to_hr_many` over the points of ``esd(realization)``.
     W = X~^2 = c + iK is checked as an operator identity, with no eigenvalue
-    or SVD of W, in the power-of-two frame f = ``geom.frame``, as in
-    :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm
+    or SVD of W, in the power-of-two frame f = ``model._frame(max(|A|, |B|))``,
+    as in :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm
     multiplied back by f^2.  Both steps are exact, so no bit moves unless the
     unscaled W over- or underflows.  See :class:`StructureReport` for the fields.
     """
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
-    f, eye = geom.frame, np.eye(realization.n)
+    f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(realization.n)
     a, b = geom.gap_a / f, geom.gap_b / f
     c = 0.25 * (a - b) * (a + b)  # geom.re_constant / f^2
     xt = (realization.x_matrix - geom.center * eye) / f
@@ -167,16 +167,18 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     Y = alpha + i*beta + A*Pi_p + iB*Pi_q on the blocks of the realization's
     cached angle core, with the computed c and s; see ``verify_sv_bound`` for
     the proof.  Real arithmetic only, so each z gives the same bits in any
-    array shape.
+    array shape.  Each z runs in the frame ``model._frame(max(|A|, |B|, |Re z - alpha|,
+    |Im z - beta|))``, so no fourth power overflows; lo and hi are multiplied back, exactly.
     """
     spectra = realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    a, b = p_law.gap, q_law.gap
     c, s = spectra.angles.c, spectra.angles.s
-    # the excess corners, as offsets from alpha + i*beta
-    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), spectra.angles.excess()) if e]
     x = (zs.real - p_law.loc)[..., None]
     y = (zs.imag - q_law.loc)[..., None]
+    f = _frame(np.maximum(max(abs(p_law.gap), abs(q_law.gap)), np.maximum(abs(x), abs(y))))
+    x, y, a, b = x / f, y / f, p_law.gap / f, q_law.gap / f
+    # the excess corners, as offsets from alpha + i*beta
+    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), spectra.angles.excess()) if e]
     # M = w - N with w = x + iy and N = [[A + iBc^2, iBt], [iBt, iBs^2]], t = cs:
     # entries (ar + i ai, -i t, -i t, x + i di)
     t = b * c * s
@@ -190,8 +192,8 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     det_re, det_im = ar * x - ai * di + t * t, ar * di + ai * x
     smin = np.sqrt(det_re * det_re + det_im * det_im) / smax
     dc = [np.sqrt((x - cx) ** 2 + (y - cy) ** 2) for cx, cy in corners]
-    lo = np.concatenate([smin, *dc], axis=-1).min(axis=-1)
-    hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1)
+    lo = np.concatenate([smin, *dc], axis=-1).min(axis=-1) * f[..., 0]
+    hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1) * f[..., 0]
     # rounding of the shift to w and of the closed forms
     size = hi + np.sqrt(zs.real**2 + zs.imag**2) + math.hypot(p_law.loc, q_law.loc)
     return lo, hi, _certificate_eps(realization) + 16.0 * _U * size
@@ -267,7 +269,8 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
       and the rounding of the sum, of the difference and of the shift by 1,
       together 4(n + 1)u;
     * the rounding of the shift z - (alpha + i*beta) and of the closed
-      forms, 16u(hi + |z| + |alpha + i*beta|) per z.
+      forms, 16u(hi + |z| + |alpha + i*beta|) per z.  The closed forms run
+      in a per-z power-of-two frame (``_certified_sigmas``), which is exact.
 
     The layout needs each Pi^ to have rank k: 2 sqrt(n) I + |tr Pi - k| <
     1/4 puts every eigenvalue of Pi within 1/8 of 0 or 1, and tr Pi within

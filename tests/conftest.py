@@ -11,10 +11,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from projsum import ModelSpec, TwoAtomLaw, assemble_model
+from projsum import ModelRealization, ModelSpec, TwoAtomLaw, assemble_model
+from projsum.model import _realize, _two_atom_matrix
 
 P_LAW = TwoAtomLaw(weight=5 / 8, loc=0.0, loc_alt=1.0)
 Q_LAW = TwoAtomLaw(weight=7 / 8, loc=0.0, loc_alt=0.8)
+
+
+def commuting_model(spec: ModelSpec) -> ModelRealization:
+    """The realization of ``spec`` with V = I: P_n and Q_n diagonal, with closed-form spectra.
+
+    Built from the calls ``assemble_model`` makes, with E_k2 for the Haar side.
+    """
+    (k1, p_law), (k2, q_law) = (_realize(law, spec.n) for law in (spec.p_law, spec.q_law))
+    p = _two_atom_matrix(p_law, np.eye(spec.n, k1, dtype=np.complex128))
+    q = _two_atom_matrix(q_law, np.eye(spec.n, k2, dtype=np.complex128))
+    x = p + 1j * q
+    x.setflags(write=False)
+    return ModelRealization(p_matrix=p, q_matrix=q, x_matrix=x, realized_p_law=p_law, realized_q_law=q_law)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from scipy.optimize._highspy._core import HighsModelStatus
 from projsum import ModelSpec, __version__, assemble_model, atom_weights, make_geometry
 from projsum import cli, convergence, hermitization, model, spectra
 from projsum.cli import E_CHECK, E_NUMERIC, E_OK, E_USAGE, main
-from tests.conftest import P_LAW, Q_LAW
+from tests.conftest import P_LAW, Q_LAW, commuting_model
 from tests.test_spectra import _box_points
 
 DEMO_FLAGS = [
@@ -191,8 +191,8 @@ class TestCheck:
         assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
 
     def test_commuting_variant_also_passes(self):
-        # check's verdict rules on the closed-form commuting realization, built in the library
-        realization = assemble_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0), commuting=True)
+        # check's verdict rules on the closed-form commuting realization, built in conftest
+        realization = commuting_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         tol, scale = cli.CHECK_TOLERANCES, geom.scale
         report = spectra.structure_report(realization)
@@ -296,6 +296,37 @@ class TestCheck:
                        "--out-prefix", str(prefix)])
         assert rc == E_OK
         assert capsys.readouterr().err == ""
+        assert main(["replay", "--manifest", str(prefix) + ".manifest.json"]) == E_OK
+        written = Path(str(prefix) + ".check.json").read_bytes()
+        assert written == Path(str(prefix) + ".replay.check.json").read_bytes()
+
+    def test_eigensolver_failure_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        rc = main(["check", "--n", "16", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "fail")])
+        assert rc == E_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: eigensolver failed on x_matrix: n=16")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gap_a, gap_b", [("1e100", "8e99"), ("1e150", "8e149")])
+    def test_huge_gaps_certify_every_z_in_the_power_of_two_frame(self, tmp_path, monkeypatch, capsys, gap_a, gap_b):
+        # the sv-bound closed forms take fourth powers of the gaps; unscaled they
+        # overflowed here, with RuntimeWarnings on stderr and a dense SVD at every z
+        svds = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real(*a, **k))
+        prefix = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check", "--n", "64", "--a", "0.625", "--alpha", "0", "--alpha-prime", gap_a,
+                       "--b", "0.875", "--beta", "0", "--beta-prime", gap_b, "--seed", "1",
+                       "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        assert capsys.readouterr().err == ""
+        assert svds == []
         assert main(["replay", "--manifest", str(prefix) + ".manifest.json"]) == E_OK
         written = Path(str(prefix) + ".check.json").read_bytes()
         assert written == Path(str(prefix) + ".replay.check.json").read_bytes()
@@ -705,6 +736,8 @@ class TestReplay:
         pytest.param(lambda m: {**m, "params": {**m["params"], "alpha": None}}, "alpha=None", id="required-null"),
         pytest.param(lambda m: {**m, "command": ["check"]}, "unknown command ['check']", id="command-list"),
         pytest.param(lambda m: [], "holds a JSON list", id="list-manifest"),
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "params"}, "manifest has no params",
+                     id="params-missing"),
     ])
     def test_replay_refuses_edited_manifest(self, tmp_path, capsys, edit, message):
         chk = tmp_path / "chk"
@@ -802,6 +835,13 @@ class TestManifests:
         assert all(len(c) == 2 for c in payload["corner_masses"]["corners"])
         nodes = json.loads(Path(str(tmp_path / "potential") + ".manifest.json").read_text())["perturbed_nodes"]
         assert nodes and all(node.keys() == {f.name for f in fields(hermitization.PerturbedNode)} for node in nodes)
+
+
+    def test_a_result_of_unknown_type_is_refused_before_writing(self, tmp_path):
+        # the encoder knows dataclasses and complex numbers; anything else is a programming error
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._write_json(tmp_path / "x.json", {"x": {1}})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThreadsEnv:

@@ -29,7 +29,7 @@ from projsum import (
 from projsum import convergence as convergence_module
 from projsum import model
 from projsum.model import CONVERGE
-from tests.conftest import Q_LAW
+from tests.conftest import Q_LAW, commuting_model
 
 
 def _delta(z: complex) -> WeightedPointMeasure:
@@ -448,6 +448,14 @@ class TestHighsBinding:
             bl_distance(criterion_08_pools[n], criterion_08_pools[800], resolution)
         _assert_solves_match_linprog(lp_solves)
 
+    def test_infeasible_program_returns_its_status_alone(self):
+        # x >= 0 cannot meet x = -1
+        one = np.array([1.0])
+        status, fun, x, duals = convergence_module._run_highs(
+            one, np.array([0, 1], dtype=np.int32), np.array([0], dtype=np.int32), one, np.array([-1.0]))
+        assert status == HighsModelStatus.kInfeasible
+        assert (fun, x, duals) == (None, None, None)
+
     def test_fine_resolution_program(self, criterion_08_pools, lp_solves):
         bl_distance(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)
         _assert_solves_match_linprog(lp_solves)
@@ -505,7 +513,7 @@ class TestCornerAtomMasses:
         # P_n, Q_n diagonal: their leading k1 = 3 and k2 = 1 entries are the
         # alpha' and beta' atoms, so the corners hold n - 3, 0, 3 - 1 and 1 entries
         p, q = demo_laws
-        r = assemble_model(ModelSpec(p, q, n=8, seed=0), commuting=True)
+        r = commuting_model(ModelSpec(p, q, n=8, seed=0))
         cm = corner_atom_masses(r)
         assert cm.intersection_mass == (5 / 8, 0.0, 2 / 8, 1 / 8)
         assert cm.esd_mass == pytest.approx((5 / 8, 0.0, 2 / 8, 1 / 8), abs=1e-12)
@@ -521,7 +529,7 @@ class TestCornerAtomMasses:
     @example(laws=(TwoAtomLaw(0.0, 0.0, 1.0), TwoAtomLaw(1.0, -3.0, 0.5)), n=7, seed=3, commuting=True)
     @settings(max_examples=200, deadline=None)
     def test_matches_eigenspace_reference(self, laws, n, seed, commuting):
-        r = assemble_model(ModelSpec(*laws, n=n, seed=seed), commuting=commuting)
+        r = (commuting_model if commuting else assemble_model)(ModelSpec(*laws, n=n, seed=seed))
         # the ESD plays no part in the subspace masses; a stand-in skips its eigvals
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(convergence_module, "esd", lambda realization: _delta(0j))

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projsum import (
+    BrownAtomWeights,
     DegenerateGeometryError,
     TwoAtomLaw,
     atom_weights,
     dist_to_hr_many,
     make_geometry,
 )
+from projsum.model import _frame
 from tests.conftest import P_LAW, Q_LAW
 
 DEMO = make_geometry(P_LAW, Q_LAW)
@@ -218,8 +220,12 @@ class TestMakeGeometry:
         assert DEMO.gap_b == pytest.approx(0.8)
         assert DEMO.corners == (0j, 0.8j, 1 + 0j, 1 + 0.8j)
         assert DEMO.scale == 1.0
-        assert DEMO.frame == 1.0
-        assert make_geometry(TwoAtomLaw(0.5, 0.0, 1e-8), TwoAtomLaw(0.5, 0.0, 0.8e-8)).frame == 2.0**-27
+        # the power-of-two frame of the larger gap, in which every closed form squares the gaps
+        assert not hasattr(DEMO, "frame")
+        assert _frame(max(abs(DEMO.gap_a), abs(DEMO.gap_b))) == 1.0
+        tiny = make_geometry(TwoAtomLaw(0.5, 0.0, 1e-8), TwoAtomLaw(0.5, 0.0, 0.8e-8))
+        assert _frame(max(abs(tiny.gap_a), abs(tiny.gap_b))) == 2.0**-27
+        assert _frame(np.array([0.75, 1.0, 3.0, 2.0**-1074])).tolist() == [0.5, 1.0, 2.0, 2.0**-1074]
         assert DEMO.re_constant == pytest.approx((1.0 - 0.64) / 4)
         assert DEMO.im_halfwidth == pytest.approx(0.4)
 
@@ -621,6 +627,10 @@ class TestAtomWeights:
         assert w.e11 == 0.0
         assert w.e_cont == 0.25
         assert w.corner_weights == (0.5, 0.0, 0.25, 0.0)
+
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="weights must sum to 1, got 1.05"):
+            BrownAtomWeights(0.5, 0.0, 0.25, 0.0, 0.3)
 
     def test_balanced_case_has_no_atoms(self):
         w = atom_weights(0.5, 0.5)

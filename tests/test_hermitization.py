@@ -30,7 +30,7 @@ from projsum import (
 )
 from projsum import hermitization, model
 from projsum.model import GRID
-from tests.conftest import P_LAW, Q_LAW
+from tests.conftest import P_LAW, Q_LAW, commuting_model
 
 
 def _delta(z: complex) -> WeightedPointMeasure:
@@ -210,20 +210,14 @@ class TestHermitizationIdentity:
 
     def test_identity_matrix(self):
         # X = I: (z - X_n)^*(z - X_n) = 4 I at z = 3, and the ESD is delta_1
-        realization = assemble_model(
-            ModelSpec(TwoAtomLaw(1.0, 1.0, 0.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0),
-            commuting=True,
-        )
+        realization = commuting_model(ModelSpec(TwoAtomLaw(1.0, 1.0, 0.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0))
         nu = nu_n_z(realization, 3.0)
         assert 0.5 * float(np.mean(np.log(nu.points))) == pytest.approx(math.log(2.0), abs=1e-12)
         assert log_potential(esd(realization), 3.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_exactly_singular_shift(self):
         # X = diag(1, 3): z = 3 is an eigenvalue, so nu has an atom at 0
-        realization = assemble_model(
-            ModelSpec(TwoAtomLaw(0.5, 1.0, 3.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0),
-            commuting=True,
-        )
+        realization = commuting_model(ModelSpec(TwoAtomLaw(0.5, 1.0, 3.0), TwoAtomLaw(1.0, 0.0, 1.0), n=2, seed=0))
         assert nu_n_z(realization, 3.0).points[0] == 0.0
         assert log_potential(esd(realization), 3.0) == -math.inf
 

@@ -27,7 +27,7 @@ from projsum import (
     two_projection_eigenvalues,
 )
 from projsum import convergence, model
-from tests.conftest import P_LAW, Q_LAW
+from tests.conftest import P_LAW, Q_LAW, commuting_model
 
 STREAMS = ("HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
 # ids of streams that are gone (0 drew U's columns up to 0.18.0); no live stream may reuse one
@@ -149,7 +149,7 @@ class TestBuildTwoAtomHermitian:
         # round(8 * 3/8) = 3 leading alt entries
         assert k == 3
         assert realized.weight == 5 / 8
-        r = assemble_model(ModelSpec(P_LAW, P_LAW, n=8, seed=0), commuting=True)
+        r = commuting_model(ModelSpec(P_LAW, P_LAW, n=8, seed=0))
         assert np.array_equal(np.diag(r.p_matrix), np.array([1, 1, 1, 0, 0, 0, 0, 0.0]))
 
     def test_round_half_even_tie(self):
@@ -158,7 +158,7 @@ class TestBuildTwoAtomHermitian:
         k, realized = model._realize(law, 3)
         assert k == 2
         assert realized.weight == pytest.approx(1 / 3)
-        r = assemble_model(ModelSpec(law, law, n=3, seed=0), commuting=True)
+        r = commuting_model(ModelSpec(law, law, n=3, seed=0))
         assert np.array_equal(np.diag(r.p_matrix), np.array([1.0, 1.0, -1.0]))
 
     def test_degenerate_weights(self):
@@ -221,7 +221,7 @@ class TestAssembleModel:
 
     def test_commuting_variant_is_diagonal(self, demo_laws):
         p, q = demo_laws
-        r = assemble_model(ModelSpec(p, q, n=8, seed=1), commuting=True)
+        r = commuting_model(ModelSpec(p, q, n=8, seed=1))
         assert np.array_equal(r.p_matrix, np.diag(np.diag(r.p_matrix)))
         assert np.array_equal(r.q_matrix, np.diag(np.diag(r.q_matrix)))
         comm = r.p_matrix @ r.q_matrix - r.q_matrix @ r.p_matrix
@@ -233,7 +233,7 @@ class TestAssembleModel:
         spec = ModelSpec(TwoAtomLaw(0.625, 0.0, 1e308), TwoAtomLaw(0.875, 0.0, 8e307), n=16, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = esd(assemble_model(spec, commuting=True)).points
+            points = esd(commuting_model(spec)).points
         assert len(points) == 16 and np.all(np.isfinite(points))
 
     def test_rejects_bad_spec(self, demo_laws):
@@ -476,7 +476,7 @@ class TestAngleSpectrum:
     @example(spec=_spec_of_ranks(12, 9, 5), commuting=True)
     @settings(max_examples=150, deadline=None)
     def test_kernel_and_dense_producers_agree(self, spec, commuting):
-        realization = assemble_model(spec, commuting=commuting)
+        realization = (commuting_model if commuting else assemble_model)(spec)
         dense = model._projection_spectra(realization).angles
         n, k1, k2 = dense.n, dense.k1, dense.k2
         counts = convergence._corner_counts(dense)

@@ -26,12 +26,12 @@ from projsum import (
     verify_sv_bound,
 )
 from projsum import spectra
-from tests.conftest import P_LAW, Q_LAW
+from tests.conftest import P_LAW, Q_LAW, commuting_model
 
 
 @pytest.fixture(scope="module")
 def commuting8():
-    return assemble_model(ModelSpec(P_LAW, Q_LAW, n=8, seed=0), commuting=True)
+    return commuting_model(ModelSpec(P_LAW, Q_LAW, n=8, seed=0))
 
 
 class TestWeightedPointMeasure:
@@ -86,6 +86,34 @@ class TestEsd:
             np.array([1 + 0.8j, 1, 1, 0, 0, 0, 0, 0], dtype=np.complex128)
         )
         assert np.max(np.abs(pts - expect)) <= 1e-12
+
+
+def _failing(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+class TestSolverFailures:
+    """A dense solver's LinAlgError surfaces as a ComputationError naming the solve."""
+
+    def test_esd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", _failing)
+        r = assemble_model(ModelSpec(P_LAW, Q_LAW, n=8, seed=0))
+        with pytest.raises(spectra.ComputationError,
+                           match=r"eigensolver failed on x_matrix: n=8, max\|entry\|=.* \(did not converge\)"):
+            esd(r)
+
+    def test_nu_n_z(self, monkeypatch, small_realization):
+        monkeypatch.setattr(np.linalg, "eigvalsh", _failing)
+        with pytest.raises(spectra.ComputationError, match=r"Hermitian eigensolver failed at z=\(2\+1j\)"):
+            nu_n_z(small_realization, 2 + 1j)
+
+    def test_sv_bound_dense_fallback(self, monkeypatch):
+        # a perturbed X_n is no two-projection matrix, so its margin takes the dense SVD
+        base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=1))
+        realization = replace(base, x_matrix=base.x_matrix + 1e-3 * np.eye(base.n))
+        monkeypatch.setattr(np.linalg, "svd", _failing)
+        with pytest.raises(spectra.ComputationError, match=r"SVD failed at z=\(2\+1j\) \(did not converge\)"):
+            verify_sv_bound(realization, 2 + 1j)
 
 
 class TestDenseSpectraOnce:
@@ -253,7 +281,7 @@ class TestSvBlocks:
     @example(spec=_ranked(24, 9, 17), commuting=False)
     @settings(max_examples=150, deadline=None)
     def test_certified_interval_holds_the_dense_singular_values(self, spec, commuting):
-        realization = assemble_model(spec, commuting=commuting)
+        realization = (commuting_model if commuting else assemble_model)(spec)
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         far = geom.center + 10.0 * geom.scale * np.exp(1j * np.array([0.3, 1.9, 4.0]))
         zs = np.concatenate([
@@ -313,6 +341,25 @@ class TestSvBlocks:
         zs = _box_points(geom, 3, 1)
         assert verify_sv_bound(realization, zs).tobytes() == _dense_margins(realization, geom, zs).tobytes()
 
+    @given(k=st.integers(min_value=-150, max_value=150))
+    @example(k=-150)
+    @example(k=150)
+    @settings(max_examples=30, deadline=None)
+    def test_certificate_is_homogeneous_in_the_atom_scale(self, k):
+        # scaling the atom locations and z by 2^e scales lo, hi and eps bit for bit:
+        # the closed forms run in a per-z power-of-two frame.  Unscaled, their fourth
+        # powers over- or underflowed from |e| = 260.  e is even, as for the structure fields
+        e = 2 * k
+        off_center = (TwoAtomLaw(0.3, 2.0, -1.0), TwoAtomLaw(0.45, 0.5, 0.55))
+        for laws, n in (((P_LAW, Q_LAW), 40), (off_center, 33)):
+            geom = make_geometry(*laws)
+            zs = np.concatenate([np.array(geom.corners), _box_points(geom, 16, n)])
+            base = spectra._certified_sigmas(assemble_model(ModelSpec(*laws, n=n, seed=7)), zs)
+            scaled = [TwoAtomLaw(law.weight, math.ldexp(law.loc, e), math.ldexp(law.loc_alt, e)) for law in laws]
+            got = spectra._certified_sigmas(assemble_model(ModelSpec(*scaled, n=n, seed=7)), zs * math.ldexp(1.0, e))
+            for value, reference in zip(got, base):
+                assert np.all(np.isfinite(value)) and value.tobytes() == np.ldexp(reference, e).tobytes()
+
 
 def _dense_structure(w: np.ndarray, c: float) -> tuple[float, float, float]:
     """The eigenvalue forms of the structure fields: max |Re(rho) - c| over
@@ -333,7 +380,7 @@ class TestStructureResiduals:
     @example(spec=_ranked(12, 5, 5), commuting=True, shift=1e-4)
     @settings(max_examples=150, deadline=None)
     def test_fields_bound_the_dense_values(self, spec, commuting, shift):
-        realization = assemble_model(spec, commuting=commuting)
+        realization = (commuting_model if commuting else assemble_model)(spec)
         n = spec.n
         # a Gaussian perturbation makes W = X~^2 far from normal, so the bounds are tested at size
         re, im = np.random.default_rng(n).standard_normal((2, n, n))
