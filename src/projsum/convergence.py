@@ -21,7 +21,8 @@ from .model import (
     ModelSpec,
     TwoAtomLaw,
     UsageError,
-    _AngleSpectrum,
+    _angle_roots,
+    _corner_radius,
     _realize,
     pooled_eigenvalues,
 )
@@ -219,8 +220,9 @@ class CornerAtomMasses:
     """Per-corner masses, in the fixed corner order of the geometry.
 
     ``esd_mass`` counts ESD points within the corner radius;
-    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n counted on the
-    angle spectrum of Pi_p and Pi_q (see :func:`corner_atom_masses`).
+    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n, counted as the
+    roots of the angle spectrum of Pi_p and Pi_q within the same radius
+    (see :func:`corner_atom_masses`).
     The two agree for every realization, and both are bounded below by
     max(0, a_n + b_n - 1) with the realized weights of the matching atoms.
     """
@@ -230,41 +232,23 @@ class CornerAtomMasses:
     intersection_mass: tuple[float, float, float, float]
 
 
-# corner radius over the larger atom gap, and how near 1 a block's c or s counts at a corner
-_CORNER_TOL = 1e-9
-
-
-def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
-    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
-    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
-
-
-def _corner_counts(angles: _AngleSpectrum) -> tuple[int, int, int, int]:
-    """Dimensions of the four intersections of ranges and kernels, in corner
-    order: the excess of ``_AngleSpectrum`` (both c and s measured), plus the
-    blocks with c (ker int ker, ran int ran) or s (the mixed two) within 1e-9 of 1."""
-    aligned = int(np.sum(angles.c > 1.0 - _CORNER_TOL))
-    crossed = int(np.sum(angles.s > 1.0 - _CORNER_TOL))
-    return tuple(e + k for e, k in zip(angles.excess(), (aligned, crossed, crossed, aligned)))
-
-
 def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
     """Empirical and subspace corner masses of one realization.
 
-    Corner eigenvalues are exact joint eigenvalues, not approximate
-    clusters, so the radius 1e-9 * max(|A|, |B|) is tiny on purpose (see
-    ``_corner_radius``).  The empirical masses count ``esd(realization)``.
-    The subspace masses are counted on the realization's cached angle
-    spectrum of Pi_p and Pi_q (``_corner_counts``), where a law of weight 0
-    or 1 needs no special case.
+    Corner eigenvalues are exact joint eigenvalues, not approximate clusters,
+    so the radius ``model._corner_radius`` is tiny on purpose.  The empirical
+    masses count ``esd(realization)``, the subspace masses the roots
+    ``model._angle_roots`` of the realization's cached angle core of Pi_p
+    and Pi_q in the same radius; a law of weight 0 or 1 needs no special case.
     """
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    corners = make_geometry(p_law, q_law).corners
+    corners, radius = make_geometry(p_law, q_law).corners, _corner_radius(p_law, q_law)
     measure = esd(realization)
+    roots = _angle_roots(realization._dense_spectra.angles, p_law, q_law)
     return CornerAtomMasses(
         corners=corners,
-        esd_mass=tuple(measure.mass_within(c, _corner_radius(p_law, q_law)) for c in corners),
-        intersection_mass=tuple(k / realization.n for k in _corner_counts(realization._dense_spectra.angles)),
+        esd_mass=tuple(measure.mass_within(c, radius) for c in corners),
+        intersection_mass=tuple(int(np.sum(np.abs(roots - c) <= radius)) / realization.n for c in corners),
     )
 
 

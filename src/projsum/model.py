@@ -278,9 +278,9 @@ class _AngleSpectrum(NamedTuple):
     the four intersections of ranges and kernels, where Pi_p and Pi_q are 0
     or 1, and m = min(k1, k2, n - k1, n - k2) 2 x 2 blocks on which
     Pi_p = diag(1, 0) and Pi_q = v v^T, v = (c, s) = (cos theta, sin theta).
-    In the corner order, ker int ker, ker Pi_p int ran Pi_q, ran Pi_p int
-    ker Pi_q and ran int ran hold the excess dimensions (n - k1 - k2)+,
-    (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``excess``), plus one per
+    In the corner order (``corners``), ker int ker, ker Pi_p int ran Pi_q, ran
+    Pi_p int ker Pi_q and ran int ran hold the excess dimensions (n - k1 -
+    k2)+, (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``excess``), plus one per
     block at angle 0 (ker int ker and ran int ran) or pi/2 (the mixed two).
     The excess is counted, never measured.  ``c`` holds the m block cosines,
     descending, and ``s`` their sines, ascending; a producer that measures
@@ -297,6 +297,10 @@ class _AngleSpectrum(NamedTuple):
         """The excess dimension at each corner, in corner order."""
         n, k1, k2 = self.n, self.k1, self.k2
         return max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n)
+
+    def corners(self, a, b) -> tuple[tuple[complex, int], ...]:
+        """(offset from alpha + i*beta, excess dimension) per corner, for gaps A, B (scalars or arrays)."""
+        return tuple(zip((0.0, 1j * b, a, a + 1j * b), self.excess()))
 
 
 def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
@@ -351,19 +355,15 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     return _ProjectionSpectra(pi_p, pi_q, _AngleSpectrum(n, k1, k2, c, s))
 
 
-def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
-    """Eigenvalues of X_n for the realization ``assemble_model(spec)`` would build.
+def _angle_roots(angles: _AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> np.ndarray:
+    """The root map: the n eigenvalues of alpha + i*beta + A*Pi_p + iB*Pi_q for projections with ``angles``.
 
-    X_n - (alpha + i*beta) = A*Pi1 + iB*Pi2 has on each block of
-    ``_AngleSpectrum`` trace t = A + iB and determinant iAB s^2 = iAB(1 - c^2),
-    with the s or c measured: its larger root, taken directly, and det/root.
-    The excess corners follow as exact atoms A + iB (ran int ran), A, iB, 0.
-    Agrees with ``np.linalg.eigvals(assemble_model(spec).x_matrix)`` to
-    roundoff (up to order) without forming any n x n product.
+    Each block of ``_AngleSpectrum`` has trace t = A + iB and determinant
+    iAB s^2 = iAB(1 - c^2), with the s or c measured (s where both are): its
+    larger root, taken directly, and det/root.  The excess corners follow as
+    exact atoms A + iB (ran int ran), A, iB, 0.
     """
-    angles = _kernel_angles(spec)
-    kk, kr, rk, rr = angles.excess()
-    a, b = spec.p_law.gap, spec.q_law.gap
+    a, b = p_law.gap, q_law.gap
     # solve the blocks in the frame of the larger gap, so that no square overflows
     f = _frame(max(abs(a), abs(b)))
     t = complex(a / f, b / f)
@@ -373,9 +373,23 @@ def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
     big = 0.5 * (t + np.where((t.conjugate() * disc).real >= 0.0, disc, -disc))
     # big is 0 only when A = B = 0, where det is 0 as well
     small = np.divide(det, big, out=np.zeros_like(det), where=big != 0)
-    corners = [(rr, complex(a, b)), (rk, a), (kr, 1j * b), (kk, 0.0)]
-    roots = np.concatenate([f * big, f * small, *(np.full(k, x, dtype=np.complex128) for k, x in corners)])
-    return complex(spec.p_law.loc, spec.q_law.loc) + roots
+    corners = reversed(angles.corners(a, b))
+    roots = np.concatenate([f * big, f * small, *(np.full(k, x, dtype=np.complex128) for x, k in corners)])
+    return complex(p_law.loc, q_law.loc) + roots
+
+
+# a point (of an ESD or of ``_angle_roots``) counts at a corner within this times the larger atom gap
+_CORNER_TOL = 1e-9
+
+
+def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
+    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
+    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
+
+
+def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:
+    """Eigenvalues of X_n for ``assemble_model(spec)``, the root map of its kernel angles; no n x n product."""
+    return _angle_roots(_kernel_angles(spec), spec.p_law, spec.q_law)
 
 
 def pooled_eigenvalues(spec: ModelSpec, samples: int, *key: int) -> np.ndarray:

@@ -177,8 +177,6 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     y = (zs.imag - q_law.loc)[..., None]
     f = _frame(np.maximum(max(abs(p_law.gap), abs(q_law.gap)), np.maximum(abs(x), abs(y))))
     x, y, a, b = x / f, y / f, p_law.gap / f, q_law.gap / f
-    # the excess corners, as offsets from alpha + i*beta
-    corners = [offset for offset, e in zip(((0.0, 0.0), (0.0, b), (a, 0.0), (a, b)), spectra.angles.excess()) if e]
     # M = w - N with w = x + iy and N = [[A + iBc^2, iBt], [iBt, iBs^2]], t = cs:
     # entries (ar + i ai, -i t, -i t, x + i di)
     t = b * c * s
@@ -191,11 +189,12 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     smax = np.sqrt(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * cross)))
     det_re, det_im = ar * x - ai * di + t * t, ar * di + ai * x
     smin = np.sqrt(det_re * det_re + det_im * det_im) / smax
-    dc = [np.sqrt((x - cx) ** 2 + (y - cy) ** 2) for cx, cy in corners]
+    # the excess corners, at their offsets o from alpha + i*beta
+    dc = [np.sqrt((x - np.real(o)) ** 2 + (y - np.imag(o)) ** 2) for o, e in spectra.angles.corners(a, b) if e]
     lo = np.concatenate([smin, *dc], axis=-1).min(axis=-1) * f[..., 0]
     hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1) * f[..., 0]
     # rounding of the shift to w and of the closed forms
-    size = hi + np.sqrt(zs.real**2 + zs.imag**2) + math.hypot(p_law.loc, q_law.loc)
+    size = hi + np.hypot(zs.real, zs.imag) + math.hypot(p_law.loc, q_law.loc)
     return lo, hi, _certificate_eps(realization) + 16.0 * _U * size
 
 
@@ -216,11 +215,14 @@ def _certificate_eps(realization: ModelRealization) -> float:
             return math.inf
         idem.append(bound)
     i_p, i_q = idem
-    center = complex(p_law.loc, q_law.loc)
-    resid = realization.x_matrix - p_law.gap * spectra.pi_p - 1j * (q_law.gap * spectra.pi_q)
+    # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
+    f = float(_frame(max(a, b)))
+    resid, center = realization.x_matrix / f, complex(p_law.loc, q_law.loc) / f
+    norms = (np.linalg.norm(resid), a / f * np.linalg.norm(spectra.pi_p), b / f * np.linalg.norm(spectra.pi_q))
+    resid -= (p_law.gap / f) * spectra.pi_p  # in place: X_n / f is the one n x n copy
+    resid -= 1j * ((q_law.gap / f) * spectra.pi_q)
     resid.flat[:: n + 1] -= center
-    norms = (np.linalg.norm(realization.x_matrix), a * np.linalg.norm(spectra.pi_p), b * np.linalg.norm(spectra.pi_q))
-    resid_bound = float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center))
+    resid_bound = f * (float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center)))
     delta = 2.0 * (i_p + i_q) + 4.0 * (n + 1) * _U
     return resid_bound + 2.0 * (a * i_p + b * i_q) + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
 

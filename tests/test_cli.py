@@ -311,10 +311,11 @@ class TestCheck:
         assert len(err) == 1 and err[0].startswith("numeric failure: eigensolver failed on x_matrix: n=16")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("gap_a, gap_b", [("1e100", "8e99"), ("1e150", "8e149")])
+    @pytest.mark.parametrize("gap_a, gap_b", [("1e100", "8e99"), ("1e150", "8e149"), ("5e153", "4e153"), ("1e154", "8e153")])
     def test_huge_gaps_certify_every_z_in_the_power_of_two_frame(self, tmp_path, monkeypatch, capsys, gap_a, gap_b):
-        # the sv-bound closed forms take fourth powers of the gaps; unscaled they
-        # overflowed here, with RuntimeWarnings on stderr and a dense SVD at every z
+        # the sv-bound closed forms take fourth powers of the gaps, and the certificate
+        # Frobenius norms of X_n; unscaled they overflowed here, with RuntimeWarnings on
+        # stderr and a dense SVD at every z
         svds = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real(*a, **k))

@@ -22,11 +22,12 @@ from projsum import (
     assemble_model,
     atom_weights,
     esd,
+    make_geometry,
     sample_haar_unitary,
     substream_rng,
     two_projection_eigenvalues,
 )
-from projsum import convergence, model
+from projsum import model
 from tests.conftest import P_LAW, Q_LAW, commuting_model
 
 STREAMS = ("HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
@@ -322,15 +323,21 @@ class TestHaarConjugationReference:
         assert np.max(np.abs(r.q_matrix - reference)) <= 1e-12 * scale
 
 
+def _assert_matched(got: np.ndarray, want: np.ndarray, tol: float) -> None:
+    """The two point sets agree as multisets within ``tol``, matched by ``linear_sum_assignment``."""
+    assert got.shape == want.shape
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= tol
+
+
 def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
     kernel = two_projection_eigenvalues(spec)
     dense = np.linalg.eigvals(assemble_model(spec).x_matrix)
     laws = (spec.p_law, spec.q_law)
     scale = max(1.0, *(abs(x) for law in laws for x in (law.loc, law.loc_alt)))
-    assert kernel.shape == dense.shape == (spec.n,)
-    cost = np.abs(kernel[:, None] - dense[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    assert np.max(cost[rows, cols]) <= 1e-12 * scale
+    assert kernel.shape == (spec.n,)
+    _assert_matched(kernel, dense, 1e-12 * scale)
     if spec.p_law.gap == 0.0 or spec.q_law.gap == 0.0:
         return  # coinciding corners: the parallelogram law does not apply
     (k1, p_law), (k2, q_law) = (model._realize(law, spec.n) for law in laws)
@@ -418,10 +425,7 @@ class TestTwoProjectionEigenvalues:
     def test_matches_dense_eigvals_at_extreme_gaps(self, scale):
         spec = ModelSpec(TwoAtomLaw(0.625, 0.3 * scale, scale), TwoAtomLaw(0.875, 0.0, -0.8 * scale), n=40, seed=14)
         kernel = two_projection_eigenvalues(spec)
-        dense = np.linalg.eigvals(assemble_model(spec).x_matrix)
-        cost = np.abs(kernel[:, None] - dense[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        assert np.max(cost[rows, cols]) <= 1e-12 * scale
+        _assert_matched(kernel, np.linalg.eigvals(assemble_model(spec).x_matrix), 1e-12 * scale)
 
     # (P side, Q side) at n = 400: ran/ran (the demo laws, k1 = 150, k2 = 50), ker/ker,
     # ker/ran and ran/ker; every layout takes R from the Gram matrix of at most n/2 columns
@@ -455,12 +459,10 @@ def _edge_rank_specs(draw):
     return _spec_of_ranks(n, k1, k2, draw(st.integers(min_value=0, max_value=2**64 - 1)))
 
 
-def _both_fields(angles: model._AngleSpectrum) -> model._AngleSpectrum:
-    """A kernel spectrum with the field it does not measure read as sqrt(1 - x^2)
-    of the other: accurate where it nears 1, the only place the corner counts read it."""
-    if angles.c is None:
-        return angles._replace(c=np.sqrt(np.maximum(0.0, 1.0 - angles.s**2)))
-    return angles._replace(s=np.sqrt(np.maximum(0.0, 1.0 - angles.c**2)))
+def _root_corner_counts(angles: model._AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> tuple[int, ...]:
+    """Points of the root map ``model._angle_roots`` within the corner radius of each corner, in corner order."""
+    roots, radius = model._angle_roots(angles, p_law, q_law), model._corner_radius(p_law, q_law)
+    return tuple(int(np.sum(np.abs(roots - c) <= radius)) for c in make_geometry(p_law, q_law).corners)
 
 
 class TestAngleSpectrum:
@@ -477,9 +479,10 @@ class TestAngleSpectrum:
     @settings(max_examples=150, deadline=None)
     def test_kernel_and_dense_producers_agree(self, spec, commuting):
         realization = (commuting_model if commuting else assemble_model)(spec)
+        laws = (realization.realized_p_law, realization.realized_q_law)
         dense = model._projection_spectra(realization).angles
         n, k1, k2 = dense.n, dense.k1, dense.k2
-        counts = convergence._corner_counts(dense)
+        counts = _root_corner_counts(dense, *laws)
         if commuting:
             # diagonal projections onto the leading k1 and k2 coordinates
             assert counts == (n - max(k1, k2), max(0, k2 - k1), max(0, k1 - k2), min(k1, k2))
@@ -488,7 +491,7 @@ class TestAngleSpectrum:
             flipped = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
             crossed = model._projection_spectra(flipped)
             expected = (max(0, n - k1 - k2), min(k2, n - k1), min(k1, n - k2), max(0, k1 + k2 - n))
-            assert convergence._corner_counts(crossed.angles) == expected
+            assert _root_corner_counts(crossed.angles, *laws) == expected
             return
         kernel = model._kernel_angles(spec)
         assert (kernel.n, kernel.k1, kernel.k2) == (n, k1, k2)
@@ -500,7 +503,26 @@ class TestAngleSpectrum:
         assert unmeasured is None
         assert measured.shape == (m,)
         assert np.max(np.abs(measured - (dense.c if same_side else dense.s)), initial=0.0) <= 1e-13
-        assert convergence._corner_counts(_both_fields(kernel)) == counts
+        # the root map reads whichever field a producer measured
+        assert _root_corner_counts(kernel, *laws) == counts
+
+    @given(
+        p_law=_LAWS.filter(lambda law: law.gap != 0.0),
+        q_law=_LAWS.filter(lambda law: law.gap != 0.0),
+        n=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    # the nearly full ranges of TestTwoProjectionEigenvalues, k1 = k2 close to n
+    @example(p_law=TwoAtomLaw(0.005, 0.0, 1.0), q_law=TwoAtomLaw(0.005, 0.0, 0.8), n=400, seed=401)
+    @example(p_law=TwoAtomLaw(0.01, 0.0, 1.0), q_law=TwoAtomLaw(0.01, 0.0, 0.8), n=400, seed=401)
+    @example(p_law=TwoAtomLaw(0.0, 0.0, 1.0), q_law=TwoAtomLaw(0.0, 0.0, 0.8), n=800, seed=801)
+    @settings(max_examples=100, deadline=None)
+    def test_dense_core_roots_match_the_dense_eigenvalues(self, p_law, q_law, n, seed):
+        # the dense producer's angles, through the root map, against eigvals of the same X_n
+        r = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
+        roots = model._angle_roots(r._dense_spectra.angles, r.realized_p_law, r.realized_q_law)
+        scale = max(1.0, *(abs(x) for law in (p_law, q_law) for x in (law.loc, law.loc_alt)))
+        _assert_matched(roots, esd(r).points, 1e-12 * scale)
 
 
 def _two_draw_kernel_angles(spec: ModelSpec) -> model._AngleSpectrum:
@@ -535,8 +557,8 @@ class TestOneDrawLaw:
         for i in range(8):
             kernel = model._kernel_angles(ModelSpec(*laws, n=n, seed=i))
             reference = _two_draw_kernel_angles(ModelSpec(*laws, n=n, seed=100 + i))
-            counts.add(convergence._corner_counts(_both_fields(kernel)))
-            old_counts.add(convergence._corner_counts(_both_fields(reference)))
+            counts.add(_root_corner_counts(kernel, *laws))
+            old_counts.add(_root_corner_counts(reference, *laws))
             new.append(kernel.s**2 if mixed else kernel.c**2)
             old.append(1.0 - reference.c**2 if mixed else reference.c**2)
         assert counts == old_counts == {reference.excess()}
