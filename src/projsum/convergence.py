@@ -21,7 +21,6 @@ from .model import (
     ModelSpec,
     TwoAtomLaw,
     UsageError,
-    _angle_roots,
     _corner_radius,
     _realize,
     pooled_eigenvalues,
@@ -219,12 +218,10 @@ def bl_distance(
 class CornerAtomMasses:
     """Per-corner masses, in the fixed corner order of the geometry.
 
-    ``esd_mass`` counts ESD points within the corner radius;
-    ``intersection_mass`` is dim(E_a(P) int E_b(Q)) / n, counted as the
-    roots of the angle spectrum of Pi_p and Pi_q within the same radius
-    (see :func:`corner_atom_masses`).
-    The two agree for every realization, and both are bounded below by
-    max(0, a_n + b_n - 1) with the realized weights of the matching atoms.
+    ``esd_mass`` counts ESD points within the corner radius, ``intersection_mass``
+    is dim(E_a(P) int E_b(Q)) / n.  They agree unless a small gap puts a block's
+    roots near a corner, and both are at least max(0, a_n + b_n - 1) with the
+    realized weights of the matching atoms.
     """
 
     corners: tuple[complex, complex, complex, complex]
@@ -233,22 +230,15 @@ class CornerAtomMasses:
 
 
 def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
-    """Empirical and subspace corner masses of one realization.
-
-    Corner eigenvalues are exact joint eigenvalues, not approximate clusters,
-    so the radius ``model._corner_radius`` is tiny on purpose.  The empirical
-    masses count ``esd(realization)``, the subspace masses the roots
-    ``model._angle_roots`` of the realization's cached angle core of Pi_p
-    and Pi_q in the same radius; a law of weight 0 or 1 needs no special case.
-    """
+    """Empirical and subspace corner masses of one realization: ``esd(realization)`` within
+    ``model._corner_radius``, tiny on purpose (corner eigenvalues are exact joint eigenvalues),
+    and ``intersection_dims`` of its cached angle spectrum of Pi_p and Pi_q, which no gap enters."""
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    corners, radius = make_geometry(p_law, q_law).corners, _corner_radius(p_law, q_law)
-    measure = esd(realization)
-    roots = _angle_roots(realization._dense_spectra.angles, p_law, q_law)
+    corners, measure = make_geometry(p_law, q_law).corners, esd(realization)
     return CornerAtomMasses(
         corners=corners,
-        esd_mass=tuple(measure.mass_within(c, radius) for c in corners),
-        intersection_mass=tuple(int(np.sum(np.abs(roots - c) <= radius)) / realization.n for c in corners),
+        esd_mass=tuple(measure.mass_within(c, _corner_radius(p_law, q_law)) for c in corners),
+        intersection_mass=tuple(k / realization.n for k in realization._dense_spectra.angles.intersection_dims()),
     )
 
 

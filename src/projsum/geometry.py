@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoAtomLaw, UsageError, _frame
+from .model import TwoAtomLaw, UsageError, _frame, _rectangle_corners
 
 __all__ = [
     "DegenerateGeometryError",
@@ -122,7 +122,7 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
         center_y=0.5 * (b0 + b1),
         gap_a=a1 - a0,
         gap_b=b1 - b0,
-        corners=(complex(a0, b0), complex(a0, b1), complex(a1, b0), complex(a1, b1)),
+        corners=tuple(complex(x, y) for x, y in _rectangle_corners(a0, a1, b0, b1)),
     )
 
 

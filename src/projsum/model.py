@@ -271,6 +271,21 @@ def assemble_model(spec: ModelSpec) -> ModelRealization:
     )
 
 
+# an ESD point counts at a corner within _CORNER_TOL times the larger atom gap, and a block
+# in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
+_CORNER_TOL, _ANGLE_TOL = 1e-9, 1e-9
+
+
+def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
+    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
+    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
+
+
+def _rectangle_corners(x0, x1, y0, y1) -> tuple[tuple, tuple, tuple, tuple]:
+    """The corner order, on atom locations or on offsets (0, A) and (0, B): (x0, y0), (x0, y1), (x1, y0), (x1, y1)."""
+    return (x0, y0), (x0, y1), (x1, y0), (x1, y1)
+
+
 class _AngleSpectrum(NamedTuple):
     """Two projections Pi_p, Pi_q of ranks k1, k2 on C^n, up to unitary equivalence.
 
@@ -279,12 +294,11 @@ class _AngleSpectrum(NamedTuple):
     or 1, and m = min(k1, k2, n - k1, n - k2) 2 x 2 blocks on which
     Pi_p = diag(1, 0) and Pi_q = v v^T, v = (c, s) = (cos theta, sin theta).
     In the corner order (``corners``), ker int ker, ker Pi_p int ran Pi_q, ran
-    Pi_p int ker Pi_q and ran int ran hold the excess dimensions (n - k1 -
-    k2)+, (k2 - k1)+, (k1 - k2)+ and (k1 + k2 - n)+ (``excess``), plus one per
-    block at angle 0 (ker int ker and ran int ran) or pi/2 (the mixed two).
-    The excess is counted, never measured.  ``c`` holds the m block cosines,
-    descending, and ``s`` their sines, ascending; a producer that measures
-    one leaves the other None, never sqrt(1 - x^2), which loses digits.
+    Pi_p int ker Pi_q and ran int ran hold the excess (``excess``), counted,
+    never measured, plus the blocks at angle 0 or pi/2 (``intersection_dims``).
+    ``c`` holds the m block cosines, descending, and ``s`` their sines,
+    ascending; a producer that measures one leaves the other None, never
+    sqrt(1 - x^2), which loses digits.
     """
 
     n: int
@@ -298,9 +312,18 @@ class _AngleSpectrum(NamedTuple):
         n, k1, k2 = self.n, self.k1, self.k2
         return max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n)
 
-    def corners(self, a, b) -> tuple[tuple[complex, int], ...]:
-        """(offset from alpha + i*beta, excess dimension) per corner, for gaps A, B (scalars or arrays)."""
-        return tuple(zip((0.0, 1j * b, a, a + 1j * b), self.excess()))
+    def corners(self, a, b) -> tuple[tuple[tuple, int], ...]:
+        """(offset (x, y) from (alpha, beta), excess dimension) per corner, for gaps A, B (scalars or arrays)."""
+        return tuple(zip(_rectangle_corners(0.0, a, 0.0, b), self.excess()))
+
+    def intersection_dims(self) -> tuple[int, int, int, int]:
+        """dim(E_a(P) int E_b(Q)) per corner, in corner order: the excess plus the blocks whose c
+        (aligned corners) or s (mixed) lies within ``_ANGLE_TOL`` of 1, an unmeasured field read as
+        sqrt(1 - x^2) of the other.  No gap enters: a small gap puts roots, not subspaces, near a corner."""
+        c = np.sqrt(np.maximum(0.0, 1.0 - self.s**2)) if self.c is None else self.c
+        s = np.sqrt(np.maximum(0.0, 1.0 - c**2)) if self.s is None else self.s
+        aligned, crossed = int(np.sum(c > 1.0 - _ANGLE_TOL)), int(np.sum(s > 1.0 - _ANGLE_TOL))
+        return tuple(e + k for e, k in zip(self.excess(), (aligned, crossed, crossed, aligned)))
 
 
 def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
@@ -358,11 +381,8 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
 def _angle_roots(angles: _AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> np.ndarray:
     """The root map: the n eigenvalues of alpha + i*beta + A*Pi_p + iB*Pi_q for projections with ``angles``.
 
-    Each block of ``_AngleSpectrum`` has trace t = A + iB and determinant
-    iAB s^2 = iAB(1 - c^2), with the s or c measured (s where both are): its
-    larger root, taken directly, and det/root.  The excess corners follow as
-    exact atoms A + iB (ran int ran), A, iB, 0.
-    """
+    Per block, trace t = A + iB and determinant iAB s^2 = iAB(1 - c^2), with s where measured: its
+    larger root, taken directly, and det/root; then the excess corners as exact atoms, A + iB first."""
     a, b = p_law.gap, q_law.gap
     # solve the blocks in the frame of the larger gap, so that no square overflows
     f = _frame(max(abs(a), abs(b)))
@@ -374,17 +394,8 @@ def _angle_roots(angles: _AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -
     # big is 0 only when A = B = 0, where det is 0 as well
     small = np.divide(det, big, out=np.zeros_like(det), where=big != 0)
     corners = reversed(angles.corners(a, b))
-    roots = np.concatenate([f * big, f * small, *(np.full(k, x, dtype=np.complex128) for x, k in corners)])
+    roots = np.concatenate([f * big, f * small, *(np.full(k, complex(*o), dtype=np.complex128) for o, k in corners)])
     return complex(p_law.loc, q_law.loc) + roots
-
-
-# a point (of an ESD or of ``_angle_roots``) counts at a corner within this times the larger atom gap
-_CORNER_TOL = 1e-9
-
-
-def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
-    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
-    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
 
 
 def two_projection_eigenvalues(spec: ModelSpec) -> np.ndarray:

@@ -168,8 +168,7 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     cached angle core, with the computed c and s; see ``verify_sv_bound`` for
     the proof.  Real arithmetic only, so each z gives the same bits in any
     array shape.  Each z runs in the frame ``model._frame(max(|A|, |B|, |Re z - alpha|,
-    |Im z - beta|))``, so no fourth power overflows; lo and hi are multiplied back, exactly.
-    """
+    |Im z - beta|))``, so no fourth power overflows; lo and hi are multiplied back, exactly."""
     spectra = realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     c, s = spectra.angles.c, spectra.angles.s
@@ -189,8 +188,8 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     smax = np.sqrt(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * cross)))
     det_re, det_im = ar * x - ai * di + t * t, ar * di + ai * x
     smin = np.sqrt(det_re * det_re + det_im * det_im) / smax
-    # the excess corners, at their offsets o from alpha + i*beta
-    dc = [np.sqrt((x - np.real(o)) ** 2 + (y - np.imag(o)) ** 2) for o, e in spectra.angles.corners(a, b) if e]
+    # the excess corners, at their offsets (cx, cy) from (alpha, beta)
+    dc = [np.sqrt((x - cx) ** 2 + (y - cy) ** 2) for (cx, cy), e in spectra.angles.corners(a, b) if e]
     lo = np.concatenate([smin, *dc], axis=-1).min(axis=-1) * f[..., 0]
     hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1) * f[..., 0]
     # rounding of the shift to w and of the closed forms

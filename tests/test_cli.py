@@ -256,6 +256,23 @@ class TestCheck:
         assert masses["intersection_mass"] == [0.0, 0.0, 0.4, 0.0]
         assert masses["esd_mass"] == pytest.approx(masses["intersection_mass"], abs=1e-12)
 
+    @pytest.mark.parametrize("a, b, gap_b, intersection", [
+        # corners 0 and iB lie within two radii: the ESD masses (0.3, 0.3, 0.7, 0.7)
+        # count both clusters at each and sum to 2, which no intersection dimensions do
+        ("0.3", "0.6", "1e-10", [0.0, 0.0, 0.3, 0.1]),
+        # a block with c = 0.0069 has its roots within 5e-10 of A and iB, but it
+        # is no intersection of ranges and kernels
+        ("0.5", "0.5", "1e-5", [0.0, 0.0, 0.0, 0.0]),
+    ], ids=["ratio-1e10", "ratio-1e5"])
+    def test_roots_a_small_gap_puts_near_a_corner_fail_the_corner_check(self, tmp_path, a, b, gap_b, intersection):
+        prefix = tmp_path / "thin"
+        rc = main(["check", "--n", "40", "--a", a, "--alpha", "0", "--alpha-prime", "1",
+                   "--b", b, "--beta", "0", "--beta-prime", gap_b, "--seed", "1", "--out-prefix", str(prefix)])
+        assert rc == E_CHECK
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert payload["first_failure"] == "corner_mass"
+        assert payload["corner_masses"]["intersection_mass"] == intersection
+
     @pytest.mark.parametrize("gap", ["1e3", "1e10"])
     def test_im_bound_tolerance_grows_with_the_scale_squared(self, tmp_path, gap):
         # ||Im W|| carries rounding of order u * scale^2; an absolute 1e-10

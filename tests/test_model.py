@@ -22,7 +22,6 @@ from projsum import (
     assemble_model,
     atom_weights,
     esd,
-    make_geometry,
     sample_haar_unitary,
     substream_rng,
     two_projection_eigenvalues,
@@ -459,12 +458,6 @@ def _edge_rank_specs(draw):
     return _spec_of_ranks(n, k1, k2, draw(st.integers(min_value=0, max_value=2**64 - 1)))
 
 
-def _root_corner_counts(angles: model._AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> tuple[int, ...]:
-    """Points of the root map ``model._angle_roots`` within the corner radius of each corner, in corner order."""
-    roots, radius = model._angle_roots(angles, p_law, q_law), model._corner_radius(p_law, q_law)
-    return tuple(int(np.sum(np.abs(roots - c) <= radius)) for c in make_geometry(p_law, q_law).corners)
-
-
 class TestAngleSpectrum:
     @given(spec=_edge_rank_specs(), commuting=st.booleans())
     # (P side, Q side) read on (ran, ran), (ker, ker), (ran, ker) and (ker, ran)
@@ -479,10 +472,9 @@ class TestAngleSpectrum:
     @settings(max_examples=150, deadline=None)
     def test_kernel_and_dense_producers_agree(self, spec, commuting):
         realization = (commuting_model if commuting else assemble_model)(spec)
-        laws = (realization.realized_p_law, realization.realized_q_law)
         dense = model._projection_spectra(realization).angles
         n, k1, k2 = dense.n, dense.k1, dense.k2
-        counts = _root_corner_counts(dense, *laws)
+        counts = dense.intersection_dims()
         if commuting:
             # diagonal projections onto the leading k1 and k2 coordinates
             assert counts == (n - max(k1, k2), max(0, k2 - k1), max(0, k1 - k2), min(k1, k2))
@@ -491,7 +483,7 @@ class TestAngleSpectrum:
             flipped = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
             crossed = model._projection_spectra(flipped)
             expected = (max(0, n - k1 - k2), min(k2, n - k1), min(k1, n - k2), max(0, k1 + k2 - n))
-            assert _root_corner_counts(crossed.angles, *laws) == expected
+            assert crossed.angles.intersection_dims() == expected
             return
         kernel = model._kernel_angles(spec)
         assert (kernel.n, kernel.k1, kernel.k2) == (n, k1, k2)
@@ -503,8 +495,8 @@ class TestAngleSpectrum:
         assert unmeasured is None
         assert measured.shape == (m,)
         assert np.max(np.abs(measured - (dense.c if same_side else dense.s)), initial=0.0) <= 1e-13
-        # the root map reads whichever field a producer measured
-        assert _root_corner_counts(kernel, *laws) == counts
+        # the count reads whichever field a producer measured
+        assert kernel.intersection_dims() == counts
 
     @given(
         p_law=_LAWS.filter(lambda law: law.gap != 0.0),
@@ -557,8 +549,8 @@ class TestOneDrawLaw:
         for i in range(8):
             kernel = model._kernel_angles(ModelSpec(*laws, n=n, seed=i))
             reference = _two_draw_kernel_angles(ModelSpec(*laws, n=n, seed=100 + i))
-            counts.add(_root_corner_counts(kernel, *laws))
-            old_counts.add(_root_corner_counts(reference, *laws))
+            counts.add(kernel.intersection_dims())
+            old_counts.add(reference.intersection_dims())
             new.append(kernel.s**2 if mixed else kernel.c**2)
             old.append(1.0 - reference.c**2 if mixed else reference.c**2)
         assert counts == old_counts == {reference.excess()}
