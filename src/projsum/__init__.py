@@ -11,56 +11,11 @@ dimensions.
 
 __version__ = "0.25.0"
 
-from .model import (
-    InvalidDimensionError,
-    ModelRealization,
-    ModelSpec,
-    TwoAtomLaw,
-    UsageError,
-    assemble_model,
-    pooled_eigenvalues,
-    sample_haar_unitary,
-    substream_rng,
-    substream_seed,
-    two_projection_eigenvalues,
-)
-from .geometry import (
-    BrownAtomWeights,
-    DegenerateGeometryError,
-    HyperbolaRectangle,
-    atom_weights,
-    dist_to_hr_many,
-    make_geometry,
-)
-from .spectra import (
-    ComputationError,
-    StructureReport,
-    WeightedPointMeasure,
-    esd,
-    freeness_diagnostic,
-    nu_n_z,
-    structure_report,
-    verify_sv_bound,
-)
-from .hermitization import (
-    InvalidGridError,
-    LaplacianRecovery,
-    PerturbedNode,
-    PotentialGrid,
-    brown_pipeline,
-    laplacian_recover,
-    log_potential,
-    potential_grid,
-    sample_potential_grid,
-)
-from .convergence import (
-    ConvergenceReport,
-    CornerAtomMasses,
-    bl_distance,
-    convergence_run,
-    corner_atom_masses,
-    trend_acceptable,
-)
+from .model import *
+from .geometry import *
+from .spectra import *
+from .hermitization import *
+from .convergence import *
 
 from . import convergence, geometry, hermitization, model, spectra
 

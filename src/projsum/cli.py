@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .convergence import convergence_run, corner_atom_masses
-from .geometry import atom_weights, make_geometry
+from .geometry import make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
 from .model import CHECK_Z, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
-from .spectra import ComputationError, esd, structure_report, verify_sv_bound
+from .spectra import ComputationError, _MARGIN_ACCURACY, esd, structure_report, verify_sv_bound
 
 E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
 
@@ -35,7 +35,7 @@ CHECK_TOLERANCES = {
     "normality": 1e-10,
     "re_constant": 1e-9,  # times scale^2
     "im_bound": 1e-10,  # times scale^2, added to the |A*B|/2 bound
-    "sv_bound": 1e-8,  # times scale, the allowed negative margin
+    "sv_bound": _MARGIN_ACCURACY,  # times scale, the allowed negative margin
 }
 
 
@@ -179,11 +179,7 @@ def cmd_check(args) -> tuple[int, dict]:
         margins = []
 
     masses = corner_atom_masses(realization)
-    weights = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
-    corner_ok = True
-    for e_mass, i_mass, lower in zip(masses.esd_mass, masses.intersection_mass, weights.corner_weights):
-        if abs(e_mass - i_mass) > 1e-12 or e_mass < lower - 1e-12:
-            corner_ok = False
+    corner_ok = all(abs(e - i) <= 1e-12 for e, i in zip(masses.esd_mass, masses.intersection_mass))
     checks.append(("corner_mass", corner_ok,
                    f"esd={masses.esd_mass} subspace={masses.intersection_mass}"))
 

@@ -195,6 +195,8 @@ class TestCheck:
         realization = commuting_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         tol, scale = cli.CHECK_TOLERANCES, geom.scale
+        # the sv allowance is the accuracy the block certificate guarantees a margin
+        assert tol["sv_bound"] == spectra._MARGIN_ACCURACY
         report = spectra.structure_report(realization)
         assert report.support_deviation <= tol["support"] * scale
         assert report.normality_residual <= tol["normality"]

@@ -498,6 +498,18 @@ class TestAngleSpectrum:
         # the count reads whichever field a producer measured
         assert kernel.intersection_dims() == counts
 
+    def test_excess_is_the_parallelogram_law(self):
+        # the excess over n is the limit's corner weight, so a subspace mass, the excess
+        # plus a block count over n, is at least that weight, and check need not compare it
+        u = np.finfo(np.float64).eps / 2
+        for n in range(1, 65):
+            for k1 in range(n + 1):
+                for k2 in range(n + 1):
+                    excess = model._AngleSpectrum(n, k1, k2, None).excess()
+                    weights = atom_weights((n - k1) / n, (n - k2) / n).corner_weights
+                    for e, w in zip(excess, weights):
+                        assert abs(e / n - w) <= 4 * u, (n, k1, k2)
+
     @given(
         p_law=_LAWS.filter(lambda law: law.gap != 0.0),
         q_law=_LAWS.filter(lambda law: law.gap != 0.0),
