@@ -36,6 +36,7 @@ CHECK_TOLERANCES = {
     "re_constant": 1e-9,  # times scale^2
     "im_bound": 1e-10,  # times scale^2, added to the |A*B|/2 bound
     "sv_bound": _MARGIN_ACCURACY,  # times scale, the allowed negative margin
+    "corner_mass": 1e-12,  # |ESD mass - subspace mass| at each corner
 }
 
 
@@ -179,7 +180,7 @@ def cmd_check(args) -> tuple[int, dict]:
         margins = []
 
     masses = corner_atom_masses(realization)
-    corner_ok = all(abs(e - i) <= 1e-12 for e, i in zip(masses.esd_mass, masses.intersection_mass))
+    corner_ok = all(abs(e - i) <= tol["corner_mass"] for e, i in zip(masses.esd_mass, masses.intersection_mass))
     checks.append(("corner_mass", corner_ok,
                    f"esd={masses.esd_mass} subspace={masses.intersection_mass}"))
 

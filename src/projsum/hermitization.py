@@ -94,16 +94,18 @@ def log_potential(measure: WeightedPointMeasure, z: complex) -> float:
     return float(np.log(d) @ measure.weights)
 
 
-def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums of w_j log((x - px_j)^2 + (y - py_j)^2) over the atoms, per node of xs x ys.
+def _tile_sums(
+    xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of w_j log((x - px_j)^2 + (y - py_j)^2) over the atoms, per node of xs x ys, and the near nodes.
 
     The coordinates must lie below 1 in magnitude (the frame of
     :func:`potential_grid`).  The nodes form a product grid, so a squared
     gap along x depends only on (ix, atom) and one along y only on (iy,
-    atom).  The loop runs over the lines of nodes along the longer axis, one
-    per node of the shorter axis, and over tiles of atoms; per tile each
+    atom).  The loop runs over the lines of nodes, one per node of xs, each
+    holding the ys nodes of that x, and over tiles of atoms; per tile each
     axis gets one table of squared gaps, and each line adds the two into one
-    reused tile x len(line) buffer.
+    reused tile x len(ys) buffer.
 
     Atoms of equal weight share their logs.  In each run of equal weights
     (a stable sort by weight) every full group of ``_GROUP`` = 8 consecutive
@@ -111,24 +113,21 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
     squared gaps and takes one log of the product, so a node-atom pair costs
     one add and one eighth of a log.  A squared gap is below 8, so a product
     is below 2^24.  At every node the caller keeps, each squared gap is at
-    least four times the squared scaled collision radius (a radius of at
-    least 5e-14), 1e-26, so a product is at least 1e-208: it neither
-    overflows nor underflows, and loses no bits to a subnormal.  A group of
-    16 could reach 1e-416.  The other atoms, fewer than 8 per run, go
-    through the per-atom pass in their input order, one log per pair, so a
-    measure with all-distinct weights gets the bits of a per-atom sum.
-    Tiles hold ``_PAIR_BUDGET // len(line)`` atoms, at least one, in the
+    least ``limit``, four times the squared scaled collision radius (a
+    radius of at least 5e-14), 1e-26, so a product is at least 1e-208: it
+    neither overflows nor underflows, and loses no bits to a subnormal.  A
+    group of 16 could reach 1e-416.  The other atoms, fewer than 8 per run,
+    go through the per-atom pass in their input order, one log per pair, so
+    a measure with all-distinct weights gets the bits of a per-atom sum.
+    Tiles hold ``_PAIR_BUDGET // len(ys)`` atoms, at least one, in the
     per-atom pass and a multiple of 8 within that budget, at least 8, in the
     grouped pass.
 
-    An atom on a node gives log 0 = -inf there, and a node near an atom a
-    product that has lost bits: the caller recomputes such nodes.
+    The mask marks each node with dy2 + dx2 < ``limit`` for some atom, where
+    a log may be -inf or a product may have lost bits: the caller recomputes
+    those nodes.  A computed sum of two squares is at least each of them, so
+    per atom only the box of nodes with dx2 and dy2 below ``limit`` is tested.
     """
-    # a short line leaves too little work per step, a tile of a few atoms
-    # too short a gemv, so the lines follow the longer axis
-    flip = xs.size > ys.size
-    if flip:
-        xs, ys, px, py = ys, xs, py, px
     order = np.argsort(w, kind="stable")
     start = np.flatnonzero(np.r_[True, w[order[1:]] != w[order[:-1]]])
     run = np.diff(np.r_[start, w.size])
@@ -141,6 +140,7 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
     )
 
     sums = np.zeros((xs.size, ys.size))
+    near = np.zeros((xs.size, ys.size), dtype=bool)
     # the logs of an atom on a node divide by zero, and the products at nodes
     # near an atom may underflow: the caller recomputes those nodes
     with np.errstate(divide="ignore", under="ignore"):
@@ -148,6 +148,9 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
             for lo in range(0, ax.size, size):
                 dx2 = np.square(ax[lo : lo + size, None] - xs[None, :])
                 dy2 = np.square(ay[lo : lo + size, None] - ys[None, :])
+                for a in np.flatnonzero((dx2 < limit).any(axis=1) & (dy2 < limit).any(axis=1)):
+                    ix, iy = np.flatnonzero(dx2[a] < limit), np.flatnonzero(dy2[a] < limit)
+                    near[np.ix_(ix, iy)] |= np.add.outer(dx2[a, ix], dy2[a, iy]) < limit
                 wt = aw[lo // group : (lo + size) // group]
                 buf = np.empty_like(dy2)
                 terms = buf if group == 1 else np.empty((wt.size, ys.size))
@@ -157,40 +160,7 @@ def _tile_sums(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, w
                         np.multiply.reduce(buf.reshape(wt.size, group, ys.size), axis=1, out=terms)
                     np.log(terms, out=terms)
                     sums[i] += wt @ terms
-    return np.ascontiguousarray(sums.T) if flip else sums
-
-
-def _collisions(
-    xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray, limit: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (ix, iy), in row-major order, of the nodes with (x - px)^2 + (y - py)^2 < limit for some atom.
-
-    ``xs`` and ``ys`` must be sorted and ``limit`` a normal number.  The
-    squared gap is computed as in :func:`_tile_sums`, and a computed sum of
-    two squares is at least each of them, so every such node lies within
-    1.5 sqrt(limit) of the atom along each axis: a ``searchsorted`` per atom
-    and axis finds a box of candidates that holds them all.  The candidate
-    pairs are tested in chunks of ``_PAIR_BUDGET``, so memory stays bounded
-    even where the box holds many nodes (a grid finer than the radius).
-    """
-    span = 1.5 * math.sqrt(limit)
-    x_lo, x_hi = np.searchsorted(xs, px - span, "left"), np.searchsorted(xs, px + span, "right")
-    y_lo, y_hi = np.searchsorted(ys, py - span, "left"), np.searchsorted(ys, py + span, "right")
-    rows = y_hi - y_lo
-    count = (x_hi - x_lo) * rows
-    atoms = np.flatnonzero(count)
-    ends = np.cumsum(count[atoms])
-    total = int(count.sum())
-    hit = np.zeros((xs.size, ys.size), dtype=bool)
-    for lo in range(0, total, _PAIR_BUDGET):
-        k = np.arange(lo, min(lo + _PAIR_BUDGET, total))
-        a = np.searchsorted(ends, k, "right")
-        j = atoms[a]
-        r = k - ends[a] + count[j]
-        ix, iy = x_lo[j] + r // rows[j], y_lo[j] + r % rows[j]
-        near = np.square(py[j] - ys[iy]) + np.square(px[j] - xs[ix]) < limit
-        hit[ix[near], iy[near]] = True
-    return np.nonzero(hit)
+    return sums, near
 
 
 def _direct_values(
@@ -198,22 +168,29 @@ def _direct_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Potential at the nodes ``zs`` from complex distances, in chunks of ``_PAIR_BUDGET // len(points)``.
 
-    A node closer than ``radius`` to an atom is evaluated at node +
-    ``shift`` instead.  Returns the values and the mask of moved nodes.
+    A node closer than ``radius`` to an atom is evaluated instead at one of
+    its four half-cell diagonals, node + ``shift`` with the signs of its
+    parts in the order (+, +), (-, +), (+, -), (-, -): the first that lies
+    at least ``radius`` from every atom, or, if none does, the one farthest
+    from its nearest atom.  Returns the values and the points used.
     """
     chunk = max(1, _PAIR_BUDGET // points.size)
+    diagonals = np.array([shift, -shift.conjugate(), shift.conjugate(), -shift])
     values = np.empty(zs.size)
-    moved = np.zeros(zs.size, dtype=bool)
+    used = zs.copy()
     for lo in range(0, zs.size, chunk):
-        zc = zs[lo : lo + chunk]
+        zc = used[lo : lo + chunk]
         d = np.abs(zc[:, None] - points[None, :])
-        hit = np.min(d, axis=1) < radius
-        if hit.any():
-            zc = np.where(hit, zc + shift, zc)
-            d = np.abs(zc[:, None] - points[None, :])
+        hit = np.flatnonzero(np.min(d, axis=1) < radius)
+        if hit.size:
+            moves = zc[hit, None] + diagonals
+            dm = np.abs(moves[:, :, None] - points)
+            gap = np.min(dm, axis=2)
+            # argmax takes the first maximum: the first clear diagonal, else the farthest
+            pick = np.arange(hit.size), np.argmax(np.where(gap >= radius, np.inf, gap), axis=1)
+            zc[hit], d[hit] = moves[pick], dm[pick]
         values[lo : lo + chunk] = np.log(d) @ weights
-        moved[lo : lo + chunk] = hit
-    return values, moved
+    return values, used
 
 
 def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float]:
@@ -249,14 +226,15 @@ def potential_grid(
     ``window`` is (xmin, xmax, ymin, ymax); nodes are the nx * ny points of
     the inclusive linspace grid.  A node closer than 1e-13 * scale to an
     atom, where scale is the largest coordinate magnitude of a node or an
-    atom, is moved half a cell diagonally before evaluation (the potential
-    is defined almost everywhere; node collisions are a gridding artifact)
-    and the move is recorded in ``perturbations``.  Exactly equal atoms are
-    merged first, their weights summed: the two-projection kernel repeats
-    its corner atoms hundreds of times, and a pooled ESD repeats them in
-    every sample.  By linearity the potential is the same up to roundoff,
-    and the nudged nodes depend only on the set of atoms; each is recorded
-    once.
+    atom, is moved half a cell diagonally, clear of every atom where one of
+    its four diagonals is (see ``_direct_values``), before evaluation (the
+    potential is defined almost everywhere; node collisions are a gridding
+    artifact) and the move is recorded in ``perturbations``.  Exactly equal
+    atoms are merged first, their weights summed: the two-projection kernel
+    repeats its corner atoms hundreds of times, and a pooled ESD repeats
+    them in every sample.  By linearity the potential is the same up to
+    roundoff, and the nudged nodes depend only on the set of atoms; each is
+    recorded once.
 
     Each term is log|z - p| = (1/2) log((x - px)^2 + (y - py)^2), taken in
     the frame 2^-e that brings the largest coordinate of a node or an atom
@@ -266,12 +244,11 @@ def potential_grid(
     pooled ESD all weigh 1/N, but for the merged ones) share one log per
     group of eight: in this frame a squared gap is below 8, so a product of
     eight is below 2^24, and at a node that is not evaluated again it is at
-    least (1e-26)^8 = 1e-208 (see ``_tile_sums``).  A node whose squared
-    gap to some atom falls below four times the squared radius, or below
-    the smallest normal number, where it has lost bits, is evaluated again
-    from complex distances; that pass decides the collisions, by the rule
-    above.  Such nodes are found per atom, among the nodes within a few
-    radii of it (see ``_collisions``), not by a minimum over every pair.
+    least (1e-26)^8 = 1e-208 (see ``_tile_sums``).  The same tables mark
+    each node whose squared gap to some atom falls below four times the
+    squared radius; such a node is evaluated again from complex distances,
+    in the same frame, and that pass decides the collisions, by the rule
+    above.
     """
     hx, hy = _grid_steps(window, nx, ny)
     xmin, ymin = float(window[0]), float(window[2])
@@ -280,28 +257,27 @@ def potential_grid(
 
     points, inverse = np.unique(measure.points, return_inverse=True)
     weights = np.bincount(inverse, weights=measure.weights)
-    px, py = points.real, points.imag
     total = float(weights.sum())
-    scale = max(float(np.max(np.abs(v))) for v in (xs, ys, px, py))
-    shift = 0.5 * hx + 0.5j * hy
+    scale = max(float(np.max(np.abs(v))) for v in (xs, ys, points.real, points.imag))
     # the frame 2^-e takes every coordinate below 1 in magnitude, exactly, so
     # no squared gap overflows; log 2^e per unit weight is added back
     e = math.frexp(scale)[1]
-    scaled = [np.ldexp(v, -e) for v in (xs, ys, px, py)]
-    values = _tile_sums(*scaled, 0.5 * weights) + e * math.log(2.0) * total
-
+    sx, sy, px, py = (np.ldexp(v, -e) for v in (xs, ys, points.real, points.imag))
     # the margin of twice the radius keeps a rounded square from hiding a
     # collision; the scaled radius lies in [5e-14, 1e-13)
     reach = 1e-13 * math.ldexp(scale, -e)
-    ix, iy = _collisions(*scaled, 4.0 * max(reach * reach, np.finfo(np.float64).tiny))
-    zs = xs[ix] + 1j * ys[iy]
-    # the direct pass halves coordinates past 2^1021 until no gap overflows
-    frame = 2.0 ** -max(0, e - 1021)
-    direct, moved = _direct_values(zs * frame, points * frame, weights, 1e-13 * scale * frame, shift * frame)
-    values[ix, iy] = direct - math.log(frame) * total
+    sums, near = _tile_sums(sx, sy, px, py, 0.5 * weights, 4.0 * reach * reach)
+    ix, iy = np.nonzero(near)
+    shift = math.ldexp(0.5 * hx, -e) + 1j * math.ldexp(0.5 * hy, -e)
+    zs = sx[ix] + 1j * sy[iy]
+    sums[ix, iy], used = _direct_values(zs, px + 1j * py, weights, reach, shift)
+    values = sums + e * math.log(2.0) * total
+    moved = used != zs
+    # the nudged nodes back in the window's frame, exactly
+    zs, used = (np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e) for v in (zs[moved], used[moved]))
     perturbed = [
-        PerturbedNode(int(i), int(j), original=complex(z), used=complex(z + shift))
-        for i, j, z in zip(ix[moved], iy[moved], zs[moved])
+        PerturbedNode(int(i), int(j), original=complex(z), used=complex(u))
+        for i, j, z, u in zip(ix[moved], iy[moved], zs, used)
     ]
     return PotentialGrid(
         x0=xmin,

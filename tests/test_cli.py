@@ -195,7 +195,9 @@ class TestCheck:
         realization = commuting_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         tol, scale = cli.CHECK_TOLERANCES, geom.scale
-        # the sv allowance is the accuracy the block certificate guarantees a margin
+        # one tolerance per check, in the order `check` runs them; the sv
+        # allowance is the accuracy the block certificate guarantees a margin
+        assert list(tol) == ["support", "normality", "re_constant", "im_bound", "sv_bound", "corner_mass"]
         assert tol["sv_bound"] == spectra._MARGIN_ACCURACY
         report = spectra.structure_report(realization)
         assert report.support_deviation <= tol["support"] * scale
@@ -207,7 +209,7 @@ class TestCheck:
         masses = convergence.corner_atom_masses(realization)
         lower = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight).corner_weights
         for e_mass, i_mass, w in zip(masses.esd_mass, masses.intersection_mass, lower):
-            assert abs(e_mass - i_mass) <= 1e-12 and e_mass >= w - 1e-12
+            assert abs(e_mass - i_mass) <= tol["corner_mass"] and e_mass >= w - 1e-12
 
     def test_tolerances_are_not_flags(self):
         # the verdict's tolerances live in CHECK_TOLERANCES; the manifest records only these

@@ -100,11 +100,9 @@ def _min_tile_sums(xs, ys, px, py, w):
     """Reference: the 0.19.0 kernel, one add, min, log and gemv slot per node-atom pair.
 
     Returns the sums of w_j log((x - px_j)^2 + (y - py_j)^2) and, per node,
-    the least computed squared gap to an atom, on one thread.
+    the least computed squared gap to an atom, on one thread, in the kernel's
+    layout: one line per node of xs.
     """
-    flip = xs.size > ys.size
-    if flip:
-        xs, ys, px, py = ys, xs, py, px
     tile = max(1, hermitization._PAIR_BUDGET // ys.size)
     sums = np.zeros((xs.size, ys.size))
     near = np.full((xs.size, ys.size), np.inf)
@@ -119,7 +117,7 @@ def _min_tile_sums(xs, ys, px, py, w):
                 np.minimum(near[i], buf.min(axis=0), out=near[i])
                 np.log(buf, out=buf)
                 sums[i] += wt @ buf
-    return (np.ascontiguousarray(sums.T), near.T) if flip else (sums, near)
+    return sums, near
 
 
 def _min_collisions(xs, ys, px, py, limit):
@@ -127,28 +125,34 @@ def _min_collisions(xs, ys, px, py, limit):
     return np.nonzero(_min_tile_sums(xs, ys, px, py, np.ones(px.size))[1] < limit)
 
 
+def _min_kernel(xs, ys, px, py, w, limit):
+    """Reference ``_tile_sums``: the running-min kernel's sums, and its nodes nearer than ``limit``."""
+    sums, near = _min_tile_sums(xs, ys, px, py, w)
+    return sums, near < limit
+
+
 def _reference_grid(measure, window, nx, ny):
     """``potential_grid`` as 0.19.0 computed it: per-pair logs, and the collision set from the running min."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hermitization, "_tile_sums", lambda *args: _min_tile_sums(*args)[0])
-        patch.setattr(hermitization, "_collisions", _min_collisions)
+        patch.setattr(hermitization, "_tile_sums", _min_kernel)
         return potential_grid(measure, window, nx, ny)
 
 
 def _collision_sets(measure, window, nx, ny):
-    """The collision set ``potential_grid`` finds, and the reference's on the same scaled input."""
+    """The collision set ``potential_grid`` reads off the tile tables, and the reference's on the same scaled input."""
     calls = []
-    real = hermitization._collisions
+    real = hermitization._tile_sums
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(xs, ys, px, py, w, limit):
+        sums, near = real(xs, ys, px, py, w, limit)
+        calls.append(((xs, ys, px, py, limit), near))
+        return sums, near
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hermitization, "_collisions", recording)
+        patch.setattr(hermitization, "_tile_sums", recording)
         potential_grid(measure, window, nx, ny)
-    (args,) = calls
-    return [tuple(map(list, pair)) for pair in (real(*args), _min_collisions(*args))]
+    ((args, near),) = calls
+    return [tuple(map(list, pair)) for pair in (np.nonzero(near), _min_collisions(*args))]
 
 
 @st.composite
@@ -279,9 +283,9 @@ class TestPotentialGrid:
         sizes = []
         real = hermitization._tile_sums
 
-        def recording(xs, ys, px, py, w):
+        def recording(xs, ys, px, py, w, limit):
             sizes.append(px.size)
-            return real(xs, ys, px, py, w)
+            return real(xs, ys, px, py, w, limit)
 
         monkeypatch.setattr(hermitization, "_tile_sums", recording)
         p, q = demo_laws
@@ -382,7 +386,7 @@ class TestPotentialGrid:
 
     def test_collision_set_on_a_grid_finer_than_the_radius(self):
         # 301 x 301 nodes 1e-15 apart around an atom whose radius is 1e-13:
-        # about 90,000 candidate pairs, in two chunks of the pair budget
+        # the atom's box of candidate nodes holds about 90,000 of them
         window = (-1.5e-13, 1.5e-13, -1.5e-13, 1.5e-13)
         m = WeightedPointMeasure.uniform(np.array([1.0 + 0j, 0j, 3e-14 - 2e-14j]))
         got, want = _collision_sets(m, window, 301, 301)
@@ -407,6 +411,78 @@ class TestPotentialGrid:
         assert [(p.ix, p.iy) for p in got.perturbations] == [(3, 7), (20, 30)]
         assert got.perturbations == want.perturbations
         assert got.values.tobytes() == want.values.tobytes()
+
+    def test_nudge_off_an_atom_on_the_first_diagonal(self):
+        # node 0's (+, +) diagonal is the atom 0.25 + 0.25j: the node moves to
+        # its (-, +) diagonal, clear of every atom
+        m = WeightedPointMeasure.uniform(np.array([0j, 0.25 + 0.25j, 0.9 + 0.1j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = potential_grid(m, (0.0, 1.0, 0.0, 1.0), 3, 3)
+        assert np.all(np.isfinite(grid.values))
+        assert [(p.ix, p.iy, p.original, p.used) for p in grid.perturbations] == [(0, 0, 0j, -0.25 + 0.25j)]
+        assert grid.values[0, 0] == pytest.approx(log_potential(m, -0.25 + 0.25j), rel=1e-13)
+
+    def test_nudge_on_a_grid_finer_than_the_radius(self):
+        # 1000 atoms in a 1e-12 square at 1 + 1j: the radius, 1e-13, spans 20
+        # cells, so every node is nudged and no diagonal clears every atom; the
+        # atoms lie on the float lattice of spacing 2^-52 near 1, so some (+, +)
+        # diagonals are atoms, and the node moves to the diagonal farthest from
+        # its nearest atom
+        rng = np.random.default_rng(0)
+        window = (1.0, 1.0 + 1e-12, 1.0, 1.0 + 1e-12)
+        m = WeightedPointMeasure.uniform(1.0 + 1.0j + 1e-12 * (rng.uniform(size=1000) + 1j * rng.uniform(size=1000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = potential_grid(m, window, 200, 200)
+        assert np.all(np.isfinite(grid.values))
+        assert len(grid.perturbations) == 200 * 200
+        used = np.array([p.used for p in grid.perturbations])
+        assert not np.any(np.isin(used, m.points))
+        shift, atoms = 0.5 * grid.hx + 0.5j * grid.hy, set(m.points)
+        landed = [p for p in grid.perturbations if p.original + shift in atoms]
+        assert landed
+        for p in landed + list(grid.perturbations[::997]):
+            assert grid.values[p.ix, p.iy] == pytest.approx(log_potential(m, p.used), rel=1e-13)
+
+    def test_transposed_grid_gives_transposed_values(self):
+        # 3200 equal-weight atoms fill two tiles on a 41 x 23 grid (2848 per
+        # grouped tile) and on its 23 x 41 transpose (1592); one atom sits on node (30, 7)
+        window = (-1.0, 1.0, -0.55, 0.55)
+        nodes = potential_grid(_delta(5 + 5j), window, 41, 23).nodes()
+        rng = np.random.default_rng(23)
+        filler = rng.uniform(-1.0, 1.0, 3200) + 1j * rng.uniform(-0.55, 0.55, 3200)
+        points = np.concatenate([[nodes[30, 7]], filler])
+        weights = np.concatenate([[0.2], np.full(filler.size, 0.8 / filler.size)])
+        grid = potential_grid(WeightedPointMeasure(points=points, weights=weights), window, 41, 23)
+        swapped = WeightedPointMeasure(points=points.imag + 1j * points.real, weights=weights)
+        flipped = potential_grid(swapped, (window[2], window[3], window[0], window[1]), 23, 41)
+        assert np.all(np.abs(flipped.values.T - grid.values) <= 1e-13 * (1.0 + np.abs(grid.values)))
+        assert [(p.ix, p.iy) for p in grid.perturbations] == [(30, 7)]
+
+        def swap(z):
+            return complex(z.imag, z.real)
+
+        assert [(p.iy, p.ix, swap(p.original), swap(p.used)) for p in grid.perturbations] == [
+            (p.ix, p.iy, p.original, p.used) for p in flipped.perturbations
+        ]
+
+    def test_kernel_potential_past_2_to_the_1021(self):
+        # gaps of 1.6e308 and 8e307: every difference of coordinates overflows
+        # unless taken in the frame; scaling the laws and the window by 2^-8
+        # scales the atoms exactly and adds 8 log 2 per unit weight
+        def grid(k):
+            p, q = TwoAtomLaw(0.625, 0.0, 1.6e308 * 2.0**k), TwoAtomLaw(0.875, 0.0, 8e307 * 2.0**k)
+            window = (0.0, 1.6e308 * 2.0**k, 0.0, 1.6e308 * 2.0**k)
+            return sample_potential_grid(ModelSpec(p, q, n=16, seed=42), window, 21, 21, 1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, small = grid(0), grid(-8)
+        assert np.all(np.isfinite(big.values))
+        assert np.max(np.abs(big.values - (small.values + 8.0 * math.log(2.0)))) <= 1e-13 * np.max(np.abs(big.values))
+        assert big.perturbations
+        assert [(p.ix, p.iy) for p in big.perturbations] == [(p.ix, p.iy) for p in small.perturbations]
 
     def test_rejects_bad_windows(self):
         m = _delta(0j)
