@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoAtomLaw, UsageError, _frame, _rectangle_corners
+from .model import TwoAtomLaw, UsageError, _corner_law, _frame, _rectangle_corners
 
 __all__ = [
     "DegenerateGeometryError",
@@ -284,17 +284,14 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
 def atom_weights(a: float, b: float) -> BrownAtomWeights:
     """Corner atom weights of the limit law for p-weight a and q-weight b.
 
-    e00 = max(0, a + b - 1) sits at alpha + i*beta, e01 = max(0, a - b) at
-    alpha + i*beta', e10 = max(0, b - a) at alpha' + i*beta, e11 =
-    max(0, 1 - a - b) at alpha' + i*beta', and e_cont = 1 - sum is the mass
-    of the continuous part on H intersect R.  At most two of the four corner
-    weights are nonzero, and the five fields always sum to 1 exactly.
+    The corner law ``model._corner_law(a, b, 1.0)`` puts e00 at alpha +
+    i*beta, e01 at alpha + i*beta', e10 at alpha' + i*beta and e11 at
+    alpha' + i*beta', and e_cont = 1 - sum is the mass of the continuous
+    part on H intersect R.  At most two of the four corner weights are
+    nonzero, and the five fields always sum to 1 exactly.
     """
     if not 0.0 <= a <= 1.0 or not 0.0 <= b <= 1.0:
         raise ValueError("weights must lie in [0, 1]")
-    e00 = max(0.0, a + b - 1.0)
-    e01 = max(0.0, a - b)
-    e10 = max(0.0, b - a)
-    e11 = max(0.0, 1.0 - a - b)
+    e00, e01, e10, e11 = _corner_law(a, b, 1.0)
     e_cont = 1.0 - (e00 + e01 + e10 + e11)
     return BrownAtomWeights(e00=e00, e01=e01, e10=e10, e11=e11, e_cont=e_cont)

@@ -296,9 +296,10 @@ class LaplacianRecovery:
     """Measure recovered from a potential grid by the 5-point stencil.
 
     ``grid`` carries the raw signed masses; ``measure`` holds the clamped,
-    renormalized atomic measure on interior nodes (None when everything
-    clamps to zero, e.g. a harmonic window).  ``raw_total`` is the signed
-    mass sum before clamping and ``negative_mass`` the amount clamped away.
+    renormalized atomic measure on the interior nodes of positive mass
+    (None when everything clamps to zero, e.g. a harmonic window).
+    ``raw_total`` is the signed mass sum before clamping and
+    ``negative_mass`` the amount clamped away.
     """
 
     grid: PotentialGrid
@@ -313,8 +314,8 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
     Per interior node the stencil mass is
     (L_east + L_west + L_north + L_south - 4 L_center) / (2 pi); the h^2 of
     the Laplacian cancels against the cell area.  Square cells are required.
-    Negative entries are clamped to zero in the returned measure but kept in
-    the raw grid and totals, since they diagnose under-resolution.
+    Negative entries are clamped to zero, so the measure leaves them out;
+    the raw grid and totals keep them, since they diagnose under-resolution.
     """
     _require_square(grid.hx, grid.hy)
     v = grid.values
@@ -323,10 +324,8 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
     total = float(clamped.sum())
     measure = None
     if total > 1e-15:
-        measure = WeightedPointMeasure(
-            points=grid.interior_nodes().ravel(),
-            weights=(clamped / total).ravel(),
-        )
+        atoms = clamped > 0.0
+        measure = WeightedPointMeasure(points=grid.interior_nodes()[atoms], weights=clamped[atoms] / total)
     return LaplacianRecovery(
         grid=replace(grid, mass=raw),
         measure=measure,

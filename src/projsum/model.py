@@ -258,7 +258,8 @@ def assemble_model(spec: ModelSpec) -> ModelRealization:
     """
     k1, realized_p = _realize(spec.p_law, spec.n)
     g, q_law = _q_frame(spec)
-    p = _two_atom_matrix(realized_p, np.eye(spec.n, k1, dtype=np.complex128))
+    p = np.diag((realized_p.loc + np.where(np.arange(spec.n) < k1, realized_p.gap, 0.0)).astype(np.complex128))
+    p.setflags(write=False)
     q = _two_atom_matrix(q_law, np.linalg.qr(g)[0])
     x = p + 1j * q
     x.setflags(write=False)
@@ -279,6 +280,14 @@ _CORNER_TOL, _ANGLE_TOL = 1e-9, 1e-9
 def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
     """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
     return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
+
+
+def _corner_law(a, b, whole):
+    """The parallelogram law, in corner order: (a + b - whole)+, (a - b)+, (b - a)+, (whole - a - b)+,
+    in the type of ``whole``.  Of the limit law's weights a, b with whole 1.0 (``geometry.atom_weights``),
+    and of the kernel dimensions n - k1, n - k2 with whole n (``_AngleSpectrum.excess``)."""
+    zero = whole - whole
+    return max(zero, a + b - whole), max(zero, a - b), max(zero, b - a), max(zero, whole - a - b)
 
 
 def _rectangle_corners(x0, x1, y0, y1) -> tuple[tuple, tuple, tuple, tuple]:
@@ -308,9 +317,8 @@ class _AngleSpectrum(NamedTuple):
     s: np.ndarray | None = None
 
     def excess(self) -> tuple[int, int, int, int]:
-        """The excess dimension at each corner, in corner order."""
-        n, k1, k2 = self.n, self.k1, self.k2
-        return max(0, n - k1 - k2), max(0, k2 - k1), max(0, k1 - k2), max(0, k1 + k2 - n)
+        """The excess dimension at each corner, in corner order: the corner law of the kernel dimensions."""
+        return _corner_law(self.n - self.k1, self.n - self.k2, self.n)
 
     def corners(self, a, b) -> tuple[tuple[tuple, int], ...]:
         """(offset (x, y) from (alpha, beta), excess dimension) per corner, for gaps A, B (scalars or arrays)."""
@@ -362,8 +370,8 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     onto the loc_alt eigenspaces (distinct atoms only) and their angle spectrum.
 
     Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, Pi_p -
-    Pi_q 0, -1, 1, 0 and +-s: the m block values lie next to the (k1 + k2 -
-    n)+ of ran int ran.  Read it through ``ModelRealization._dense_spectra``,
+    Pi_q 0, -1, 1, 0 and +-s: the m block values lie next to the excess rr
+    of ran int ran.  Read it through ``ModelRealization._dense_spectra``,
     which takes the two ``eigvalsh`` once per realization.
     """
     n, eye = realization.n, np.eye(realization.n)
@@ -372,7 +380,7 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
     k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
     total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
-    rr = max(0, k1 + k2 - n)
+    rr = _AngleSpectrum(n, k1, k2, None).excess()[3]
     # ascending spectra: the j-th largest cosine pairs with the j-th smallest sine
     c, s = total[::-1][rr : min(k1, k2)] - 1.0, diff[n - k1 + rr : n - k1 + min(k1, k2)]
     return _ProjectionSpectra(pi_p, pi_q, _AngleSpectrum(n, k1, k2, c, s))

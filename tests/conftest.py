@@ -21,7 +21,9 @@ Q_LAW = TwoAtomLaw(weight=7 / 8, loc=0.0, loc_alt=0.8)
 def commuting_model(spec: ModelSpec) -> ModelRealization:
     """The realization of ``spec`` with V = I: P_n and Q_n diagonal, with closed-form spectra.
 
-    Built from the calls ``assemble_model`` makes, with E_k2 for the Haar side.
+    Both sides are ``_two_atom_matrix`` of the standard basis columns E_k1 and E_k2: P_n
+    equals ``assemble_model``'s diagonal bit for bit at gaps of at least 2^-1021, and Q_n is
+    its drawn side at V = I.
     """
     (k1, p_law), (k2, q_law) = (_realize(law, spec.n) for law in (spec.p_law, spec.q_law))
     p = _two_atom_matrix(p_law, np.eye(spec.n, k1, dtype=np.complex128))

@@ -277,6 +277,20 @@ class TestCheck:
         assert payload["first_failure"] == "corner_mass"
         assert payload["corner_masses"]["intersection_mass"] == intersection
 
+    @pytest.mark.parametrize("gap_b", ["1e-6", "1e-7"])
+    def test_multiple_corner_eigenvalues_lie_past_a_radius_in_the_smaller_gap(self, tmp_path, gap_b):
+        # the dense eigvals places the 120 eigenvalues at (A, 0) farther from it than
+        # 1e-9 * min(|A|, |B|): with that radius the ESD mass there was 0.0025 at 1e-7, not 0.3
+        prefix = tmp_path / "ratio"
+        rc = main(["check", "--n", "400", "--a", "0.3", "--alpha", "0", "--alpha-prime", "1",
+                   "--b", "0.6", "--beta", "0", "--beta-prime", gap_b, "--seed", "2", "--z-grid", "0",
+                   "--out-prefix", str(prefix)])
+        assert rc == E_OK
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert payload["first_failure"] is None
+        masses = payload["corner_masses"]
+        assert masses["esd_mass"] == pytest.approx(masses["intersection_mass"], abs=1e-12)
+
     @pytest.mark.parametrize("gap", ["1e3", "1e10"])
     def test_im_bound_tolerance_grows_with_the_scale_squared(self, tmp_path, gap):
         # ||Im W|| carries rounding of order u * scale^2; an absolute 1e-10

@@ -219,6 +219,25 @@ class TestAssembleModel:
         c = assemble_model(ModelSpec(p, q, n=50, seed=315))
         assert a.x_matrix.tobytes() != c.x_matrix.tobytes()
 
+    @pytest.mark.parametrize("law", [P_LAW, TwoAtomLaw(0.3, 0.0, -1.0), TwoAtomLaw(0.5, -0.0, 0.7),
+                                     TwoAtomLaw(0.0, 0.1, 0.7), TwoAtomLaw(1.0, 0.1, 0.7)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_p_is_the_diagonal_of_the_two_atom_matrix(self, law, n):
+        # P_n is written as its diagonal; its bits, signed zeros included, equal those of
+        # the symmetrized product on E_k1, which commuting_model's P_n relies on
+        k1, realized = model._realize(law, n)
+        p = assemble_model(ModelSpec(law, Q_LAW, n=n, seed=1)).p_matrix
+        product = model._two_atom_matrix(realized, np.eye(n, k1, dtype=np.complex128))
+        assert np.array_equal(p.view(np.uint64), product.view(np.uint64))
+        assert not p.flags.writeable
+
+    def test_p_keeps_a_gap_below_2_to_the_minus_1021(self):
+        # the symmetrized product halves the gap, which rounds it in the subnormal range
+        law = TwoAtomLaw(0.5, 0.0, 3e-308)
+        p = assemble_model(ModelSpec(law, Q_LAW, n=8, seed=1)).p_matrix
+        assert np.array_equal(np.diag(p), np.where(np.arange(8) < 4, 3e-308, 0.0))
+        assert not np.array_equal(p, model._two_atom_matrix(law, np.eye(8, 4, dtype=np.complex128)))
+
     def test_commuting_variant_is_diagonal(self, demo_laws):
         p, q = demo_laws
         r = commuting_model(ModelSpec(p, q, n=8, seed=1))
@@ -509,6 +528,12 @@ class TestAngleSpectrum:
                     weights = atom_weights((n - k1) / n, (n - k2) / n).corner_weights
                     for e, w in zip(excess, weights):
                         assert abs(e / n - w) <= 4 * u, (n, k1, k2)
+
+    def test_corner_law_keeps_the_type_of_the_whole(self):
+        # dimensions stay ints, and a zero weight stays the float 0.0 that reports write
+        dims, weights = model._corner_law(3, 5, 8), model._corner_law(0.25, 0.5, 1.0)
+        assert dims == (0, 0, 2, 0) and all(type(d) is int for d in dims)
+        assert weights == (0.0, 0.0, 0.25, 0.25) and all(type(w) is float for w in weights)
 
     @given(
         p_law=_LAWS.filter(lambda law: law.gap != 0.0),
