@@ -266,7 +266,16 @@ def cmd_converge(args) -> tuple[int, dict]:
     report = convergence_run(p_law, q_law, schedule, samples=args.samples, seed=args.seed,
                              reference_n=args.reference_n, grid_resolution=args.resolution)
     _write_json(Path(args.out_prefix + ".converge.json"), report)
-    return E_OK, {"realized_laws": _realized_laws(p_law, q_law, report.reference_n)}
+    # the last bits of the distances follow HiGHS's warm-start path, so the manifest names the
+    # solver; imported here, so that `sample` and `check` never load scipy.optimize
+    import scipy
+    from scipy.optimize._highspy import _core
+
+    highs = f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
+    return E_OK, {
+        "realized_laws": _realized_laws(p_law, q_law, report.reference_n),
+        "versions": {"scipy": scipy.__version__, "highs": highs},
+    }
 
 
 def cmd_replay(args) -> int:

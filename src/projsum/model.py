@@ -228,6 +228,22 @@ def _frame(x):
     return np.ldexp(1.0, np.frexp(x)[1] - 1)
 
 
+def _divide(x: np.ndarray, d: float) -> np.ndarray:
+    """The complex array x over the real d, for a subnormal d too; where the quotient does not
+    underflow, rounded as ``x / d`` rounds it.
+
+    NumPy divides a complex array by a real through the real's reciprocal,
+    and the reciprocal of a subnormal overflows.  The real and imaginary
+    parts are divided apart by the frame of d (exact), and then by d over its
+    frame, a number in [1, 2) in magnitude."""
+    e = int(np.frexp(d)[1]) - 1
+    q = np.empty_like(x)
+    np.ldexp(x.real, -e, out=q.real)
+    np.ldexp(x.imag, -e, out=q.imag)
+    q /= np.ldexp(d, -e)
+    return q
+
+
 def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
     """Number k of loc_alt entries at a validated dimension n, and the realized law."""
     k = round(n * (1.0 - law.weight))
@@ -376,8 +392,8 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     """
     n, eye = realization.n, np.eye(realization.n)
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    pi_p = (realization.p_matrix - p_law.loc * eye) / p_law.gap
-    pi_q = (realization.q_matrix - q_law.loc * eye) / q_law.gap
+    pi_p = _divide(realization.p_matrix - p_law.loc * eye, p_law.gap)
+    pi_q = _divide(realization.q_matrix - q_law.loc * eye, q_law.gap)
     k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
     total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
     rr = _AngleSpectrum(n, k1, k2, None).excess()[3]

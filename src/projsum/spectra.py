@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist_to_hr_many, make_geometry
-from .model import ModelRealization, _frame
+from .model import ModelRealization, _divide, _frame
 
 __all__ = [
     "ComputationError",
@@ -129,7 +129,7 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(realization.n)
     a, b = geom.gap_a / f, geom.gap_b / f
     c = 0.25 * (a - b) * (a + b)  # geom.re_constant / f^2
-    xt = (realization.x_matrix - geom.center * eye) / f
+    xt = _divide(realization.x_matrix - geom.center * eye, f)
     w = xt @ xt
     wh = w.conj().T
     re_dev = float(np.max(np.abs(np.linalg.eigvalsh((w + wh) / 2 - c * eye))))
@@ -216,7 +216,7 @@ def _certificate_eps(realization: ModelRealization) -> float:
     i_p, i_q = idem
     # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
     f = float(_frame(max(a, b)))
-    resid, center = realization.x_matrix / f, complex(p_law.loc, q_law.loc) / f
+    resid, center = _divide(realization.x_matrix, f), complex(p_law.loc, q_law.loc) / f
     norms = (np.linalg.norm(resid), a / f * np.linalg.norm(spectra.pi_p), b / f * np.linalg.norm(spectra.pi_q))
     resid -= (p_law.gap / f) * spectra.pi_p  # in place: X_n / f is the one n x n copy
     resid -= 1j * ((q_law.gap / f) * spectra.pi_q)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from scipy.optimize._highspy import _core
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from projsum import ModelSpec, __version__, assemble_model, atom_weights, make_geometry
@@ -276,6 +278,26 @@ class TestCheck:
         payload = json.loads(Path(str(prefix) + ".check.json").read_text())
         assert payload["first_failure"] == "corner_mass"
         assert payload["corner_masses"]["intersection_mass"] == intersection
+
+    @pytest.mark.parametrize("gap_b, rc, first_failure", [
+        ("1e-310", E_OK, None),
+        # a gap ratio of 1e10, as in ratio-1e10 above
+        ("1e-300", E_CHECK, "corner_mass"),
+    ], ids=["gap-1e-310", "ratio-1e10"])
+    def test_subnormal_gaps_divide_in_the_power_of_two_frame(self, tmp_path, capsys, gap_b, rc, first_failure):
+        # NumPy divides a complex array by a real through its reciprocal, which a
+        # subnormal gap overflows: the projections and X~ / f read inf and nan,
+        # with RuntimeWarnings, and the run ended in "Eigenvalues did not converge"
+        prefix = tmp_path / "subnormal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["check", "--n", "40", "--a", "0.3", "--alpha", "0", "--alpha-prime", "1e-310",
+                        "--b", "0.6", "--beta", "0", "--beta-prime", gap_b, "--seed", "1", "--out-prefix", str(prefix)])
+        assert got == rc
+        assert capsys.readouterr().err == ("" if rc == E_OK else "check failed: corner_mass\n")
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert payload["first_failure"] == first_failure
+        assert payload["corner_masses"]["intersection_mass"] == [0.0, 0.0, 0.3, 0.1]
 
     @pytest.mark.parametrize("gap_b", ["1e-6", "1e-7"])
     def test_multiple_corner_eigenvalues_lie_past_a_radius_in_the_smaller_gap(self, tmp_path, gap_b):
@@ -603,6 +625,15 @@ class TestConverge:
         report = json.loads(Path(str(prefix) + ".converge.json").read_text())
         assert 0.0 <= max(report["support_devs"]) <= 1e-8 * 1e200
 
+    def test_manifest_names_the_scipy_and_highs_versions(self, tmp_path):
+        # the last bits of the distances follow HiGHS's warm-start path
+        prefix = tmp_path / "ver"
+        assert main(["converge", *DEMO_FLAGS, "--schedule", "8,16", "--samples", "1",
+                     "--out-prefix", str(prefix)]) == E_OK
+        manifest = json.loads(Path(str(prefix) + ".manifest.json").read_text())
+        highs = f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
+        assert manifest["versions"] == {"scipy": scipy.__version__, "highs": highs}
+
     def test_json_holds_exactly_the_report_fields(self, tmp_path):
         prefix = tmp_path / "fields"
         assert main(["converge", *DEMO_FLAGS, "--schedule", "16,32", "--samples", "1", "--seed", "8",
@@ -614,8 +645,7 @@ class TestConverge:
         assert isinstance(report["distances"], list) and len(report["distances"]) == 2
 
     def test_lp_failure_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        failed = HighsModelStatus.kModelError, None, None, None
-        monkeypatch.setattr(convergence, "_run_highs", lambda *program: failed)
+        monkeypatch.setattr(convergence._TransportLP, "_run", lambda lp: HighsModelStatus.kModelError)
         rc = main(["converge", *DEMO_FLAGS, "--schedule", "16,32",
                    "--samples", "2", "--seed", "42", "--out-prefix", str(tmp_path / "conv")])
         assert rc == E_NUMERIC
@@ -858,7 +888,7 @@ class TestManifests:
         for command, argv in runs.items():
             assert main([*argv, "--out-prefix", str(tmp_path / command)]) == E_OK
             manifest = json.loads(Path(str(tmp_path / command) + ".manifest.json").read_text())
-            extra = {"perturbed_nodes"} if command == "potential" else set()
+            extra = {"potential": {"perturbed_nodes"}, "converge": {"versions"}}.get(command, set())
             assert manifest.keys() == self.KEYS | extra
             assert manifest["command"] == command
             assert manifest["timings"].keys() == {"total_s"} | stage_timings.get(command, set())

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat
 
 from projsum import (
     ComputationError,
@@ -166,21 +166,37 @@ def _law_pairs(draw):
 
 @pytest.fixture
 def lp_solves(monkeypatch):
-    """Program and result of every transport LP that reaches HiGHS.
+    """Every HiGHS run of the transport LP, with the program HiGHS holds at that run.
 
-    The constraint matrix ``a_eq`` is rebuilt, in CSR form, from the CSC
-    arrays that ``convergence._run_highs`` receives.
+    Each record keeps the model (``lp``), whether the run is ``warm`` (a
+    re-solve of a model that ran before, after its pricing round added
+    pairs), the program read back from HiGHS (``c``, ``a_eq`` in CSR form,
+    ``b_eq``), and the status, objective, primal x and row duals.
     """
     solves = []
-    real = convergence_module._run_highs
+    real = convergence_module._TransportLP._run
 
-    def recording(c, indptr, indices, data, b_eq):
-        status, fun, x, duals = real(c, indptr, indices, data, b_eq)
-        a_eq = sparse.csc_matrix((data, indices, indptr), shape=(b_eq.size, c.size)).tocsr()
-        solves.append(SimpleNamespace(c=c, a_eq=a_eq, b_eq=b_eq, status=status, fun=fun, x=x, duals=duals))
-        return status, fun, x, duals
+    def recording(lp):
+        status = real(lp)
+        held = lp._highs.getLp()
+        matrix = held.a_matrix_
+        assert matrix.format_ == MatrixFormat.kColwise
+        a_eq = sparse.csc_matrix(
+            (np.array(matrix.value_), np.array(matrix.index_), np.array(matrix.start_)),
+            shape=(held.num_row_, held.num_col_),
+        ).tocsr()
+        optimal = status == HighsModelStatus.kOptimal
+        solution = lp._highs.getSolution()
+        solves.append(SimpleNamespace(
+            lp=lp, warm=any(solve.lp is lp for solve in solves), c=np.array(held.col_cost_), a_eq=a_eq,
+            b_eq=np.array(held.row_lower_), status=status,
+            fun=lp._highs.getInfo().objective_function_value if optimal else None,
+            x=np.array(solution.col_value) if optimal else None,
+            duals=np.array(solution.row_dual) if optimal else None,
+        ))
+        return status
 
-    monkeypatch.setattr(convergence_module, "_run_highs", recording)
+    monkeypatch.setattr(convergence_module._TransportLP, "_run", recording)
     return solves
 
 
@@ -198,19 +214,6 @@ class TestBlDistance:
         assert abs(bl_distance(mu1, mu2, 0.05) - expected) <= 1e-12
         assert abs(bl_distance(mu2, mu1, 0.05) - expected) <= 1e-12
 
-    @pytest.fixture
-    def lp_sizes(self, monkeypatch):
-        """Variable count of every transport LP that reaches HiGHS."""
-        sizes = []
-        real = convergence_module._run_highs
-
-        def recording(c, *program):
-            sizes.append(len(c))
-            return real(c, *program)
-
-        monkeypatch.setattr(convergence_module, "_run_highs", recording)
-        return sizes
-
     def test_lp_moves_only_the_surplus(self, lp_solves):
         # the shared mass at 0 stays put: one supply bin and two demand bins
         # reach HiGHS, with at most two transport edges, not four
@@ -222,7 +225,7 @@ class TestBlDistance:
         assert rows == 1 + 2 + 1  # supply, demand, hub
         assert cols - (1 + 2) <= 2  # one hub leg per bin; the rest are transport edges
 
-    def test_roundoff_weights_on_one_support(self, lp_sizes):
+    def test_roundoff_weights_on_one_support(self, lp_solves):
         # the same atoms, listed in another order and with a zero-weight extra
         # atom, bin to weights that differ only by roundoff, with one sign,
         # both or none; HiGHS must never see an empty side
@@ -241,7 +244,7 @@ class TestBlDistance:
             got = bl_distance(mu1, mu2, 0.05)
             assert 0.0 <= got <= 1e-14
         assert {(True, False), (False, True), (False, False)} <= signs
-        assert all(size > 0 for size in lp_sizes)
+        assert all(solve.c.size > 0 for solve in lp_solves)
 
     def test_identical_measures(self):
         m = _measure([0j, 1 + 1j], [0.3, 0.7])
@@ -271,8 +274,7 @@ class TestBlDistance:
         assert bl_distance(mix, mu, 0.01) == pytest.approx(expected, rel=1e-6)
 
     def test_lp_failure_is_a_computation_error(self, monkeypatch):
-        failed = HighsModelStatus.kModelError, None, None, None
-        monkeypatch.setattr(convergence_module, "_run_highs", lambda *program: failed)
+        monkeypatch.setattr(convergence_module._TransportLP, "_run", lambda lp: HighsModelStatus.kModelError)
         with pytest.raises(ComputationError, match=r"status 2\): HiGHS model status kModelError"):
             bl_distance(_delta(0j), _delta(0.5 + 0j), 0.01)
 
@@ -378,8 +380,11 @@ class TestBlPricing:
         for n in (50, 100, 200, 400):
             got = bl_distance(criterion_08_pools[n], reference, resolution)
             assert abs(got - _dense_bl(criterion_08_pools[n], reference, resolution)) <= 1e-12
-        # the full programs have 21 600 to 25 725 pairs; no restricted one comes close
-        assert max(solve.a_eq.shape[1] for solve in lp_solves) < 10_000
+        # the full programs have 21 600 to 25 725 pairs; no final model, with
+        # every pair its pricing rounds added, comes close
+        final = {id(solve.lp): solve for solve in lp_solves}.values()
+        assert len(final) == 4
+        assert max(solve.a_eq.shape[1] for solve in final) < 10_000
 
     def test_fine_resolution_matches_dense(self, criterion_08_pools, lp_solves):
         # about 1.4e5 surplus pairs: 300-odd supply by 400-odd demand bins
@@ -389,42 +394,61 @@ class TestBlPricing:
         assert abs(got - _dense_bl(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)) <= 1e-12
 
     def test_every_solve_is_status_checked(self, monkeypatch):
-        # the first solve succeeds and leaves pairs to price in; the second fails
+        # the first run succeeds and leaves pairs to price in; the warm re-solve fails
         monkeypatch.setattr(convergence_module, "_NEIGHBOURS", 1)
-        calls = []
-        real = convergence_module._run_highs
+        runs = []
+        real = convergence_module._TransportLP._run
 
-        def failing_second(c, *program):
-            calls.append(len(c))
-            if len(calls) == 2:
-                return HighsModelStatus.kSolveError, None, None, None
-            return real(c, *program)
+        def failing_second(lp):
+            runs.append(lp)
+            if len(runs) == 2:
+                return HighsModelStatus.kSolveError
+            return real(lp)
 
-        monkeypatch.setattr(convergence_module, "_run_highs", failing_second)
+        monkeypatch.setattr(convergence_module._TransportLP, "_run", failing_second)
         mu1, mu2 = _reference_pairs()[0]
         with pytest.raises(ComputationError, match="status 4"):
             bl_distance(mu1, mu2, 0.05)
-        assert len(calls) == 2
+        assert len(runs) == 2 and runs[1] is runs[0]
 
 
-def _assert_solves_match_linprog(solves) -> None:
-    """Each recorded solve against ``scipy.optimize.linprog`` on the same program, bit for bit.
+def _assert_solves_check_out(solves) -> None:
+    """Each recorded run against a reference: ``linprog`` for a cold one, LP duality for a warm one.
 
-    ``convergence._run_highs`` drives SciPy's private HiGHS binding with the
-    options ``linprog`` sets; a SciPy whose binding or options differ fails here.
+    The first run of each model is held to ``scipy.optimize.linprog`` on the
+    same program with the same options, bit for bit in objective, primal and
+    duals; a SciPy whose binding or options differ fails here.  A warm
+    re-solve starts from the last basis and has no ``linprog`` counterpart:
+    its primal must be feasible within 1e-12 and its objective must equal
+    the dual objective within 1e-12.  The duals of each model's last run
+    must price every one of the m x k pairs, and every hub leg, at or above
+    ``-_PRICING_TOL``.
     """
     assert solves
     for solve in solves:
-        res = linprog(
-            solve.c, A_eq=solve.a_eq, b_eq=solve.b_eq, bounds=(0.0, None), method="highs",
-            options={"presolve": False},
-        )
-        assert res.status == 0, res.message
         assert solve.status == HighsModelStatus.kOptimal
-        assert float(solve.fun).hex() == float(res.fun).hex()
-        assert solve.x.dtype == res.x.dtype and solve.x.tobytes() == res.x.tobytes()
-        assert solve.duals.dtype == res.eqlin.marginals.dtype
-        assert solve.duals.tobytes() == res.eqlin.marginals.tobytes()
+        if not solve.warm:
+            res = linprog(
+                solve.c, A_eq=solve.a_eq, b_eq=solve.b_eq, bounds=(0.0, None), method="highs",
+                options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
+            )
+            assert res.status == 0, res.message
+            assert float(solve.fun).hex() == float(res.fun).hex()
+            assert solve.x.dtype == res.x.dtype and solve.x.tobytes() == res.x.tobytes()
+            assert solve.duals.dtype == res.eqlin.marginals.dtype
+            assert solve.duals.tobytes() == res.eqlin.marginals.tobytes()
+            continue
+        # a basic variable may sit a roundoff below its bound, as in a cold solve
+        assert np.min(solve.x) >= -1e-12
+        assert np.max(np.abs(solve.a_eq @ solve.x - solve.b_eq)) <= 1e-12
+        assert abs(solve.fun - solve.c @ solve.x) <= 1e-12
+        assert abs(solve.c @ solve.x - solve.b_eq @ solve.duals) <= 1e-12
+    for solve in {id(solve.lp): solve for solve in solves}.values():
+        m, k = solve.lp._cost.shape
+        u, v, hub = solve.duals[:m], solve.duals[m : m + k], solve.duals[m + k]
+        assert np.all(solve.lp._cost - u[:, None] - v[None, :] >= -convergence_module._PRICING_TOL)
+        # a leg into the hub has +1 in the hub row, a leg out of it -1
+        assert np.all(np.concatenate([0.5 - u - hub, 0.5 - v + hub]) >= -convergence_module._PRICING_TOL)
 
 
 class TestHighsBinding:
@@ -440,25 +464,25 @@ class TestHighsBinding:
                 calls += 1
         if neighbours == 1:
             assert len(lp_solves) > calls  # pricing rounds reach the binding too
-        _assert_solves_match_linprog(lp_solves)
+        _assert_solves_check_out(lp_solves)
 
     def test_criterion_08_programs(self, criterion_08_pools, demo_laws, lp_solves):
         resolution = make_geometry(*demo_laws).scale / 200.0
         for n in (50, 100, 200, 400):
             bl_distance(criterion_08_pools[n], criterion_08_pools[800], resolution)
-        _assert_solves_match_linprog(lp_solves)
+        assert any(solve.warm for solve in lp_solves)  # n = 50 and 100 take pricing rounds
+        _assert_solves_check_out(lp_solves)
 
     def test_infeasible_program_returns_its_status_alone(self):
-        # x >= 0 cannot meet x = -1
-        one = np.array([1.0])
-        status, fun, x, duals = convergence_module._run_highs(
-            one, np.array([0, 1], dtype=np.int32), np.array([0], dtype=np.int32), one, np.array([-1.0]))
-        assert status == HighsModelStatus.kInfeasible
-        assert (fun, x, duals) == (None, None, None)
+        # one supply bin of mass 1 cannot meet one demand bin of mass 0.5
+        lp = convergence_module._TransportLP(np.array([[0.25]]), np.array([[True]]), np.array([1.0, 0.5, 0.0]))
+        assert lp._run() == HighsModelStatus.kInfeasible
+        with pytest.raises(ComputationError, match="HiGHS model status kInfeasible"):
+            lp.solve()
 
     def test_fine_resolution_program(self, criterion_08_pools, lp_solves):
         bl_distance(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)
-        _assert_solves_match_linprog(lp_solves)
+        _assert_solves_check_out(lp_solves)
 
 
 class TestCornerAtomMasses:

@@ -30,11 +30,27 @@ def test_all_is_the_union_of_the_module_surfaces():
     assert bound == set(projsum.__all__)
 
 
+def _python(code: str, cwd=None) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this projsum."""
+    src = str(Path(projsum.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
 def test_importing_the_console_leaves_scipy_unloaded():
     # SciPy is imported where the kernel and the transport LP first run, so a
     # console command that needs neither, a usage error among them, does not pay for it
-    src = str(Path(projsum.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, projsum.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _python(code).strip() == "[]"
+
+
+def test_sample_and_check_leave_scipy_optimize_unloaded(tmp_path):
+    # only `converge` solves the transport LP and reads the HiGHS version for its manifest
+    flags = "'--n', '16', '--a', '0.625', '--alpha', '0', '--alpha-prime', '1', '--b', '0.875', '--beta', '0', '--beta-prime', '0.8'"
+    code = (
+        "import sys; from projsum.cli import main; "
+        f"assert main(['sample', {flags}, '--out-prefix', 'run']) == 0; "
+        f"assert main(['check', {flags}, '--out-prefix', 'chk']) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    assert _python(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
