@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import atom_weights, dist_to_hr_many, make_geometry
+from .geometry import HyperbolaRectangle, atom_weights, dist_to_hr_many, make_geometry
 from .model import (
     CONVERGE,
     InvalidDimensionError,
@@ -21,7 +21,6 @@ from .model import (
     ModelSpec,
     TwoAtomLaw,
     UsageError,
-    _corner_radius,
     _realize,
     pooled_eigenvalues,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "bl_distance",
     "corner_atom_masses",
     "convergence_run",
-    "trend_acceptable",
 ]
 
 
@@ -240,11 +238,22 @@ def bl_distance(
         active |= entering
 
 
+_CORNER_TOL = 1e-9
+
+
+def _corner_masses(geom: HyperbolaRectangle, measure: WeightedPointMeasure) -> tuple[float, float, float, float]:
+    """Mass of ``measure`` within _CORNER_TOL * max(|A|, |B|) of each corner, in corner order.  The radius is
+    tiny on purpose (corner eigenvalues are exact joint eigenvalues), and has no floor: a floor of 1e-9 takes in
+    the continuous part at gaps near 1e-8."""
+    radius = _CORNER_TOL * max(abs(geom.gap_a), abs(geom.gap_b))
+    return tuple(measure.mass_within(c, radius) for c in geom.corners)
+
+
 @dataclass(frozen=True)
 class CornerAtomMasses:
     """Per-corner masses, in the fixed corner order of the geometry.
 
-    ``esd_mass`` counts ESD points within the corner radius, ``intersection_mass``
+    ``esd_mass`` counts ESD points near each corner (``_corner_masses``), ``intersection_mass``
     is dim(E_a(P) int E_b(Q)) / n.  They agree unless a small gap puts a block's
     roots near a corner, and both are at least max(0, a_n + b_n - 1) with the
     realized weights of the matching atoms.
@@ -256,14 +265,12 @@ class CornerAtomMasses:
 
 
 def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
-    """Empirical and subspace corner masses of one realization: ``esd(realization)`` within
-    ``model._corner_radius``, tiny on purpose (corner eigenvalues are exact joint eigenvalues),
+    """Empirical and subspace corner masses of one realization: ``_corner_masses`` of ``esd(realization)``,
     and ``intersection_dims`` of its cached angle spectrum of Pi_p and Pi_q, which no gap enters."""
-    p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    corners, measure = make_geometry(p_law, q_law).corners, esd(realization)
+    geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     return CornerAtomMasses(
-        corners=corners,
-        esd_mass=tuple(measure.mass_within(c, _corner_radius(p_law, q_law)) for c in corners),
+        corners=geom.corners,
+        esd_mass=_corner_masses(geom, esd(realization)),
         intersection_mass=tuple(k / realization.n for k in realization._dense_spectra.angles.intersection_dims()),
     )
 
@@ -325,9 +332,8 @@ def convergence_run(
         pooled = reference if n == reference_n else pool(n)
         distances.append(bl_distance(pooled, reference, grid_resolution))
         support_devs.append(float(np.max(dist_to_hr_many(geom, pooled.points))))
-        predicted = atom_weights(_realize(p_law, n)[1].weight, _realize(q_law, n)[1].weight).corner_weights
-        empirical = [pooled.mass_within(c, _corner_radius(p_law, q_law)) for c in geom.corners]
-        corner_errors.append(max(abs(e - p) for e, p in zip(empirical, predicted)))
+        predicted = atom_weights(_realize(p_law, n)[1].weight, _realize(q_law, n)[1].weight)
+        corner_errors.append(max(abs(e - p) for e, p in zip(_corner_masses(geom, pooled), predicted)))
     return ConvergenceReport(
         n_schedule=schedule,
         reference_n=reference_n,
@@ -335,8 +341,3 @@ def convergence_run(
         support_devs=tuple(support_devs),
         corner_mass_errors=tuple(corner_errors),
     )
-
-
-def trend_acceptable(distances) -> bool:
-    """True when no distance exceeds the one before it; a NaN step is refused."""
-    return all(later <= earlier for earlier, later in zip(distances, distances[1:]))

@@ -23,7 +23,6 @@ from .model import TwoAtomLaw, UsageError, _corner_law, _frame, _rectangle_corne
 __all__ = [
     "DegenerateGeometryError",
     "HyperbolaRectangle",
-    "BrownAtomWeights",
     "make_geometry",
     "dist_to_hr_many",
     "atom_weights",
@@ -69,39 +68,9 @@ class HyperbolaRectangle:
         return max(abs(self.gap_a), abs(self.gap_b), 1.0)
 
     @property
-    def re_constant(self) -> float:
-        """The constant value (A^2 - B^2)/4 of Re((z - center)^2) on H.
-
-        Taken as (A - B)(A + B)/4: near equal gaps a difference of rounded
-        squares cancels, while one of the two factors is exact there.
-        """
-        return 0.25 * (self.gap_a - self.gap_b) * (self.gap_a + self.gap_b)
-
-    @property
     def im_halfwidth(self) -> float:
         """The bound |A*B|/2 on |Im((z - center)^2)| over H intersect R."""
         return 0.5 * abs(self.gap_a * self.gap_b)
-
-
-@dataclass(frozen=True)
-class BrownAtomWeights:
-    """Atom weights e_ij at the four corners plus the continuous remainder."""
-
-    e00: float
-    e01: float
-    e10: float
-    e11: float
-    e_cont: float
-
-    def __post_init__(self) -> None:
-        total = self.e00 + self.e01 + self.e10 + self.e11 + self.e_cont
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    @property
-    def corner_weights(self) -> tuple[float, float, float, float]:
-        """Weights in the corner order of :class:`HyperbolaRectangle`."""
-        return (self.e00, self.e01, self.e10, self.e11)
 
 
 def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
@@ -281,17 +250,15 @@ def dist_to_hr_many(geom: HyperbolaRectangle, zs) -> np.ndarray:
     return d
 
 
-def atom_weights(a: float, b: float) -> BrownAtomWeights:
+def atom_weights(a: float, b: float) -> tuple[float, float, float, float]:
     """Corner atom weights of the limit law for p-weight a and q-weight b.
 
-    The corner law ``model._corner_law(a, b, 1.0)`` puts e00 at alpha +
-    i*beta, e01 at alpha + i*beta', e10 at alpha' + i*beta and e11 at
-    alpha' + i*beta', and e_cont = 1 - sum is the mass of the continuous
-    part on H intersect R.  At most two of the four corner weights are
-    nonzero, and the five fields always sum to 1 exactly.
+    The corner law ``model._corner_law(a, b, 1.0)``, in the corner order of
+    :class:`HyperbolaRectangle`: e00 at alpha + i*beta, e01 at alpha +
+    i*beta', e10 at alpha' + i*beta and e11 at alpha' + i*beta'.  At most
+    two of the four are nonzero, and 1 minus their sum is the mass of the
+    continuous part on H intersect R.
     """
     if not 0.0 <= a <= 1.0 or not 0.0 <= b <= 1.0:
         raise ValueError("weights must lie in [0, 1]")
-    e00, e01, e10, e11 = _corner_law(a, b, 1.0)
-    e_cont = 1.0 - (e00 + e01 + e10 + e11)
-    return BrownAtomWeights(e00=e00, e01=e01, e10=e10, e11=e11, e_cont=e_cont)
+    return _corner_law(a, b, 1.0)

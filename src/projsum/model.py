@@ -97,9 +97,9 @@ class ModelSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise InvalidDimensionError(f"dimension must be a positive integer, got {self.n!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -191,7 +191,7 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     numpy.ndarray
         Unitary matrix with ||U*U - I||_max <= 1e-12 * sqrt(n).
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
     q, r = np.linalg.qr(_ginibre_columns(rng, n, n))
     d = np.diagonal(r)
@@ -288,14 +288,8 @@ def assemble_model(spec: ModelSpec) -> ModelRealization:
     )
 
 
-# an ESD point counts at a corner within _CORNER_TOL times the larger atom gap, and a block
-# in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
-_CORNER_TOL, _ANGLE_TOL = 1e-9, 1e-9
-
-
-def _corner_radius(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> float:
-    """1e-9 * max(|A|, |B|), with no floor: a floor of 1e-9 takes in the continuous part at gaps near 1e-8."""
-    return _CORNER_TOL * max(abs(p_law.gap), abs(q_law.gap))
+# a block counts in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
+_ANGLE_TOL = 1e-9
 
 
 def _corner_law(a, b, whole):
@@ -435,6 +429,8 @@ def pooled_eigenvalues(spec: ModelSpec, samples: int, *key: int) -> np.ndarray:
     the substream table, so the pools of different callers share no draw.
     The uniform measure on the result is the pooled ESD.
     """
+    if type(samples) is not int:
+        raise UsageError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples!r}")
     children = [replace(spec, seed=substream_seed(spec.seed, *key, i)) for i in range(samples)]

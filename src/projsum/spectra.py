@@ -128,7 +128,7 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(realization.n)
     a, b = geom.gap_a / f, geom.gap_b / f
-    c = 0.25 * (a - b) * (a + b)  # geom.re_constant / f^2
+    c = 0.25 * (a - b) * (a + b)  # (A^2 - B^2)/4: near equal gaps A - B is exact, where rounded squares cancel
     xt = _divide(realization.x_matrix - geom.center * eye, f)
     w = xt @ xt
     wh = w.conj().T

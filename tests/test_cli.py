@@ -209,7 +209,7 @@ class TestCheck:
         margins = spectra.verify_sv_bound(realization, _box_points(geom, 5, 0))
         assert np.min(margins) >= -tol["sv_bound"] * scale
         masses = convergence.corner_atom_masses(realization)
-        lower = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight).corner_weights
+        lower = atom_weights(realization.realized_p_law.weight, realization.realized_q_law.weight)
         for e_mass, i_mass, w in zip(masses.esd_mass, masses.intersection_mass, lower):
             assert abs(e_mass - i_mass) <= tol["corner_mass"] and e_mass >= w - 1e-12
 

@@ -1,4 +1,4 @@
-"""BL distances, corner atom masses, convergence trends."""
+"""BL distances, corner atom masses, convergence runs."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from projsum import (
     corner_atom_masses,
     make_geometry,
     sample_potential_grid,
-    trend_acceptable,
 )
 from projsum import convergence as convergence_module
 from projsum import model
@@ -635,18 +634,3 @@ class TestConvergenceRun:
             convergence_run(p, q, (), samples=1, seed=1)
         with pytest.raises(ValueError):
             convergence_run(p, q, (32, 64), samples=1, seed=1, reference_n=48)
-
-
-class TestTrendAcceptable:
-    def test_monotone(self):
-        assert trend_acceptable([3.0, 2.0, 1.0])
-        assert trend_acceptable([1.0, 1.0, 1.0])  # flat counts as non-increasing
-        assert not trend_acceptable([1.0, 2.0, 3.0])
-
-    def test_without_noise_any_rise_fails(self):
-        assert not trend_acceptable([1.0, 1.0 + 1e-9])
-
-    def test_nan_step_fails(self):
-        # nan compares False, so a rule that only looks for a rise (later - earlier > 0) passes it
-        assert not trend_acceptable([1.0, float("nan")])
-        assert not trend_acceptable([float("nan"), 1.0])

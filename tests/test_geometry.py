@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projsum import (
-    BrownAtomWeights,
     DegenerateGeometryError,
     TwoAtomLaw,
     atom_weights,
@@ -226,7 +225,8 @@ class TestMakeGeometry:
         tiny = make_geometry(TwoAtomLaw(0.5, 0.0, 1e-8), TwoAtomLaw(0.5, 0.0, 0.8e-8))
         assert _frame(max(abs(tiny.gap_a), abs(tiny.gap_b))) == 2.0**-27
         assert _frame(np.array([0.75, 1.0, 3.0, 2.0**-1074])).tolist() == [0.5, 1.0, 2.0, 2.0**-1074]
-        assert DEMO.re_constant == pytest.approx((1.0 - 0.64) / 4)
+        # the real part (A - B)(A + B)/4 of (z - center)^2 on H, as structure_report takes it
+        assert 0.25 * (DEMO.gap_a - DEMO.gap_b) * (DEMO.gap_a + DEMO.gap_b) == pytest.approx((1.0 - 0.64) / 4)
         assert DEMO.im_halfwidth == pytest.approx(0.4)
 
     def test_rejects_one_atom_laws(self):
@@ -619,29 +619,22 @@ class TestCornerLocations:
 
 
 class TestAtomWeights:
+    # the corner weights (e00, e01, e10, e11); the continuous part carries 1 - their sum
     def test_demo_values(self):
         w = atom_weights(5 / 8, 7 / 8)
-        assert w.e00 == 0.5
-        assert w.e01 == 0.0
-        assert w.e10 == 0.25
-        assert w.e11 == 0.0
-        assert w.e_cont == 0.25
-        assert w.corner_weights == (0.5, 0.0, 0.25, 0.0)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="weights must sum to 1, got 1.05"):
-            BrownAtomWeights(0.5, 0.0, 0.25, 0.0, 0.3)
+        assert w == (0.5, 0.0, 0.25, 0.0)
+        assert 1.0 - sum(w) == 0.25
 
     def test_balanced_case_has_no_atoms(self):
         w = atom_weights(0.5, 0.5)
-        assert w.corner_weights == (0.0, 0.0, 0.0, 0.0)
-        assert w.e_cont == 1.0
+        assert w == (0.0, 0.0, 0.0, 0.0)
+        assert 1.0 - sum(w) == 1.0
 
     def test_extreme_weight_splits_between_two_corners(self):
         w = atom_weights(1.0, 7 / 8)
-        assert w.e00 == pytest.approx(7 / 8)
-        assert w.e01 == pytest.approx(1 / 8)
-        assert w.e_cont == 0.0
+        assert w[0] == pytest.approx(7 / 8)
+        assert w[1] == pytest.approx(1 / 8)
+        assert 1.0 - sum(w) == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -656,15 +649,15 @@ class TestAtomWeights:
     @settings(max_examples=300, deadline=None)
     def test_weight_identities(self, a: float, b: float):
         w = atom_weights(a, b)
-        parts = (w.e00, w.e01, w.e10, w.e11, w.e_cont)
+        parts = (*w, 1.0 - sum(w))
         assert all(0.0 <= p <= 1.0 for p in parts)
-        # the five masses always sum to one exactly, not just approximately
+        # the four corners and the continuous part always sum to one exactly, not just approximately
         assert sum(parts) == 1.0
-        assert sum(1 for p in w.corner_weights if p > 0) <= 2
+        assert sum(1 for p in w if p > 0) <= 2
         # swapping the roles of p and q transposes the corner grid; e00 and
         # the e01/e10 pair match exactly, e11 only up to one rounding of
         # 1 - a - b evaluated in the two orders
         wt = atom_weights(b, a)
-        assert (w.e00, w.e01, w.e10) == (wt.e00, wt.e10, wt.e01)
-        assert w.e11 == pytest.approx(wt.e11, abs=1e-15)
-        assert w.e_cont == pytest.approx(wt.e_cont, abs=1e-15)
+        assert (w[0], w[1], w[2]) == (wt[0], wt[2], wt[1])
+        assert w[3] == pytest.approx(wt[3], abs=1e-15)
+        assert 1.0 - sum(w) == pytest.approx(1.0 - sum(wt), abs=1e-15)

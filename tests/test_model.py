@@ -19,6 +19,7 @@ from projsum import (
     InvalidDimensionError,
     ModelSpec,
     TwoAtomLaw,
+    UsageError,
     assemble_model,
     atom_weights,
     esd,
@@ -263,6 +264,29 @@ class TestAssembleModel:
             ModelSpec(p, q, n=10, seed=-1)
 
 
+class TestIntegerArguments:
+    # a bool is an int to isinstance, and NumPy then fails deep inside a draw with a bare TypeError
+    def test_spec_refuses_a_bool_dimension_or_seed(self):
+        with pytest.raises(InvalidDimensionError, match="got True"):
+            ModelSpec(P_LAW, Q_LAW, n=True, seed=0)
+        with pytest.raises(UsageError, match="got True"):
+            ModelSpec(P_LAW, Q_LAW, n=8, seed=True)
+        # so no spec that reaches the kernel carries one
+        with pytest.raises(InvalidDimensionError):
+            replace(ModelSpec(P_LAW, Q_LAW, n=8, seed=0), n=True)
+
+    def test_haar_unitary_refuses_a_bool_or_float_dimension(self):
+        rng = np.random.default_rng(0)
+        for n in (True, 2.0):
+            with pytest.raises(InvalidDimensionError):
+                sample_haar_unitary(n, rng)
+
+    @pytest.mark.parametrize("samples", [2.5, True, np.int64(2)])
+    def test_pool_refuses_a_sample_count_that_is_no_int(self, samples):
+        with pytest.raises(UsageError, match="samples must be an integer"):
+            model.pooled_eigenvalues(ModelSpec(P_LAW, Q_LAW, n=8, seed=0), samples, 5)
+
+
 class TestSubstreamTable:
     def test_stream_ids_are_pairwise_distinct_ints(self):
         ids = [getattr(model, name) for name in STREAMS]
@@ -368,7 +392,7 @@ def _assert_kernel_matches_dense(spec: ModelSpec) -> None:
         complex(p_law.loc_alt, q_law.loc),
         complex(p_law.loc_alt, q_law.loc_alt),
     )
-    for corner, weight in zip(corners, atom_weights(p_law.weight, q_law.weight).corner_weights):
+    for corner, weight in zip(corners, atom_weights(p_law.weight, q_law.weight)):
         count = int(np.sum(np.abs(kernel - corner) <= 1e-10 * scale))
         assert abs(weight * spec.n - round(weight * spec.n)) <= 1e-9
         assert count == round(weight * spec.n)
@@ -525,7 +549,7 @@ class TestAngleSpectrum:
             for k1 in range(n + 1):
                 for k2 in range(n + 1):
                     excess = model._AngleSpectrum(n, k1, k2, None).excess()
-                    weights = atom_weights((n - k1) / n, (n - k2) / n).corner_weights
+                    weights = atom_weights((n - k1) / n, (n - k2) / n)
                     for e, w in zip(excess, weights):
                         assert abs(e / n - w) <= 4 * u, (n, k1, k2)
 

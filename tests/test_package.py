@@ -54,3 +54,25 @@ def test_sample_and_check_leave_scipy_optimize_unloaded(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
     )
     assert _python(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
+
+
+def test_the_benchmark_traced_names_resolve():
+    # the benchmark patches these functions by name only when it traces, so a
+    # renamed or retired one would otherwise pass every untraced run
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = f"""
+import importlib.util, operator, sys
+sys.path.insert(0, {str(perfbench)!r})
+spec = importlib.util.spec_from_file_location("perfbench_run", {str(perfbench / "run.py")!r})
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+import projsum, tracer
+targets = run.traced_targets()
+modules = [projsum, *(getattr(projsum, m) for m in ("model", "geometry", "spectra", "hermitization", "convergence", "cli"))]
+restore = tracer.install(tracer.Tracer(), modules, targets)
+patched = all(operator.attrgetter(name)(projsum) is not fn for name, (fn, _) in targets.items())
+restore()
+restored = all(operator.attrgetter(name)(projsum) is fn for name, (fn, _) in targets.items())
+print(len(targets), patched, restored)
+"""
+    assert _python(code).split() == ["14", "True", "True"]

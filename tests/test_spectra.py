@@ -390,7 +390,7 @@ class TestStructureResiduals:
         rep = structure_report(realization)
         xt = realization.x_matrix - geom.center * np.eye(n)
         w = xt @ xt
-        re_dev, im_norm, normality = _dense_structure(w, geom.re_constant)
+        re_dev, im_norm, normality = _dense_structure(w, 0.25 * (geom.gap_a - geom.gap_b) * (geom.gap_a + geom.gap_b))
         # the dense solvers err by about n * u * ||W|| (eigvals, svd) and n * u * ||[W, W*]|| (eigvalsh);
         # both commutators W W* - W* W carry up to 2 n u ||W||_F^2 of product rounding
         u = np.finfo(np.float64).eps / 2
