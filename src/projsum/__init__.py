@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from .model import *
 from .geometry import *

@@ -35,16 +35,17 @@ __all__ = [
 ]
 
 
-def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Snap a measure to the shared grid of spacing ``resolution``.
+def _binned_difference(
+    mu1: WeightedPointMeasure, mu2: WeightedPointMeasure, resolution: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted bins of both measures on the shared grid of spacing ``resolution``, and mu1 - mu2 on them.
 
-    Bins are keyed by the complex index ``i + 1j*j``, whose sort order is
-    the order of the pairs (i, j).  Raises UsageError when a bin index does
-    not fit in int64, i.e. when some coordinate over ``resolution`` rounds
-    to a magnitude of 2**63 or more (or is not finite): such a resolution
-    is far finer than float64 resolves at those points.
+    Bins are keyed by the complex index ``i + 1j*j``, whose sort order is the order of the pairs (i, j), and
+    each measure is summed on its own, so identical measures differ by exactly 0.  Raises UsageError when a
+    bin index does not fit in int64, i.e. when some coordinate over ``resolution`` rounds to a magnitude of
+    2**63 or more (or is not finite): such a resolution is far finer than float64 resolves at those points.
     """
-    pts = np.asarray(measure.points, dtype=np.complex128)
+    pts = np.concatenate([mu1.points, mu2.points]).astype(np.complex128)
     ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
     if not np.all(np.abs(ij) < 2.0**63):
         raise UsageError(
@@ -52,10 +53,10 @@ def _bin_measure(measure: WeightedPointMeasure, resolution: float) -> tuple[np.n
             f"{np.max(np.abs(pts)):.3g}: bin indices overflow int64"
         )
     # + 0.0 turns a rounded -0.0 into 0.0, so a bin at index 0 is keyed and placed at +0.0
-    uniq, inverse = np.unique(ij[:, 0] + 1j * ij[:, 1] + 0.0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse, measure.weights)
-    return uniq * resolution, w / w.sum()
+    keys, inverse = np.unique(ij[:, 0] + 1j * ij[:, 1] + 0.0, return_inverse=True)
+    split = mu1.weights.size
+    diff = np.bincount(inverse[:split], mu1.weights, keys.size) - np.bincount(inverse[split:], mu2.weights, keys.size)
+    return keys * resolution, diff
 
 
 def _check_resolution(grid_resolution: float) -> None:
@@ -165,15 +166,15 @@ def bl_distance(
 
     Normalization: sup of integral of f d(mu1 - mu2) over 1-Lipschitz test
     functions with values in [0, 1], so two unit atoms at distance d are
-    min(d, 1) apart.  Both measures are binned on a shared grid of the
-    given resolution and the distance of the binned measures is computed
-    exactly, as an optimal-transport problem with ground cost
-    min(1, |x - y|).  That cost is a metric, so by Kantorovich-Rubinstein
-    duality the optimum depends only on the signed difference mu1 - mu2:
-    mass both measures put in a bin never moves, and the program transports
-    only the m bins where mu1 exceeds mu2 to the k bins where mu2 exceeds
-    mu1.  The binning perturbs each measure by at most resolution/sqrt(2)
-    in this metric.
+    min(d, 1) apart.  The distance of the two measures binned on a shared
+    grid of the given resolution is computed exactly, as an
+    optimal-transport problem with ground cost min(1, |x - y|).  That cost
+    is a metric, so by Kantorovich-Rubinstein duality the optimum depends
+    only on the signed difference mu1 - mu2, which is binned once
+    (``_binned_difference``): mass both measures put in a bin never moves,
+    and the program transports only the m bins where mu1 exceeds mu2 to the
+    k bins where mu2 exceeds mu1.  The binning perturbs each measure by at
+    most resolution/sqrt(2) in this metric.
 
     The program is solved on a restricted set of pairs, not on all m * k.
     It starts from each supply bin's 24 nearest demand bins and each demand
@@ -199,18 +200,14 @@ def bl_distance(
     The supply and demand sides are each scaled to unit mass before the
     solve and the optimum is multiplied back by the mean of the two
     surpluses, so the distance is homogeneous in the surplus however small
-    it is.  Identical binned measures leave no surplus and give 0.0
-    without a solve.  Raises UsageError for a resolution that is not
-    finite and positive, and :class:`ComputationError` when HiGHS reports a
-    model status other than optimal on any solve.
+    it is, and neither measure is normalized on its own.  Identical binned
+    measures leave no surplus and give 0.0 without a solve.  Raises
+    UsageError for a resolution that is not finite and positive, and
+    :class:`ComputationError` when HiGHS reports a model status other than
+    optimal on any solve.
     """
     _check_resolution(grid_resolution)
-    p1, w1 = _bin_measure(mu1, grid_resolution)
-    p2, w2 = _bin_measure(mu2, grid_resolution)
-    # both supports lie on the lattice (i + 1j*j) * resolution, so a shared bin compares equal
-    bins, inverse = np.unique(np.concatenate([p1, p2]), return_inverse=True)
-    diff = np.zeros(len(bins))
-    np.add.at(diff, inverse, np.concatenate([w1, -w2]))
+    bins, diff = _binned_difference(mu1, mu2, grid_resolution)
     supply, demand = diff > 0, diff < 0
     if not supply.any() or not demand.any():
         return 0.0
@@ -304,13 +301,15 @@ def convergence_run(
     the largest schedule entry), the support deviation, and the worst
     corner-mass error against the realized atom-weight predictions.  The
     schedule, the reference dimension and ``grid_resolution`` are checked
-    before any draw.  Deterministic given its arguments.
+    before any draw, each dimension by ``ModelSpec``'s rule: a positive
+    Python ``int``.  Deterministic given its arguments.
     """
-    schedule = tuple(int(n) for n in n_schedule)
+    schedule = tuple(n_schedule)
+    for n in schedule if reference_n is None else (*schedule, reference_n):
+        if type(n) is not int or n < 1:  # int() would take 16.9 as 16 and True as 1
+            raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError(f"schedule must be strictly increasing, got {n_schedule!r}")
-    if schedule[0] < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {schedule[0]!r}")
     if reference_n is None:
         reference_n = schedule[-1]
     if reference_n < schedule[-1]:

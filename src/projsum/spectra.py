@@ -83,8 +83,8 @@ class StructureReport:
 
     Residuals of W = X~^2 = c + iK, c = (A^2 - B^2)/4, K Hermitian; each
     bounds from above its eigenvalue form, so no check on it is looser.
-    re_deviation: ||Re W - c||_2, Re W = (W + W*)/2; for W v = rho v, |v| = 1,
-        |Re(rho) - c| = |v*(Re W - c)v| <= re_deviation (numerical range).
+    re_deviation: ||Re W - c||_F, Re W = (W + W*)/2; for W v = rho v, |v| = 1,
+        |Re(rho) - c| = |v*(Re W - c)v| <= ||Re W - c||_2 <= re_deviation.
     im_norm: operator norm of Im W = (W - W*)/2i; theory bounds it by |A*B|/2.
     normality_residual: ||[W, W*]||_F / max(|c| - re_deviation, im_norm)^2 >=
         ||[W, W*]||_2 / ||W||_2^2, as ||W|| >= ||Re W|| >= |c| - re_deviation
@@ -120,10 +120,10 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     define X~ = X - center.  The support deviation is the largest
     :func:`dist_to_hr_many` over the points of ``esd(realization)``.
     W = X~^2 = c + iK is checked as an operator identity, with no eigenvalue
-    or SVD of W, in the power-of-two frame f = ``model._frame(max(|A|, |B|))``,
-    as in :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm
-    multiplied back by f^2.  Both steps are exact, so no bit moves unless the
-    unscaled W over- or underflows.  See :class:`StructureReport` for the fields.
+    or SVD of W (one ``eigvalsh``, of Im W), in the power-of-two frame f =
+    ``model._frame(max(|A|, |B|))``, as in :func:`dist_to_hr_many`: from X~ / f,
+    with re_deviation and im_norm multiplied back by f^2, both exact, so no bit
+    moves unless the unscaled W over- or underflows.  See :class:`StructureReport`.
     """
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
     f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(realization.n)
@@ -132,7 +132,7 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     xt = _divide(realization.x_matrix - geom.center * eye, f)
     w = xt @ xt
     wh = w.conj().T
-    re_dev = float(np.max(np.abs(np.linalg.eigvalsh((w + wh) / 2 - c * eye))))
+    re_dev = float(np.linalg.norm((w + wh) / 2 - c * eye))
     im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
     comm = float(np.linalg.norm(w @ wh - wh @ w))
     floor = max(abs(c) - re_dev, im_norm)

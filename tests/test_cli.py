@@ -186,11 +186,11 @@ class TestCheck:
         assert calls == [40]
 
     def test_dense_solves_per_check(self, tmp_path, dense_solves):
-        # one eigvals for the ESD; two eigvalsh for the structure identities
+        # one eigvals for the ESD; one eigvalsh for the structure identities, of Im W,
         # and two for the angle spectrum, each taken once per realization
         assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
                      "--out-prefix", str(tmp_path / "solves")]) == E_OK
-        assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
+        assert dense_solves == {"eigvals": 1, "eigvalsh": 3}
 
     def test_commuting_variant_also_passes(self):
         # check's verdict rules on the closed-form commuting realization, built in conftest

@@ -15,6 +15,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat
 from projsum import (
     ComputationError,
     DegenerateGeometryError,
+    InvalidDimensionError,
     ModelSpec,
     TwoAtomLaw,
     WeightedPointMeasure,
@@ -43,10 +44,10 @@ def _measure(points, weights) -> WeightedPointMeasure:
 
 
 def _dense_bl(mu1: WeightedPointMeasure, mu2: WeightedPointMeasure, resolution: float) -> float:
-    """Reference: the full m x k transport LP between both binned supports."""
-    p1, w1 = convergence_module._bin_measure(mu1, resolution)
-    p2, w2 = convergence_module._bin_measure(mu2, resolution)
-    cost = np.minimum(1.0, np.abs(p1[:, None] - p2[None, :]))
+    """Reference: the full m x k transport LP between both binned supports, each normalized to unit mass."""
+    ij1, w1 = _bin_measure_reference(mu1, resolution)
+    ij2, w2 = _bin_measure_reference(mu2, resolution)
+    cost = np.minimum(1.0, np.abs(_bin_points(ij1, resolution)[:, None] - _bin_points(ij2, resolution)[None, :]))
     m, k = cost.shape
     a_eq = sparse.vstack(
         [
@@ -55,24 +56,29 @@ def _dense_bl(mu1: WeightedPointMeasure, mu2: WeightedPointMeasure, resolution: 
         ],
         format="csr",
     )
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2]), bounds=(0.0, None), method="highs")
+    b_eq = np.concatenate([w1 / w1.sum(), w2 / w2.sum()])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     assert res.status == 0, res.message
     return max(0.0, float(res.fun))
 
 
 def _bin_measure_reference(measure: WeightedPointMeasure, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """The binning ``_bin_measure`` replaced: bins merged by ``np.unique(axis=0)`` on int64 index pairs."""
+    """One measure binned on its own: its int64 bin index pairs, merged by ``np.unique(axis=0)``, and their weights."""
     pts = np.asarray(measure.points, dtype=np.complex128)
     ij = np.stack([np.round(pts.real / resolution), np.round(pts.imag / resolution)], axis=1)
     uniq, inverse = np.unique(ij.astype(np.int64), axis=0, return_inverse=True)
     w = np.zeros(len(uniq))
     np.add.at(w, inverse, measure.weights)
-    return (uniq[:, 0] + 1j * uniq[:, 1]) * resolution, w / w.sum()
+    return uniq, w
+
+
+def _bin_points(ij: np.ndarray, resolution: float) -> np.ndarray:
+    return (ij[:, 0] + 1j * ij[:, 1]) * resolution
 
 
 @st.composite
 def _binned_lattices(draw):
-    """Points within 0.45 of a bin centre, drawn with repeats, and the resolution.
+    """Two measures on points within 0.45 of a bin centre, drawn with repeats from one list, and the resolution.
 
     Bin indices take either sign, 0 with a negative offset rounds to -0.0,
     and at resolution 1e-17 the indices reach about 2**62.
@@ -86,9 +92,13 @@ def _binned_lattices(draw):
         complex((draw(index) + draw(offset)) * resolution, (draw(index) + draw(offset)) * resolution)
         for _ in range(size)
     ]
-    picks = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=40))
-    weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=len(picks), max_size=len(picks)))
-    return _measure([atoms[i] for i in picks], np.array(weights) / sum(weights)), resolution
+
+    def measure():
+        picks = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=40))
+        weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=len(picks), max_size=len(picks)))
+        return _measure([atoms[i] for i in picks], np.array(weights) / sum(weights))
+
+    return measure(), measure(), resolution
 
 
 def _lattice_measure(rng, size: int, offset: complex = 0j, side: int = 6) -> WeightedPointMeasure:
@@ -236,9 +246,7 @@ class TestBlDistance:
             order = rng.permutation(9)
             mu1 = _measure(pts, w / w.sum())
             mu2 = _measure(np.append(pts[order], 5 + 5j), np.append(3.0 * w[order] / (3.0 * w).sum(), 0.0))
-            _, w1 = convergence_module._bin_measure(mu1, 0.05)
-            _, w2 = convergence_module._bin_measure(mu2, 0.05)
-            diff = w1 - w2[:-1]
+            _, diff = convergence_module._binned_difference(mu1, mu2, 0.05)
             signs.add((bool(np.any(diff > 0)), bool(np.any(diff < 0))))
             got = bl_distance(mu1, mu2, 0.05)
             assert 0.0 <= got <= 1e-14
@@ -329,15 +337,22 @@ class TestBlDistance:
             bl_distance(nu, mu, resolution)
 
     @given(lattice=_binned_lattices())
-    @example(lattice=(_measure([-0.3, -0.2j, -0.1 - 0.4j, 0.0, -0.3], [0.1, 0.2, 0.3, 0.2, 0.2]), 1.0))
-    @example(lattice=(_measure([0.9 * 2**62 * 1e-17 * (1 - 1j), -0.93 + 0.2j], [0.5, 0.5]), 1e-17))
+    @example(lattice=(_measure([-0.3, -0.2j, -0.1 - 0.4j, 0.0, -0.3], [0.1, 0.2, 0.3, 0.2, 0.2]),
+                      _measure([0.0, -0.3 - 0.0j, 0.4], [0.5, 0.25, 0.25]), 1.0))
+    @example(lattice=(_measure([0.9 * 2**62 * 1e-17 * (1 - 1j), -0.93 + 0.2j], [0.5, 0.5]),
+                      _measure([-0.93 + 0.2j], [1.0]), 1e-17))
     @settings(max_examples=200, deadline=None)
     def test_complex_key_bins_as_the_index_pairs(self, lattice):
-        measure, resolution = lattice
-        points, weights = convergence_module._bin_measure(measure, resolution)
-        ref_points, ref_weights = _bin_measure_reference(measure, resolution)
-        assert points.tobytes() == ref_points.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
+        # the reference: int64 index pairs binned measure by measure, merged by np.unique(axis=0)
+        mu1, mu2, resolution = lattice
+        points, diff = convergence_module._binned_difference(mu1, mu2, resolution)
+        (ij1, w1), (ij2, w2) = _bin_measure_reference(mu1, resolution), _bin_measure_reference(mu2, resolution)
+        union, inverse = np.unique(np.concatenate([ij1, ij2]), axis=0, return_inverse=True)
+        sums = np.zeros((2, len(union)))
+        sums[0, inverse[: len(ij1)]] = w1
+        sums[1, inverse[len(ij1) :]] = w2
+        assert points.tobytes() == _bin_points(union, resolution).tobytes()
+        assert diff.tobytes() == (sums[0] - sums[1]).tobytes()
 
     def test_fine_resolution_below_int64_limit_still_bins(self):
         # at 1e-17 every index of a point within the unit square fits
@@ -386,10 +401,10 @@ class TestBlPricing:
         assert max(solve.a_eq.shape[1] for solve in final) < 10_000
 
     def test_fine_resolution_matches_dense(self, criterion_08_pools, lp_solves):
-        # about 1.4e5 surplus pairs: 300-odd supply by 400-odd demand bins
+        # about 9.8e4 surplus pairs: 298 supply by 330 demand bins
         got = bl_distance(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)
         hub_legs = lp_solves[0].a_eq[-1].data
-        assert np.sum(hub_legs > 0) * np.sum(hub_legs < 0) > 100_000
+        assert np.sum(hub_legs > 0) * np.sum(hub_legs < 0) > 90_000
         assert abs(got - _dense_bl(criterion_08_pools[400], criterion_08_pools[800], 1 / 500)) <= 1e-12
 
     def test_every_solve_is_status_checked(self, monkeypatch):
@@ -600,6 +615,18 @@ class TestConvergenceRun:
         monkeypatch.setattr(model, "two_projection_eigenvalues", recording)
         with pytest.raises(ValueError, match="grid_resolution must be finite and positive"):
             convergence_run(p, q, (16, 32), samples=3, seed=5, grid_resolution=resolution)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        ("schedule", "reference_n", "shown"),
+        [((16.9, 32), None, "16.9"), ((True, 8), None, "True"), ((16, 32), 64.0, "64.0")],
+    )
+    def test_refuses_dimensions_that_are_not_integers(self, demo_laws, monkeypatch, schedule, reference_n, shown):
+        p, q = demo_laws
+        drawn = []
+        monkeypatch.setattr(model, "two_projection_eigenvalues", lambda spec: drawn.append(spec.n))
+        with pytest.raises(InvalidDimensionError, match=f"got {shown}$"):
+            convergence_run(p, q, schedule, samples=1, seed=0, reference_n=reference_n)
         assert drawn == []
 
     def test_small_schedule(self, demo_laws):
