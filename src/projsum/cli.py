@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import convergence_run, corner_atom_masses
+from .convergence import _solver_versions, convergence_run, corner_atom_masses
 from .geometry import make_geometry
 from .hermitization import InvalidGridError, PotentialGrid, _grid_steps, laplacian_recover, sample_potential_grid
 from .model import CHECK_Z, ModelSpec, TwoAtomLaw, UsageError, _realize, assemble_model, substream_rng
@@ -266,16 +266,7 @@ def cmd_converge(args) -> tuple[int, dict]:
     report = convergence_run(p_law, q_law, schedule, samples=args.samples, seed=args.seed,
                              reference_n=args.reference_n, grid_resolution=args.resolution)
     _write_json(Path(args.out_prefix + ".converge.json"), report)
-    # the last bits of the distances follow HiGHS's warm-start path, so the manifest names the
-    # solver; imported here, so that `sample` and `check` never load scipy.optimize
-    import scipy
-    from scipy.optimize._highspy import _core
-
-    highs = f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
-    return E_OK, {
-        "realized_laws": _realized_laws(p_law, q_law, report.reference_n),
-        "versions": {"scipy": scipy.__version__, "highs": highs},
-    }
+    return E_OK, {"realized_laws": _realized_laws(p_law, q_law, report.reference_n), "versions": _solver_versions()}
 
 
 def cmd_replay(args) -> int:

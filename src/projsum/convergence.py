@@ -157,6 +157,14 @@ class _TransportLP:
         return self._highs.getInfo().objective_function_value, np.array(self._highs.getSolution().row_dual)
 
 
+def _solver_versions() -> dict[str, str]:
+    """The SciPy and HiGHS versions, which fix the BL distances' last bits; imported here, so `check` loads no SciPy."""
+    import scipy
+    from scipy.optimize._highspy import _core as h
+
+    return {"scipy": scipy.__version__, "highs": f"{h.HIGHS_VERSION_MAJOR}.{h.HIGHS_VERSION_MINOR}.{h.HIGHS_VERSION_PATCH}"}
+
+
 def bl_distance(
     mu1: WeightedPointMeasure,
     mu2: WeightedPointMeasure,

@@ -86,9 +86,10 @@ class StructureReport:
     re_deviation: ||Re W - c||_F, Re W = (W + W*)/2; for W v = rho v, |v| = 1,
         |Re(rho) - c| = |v*(Re W - c)v| <= ||Re W - c||_2 <= re_deviation.
     im_norm: operator norm of Im W = (W - W*)/2i; theory bounds it by |A*B|/2.
-    normality_residual: ||[W, W*]||_F / max(|c| - re_deviation, im_norm)^2 >=
-        ||[W, W*]||_2 / ||W||_2^2, as ||W|| >= ||Re W|| >= |c| - re_deviation
-        and ||W|| >= ||Im W||; 0 if the denominator is (W is Hermitian then).
+    normality_residual: 4 im_norm re_deviation / max(|c| - re_deviation, im_norm)^2
+        >= ||[W, W*]||_F / ||W||_2^2, as [W, W*] = 2i[K, R] with K = Im W, R = Re W - c,
+        so ||[W, W*]||_F <= 4 ||K||_2 ||R||_F, and ||W|| >= |c| - re_deviation, ||K||;
+        0 if the denominator is (K = 0 then, so W = c + R is Hermitian, hence normal).
     support_deviation: max distance of ESD points from H intersect R.
     """
 
@@ -119,9 +120,9 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     The geometry is that of the realized laws; its center and gaps (A, B)
     define X~ = X - center.  The support deviation is the largest
     :func:`dist_to_hr_many` over the points of ``esd(realization)``.
-    W = X~^2 = c + iK is checked as an operator identity, with no eigenvalue
-    or SVD of W (one ``eigvalsh``, of Im W), in the power-of-two frame f =
-    ``model._frame(max(|A|, |B|))``, as in :func:`dist_to_hr_many`: from X~ / f,
+    W = X~^2 = c + iK is checked as an operator identity, from one n x n product
+    and one ``eigvalsh`` (of Im W), with no eigenvalue or SVD of W, in the frame
+    f = ``model._frame(max(|A|, |B|))``, as in :func:`dist_to_hr_many`: from X~ / f,
     with re_deviation and im_norm multiplied back by f^2, both exact, so no bit
     moves unless the unscaled W over- or underflows.  See :class:`StructureReport`.
     """
@@ -134,11 +135,11 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     wh = w.conj().T
     re_dev = float(np.linalg.norm((w + wh) / 2 - c * eye))
     im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
-    comm = float(np.linalg.norm(w @ wh - wh @ w))
     floor = max(abs(c) - re_dev, im_norm)
     support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
-    # divided twice, so that floor^2 cannot underflow
-    return StructureReport(re_dev * f * f, im_norm * f * f, comm / floor / floor if floor > 0.0 else 0.0, support_dev)
+    # each norm divided by floor on its own, so that floor^2 cannot underflow
+    normality = 4.0 * (im_norm / floor) * (re_dev / floor) if floor > 0.0 else 0.0
+    return StructureReport(re_dev * f * f, im_norm * f * f, normality, support_dev)
 
 
 def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
@@ -203,12 +204,12 @@ def _certificate_eps(realization: ModelRealization) -> float:
     n, spectra = realization.n, realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b = abs(p_law.gap), abs(q_law.gap)
-    idem = []
+    idem, pi_norms = [], []
     for pi, k in zip((spectra.pi_p, spectra.pi_q), (spectra.angles.k1, spectra.angles.k2)):
         # ||Pi^2 - Pi||_F plus its rounding, (n + 3)u || |Pi| |Pi| ||_F at most;
         # || |Pi| |Pi| ||_F <= ||Pi||_F times the largest row sum of |Pi|
-        rounding = (n + 3) * _U * float(np.abs(pi).sum(axis=1).max()) * float(np.linalg.norm(pi))
-        bound = float(np.linalg.norm(pi @ pi - pi)) + rounding
+        pi_norms.append(float(np.linalg.norm(pi)))
+        bound = float(np.linalg.norm(pi @ pi - pi)) + (n + 3) * _U * float(np.abs(pi).sum(axis=1).max()) * pi_norms[-1]
         # every eigenvalue within 1/8 of 0 or 1, and the nearest projection of rank k
         if not 2.0 * math.sqrt(n) * bound + abs(float(np.trace(pi).real) - k) < 0.25:
             return math.inf
@@ -217,7 +218,7 @@ def _certificate_eps(realization: ModelRealization) -> float:
     # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
     f = float(_frame(max(a, b)))
     resid, center = _divide(realization.x_matrix, f), complex(p_law.loc, q_law.loc) / f
-    norms = (np.linalg.norm(resid), a / f * np.linalg.norm(spectra.pi_p), b / f * np.linalg.norm(spectra.pi_q))
+    norms = (np.linalg.norm(resid), a / f * pi_norms[0], b / f * pi_norms[1])
     resid -= (p_law.gap / f) * spectra.pi_p  # in place: X_n / f is the one n x n copy
     resid -= 1j * ((q_law.gap / f) * spectra.pi_q)
     resid.flat[:: n + 1] -= center
