@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 from .model import *
 from .geometry import *

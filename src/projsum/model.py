@@ -368,32 +368,31 @@ def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
 
 
 class _ProjectionSpectra(NamedTuple):
-    """Pi_p, Pi_q of a realization and their angle spectrum."""
+    """Pi_q of a realization and its angle spectrum against E_k1."""
 
-    pi_p: np.ndarray
     pi_q: np.ndarray
     angles: _AngleSpectrum
 
 
 def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
-    """Dense producer: the projections Pi_p = (P_n - alpha)/A, Pi_q = (Q_n - beta)/B
-    onto the loc_alt eigenspaces (distinct atoms only) and their angle spectrum.
+    """Dense producer: the projection Pi_q = (Q_n - beta)/B onto Q_n's loc_alt eigenspace
+    (distinct atoms only) and its angle spectrum against E_k1, P_n's projection in the
+    eigenbasis every realization is taken in.
 
-    Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, Pi_p -
-    Pi_q 0, -1, 1, 0 and +-s: the m block values lie next to the excess rr
-    of ran int ran.  Read it through ``ModelRealization._dense_spectra``,
-    which takes the two ``eigvalsh`` once per realization.
+    The singular values of E_k1 Pi_q, the first k1 rows of Pi_q, are 1 on ran int ran,
+    c on a block and 0 elsewhere; those of its last n - k1 rows 1 on ker E_k1 int ran
+    Pi_q, s and 0 (Bjorck & Golub, 1973): the m block values lie next to the excess.
+    Read it through ``ModelRealization._dense_spectra``, which takes the two ``svd``
+    once per realization.
     """
-    n, eye = realization.n, np.eye(realization.n)
-    p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    pi_p = _divide(realization.p_matrix - p_law.loc * eye, p_law.gap)
-    pi_q = _divide(realization.q_matrix - q_law.loc * eye, q_law.gap)
-    k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
-    total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
-    rr = _AngleSpectrum(n, k1, k2, None).excess()[3]
-    # ascending spectra: the j-th largest cosine pairs with the j-th smallest sine
-    c, s = total[::-1][rr : min(k1, k2)] - 1.0, diff[n - k1 + rr : n - k1 + min(k1, k2)]
-    return _ProjectionSpectra(pi_p, pi_q, _AngleSpectrum(n, k1, k2, c, s))
+    n, q_law = realization.n, realization.realized_q_law
+    pi_q = _divide(realization.q_matrix - q_law.loc * np.eye(n), q_law.gap)
+    k1, k2 = (_realize(law, n)[0] for law in (realization.realized_p_law, q_law))
+    angles = _AngleSpectrum(n, k1, k2, None)
+    (_, e1, _, rr), m = angles.excess(), min(k1, k2, n - k1, n - k2)
+    # descending values: the j-th largest cosine pairs with the j-th smallest sine
+    top, bottom = (np.linalg.svd(rows, compute_uv=False) for rows in (pi_q[:k1], pi_q[k1:]))
+    return _ProjectionSpectra(pi_q, angles._replace(c=top[rr : rr + m], s=bottom[e1 : e1 + m][::-1]))
 
 
 def _angle_roots(angles: _AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> np.ndarray:

@@ -9,8 +9,8 @@ below by dist(z, H intersect R)^2 / ||z - X_n||.
 
 A realization takes its dense spectra once: the eigenvalues of X_n
 (``ModelRealization._eigenvalues``, read through ``esd``), and the
-projections Pi_p = (P_n - alpha)/A and Pi_q = (Q_n - beta)/B with the c and
-s of their m blocks (``ModelRealization._dense_spectra``; the four excess
+projection Pi_q = (Q_n - beta)/B with the c and s of its m blocks against
+E_k1, P_n's projection (``ModelRealization._dense_spectra``; the four excess
 corners of ``model._AngleSpectrum`` are counted, not measured).
 ``verify_sv_bound`` reads the singular values of z - X_n off the latter in
 closed form, certifies them by Weyl's inequality, and takes a dense SVD only
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist_to_hr_many, make_geometry
-from .model import ModelRealization, _divide, _frame
+from .model import ModelRealization, _divide, _frame, _realize
 
 __all__ = [
     "ComputationError",
@@ -85,11 +85,14 @@ class StructureReport:
     bounds from above its eigenvalue form, so no check on it is looser.
     re_deviation: ||Re W - c||_F, Re W = (W + W*)/2; for W v = rho v, |v| = 1,
         |Re(rho) - c| = |v*(Re W - c)v| <= ||Re W - c||_2 <= re_deviation.
-    im_norm: operator norm of Im W = (W - W*)/2i; theory bounds it by |A*B|/2.
-    normality_residual: 4 im_norm re_deviation / max(|c| - re_deviation, im_norm)^2
-        >= ||[W, W*]||_F / ||W||_2^2, as [W, W*] = 2i[K, R] with K = Im W, R = Re W - c,
-        so ||[W, W*]||_F <= 4 ||K||_2 ||R||_F, and ||W|| >= |c| - re_deviation, ||K||;
-        0 if the denominator is (K = 0 then, so W = c + R is Hermitian, hence normal).
+    im_norm: max(||K11||_2, ||K22||_2) + ||K12||_F >= ||K||_2, K = Im W = (W - W*)/2i split
+        at k1, P_n's rank; theory bounds ||K||_2 by |A*B|/2.  Tight for the model, whose
+        K = {P~, Q~} is block diagonal when P~ is diagonal, as it is in P_n's eigenbasis.
+    normality_residual: 4 im_norm re_deviation / max(|c| - re_deviation, ||K11||_2, ||K22||_2,
+        ||K12||_F / sqrt(n))^2 >= ||[W, W*]||_F / ||W||_2^2, as [W, W*] = 2i[K, R] with R = Re W
+        - c, so ||[W, W*]||_F <= 4 ||K||_2 ||R||_F, and ||W|| >= |c| - re_deviation and ||W|| >=
+        ||K||_2, which is at least each of the other three; 0 if the denominator is (K = 0 then,
+        so W = c + R is Hermitian, hence normal).
     support_deviation: max distance of ESD points from H intersect R.
     """
 
@@ -121,21 +124,26 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     define X~ = X - center.  The support deviation is the largest
     :func:`dist_to_hr_many` over the points of ``esd(realization)``.
     W = X~^2 = c + iK is checked as an operator identity, from one n x n product
-    and one ``eigvalsh`` (of Im W), with no eigenvalue or SVD of W, in the frame
-    f = ``model._frame(max(|A|, |B|))``, as in :func:`dist_to_hr_many`: from X~ / f,
-    with re_deviation and im_norm multiplied back by f^2, both exact, so no bit
-    moves unless the unscaled W over- or underflows.  See :class:`StructureReport`.
+    and one ``eigvalsh`` per diagonal block of Im W, split at k1 (P_n's rank), with
+    no eigenvalue or SVD of W, in the frame f = ``model._frame(max(|A|, |B|))``, as in
+    :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm multiplied back
+    by f^2, both exact, so no bit moves unless the unscaled W over- or underflows.
+    See :class:`StructureReport`.
     """
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
-    f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(realization.n)
+    n, k1 = realization.n, _realize(realization.realized_p_law, realization.n)[0]
+    f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(n)
     a, b = geom.gap_a / f, geom.gap_b / f
     c = 0.25 * (a - b) * (a + b)  # (A^2 - B^2)/4: near equal gaps A - B is exact, where rounded squares cancel
     xt = _divide(realization.x_matrix - geom.center * eye, f)
     w = xt @ xt
     wh = w.conj().T
     re_dev = float(np.linalg.norm((w + wh) / 2 - c * eye))
-    im_norm = float(np.max(np.abs(np.linalg.eigvalsh((w - wh) / 2j))))
-    floor = max(abs(c) - re_dev, im_norm)
+    k = (w - wh) / 2j
+    diag = max(float(np.max(np.abs(np.linalg.eigvalsh(block)))) for block in (k[:k1, :k1], k[k1:, k1:]) if block.size)
+    off = float(np.linalg.norm(k[:k1, k1:]))
+    im_norm = diag + off
+    floor = max(abs(c) - re_dev, diag, off / math.sqrt(n))
     support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
     # each norm divided by floor on its own, so that floor^2 cannot underflow
     normality = 4.0 * (im_norm / floor) * (re_dev / floor) if floor > 0.0 else 0.0
@@ -199,32 +207,31 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
 
 
 def _certificate_eps(realization: ModelRealization) -> float:
-    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when
-    the projections are too far from exact ones of ranks k1, k2 to certify."""
+    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when P_n is too far
+    from alpha + A*E_k1, or Pi_q from an exact projection of rank k2, to certify."""
     n, spectra = realization.n, realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    a, b = abs(p_law.gap), abs(q_law.gap)
-    idem, pi_norms = [], []
-    for pi, k in zip((spectra.pi_p, spectra.pi_q), (spectra.angles.k1, spectra.angles.k2)):
-        # ||Pi^2 - Pi||_F plus its rounding, (n + 3)u || |Pi| |Pi| ||_F at most;
-        # || |Pi| |Pi| ||_F <= ||Pi||_F times the largest row sum of |Pi|
-        pi_norms.append(float(np.linalg.norm(pi)))
-        bound = float(np.linalg.norm(pi @ pi - pi)) + (n + 3) * _U * float(np.abs(pi).sum(axis=1).max()) * pi_norms[-1]
-        # every eigenvalue within 1/8 of 0 or 1, and the nearest projection of rank k
-        if not 2.0 * math.sqrt(n) * bound + abs(float(np.trace(pi).real) - k) < 0.25:
-            return math.inf
-        idem.append(bound)
-    i_p, i_q = idem
+    a, b, k1, pi_q = abs(p_law.gap), abs(q_law.gap), spectra.angles.k1, spectra.pi_q
+    off_p = _divide(realization.p_matrix - p_law.loc * np.eye(n), p_law.gap)
+    off_p.flat[: k1 * (n + 1) : n + 1] -= 1.0  # Pi_p - E_k1
+    # ||Pi_q^2 - Pi_q||_F plus its rounding, (n + 3)u || |Pi_q| |Pi_q| ||_F at most;
+    # || |Pi_q| |Pi_q| ||_F <= ||Pi_q||_F times the largest row sum of |Pi_q|
+    q_norm = float(np.linalg.norm(pi_q))
+    i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(np.abs(pi_q).sum(axis=1).max()) * q_norm
+    # every eigenvalue of Pi_p within 1/8 of E_k1's, and of Pi_q within 1/8 of 0 or 1, k2 of them near 1
+    layout_q = 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - spectra.angles.k2)
+    if not (float(np.linalg.norm(off_p)) < 0.125 and layout_q < 0.25):
+        return math.inf
     # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
     f = float(_frame(max(a, b)))
     resid, center = _divide(realization.x_matrix, f), complex(p_law.loc, q_law.loc) / f
-    norms = (np.linalg.norm(resid), a / f * pi_norms[0], b / f * pi_norms[1])
-    resid -= (p_law.gap / f) * spectra.pi_p  # in place: X_n / f is the one n x n copy
-    resid -= 1j * ((q_law.gap / f) * spectra.pi_q)
+    norms = (np.linalg.norm(resid), a / f * math.sqrt(k1), b / f * q_norm)
+    resid -= 1j * ((q_law.gap / f) * pi_q)  # in place, on the copy X_n / f
     resid.flat[:: n + 1] -= center
+    resid.flat[: k1 * (n + 1) : n + 1] -= p_law.gap / f
     resid_bound = f * (float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center)))
-    delta = 2.0 * (i_p + i_q) + 4.0 * (n + 1) * _U
-    return resid_bound + 2.0 * (a * i_p + b * i_q) + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
+    delta = 2.0 * i_q + 4.0 * (n + 1) * _U
+    return resid_bound + 2.0 * b * i_q + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
 
 
 def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
@@ -239,9 +246,10 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     realization's cached ``_dense_spectra``.
 
     The singular values come from the two-subspace theorem (Halmos, 1969),
-    in O(n) per z.  Let X^ = alpha + A*Pi_p^ + i(beta + B*Pi_q^), where
-    Pi^ is the exact projection nearest to Pi (round each eigenvalue to 0
-    or 1).  X^ is alpha + i*beta + A*diag(1, 0) + iB*v v^T, v = (c, s), on
+    in O(n) per z.  Let X^ = alpha + A*E_k1 + i(beta + B*Pi_q^), where
+    E_k1 is P_n's exact projection in the eigenbasis the realization is taken
+    in, and Pi_q^ the exact projection nearest to Pi_q (round each eigenvalue
+    to 0 or 1).  X^ is alpha + i*beta + A*diag(1, 0) + iB*v v^T, v = (c, s), on
     each of the m blocks of ``model._AngleSpectrum``, and a corner on each
     excess dimension, counted from n, k1, k2.  The singular values of z - X^ are
     |z - corner| on the excess corners and those of one 2 x 2 matrix M per
@@ -257,26 +265,29 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     whose pieces are evaluated (the blocks with the computed c and s), and
     ||X_n - Y|| <= eps, the sum of:
 
-    * the computed ||X_n - (alpha + A*Pi_p) - i(beta + B*Pi_q)||_F, which
-      covers an X_n that is not P_n + iQ_n, plus 4u times the norms it
-      subtracts;
-    * |A|*||Pi_p - Pi_p^|| + |B|*||Pi_q - Pi_q^||, each at most 2I with I
-      the computed ||Pi^2 - Pi||_F plus (n + 3)u ||Pi||_F max_i sum_j
-      |Pi_ij|, which bounds its rounding: an eigenvalue lambda at distance
-      d < 1/2 from {0, 1} has |lambda^2 - lambda| >= d/2;
+    * the computed ||X_n - (alpha + A*E_k1) - i(beta + B*Pi_q)||_F, which
+      covers an X_n that is not P_n + iQ_n and a P_n that is not alpha +
+      A*E_k1, plus 4u times the norms it subtracts;
+    * |B|*||Pi_q - Pi_q^|| <= 2|B|I, with I the computed ||Pi_q^2 - Pi_q||_F
+      plus (n + 3)u ||Pi_q||_F max_i sum_j |Pi_q,ij|, which bounds its
+      rounding: an eigenvalue lambda at distance d < 1/2 from {0, 1} has
+      |lambda^2 - lambda| >= d/2;
     * ||X^ - Y|| <= |B| * max_j ||v v^T - v^ v^^T|| <= |B|*sqrt2*delta*(2
       + sqrt2*delta), where delta bounds |c - c^| and |s - s^| at each
-      sorted index: by Weyl again, the two distances 2I to the nearest
-      projections, plus LAPACK's backward error of ``eigvalsh`` (n u ||S||)
-      and the rounding of the sum, of the difference and of the shift by 1,
-      together 4(n + 1)u;
+      sorted index.  c and s are singular values of the rows E_k1 Pi_q and
+      (I - E_k1) Pi_q, c^ and s^ those of the same rows of Pi_q^, so by
+      Weyl's inequality for singular values they differ by at most ||Pi_q -
+      Pi_q^|| <= 2I, plus LAPACK's backward error of ``gesdd``, modelled as
+      n u ||Pi_q||_2 <= 2nu (||Pi_q||_2 <= 1 + 2I < 2), which 4(n + 1)u covers;
     * the rounding of the shift z - (alpha + i*beta) and of the closed
       forms, 16u(hi + |z| + |alpha + i*beta|) per z.  The closed forms run
       in a per-z power-of-two frame (``_certified_sigmas``), which is exact.
 
-    The layout needs each Pi^ to have rank k: 2 sqrt(n) I + |tr Pi - k| <
-    1/4 puts every eigenvalue of Pi within 1/8 of 0 or 1, and tr Pi within
-    1/4 of rank Pi^ (|tr Pi - rank Pi^| <= sqrt(n) * 2I).  Otherwise eps is
+    The layout needs Pi_q^ to have rank k2: 2 sqrt(n) I + |tr Pi_q - k2| <
+    1/4 puts every eigenvalue of Pi_q within 1/8 of 0 or 1, and tr Pi_q
+    within 1/4 of rank Pi_q^ (|tr Pi_q - rank Pi_q^| <= sqrt(n) * 2I).  It
+    also takes Pi_p = (P_n - alpha)/A within 1/8 of E_k1 in Frobenius norm,
+    so that no P_n other than the model's is certified.  Otherwise eps is
     infinite.  Where hi > eps and (lo - eps) - dist^2/(hi - eps) >= 0, the
     dense margin is provably nonnegative; it also lies within
     eps * (1 + dist^2/(hi (hi - eps))) of the block margin lo - dist^2/hi.

@@ -49,16 +49,16 @@ def small_realization():
 
 
 @pytest.fixture
-def dense_solves(monkeypatch) -> dict[str, int]:
-    """Counts of the ``np.linalg.eigvals`` and ``eigvalsh`` calls made while the test runs."""
-    calls = {"eigvals": 0, "eigvalsh": 0}
+def dense_solves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """The shapes of the matrices that ``np.linalg.eigvals``, ``eigvalsh`` and ``svd`` take while the test runs."""
+    calls = {"eigvals": [], "eigvalsh": [], "svd": []}
 
-    def counting(name, real):
-        def solve(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    def recording(name, real):
+        def solve(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
         return solve
 
     for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     return calls

@@ -148,6 +148,28 @@ class TestCheck:
         margins = [m["margin"] for m in payload["sv_margins"]]
         assert len(margins) == 5 and all(math.isfinite(m) for m in margins)
 
+    def test_off_diagonal_mass_in_im_w_trips_im_bound(self, tmp_path, monkeypatch, capsys):
+        # X_n + t H, H = E_k1 G (I - E_k1) + h.c. with G = e_1 e_(k1+1)^T, moves K = Im W by t{Q~, H},
+        # whose mass lies in the block K12 off the split at k1.  ||K||_2 grows only at second order in t,
+        # but im_norm counts ||K12||_F at first order: im_bound trips, while the rows before it hold
+        def perturbed(spec):
+            realization = assemble_model(spec)
+            n, k1 = realization.n, model._realize(realization.realized_p_law, realization.n)[0]
+            h = np.zeros((n, n))
+            h[0, k1] = h[k1, 0] = 1.0
+            x = realization.x_matrix + 1e-6 * h
+            x.setflags(write=False)
+            return replace(realization, x_matrix=x)
+
+        monkeypatch.setattr(cli, "assemble_model", perturbed)
+        prefix = tmp_path / "offdiag"
+        rc = main(["check", "--n", "60", *DEMO_FLAGS, "--seed", "3", "--z-grid", "0", "--out-prefix", str(prefix)])
+        assert rc == E_CHECK
+        assert capsys.readouterr().err == "check failed: im_bound\n"
+        payload = json.loads(Path(str(prefix) + ".check.json").read_text())
+        assert payload["first_failure"] == "im_bound"
+        assert payload["structure"]["im_norm"] > make_geometry(P_LAW, Q_LAW).im_halfwidth + 1e-7
+
     def test_tiny_perturbation_is_within_tolerance(self, tmp_path, monkeypatch):
         _perturb_check_input(monkeypatch, 1e-12)
         prefix = tmp_path / "tiny"
@@ -186,11 +208,19 @@ class TestCheck:
         assert calls == [40]
 
     def test_dense_solves_per_check(self, tmp_path, dense_solves):
-        # one eigvals for the ESD; one eigvalsh for the structure identities, of Im W,
-        # and two for the angle spectrum, each taken once per realization
+        # one eigvals for the ESD, the only n x n eigensolve; one eigvalsh per diagonal block of
+        # Im W, split at k1 = 15, and one SVD per row block of Pi_q for the angle spectrum, each
+        # taken once per realization
         assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
                      "--out-prefix", str(tmp_path / "solves")]) == E_OK
-        assert dense_solves == {"eigvals": 1, "eigvalsh": 3}
+        assert dense_solves == {"eigvals": [(40, 40)], "eigvalsh": [(15, 15), (25, 25)], "svd": [(15, 40), (25, 40)]}
+
+    @pytest.mark.parametrize("a, svd", [("1.0", [(0, 40), (40, 40)]), ("0.0", [(40, 40), (0, 40)])])
+    def test_dense_solves_per_check_at_a_single_atom(self, tmp_path, dense_solves, a, svd):
+        # k1 = 0 and k1 = n: one row block of Pi_q is empty, and one block of Im W, which takes no eigvalsh
+        assert main(["check", "--n", "40", "--a", a, *DEMO_FLAGS[2:], "--z-grid", "5",
+                     "--out-prefix", str(tmp_path / "solves")]) == E_OK
+        assert dense_solves == {"eigvals": [(40, 40)], "eigvalsh": [(40, 40)], "svd": svd}
 
     def test_commuting_variant_also_passes(self):
         # check's verdict rules on the closed-form commuting realization, built in conftest
@@ -375,7 +405,14 @@ class TestCheck:
         # stderr and a dense SVD at every z
         svds = []
         real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real(*a, **k))
+
+        def counting(a, *args, **kwargs):
+            # the dense SVDs of z - X_n; the angle spectrum's row blocks of Pi_q have 24 and 40 rows
+            if a.shape == (64, 64):
+                svds.append(1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
         prefix = tmp_path / "huge"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -501,7 +501,65 @@ def _edge_rank_specs(draw):
     return _spec_of_ranks(n, k1, k2, draw(st.integers(min_value=0, max_value=2**64 - 1)))
 
 
+def _eigvalsh_angles(realization: model.ModelRealization) -> model._AngleSpectrum:
+    """The dense producer of projsum 0.30.0, kept as a reference only.
+
+    Pi_p + Pi_q is 0, 1, 1, 2 on the corners and 1 +- c on a block, Pi_p - Pi_q
+    0, -1, 1, 0 and +-s: c and s are read off one n x n ``eigvalsh`` of each,
+    next to the excess rr of ran int ran.
+    """
+    n, eye = realization.n, np.eye(realization.n)
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    pi_p = model._divide(realization.p_matrix - p_law.loc * eye, p_law.gap)
+    pi_q = model._divide(realization.q_matrix - q_law.loc * eye, q_law.gap)
+    k1, k2 = (model._realize(law, n)[0] for law in (p_law, q_law))
+    total, diff = np.linalg.eigvalsh(pi_p + pi_q), np.linalg.eigvalsh(pi_p - pi_q)
+    rr = model._AngleSpectrum(n, k1, k2, None).excess()[3]
+    c, s = total[::-1][rr : min(k1, k2)] - 1.0, diff[n - k1 + rr : n - k1 + min(k1, k2)]
+    return model._AngleSpectrum(n, k1, k2, c, s)
+
+
 class TestAngleSpectrum:
+    @given(spec=_edge_rank_specs(), commuting=st.booleans(), flipped=st.booleans())
+    @example(spec=_spec_of_ranks(16, 0, 5), commuting=False, flipped=False)  # k1 in {0, 1, n - 1, n}
+    @example(spec=_spec_of_ranks(16, 1, 7), commuting=False, flipped=False)
+    @example(spec=_spec_of_ranks(16, 15, 9), commuting=False, flipped=False)
+    @example(spec=_spec_of_ranks(16, 16, 4), commuting=False, flipped=False)
+    @example(spec=_spec_of_ranks(16, 6, 6), commuting=False, flipped=False)  # k1 = k2
+    @example(spec=_spec_of_ranks(16, 5, 11), commuting=False, flipped=False)  # k1 + k2 = n
+    @example(spec=_spec_of_ranks(16, 8, 8), commuting=False, flipped=False)  # both
+    @example(spec=_spec_of_ranks(16, 5, 3), commuting=True, flipped=False)  # every block at angle 0
+    @example(spec=_spec_of_ranks(16, 5, 3), commuting=True, flipped=True)  # every block at pi/2
+    @settings(max_examples=150, deadline=None)
+    def test_row_block_producer_matches_the_eigvalsh_one(self, spec, commuting, flipped):
+        realization = (commuting_model if commuting else assemble_model)(spec)
+        if flipped:
+            # Pi_q onto the trailing k2 coordinates: ran Pi_q meets ker E_k1
+            q = realization.q_matrix[::-1, ::-1]
+            realization = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
+        got, want = model._projection_spectra(realization).angles, _eigvalsh_angles(realization)
+        assert got[:3] == want[:3]
+        assert got.c.shape == got.s.shape == want.c.shape == want.s.shape
+        assert np.max(np.abs(got.c - want.c), initial=0.0) <= 1e-13
+        assert np.max(np.abs(got.s - want.s), initial=0.0) <= 1e-13
+        assert got.intersection_dims() == want.intersection_dims()
+
+    def test_blocks_near_aligned_and_near_perpendicular_read_to_roundoff(self):
+        # commuting_model's Q_n on the trailing coordinates, every block at pi/2, then two Givens
+        # rotations against ran E_k1: one block at theta from perpendicular, one at theta from
+        # aligned.  Each field is measured; sqrt(1 - x^2) of the other would read theta as 0
+        n, k, theta = 8, 4, 1e-10
+        base = commuting_model(_spec_of_ranks(n, k, k))
+        basis = np.zeros((n, k), dtype=np.complex128)
+        basis[[4, 0], 0] = math.cos(theta), math.sin(theta)  # c = sin(theta)
+        basis[[5, 1], 1] = math.sin(theta), math.cos(theta)  # c = cos(theta)
+        basis[6, 2] = basis[7, 3] = 1.0
+        q = model._two_atom_matrix(base.realized_q_law, basis)
+        angles = model._projection_spectra(replace(base, q_matrix=q, x_matrix=base.p_matrix + 1j * q)).angles
+        u = np.finfo(np.float64).eps / 2
+        assert np.max(np.abs(angles.c - [math.cos(theta), math.sin(theta), 0.0, 0.0])) <= n * u
+        assert np.max(np.abs(angles.s - [math.sin(theta), math.cos(theta), 1.0, 1.0])) <= n * u
+
     @given(spec=_edge_rank_specs(), commuting=st.booleans())
     # (P side, Q side) read on (ran, ran), (ker, ker), (ran, ker) and (ker, ran)
     @example(spec=_spec_of_ranks(16, 5, 3), commuting=False)

@@ -27,6 +27,7 @@ from projsum import (
     verify_sv_bound,
 )
 from projsum import spectra
+from projsum.model import _realize
 from tests.conftest import P_LAW, Q_LAW, commuting_model
 
 
@@ -112,6 +113,8 @@ class TestSolverFailures:
         # a perturbed X_n is no two-projection matrix, so its margin takes the dense SVD
         base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=1))
         realization = replace(base, x_matrix=base.x_matrix + 1e-3 * np.eye(base.n))
+        # the angle spectrum's row-block SVDs run first, so only the SVD of z - X_n fails
+        realization._dense_spectra
         monkeypatch.setattr(np.linalg, "svd", _failing)
         with pytest.raises(spectra.ComputationError, match=r"SVD failed at z=\(2\+1j\) \(did not converge\)"):
             verify_sv_bound(realization, 2 + 1j)
@@ -128,16 +131,18 @@ class TestDenseSpectraOnce:
             verify_sv_bound(realization, zs)
             corner_atom_masses(realization)
 
-        # one eigvals and two eigvalsh for the angle spectrum; structure_report
-        # takes one eigvalsh of its own, of Im W, W = X~^2, on every call
+        # one eigvals, and one SVD per row block of Pi_q for the angle spectrum (k1 = 12);
+        # structure_report takes one eigvalsh per diagonal block of Im W, W = X~^2, on every call
+        blocks, rows = [(12, 12), (20, 20)], [(12, 32), (20, 32)]
         consume(r)
-        assert dense_solves == {"eigvals": 1, "eigvalsh": 3}
+        assert dense_solves == {"eigvals": [(32, 32)], "eigvalsh": blocks, "svd": rows}
         consume(r)
-        assert dense_solves == {"eigvals": 1, "eigvalsh": 4}
+        assert dense_solves == {"eigvals": [(32, 32)], "eigvalsh": 2 * blocks, "svd": rows}
 
+        # the perturbed copy takes its own solves, and the dense SVD of z - X_n at both z
         shifted = replace(r, x_matrix=r.x_matrix + 1e-3 * np.eye(r.n))
         consume(shifted)
-        assert dense_solves == {"eigvals": 2, "eigvalsh": 7}
+        assert dense_solves == {"eigvals": 2 * [(32, 32)], "eigvalsh": 3 * blocks, "svd": 2 * rows + 2 * [(32, 32)]}
         before, after = np.sort_complex(esd(r).points), np.sort_complex(esd(shifted).points)
         assert not np.array_equal(before, after)
         assert np.max(np.abs(after - before - 1e-3)) <= 1e-9
@@ -318,6 +323,8 @@ class TestSvBlocks:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         zs = _box_points(geom, 20, 0)
         dense = _dense_margins(realization, geom, zs)
+        # the angle spectrum's row-block SVDs run first, so only SVDs of z - X_n are counted
+        realization._dense_spectra
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -335,6 +342,7 @@ class TestSvBlocks:
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         zs = np.concatenate([_box_points(geom, 20, 0), esd(realization).points[:10]])
         dense = _dense_margins(realization, geom, zs)
+        realization._dense_spectra  # as above: count only the SVDs of z - X_n
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -411,14 +419,21 @@ class TestStructureResiduals:
         u = np.finfo(np.float64).eps / 2
         fro, top = float(np.linalg.norm(w)), float(np.linalg.svd(w, compute_uv=False)[0])
         assert rep.re_deviation >= re_dev - 8 * n * u * fro
-        assert rep.im_norm == im_norm
+        # im_norm is max(||K11||_2, ||K22||_2) + ||K12||_F, K = Im W split at k1: at least ||K||_2, and
+        # past it by at most ||K12||_F, up to the eigensolvers' n * u * ||K||
+        k = (w - w.conj().T) / 2j
+        k1 = _realize(p, n)[0]
+        off, rounding = float(np.linalg.norm(k[:k1, k1:])), n * u * float(np.linalg.norm(k))
+        assert im_norm - rounding <= rep.im_norm <= im_norm + off + rounding
         assert rep.normality_residual >= normality * (1.0 - 16 * n * u * fro / top) - 4 * n * u * (fro / top) ** 2
         # with K = Im W and R = Re W - c, [W, W*] = 2i[K, R], so ||[W, W*]||_F <= 4 ||K||_2 ||R||_F: the
-        # residual is that bound over floor^2, from the fields in the power-of-two frame f of the gaps
+        # residual is that bound over floor^2, from the fields in the power-of-two frame f of the gaps and
+        # the lower bounds ||K11||_2, ||K22||_2 and ||K12||_F / sqrt(n) of ||K||_2, which f scales exactly
         f = math.ldexp(1.0, math.frexp(max(abs(geom.gap_a), abs(geom.gap_b)))[1] - 1)
         a, b = geom.gap_a / f, geom.gap_b / f
-        fre, fim = rep.re_deviation / f / f, rep.im_norm / f / f
-        floor = max(abs(0.25 * (a - b) * (a + b)) - fre, fim)
+        fre, fim, kf = rep.re_deviation / f / f, rep.im_norm / f / f, k / f / f
+        blocks = [float(np.max(np.abs(np.linalg.eigvalsh(blk)))) for blk in (kf[:k1, :k1], kf[k1:, k1:]) if blk.size]
+        floor = max(abs(0.25 * (a - b) * (a + b)) - fre, *blocks, off / f / f / math.sqrt(n))
         assert rep.normality_residual == (4.0 * (fim / floor) * (fre / floor) if floor > 0.0 else 0.0)
         if shift >= 1e-4:
             # a perturbed W is not normal: the residuals are well above roundoff
