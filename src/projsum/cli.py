@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -85,17 +86,18 @@ def _realized_laws(p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int) -> dict:
 
 
 def _run(args) -> int:
-    """Run the handler ``args.func`` and write its manifest; no other code writes one.
+    """Run the handler of ``args.command`` and write its manifest; no other code writes one.
 
-    The handler returns its exit code and a record of what only it knows:
-    its realized laws, its stage timings and any further manifest keys.  A
-    handler that raises leaves no manifest.
+    The handler ``cmd_<command>`` is looked up by name when it runs.  It
+    returns its exit code and a record of what only it knows: its realized
+    laws, its stage timings and any further manifest keys.  A handler that
+    raises leaves no manifest.
     """
     t0 = time.perf_counter()
-    code, record = args.func(args)
+    code, record = globals()[f"cmd_{args.command}"](args)
     manifest = {
         "command": args.command,
-        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "params": {k: v for k, v in vars(args).items() if k != "command"},
         "realized_laws": None,
         "tool_version": __version__,
         **record,
@@ -119,6 +121,24 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
+def _manifest_params(manifest: dict, command: str) -> dict:
+    """A copy of ``manifest``'s params, refused unless they are the destinations
+    of exactly ``command``'s flags, each of a type that flag gives."""
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise UsageError("manifest has no params")
+    expected = _command_params(command)
+    if params.keys() != expected.keys():
+        raise UsageError(
+            f"manifest params do not match `{command}`: missing {sorted(expected.keys() - params.keys())},"
+            f" unexpected {sorted(params.keys() - expected.keys())}"
+        )
+    mistyped = [f"{key}={value!r}" for key, value in params.items() if type(value) not in expected[key]]
+    if mistyped:
+        raise UsageError(f"manifest params of `{command}` have the wrong type: {', '.join(sorted(mistyped))}")
+    return dict(params)
+
+
 def _laws_from(args) -> tuple[TwoAtomLaw, TwoAtomLaw]:
     p_law = TwoAtomLaw(weight=args.a, loc=args.alpha, loc_alt=args.alpha_prime)
     q_law = TwoAtomLaw(weight=args.b, loc=args.beta, loc_alt=args.beta_prime)
@@ -132,12 +152,12 @@ def _spec_from(args) -> ModelSpec:
 
 def cmd_sample(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
-    spec = _spec_from(args)
-    realization = assemble_model(spec)
+    realization = assemble_model(_spec_from(args))
     points = esd(realization).points
     sample_s = time.perf_counter() - t0
     _write_csv(Path(args.out_prefix + ".esd.csv"), {"re": points.real, "im": points.imag})
-    return E_OK, {"realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n), "timings": {"sample_s": sample_s}}
+    laws = {"p": realization.realized_p_law, "q": realization.realized_q_law}
+    return E_OK, {"realized_laws": laws, "timings": {"sample_s": sample_s}}
 
 
 def cmd_check(args) -> tuple[int, dict]:
@@ -193,7 +213,7 @@ def cmd_check(args) -> tuple[int, dict]:
         "first_failure": first_failure,
     }
     _write_json(Path(args.out_prefix + ".check.json"), payload)
-    record = {"realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n)}
+    record = {"realized_laws": {"p": realization.realized_p_law, "q": realization.realized_q_law}}
     if first_failure is not None:
         print(f"check failed: {first_failure}", file=sys.stderr)
         return E_CHECK, record
@@ -217,18 +237,14 @@ def cmd_potential(args) -> tuple[int, dict]:
 
 
 def cmd_recover(args) -> tuple[int, dict]:
-    src_manifest = _read_manifest(args.in_prefix + ".manifest.json")
+    source = args.in_prefix + ".manifest.json"
+    if os.path.realpath(args.out_prefix + ".manifest.json") == os.path.realpath(source):
+        raise UsageError(f"--out-prefix {args.out_prefix!r} would overwrite the manifest {source} it reads")
+    src_manifest = _read_manifest(source)
     if src_manifest.get("command") != "potential":
         raise UsageError(f"--in-prefix must point at a `potential` run, found {src_manifest.get('command')!r}")
-    params = src_manifest.get("params") or {}
-    if not isinstance(params, dict):
-        raise UsageError(f"potential manifest params must be an object, got {params!r}")
-    missing = [key for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax") if key not in params]
-    if missing:
-        raise UsageError(f"potential manifest lacks params {missing}")
+    params = _manifest_params(src_manifest, "potential")
     nx, ny = params["nx"], params["ny"]
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (nx, ny)):
-        raise InvalidGridError(f"node counts must be integers, got nx={nx!r}, ny={ny!r}")
     window = tuple(params[key] for key in ("xmin", "xmax", "ymin", "ymax"))
     hx, hy = _grid_steps(window, nx, ny)
     path = args.in_prefix + ".potential.csv"
@@ -274,25 +290,13 @@ def cmd_replay(args) -> int:
     if manifest.get("tool_version") != __version__:
         raise UsageError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
     command = manifest.get("command")
-    commands = _subcommands()
     # replay writes no manifest of its own, so one naming it is not a record of any run
-    if not isinstance(command, str) or command not in commands or command == "replay":
+    if not isinstance(command, str) or command not in _subcommands() or command == "replay":
         raise UsageError(f"manifest names unknown command {command!r}")
-    if not isinstance(manifest.get("params"), dict):
-        raise UsageError("manifest has no params")
-    params = dict(manifest["params"])
-    expected = _command_params(command)
-    if params.keys() != expected.keys():
-        raise UsageError(
-            f"manifest params do not match `{command}`: missing {sorted(expected.keys() - params.keys())},"
-            f" unexpected {sorted(params.keys() - expected.keys())}"
-        )
-    mistyped = [f"{key}={value!r}" for key, value in params.items() if type(value) not in expected[key]]
-    if mistyped:
-        raise UsageError(f"manifest params of `{command}` have the wrong type: {', '.join(sorted(mistyped))}")
+    params = _manifest_params(manifest, command)
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
-    return _run(argparse.Namespace(command=command, func=commands[command].get_default("func"), **params))
+    return _run(argparse.Namespace(command=command, **params))
 
 
 def _add_law_flags(p: argparse.ArgumentParser) -> None:
@@ -310,7 +314,9 @@ def _add_sample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="projsum",
         description="Sample and verify the Haar-rotated two-atom matrix model.",
@@ -321,14 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw one realization and write its ESD")
     _add_sample_flags(p)
     p.add_argument("--out-prefix", default="sample")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="run structural checks on one realization")
     _add_sample_flags(p)
     p.add_argument("--z-grid", type=int, default=20,
                    help="random z count for the bound check; 0 skips it")
     p.add_argument("--out-prefix", default="check")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("potential", help="averaged log-potential grid over samples")
     _add_sample_flags(p)
@@ -340,13 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--out-prefix", default="potential")
-    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("recover", help="apply the Laplacian stencil to a potential grid")
     p.add_argument("--in-prefix", required=True,
                    help="prefix written by `projsum potential`")
     p.add_argument("--out-prefix", default="recover")
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("converge", help="pooled-ESD convergence study across dimensions")
     _add_law_flags(p)
@@ -356,19 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=float, default=None, help="BL binning resolution")
     p.add_argument("--out-prefix", default="converge")
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-prefix", default=None,
                    help="override the output prefix (default: original + '.replay')")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's parser by name, from a new parser, so a patched handler is seen."""
+    """Each subcommand's parser by name, from the one parser of the process."""
     return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -386,13 +386,12 @@ def _command_params(command: str) -> dict[str, tuple[type, ...]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args) if args.command == "replay" else _run(args)
+        return cmd_replay(args) if args.command == "replay" else _run(args)
     except (ComputationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return E_NUMERIC

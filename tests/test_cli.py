@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -516,16 +517,19 @@ class TestPotentialRecover:
     def test_recover_rejects_malformed_potential(self, tmp_path, capsys):
         # (params edit, potential file header, first L value, message); every
         # case keeps the 5 x 5 grid's 25-row file, a None param value deletes
-        # the param, and a None L value keeps the computed one
+        # the param, and a None L value keeps the computed one.  The params
+        # are checked as `replay` checks them, against the `potential` flags
         cases = [
-            ({"ny": None}, "re,im,L", None, "lacks params"),
+            ({"ny": None}, "re,im,L", None, "missing ['ny']"),
+            ({"commuting": False}, "re,im,L", None, "unexpected ['commuting']"),
             ({}, "re,im,V", None, "no L column"),
             ({"nx": 1, "ny": 25}, "re,im,L", None, "at least 3 nodes per axis"),
             ({"xmax": -0.5}, "re,im,L", None, "nondegenerate"),
-            ({"nx": 5.0}, "re,im,L", None, "node counts must be integers"),
-            ({"nx": "5"}, "re,im,L", None, "node counts must be integers"),
-            ({"xmin": "-0.3"}, "re,im,L", None, "window bounds must be finite numbers"),
-            ({"xmin": True}, "re,im,L", None, "window bounds must be finite numbers"),
+            ({"nx": 5.0}, "re,im,L", None, "wrong type: nx=5.0"),
+            ({"nx": "5"}, "re,im,L", None, "wrong type: nx='5'"),
+            ({"nx": True}, "re,im,L", None, "wrong type: nx=True"),
+            ({"xmin": "-0.3"}, "re,im,L", None, "wrong type: xmin='-0.3'"),
+            ({"xmin": True}, "re,im,L", None, "wrong type: xmin=True"),
             ({}, "re,im,L", "nan", "non-finite L value"),
             ({}, "re,im,L", "inf", "non-finite L value"),
             ({}, "re,im,L", "abc", "'abc'"),
@@ -551,6 +555,7 @@ class TestPotentialRecover:
             assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", str(out)]) == E_USAGE
             assert message in capsys.readouterr().err
             assert not Path(str(out) + ".measure.csv").exists()
+            assert not Path(str(out) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("suffix", [".manifest.json", ".potential.csv"])
     def test_recover_refuses_an_unreadable_input(self, tmp_path, capsys, suffix):
@@ -619,6 +624,16 @@ class TestPotentialRecover:
         assert rc == E_USAGE
         assert not Path(str(prefix) + ".potential.csv").exists()
         assert "commuting" not in cli._command_params("potential")
+
+    def test_recover_refuses_to_overwrite_its_input(self, tmp_path, capsys):
+        # the output manifest would replace the potential run's record
+        prefix = self._potential(tmp_path, nx=5, ny=5)
+        before = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+        capsys.readouterr()
+        for out in (str(prefix), str(tmp_path / "sub" / ".." / prefix.name)):
+            assert main(["recover", "--in-prefix", str(prefix), "--out-prefix", out]) == E_USAGE
+            assert "would overwrite the manifest" in capsys.readouterr().err
+        assert sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()) == before
 
     def test_recover_missing_input(self, tmp_path):
         rc = main(["recover", "--in-prefix", str(tmp_path / "nope"),
@@ -895,6 +910,21 @@ class TestReplay:
         assert Path(str(prefix) + ".replay.esd.csv").read_bytes() == Path(
             str(prefix) + ".esd.csv"
         ).read_bytes()
+
+    def test_main_and_replay_reuse_the_parser(self, tmp_path, monkeypatch):
+        # the first call builds the parser of every command; later calls and a replay build none
+        prefix = _sample(tmp_path, "once", n=8)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _sample(tmp_path, "twice", n=8)
+        assert main(["replay", "--manifest", str(prefix) + ".manifest.json"]) == E_OK
+        assert built == []
 
     def test_replay_refuses_other_tool_version(self, tmp_path, capsys):
         prefix = _sample(tmp_path, "old", seed=9)

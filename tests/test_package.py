@@ -44,6 +44,12 @@ def test_importing_the_console_leaves_scipy_unloaded():
     assert _python(code).strip() == "[]"
 
 
+def test_importing_the_console_builds_no_parser():
+    # the parser is built on the first `main` call, so an import pays nothing for it
+    code = "import projsum.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    assert _python(code).strip() == "0"
+
+
 def test_sample_and_check_load_no_scipy_module(tmp_path):
     # only `converge` solves the transport LP and reads the HiGHS version for its manifest; the
     # others load no SciPy module at all, which keeps their start-up to NumPy's
