@@ -237,6 +237,8 @@ def cmd_potential(args) -> tuple[int, dict]:
 
 
 def cmd_recover(args) -> tuple[int, dict]:
+    import hashlib
+
     source = args.in_prefix + ".manifest.json"
     if os.path.realpath(args.out_prefix + ".manifest.json") == os.path.realpath(source):
         raise UsageError(f"--out-prefix {args.out_prefix!r} would overwrite the manifest {source} it reads")
@@ -249,9 +251,9 @@ def cmd_recover(args) -> tuple[int, dict]:
     hx, hy = _grid_steps(window, nx, ny)
     path = args.in_prefix + ".potential.csv"
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            flat = [float(row["L"]) for row in reader] if "L" in (reader.fieldnames or ()) else None
+        raw = Path(path).read_bytes()
+        reader = csv.DictReader(io.StringIO(raw.decode("utf-8"), newline=""))
+        flat = [float(row["L"]) for row in reader] if "L" in (reader.fieldnames or ()) else None
     except OSError as exc:
         raise UsageError(f"potential file {path} cannot be read: {exc.strerror}") from exc
     except (TypeError, ValueError) as exc:  # bytes that are not UTF-8, or a cell that is no number (None if missing)
@@ -270,7 +272,8 @@ def cmd_recover(args) -> tuple[int, dict]:
     footer = f"# raw_total={rec.raw_total!r} negative_mass={rec.negative_mass!r}"
     _write_csv(Path(args.out_prefix + ".measure.csv"),
                {"re": nodes.real, "im": nodes.imag, "mass": rec.grid.mass.ravel()}, footer=footer)
-    return E_OK, {}
+    # `replay` refuses to re-run on an input whose bytes have changed since
+    return E_OK, {"input_sha256": {path: hashlib.sha256(raw).hexdigest()}}
 
 
 def cmd_converge(args) -> tuple[int, dict]:
@@ -286,6 +289,8 @@ def cmd_converge(args) -> tuple[int, dict]:
 
 
 def cmd_replay(args) -> int:
+    import hashlib
+
     manifest = _read_manifest(args.manifest)
     if manifest.get("tool_version") != __version__:
         raise UsageError(f"manifest is from projsum {manifest.get('tool_version')}, not {__version__}")
@@ -294,6 +299,16 @@ def cmd_replay(args) -> int:
     if not isinstance(command, str) or command not in _subcommands() or command == "replay":
         raise UsageError(f"manifest names unknown command {command!r}")
     params = _manifest_params(manifest, command)
+    digests = manifest.get("input_sha256", {})
+    if not isinstance(digests, dict):
+        raise UsageError(f"manifest input_sha256 is a JSON {type(digests).__name__}, not an object")
+    for path, digest in digests.items():
+        try:
+            now = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise UsageError(f"input {path} cannot be read: {exc.strerror}") from exc
+        if now != digest:
+            raise UsageError(f"input {path} has changed since the run: sha256 {now}, manifest {digest}")
     # never clobber the original artifacts by default
     params["out_prefix"] = args.out_prefix if args.out_prefix is not None else params["out_prefix"] + ".replay"
     return _run(argparse.Namespace(command=command, **params))

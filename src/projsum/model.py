@@ -105,9 +105,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ModelRealization:
-    """One sampled triple (P_n, Q_n, X_n) together with the discretized laws.
+    """One sampled X_n = P_n + i*Q_n together with the discretized laws.
 
-    The matrices are read-only; share them freely across threads.  The
+    Only X_n is stored.  Every square matrix is one Hermitian matrix plus i
+    times another in exactly one way, so ``p_matrix`` and ``q_matrix`` are
+    X_n's Hermitian and skew-Hermitian parts, computed on each access.  The
+    matrices are read-only; share them freely across threads.  The
     realized laws carry the weights k/n actually used at dimension n, which
     downstream exact checks must use instead of the requested weights.
 
@@ -118,22 +121,28 @@ class ModelRealization:
     perturbed copy never sees the statistics of the matrix it came from.
     """
 
-    p_matrix: np.ndarray
-    q_matrix: np.ndarray
     x_matrix: np.ndarray
     realized_p_law: TwoAtomLaw
     realized_q_law: TwoAtomLaw
 
     @property
     def n(self) -> int:
-        return self.p_matrix.shape[0]
+        return self.x_matrix.shape[0]
+
+    @property
+    def p_matrix(self) -> np.ndarray:
+        """P_n = (X_n + X_n*)/2, read-only."""
+        return _read_only((self.x_matrix + self.x_matrix.conj().T) * 0.5)
+
+    @property
+    def q_matrix(self) -> np.ndarray:
+        """Q_n = (X_n* - X_n)/2i, read-only; (X_n - X_n*) * -0.5j leaves -0.0 in Im of the diagonal."""
+        return _read_only((self.x_matrix.conj().T - self.x_matrix) * 0.5j)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
         """Read-only ``np.linalg.eigvals`` of X_n; ``spectra.esd`` reports its failure."""
-        vals = np.linalg.eigvals(self.x_matrix)
-        vals.setflags(write=False)
-        return vals
+        return _read_only(np.linalg.eigvals(self.x_matrix))
 
     @cached_property
     def _dense_spectra(self) -> _ProjectionSpectra:
@@ -250,6 +259,11 @@ def _realize(law: TwoAtomLaw, n: int) -> tuple[int, TwoAtomLaw]:
     return k, TwoAtomLaw(weight=(n - k) / n, loc=law.loc, loc_alt=law.loc_alt)
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     """Read-only loc*I + gap*B B* for the orthonormal columns B = ``basis``, exactly Hermitian."""
     m = (basis * law.gap) @ basis.conj().T
@@ -258,8 +272,7 @@ def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     m *= 0.5
     m += m.conj().T
     m.flat[:: m.shape[0] + 1] += law.loc
-    m.setflags(write=False)
-    return m
+    return _read_only(m)
 
 
 def assemble_model(spec: ModelSpec) -> ModelRealization:
@@ -275,17 +288,8 @@ def assemble_model(spec: ModelSpec) -> ModelRealization:
     k1, realized_p = _realize(spec.p_law, spec.n)
     g, q_law = _q_frame(spec)
     p = np.diag((realized_p.loc + np.where(np.arange(spec.n) < k1, realized_p.gap, 0.0)).astype(np.complex128))
-    p.setflags(write=False)
-    q = _two_atom_matrix(q_law, np.linalg.qr(g)[0])
-    x = p + 1j * q
-    x.setflags(write=False)
-    return ModelRealization(
-        p_matrix=p,
-        q_matrix=q,
-        x_matrix=x,
-        realized_p_law=realized_p,
-        realized_q_law=_realize(spec.q_law, spec.n)[1],
-    )
+    x = _read_only(p + 1j * _two_atom_matrix(q_law, np.linalg.qr(g)[0]))
+    return ModelRealization(x_matrix=x, realized_p_law=realized_p, realized_q_law=_realize(spec.q_law, spec.n)[1])
 
 
 # a block counts in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
@@ -376,8 +380,8 @@ class _ProjectionSpectra(NamedTuple):
 
 def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     """Dense producer: the projection Pi_q = (Q_n - beta)/B onto Q_n's loc_alt eigenspace
-    (distinct atoms only) and its angle spectrum against E_k1, P_n's projection in the
-    eigenbasis every realization is taken in.
+    (distinct atoms only), Q_n the skew-Hermitian part of X_n, and its angle spectrum
+    against E_k1, P_n's projection in the eigenbasis every realization is taken in.
 
     The singular values of E_k1 Pi_q, the first k1 rows of Pi_q, are 1 on ran int ran,
     c on a block and 0 elsewhere; those of its last n - k1 rows 1 on ker E_k1 int ran

@@ -207,20 +207,17 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
 
 
 def _certificate_eps(realization: ModelRealization) -> float:
-    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when P_n is too far
-    from alpha + A*E_k1, or Pi_q from an exact projection of rank k2, to certify."""
+    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when Pi_q is too far
+    from an exact projection of rank k2 to certify."""
     n, spectra = realization.n, realization._dense_spectra
     p_law, q_law = realization.realized_p_law, realization.realized_q_law
     a, b, k1, pi_q = abs(p_law.gap), abs(q_law.gap), spectra.angles.k1, spectra.pi_q
-    off_p = _divide(realization.p_matrix - p_law.loc * np.eye(n), p_law.gap)
-    off_p.flat[: k1 * (n + 1) : n + 1] -= 1.0  # Pi_p - E_k1
     # ||Pi_q^2 - Pi_q||_F plus its rounding, (n + 3)u || |Pi_q| |Pi_q| ||_F at most;
     # || |Pi_q| |Pi_q| ||_F <= ||Pi_q||_F times the largest row sum of |Pi_q|
     q_norm = float(np.linalg.norm(pi_q))
     i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(np.abs(pi_q).sum(axis=1).max()) * q_norm
-    # every eigenvalue of Pi_p within 1/8 of E_k1's, and of Pi_q within 1/8 of 0 or 1, k2 of them near 1
-    layout_q = 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - spectra.angles.k2)
-    if not (float(np.linalg.norm(off_p)) < 0.125 and layout_q < 0.25):
+    # every eigenvalue of Pi_q within 1/8 of 0 or 1, k2 of them near 1
+    if not 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - spectra.angles.k2) < 0.25:
         return math.inf
     # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
     f = float(_frame(max(a, b)))
@@ -266,8 +263,8 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     ||X_n - Y|| <= eps, the sum of:
 
     * the computed ||X_n - (alpha + A*E_k1) - i(beta + B*Pi_q)||_F, which
-      covers an X_n that is not P_n + iQ_n and a P_n that is not alpha +
-      A*E_k1, plus 4u times the norms it subtracts;
+      is ||P_n - (alpha + A*E_k1)||_F up to rounding (Pi_q is read off X_n),
+      plus 4u times the norms it subtracts;
     * |B|*||Pi_q - Pi_q^|| <= 2|B|I, with I the computed ||Pi_q^2 - Pi_q||_F
       plus (n + 3)u ||Pi_q||_F max_i sum_j |Pi_q,ij|, which bounds its
       rounding: an eigenvalue lambda at distance d < 1/2 from {0, 1} has
@@ -285,11 +282,11 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
 
     The layout needs Pi_q^ to have rank k2: 2 sqrt(n) I + |tr Pi_q - k2| <
     1/4 puts every eigenvalue of Pi_q within 1/8 of 0 or 1, and tr Pi_q
-    within 1/4 of rank Pi_q^ (|tr Pi_q - rank Pi_q^| <= sqrt(n) * 2I).  It
-    also takes Pi_p = (P_n - alpha)/A within 1/8 of E_k1 in Frobenius norm,
-    so that no P_n other than the model's is certified.  Otherwise eps is
-    infinite.  Where hi > eps and (lo - eps) - dist^2/(hi - eps) >= 0, the
-    dense margin is provably nonnegative; it also lies within
+    within 1/4 of rank Pi_q^ (|tr Pi_q - rank Pi_q^| <= sqrt(n) * 2I);
+    otherwise eps is infinite.  P_n needs no layout: one far from alpha +
+    A*E_k1 gives a large residual, so a large eps and the dense SVD.  Where
+    hi > eps and (lo - eps) - dist^2/(hi - eps) >= 0, the dense margin is
+    provably nonnegative; it also lies within
     eps * (1 + dist^2/(hi (hi - eps))) of the block margin lo - dist^2/hi.
     Where both hold and that distance is at most 1e-8 * scale (the allowance
     ``check`` gives a margin), the block margin is returned: it is
@@ -332,9 +329,7 @@ def freeness_diagnostic(realization: ModelRealization, order: int) -> float:
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order!r}")
     n = realization.n
-    eye = np.eye(n)
-    p = realization.p_matrix - (np.trace(realization.p_matrix) / n) * eye
-    q = realization.q_matrix - (np.trace(realization.q_matrix) / n) * eye
+    p, q = (m - (np.trace(m) / n) * np.eye(n) for m in (realization.p_matrix, realization.q_matrix))
     word = p
     for k in range(1, order):
         word = word @ (q if k % 2 else p)

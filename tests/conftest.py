@@ -30,7 +30,7 @@ def commuting_model(spec: ModelSpec) -> ModelRealization:
     q = _two_atom_matrix(q_law, np.eye(spec.n, k2, dtype=np.complex128))
     x = p + 1j * q
     x.setflags(write=False)
-    return ModelRealization(p_matrix=p, q_matrix=q, x_matrix=x, realized_p_law=p_law, realized_q_law=q_law)
+    return ModelRealization(x_matrix=x, realized_p_law=p_law, realized_q_law=q_law)
 
 
 @pytest.fixture(scope="session")

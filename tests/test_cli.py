@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -35,7 +36,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 
 
 def _perturb_check_input(monkeypatch, eps: float) -> None:
-    """Make `check` read X_n + eps*I, which is no longer P_n + iQ_n: a negative control."""
+    """Make `check` read X_n + eps*I, whose Hermitian part is no longer alpha + A*E_k1: a negative control."""
     def perturbed(spec):
         realization = assemble_model(spec)
         x = realization.x_matrix + eps * np.eye(realization.n)
@@ -145,7 +146,7 @@ class TestCheck:
         payload = json.loads(Path(str(prefix) + ".check.json").read_text())
         assert payload["first_failure"] == "support"
         assert payload["structure"]["support_deviation"] > 1e-8
-        # the margins of a matrix that is not P_n + iQ_n come from the dense SVD
+        # the margins of a matrix whose Hermitian part is off alpha + A*E_k1 come from the dense SVD
         margins = [m["margin"] for m in payload["sv_margins"]]
         assert len(margins) == 5 and all(math.isfinite(m) for m in margins)
 
@@ -868,6 +869,32 @@ class TestReplay:
         assert "usage error" in err and message in err
         assert not list(tmp_path.glob("*.replay.*"))
 
+    def test_replay_refuses_a_recover_input_that_changed(self, tmp_path, capsys):
+        # a recover manifest records the SHA-256 of the potential file it read; replay checks it first
+        def potential(seed):
+            assert main(["potential", "--n", "16", *DEMO_FLAGS, "--seed", str(seed), "--xmin", "-0.5", "--xmax", "1.5",
+                         "--ymin", "-0.6", "--ymax", "1.4", "--nx", "9", "--ny", "9",
+                         "--out-prefix", str(tmp_path / "pot")]) == E_OK
+
+        potential(1)
+        meas = tmp_path / "meas"
+        assert main(["recover", "--in-prefix", str(tmp_path / "pot"), "--out-prefix", str(meas)]) == E_OK
+        manifest = Path(str(meas) + ".manifest.json")
+        source = str(tmp_path / "pot") + ".potential.csv"
+        digests = json.loads(manifest.read_text())["input_sha256"]
+        assert digests == {source: hashlib.sha256(Path(source).read_bytes()).hexdigest()}
+        potential(2)
+        assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and source in err and "changed" in err
+        assert not list(tmp_path.glob("*.replay.*"))
+        # so is a digest table that is no JSON object
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "input_sha256": [source]}), encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest)]) == E_USAGE
+        assert "input_sha256 is a JSON list" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.replay.*"))
+
     @pytest.mark.parametrize("manifest", [
         [],
         {"command": "potential", "params": ["nx", "ny", "xmin", "xmax", "ymin", "ymax"]},
@@ -955,7 +982,8 @@ class TestManifests:
         for command, argv in runs.items():
             assert main([*argv, "--out-prefix", str(tmp_path / command)]) == E_OK
             manifest = json.loads(Path(str(tmp_path / command) + ".manifest.json").read_text())
-            extra = {"potential": {"perturbed_nodes"}, "converge": {"versions"}}.get(command, set())
+            extra = {"potential": {"perturbed_nodes"}, "recover": {"input_sha256"},
+                     "converge": {"versions"}}.get(command, set())
             assert manifest.keys() == self.KEYS | extra
             assert manifest["command"] == command
             assert manifest["timings"].keys() == {"total_s"} | stage_timings.get(command, set())

@@ -220,17 +220,28 @@ class TestAssembleModel:
         c = assemble_model(ModelSpec(p, q, n=50, seed=315))
         assert a.x_matrix.tobytes() != c.x_matrix.tobytes()
 
-    @pytest.mark.parametrize("law", [P_LAW, TwoAtomLaw(0.3, 0.0, -1.0), TwoAtomLaw(0.5, -0.0, 0.7),
-                                     TwoAtomLaw(0.0, 0.1, 0.7), TwoAtomLaw(1.0, 0.1, 0.7)])
+    # (p law, q law): the p side varied, then the q side on either side of Pi2 at gaps near the float limits
+    @pytest.mark.parametrize("law", [
+        *((p_law, Q_LAW) for p_law in (P_LAW, TwoAtomLaw(0.3, 0.0, -1.0), TwoAtomLaw(0.5, -0.0, 0.7),
+                                       TwoAtomLaw(0.0, 0.1, 0.7), TwoAtomLaw(1.0, 0.1, 0.7))),
+        *((P_LAW, q_law) for q_law in (TwoAtomLaw(0.5, 0.0, 3e-308), TwoAtomLaw(0.3, -0.0, 1e-310),
+                                       TwoAtomLaw(0.875, 0.0, 1e150), TwoAtomLaw(0.125, 1.0, -1e150),
+                                       TwoAtomLaw(0.6, -0.0, -0.7))),
+    ])
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_p_is_the_diagonal_of_the_two_atom_matrix(self, law, n):
         # P_n is written as its diagonal; its bits, signed zeros included, equal those of
-        # the symmetrized product on E_k1, which commuting_model's P_n relies on
-        k1, realized = model._realize(law, n)
-        p = assemble_model(ModelSpec(law, Q_LAW, n=n, seed=1)).p_matrix
-        product = model._two_atom_matrix(realized, np.eye(n, k1, dtype=np.complex128))
-        assert np.array_equal(p.view(np.uint64), product.view(np.uint64))
-        assert not p.flags.writeable
+        # the symmetrized product on E_k1, which commuting_model's P_n relies on.  Both are
+        # read back from X_n alone, and Q_n's bits are those of _q_frame's drawn side
+        p_law, q_law = law
+        spec = ModelSpec(p_law, q_law, n=n, seed=1)
+        r = assemble_model(spec)
+        k1, realized = model._realize(p_law, n)
+        g, drawn = model._q_frame(spec)
+        for got, want in ((r.p_matrix, model._two_atom_matrix(realized, np.eye(n, k1, dtype=np.complex128))),
+                          (r.q_matrix, model._two_atom_matrix(drawn, np.linalg.qr(g)[0]))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
 
     def test_p_keeps_a_gap_below_2_to_the_minus_1021(self):
         # the symmetrized product halves the gap, which rounds it in the subnormal range
@@ -536,7 +547,7 @@ class TestAngleSpectrum:
         if flipped:
             # Pi_q onto the trailing k2 coordinates: ran Pi_q meets ker E_k1
             q = realization.q_matrix[::-1, ::-1]
-            realization = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
+            realization = replace(realization, x_matrix=realization.p_matrix + 1j * q)
         got, want = model._projection_spectra(realization).angles, _eigvalsh_angles(realization)
         assert got[:3] == want[:3]
         assert got.c.shape == got.s.shape == want.c.shape == want.s.shape
@@ -555,7 +566,7 @@ class TestAngleSpectrum:
         basis[[5, 1], 1] = math.sin(theta), math.cos(theta)  # c = cos(theta)
         basis[6, 2] = basis[7, 3] = 1.0
         q = model._two_atom_matrix(base.realized_q_law, basis)
-        angles = model._projection_spectra(replace(base, q_matrix=q, x_matrix=base.p_matrix + 1j * q)).angles
+        angles = model._projection_spectra(replace(base, x_matrix=base.p_matrix + 1j * q)).angles
         u = np.finfo(np.float64).eps / 2
         assert np.max(np.abs(angles.c - [math.cos(theta), math.sin(theta), 0.0, 0.0])) <= n * u
         assert np.max(np.abs(angles.s - [math.sin(theta), math.cos(theta), 1.0, 1.0])) <= n * u
@@ -581,7 +592,7 @@ class TestAngleSpectrum:
             assert counts == (n - max(k1, k2), max(0, k2 - k1), max(0, k1 - k2), min(k1, k2))
             # Pi_q onto the trailing k2 coordinates instead: every block angle is pi/2
             q = realization.q_matrix[::-1, ::-1]
-            flipped = replace(realization, q_matrix=q, x_matrix=realization.p_matrix + 1j * q)
+            flipped = replace(realization, x_matrix=realization.p_matrix + 1j * q)
             crossed = model._projection_spectra(flipped)
             expected = (max(0, n - k1 - k2), min(k2, n - k1), min(k1, n - k2), max(0, k1 + k2 - n))
             assert crossed.angles.intersection_dims() == expected

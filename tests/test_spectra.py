@@ -354,15 +354,39 @@ class TestSvBlocks:
         assert margins.tobytes() == dense.tobytes()
 
     def test_projections_too_far_from_exact_ones_take_the_dense_margin(self):
-        # P_n moved off a projection: the block layout cannot be certified, so
-        # every z takes the dense SVD
+        # X_n's Hermitian part P_n moved off alpha + A*E_k1: the residual makes eps large but
+        # finite.  Its skew-Hermitian part moved: Pi_q is off a projection, the block layout
+        # cannot be certified, and eps is infinite.  Either way every z takes the dense SVD
         base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=24, seed=5))
         e = np.random.default_rng(24).standard_normal((24, 24))
-        realization = replace(base, p_matrix=base.p_matrix + 0.05 * (e + e.T))
-        assert spectra._certificate_eps(realization) == math.inf
+        h = 0.05 * (e + e.T)
+        for move, finite in ((h, True), (1j * h, False)):
+            realization = replace(base, x_matrix=base.x_matrix + move)
+            eps = spectra._certificate_eps(realization)
+            assert math.isfinite(eps) == finite and eps >= 0.99 * np.linalg.norm(h)
+            geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+            zs = _box_points(geom, 3, 1)
+            assert verify_sv_bound(realization, zs).tobytes() == _dense_margins(realization, geom, zs).tobytes()
+
+    @pytest.mark.parametrize("t,certifies", [(1e-13, True), (1e-6, False), (1e-2, False)])
+    def test_skew_hermitian_perturbation_moves_pi_q(self, t, certifies):
+        # X_n + i t H, H real symmetric, moves Q_n, which is read off X_n, by t H, so Pi_q by t H / B.
+        # Where eps exceeds the margin allowance no z certifies, and every margin is the dense one
+        base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=24, seed=5))
+        e = np.random.default_rng(24).standard_normal((24, 24))
+        h = e + e.T
+        realization = replace(base, x_matrix=base.x_matrix + 1j * t * h)
+        moved = realization._dense_spectra.pi_q - base._dense_spectra.pi_q
+        u = np.finfo(np.float64).eps / 2
+        assert np.max(np.abs(moved - t * h / Q_LAW.gap)) <= 8 * u
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
-        zs = _box_points(geom, 3, 1)
-        assert verify_sv_bound(realization, zs).tobytes() == _dense_margins(realization, geom, zs).tobytes()
+        zs = _box_points(geom, 20, 0)
+        margins, dense = verify_sv_bound(realization, zs), _dense_margins(realization, geom, zs)
+        assert (spectra._certificate_eps(realization) <= 1e-8 * geom.scale) == certifies
+        if certifies:
+            assert np.all(margins >= 0.0) and np.max(np.abs(margins - dense)) <= 1e-8 * geom.scale
+        else:
+            assert margins.tobytes() == dense.tobytes()
 
     @given(k=st.integers(min_value=-150, max_value=150))
     @example(k=-150)
