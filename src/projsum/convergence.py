@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import HyperbolaRectangle, atom_weights, dist_to_hr_many, make_geometry
 from .model import (
     CONVERGE,
-    InvalidDimensionError,
     ModelRealization,
     ModelSpec,
     TwoAtomLaw,
@@ -221,12 +220,11 @@ def bl_distance(
         return 0.0
     cost = np.minimum(1.0, np.abs(bins[supply][:, None] - bins[demand][None, :]))
     m, k = cost.shape
-    # with at most _NEIGHBOURS bins on one side, every pair is among the nearest
-    active = np.full((m, k), min(m, k) <= _NEIGHBOURS)
-    if not active.all():
-        for axis in (1, 0):
-            near = np.argpartition(cost, _NEIGHBOURS - 1, axis=axis).take(np.arange(_NEIGHBOURS), axis=axis)
-            np.put_along_axis(active, near, True, axis=axis)
+    active = np.zeros((m, k), dtype=bool)
+    for axis in (1, 0):
+        j = min(_NEIGHBOURS, cost.shape[axis])  # every bin of a side with fewer
+        near = np.argpartition(cost, j - 1, axis=axis).take(np.arange(j), axis=axis)
+        np.put_along_axis(active, near, True, axis=axis)
     # each side scaled to unit mass: a surplus far below HiGHS's feasibility
     # tolerance would otherwise be taken as met by moving nothing (or, with
     # one common scale, the roundoff between the two sums reads as infeasible)
@@ -314,8 +312,7 @@ def convergence_run(
     """
     schedule = tuple(n_schedule)
     for n in schedule if reference_n is None else (*schedule, reference_n):
-        if type(n) is not int or n < 1:  # int() would take 16.9 as 16 and True as 1
-            raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+        ModelSpec(p_law, q_law, n, seed)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError(f"schedule must be strictly increasing, got {n_schedule!r}")
     if reference_n is None:

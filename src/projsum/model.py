@@ -116,6 +116,7 @@ class ModelRealization:
 
     A realization takes its dense spectra once: ``_eigenvalues`` and
     ``_dense_spectra`` fill lazily on first access and are reused after.
+    The cache holds no n x n matrix: n eigenvalues, the angle core and eps.
     Two threads that reach one first at the same time compute the same
     values twice.  ``dataclasses.replace`` starts with an empty cache, so a
     perturbed copy never sees the statistics of the matrix it came from.
@@ -132,12 +133,14 @@ class ModelRealization:
     @property
     def p_matrix(self) -> np.ndarray:
         """P_n = (X_n + X_n*)/2, read-only."""
-        return _read_only((self.x_matrix + self.x_matrix.conj().T) * 0.5)
+        x, xh = self.x_matrix, self.x_matrix.conj().T
+        return _finite_part(lambda: (x + xh) * 0.5, lambda: x * 0.5 + xh * 0.5)
 
     @property
     def q_matrix(self) -> np.ndarray:
         """Q_n = (X_n* - X_n)/2i, read-only; (X_n - X_n*) * -0.5j leaves -0.0 in Im of the diagonal."""
-        return _read_only((self.x_matrix.conj().T - self.x_matrix) * 0.5j)
+        x, xh = self.x_matrix, self.x_matrix.conj().T
+        return _finite_part(lambda: (xh - x) * 0.5j, lambda: xh * 0.5j - x * 0.5j)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -264,6 +267,17 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _finite_part(whole, halves) -> np.ndarray:
+    """Read-only ``whole()`` with the entries of ``halves()`` where it overflows: a sum of two
+    entries beyond about 9e307 does, and halving each first would round subnormal ones."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = whole()
+        far = ~np.isfinite(m)
+        if far.any():
+            m[far] = halves()[far]
+    return _read_only(m)
+
+
 def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     """Read-only loc*I + gap*B B* for the orthonormal columns B = ``basis``, exactly Hermitian."""
     m = (basis * law.gap) @ basis.conj().T
@@ -294,6 +308,8 @@ def assemble_model(spec: ModelSpec) -> ModelRealization:
 
 # a block counts in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
 _ANGLE_TOL = 1e-9
+# unit roundoff of float64
+_U = np.finfo(np.float64).eps / 2
 
 
 def _corner_law(a, b, whole):
@@ -372,31 +388,50 @@ def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
 
 
 class _ProjectionSpectra(NamedTuple):
-    """Pi_q of a realization and its angle spectrum against E_k1."""
+    """The angle spectrum of a realization's Pi_q against E_k1, and eps >= ||X_n - Y|| (``spectra.verify_sv_bound``)."""
 
-    pi_q: np.ndarray
     angles: _AngleSpectrum
+    eps: float
 
 
 def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
-    """Dense producer: the projection Pi_q = (Q_n - beta)/B onto Q_n's loc_alt eigenspace
-    (distinct atoms only), Q_n the skew-Hermitian part of X_n, and its angle spectrum
-    against E_k1, P_n's projection in the eigenbasis every realization is taken in.
+    """Dense producer: the angle spectrum of the projection Pi_q = (Q_n - beta)/B onto Q_n's
+    loc_alt eigenspace (distinct atoms only), Q_n the skew-Hermitian part of X_n, against
+    E_k1, P_n's projection in the eigenbasis every realization is taken in, and the Weyl
+    bound eps of ``spectra.verify_sv_bound`` on that Pi_q.  Nothing else forms Pi_q.
 
     The singular values of E_k1 Pi_q, the first k1 rows of Pi_q, are 1 on ran int ran,
     c on a block and 0 elsewhere; those of its last n - k1 rows 1 on ker E_k1 int ran
     Pi_q, s and 0 (Bjorck & Golub, 1973): the m block values lie next to the excess.
-    Read it through ``ModelRealization._dense_spectra``, which takes the two ``svd``
-    once per realization.
+    eps is inf when Pi_q is too far from an exact projection of rank k2 to certify.
+    Read it through ``ModelRealization._dense_spectra``, once per realization.
     """
-    n, q_law = realization.n, realization.realized_q_law
+    n, p_law, q_law = realization.n, realization.realized_p_law, realization.realized_q_law
     pi_q = _divide(realization.q_matrix - q_law.loc * np.eye(n), q_law.gap)
-    k1, k2 = (_realize(law, n)[0] for law in (realization.realized_p_law, q_law))
-    angles = _AngleSpectrum(n, k1, k2, None)
-    (_, e1, _, rr), m = angles.excess(), min(k1, k2, n - k1, n - k2)
+    k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
+    (_, e1, _, rr), m = _corner_law(n - k1, n - k2, n), min(k1, k2, n - k1, n - k2)
     # descending values: the j-th largest cosine pairs with the j-th smallest sine
     top, bottom = (np.linalg.svd(rows, compute_uv=False) for rows in (pi_q[:k1], pi_q[k1:]))
-    return _ProjectionSpectra(pi_q, angles._replace(c=top[rr : rr + m], s=bottom[e1 : e1 + m][::-1]))
+    angles = _AngleSpectrum(n, k1, k2, top[rr : rr + m], bottom[e1 : e1 + m][::-1])
+    a, b = abs(p_law.gap), abs(q_law.gap)
+    # ||Pi_q^2 - Pi_q||_F plus its rounding, (n + 3)u || |Pi_q| |Pi_q| ||_F at most;
+    # || |Pi_q| |Pi_q| ||_F <= ||Pi_q||_F times the largest row sum of |Pi_q|
+    q_norm = float(np.linalg.norm(pi_q))
+    i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(np.abs(pi_q).sum(axis=1).max()) * q_norm
+    # every eigenvalue of Pi_q within 1/8 of 0 or 1, k2 of them near 1
+    if not 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - k2) < 0.25:
+        return _ProjectionSpectra(angles, math.inf)
+    # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
+    f = float(_frame(max(a, b)))
+    resid, center = _divide(realization.x_matrix, f), complex(p_law.loc, q_law.loc) / f
+    norms = (np.linalg.norm(resid), a / f * math.sqrt(k1), b / f * q_norm)
+    resid -= 1j * ((q_law.gap / f) * pi_q)  # in place, on the copy X_n / f
+    resid.flat[:: n + 1] -= center
+    resid.flat[: k1 * (n + 1) : n + 1] -= p_law.gap / f
+    resid_bound = f * (float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center)))
+    delta = 2.0 * i_q + 4.0 * (n + 1) * _U
+    eps = resid_bound + 2.0 * b * i_q + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
+    return _ProjectionSpectra(angles, eps)
 
 
 def _angle_roots(angles: _AngleSpectrum, p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> np.ndarray:

@@ -8,13 +8,12 @@ eigenvalues of X_n lie on H intersect R, and sigma_min(z - X_n) is bounded
 below by dist(z, H intersect R)^2 / ||z - X_n||.
 
 A realization takes its dense spectra once: the eigenvalues of X_n
-(``ModelRealization._eigenvalues``, read through ``esd``), and the
-projection Pi_q = (Q_n - beta)/B with the c and s of its m blocks against
-E_k1, P_n's projection (``ModelRealization._dense_spectra``; the four excess
-corners of ``model._AngleSpectrum`` are counted, not measured).
-``verify_sv_bound`` reads the singular values of z - X_n off the latter in
-closed form, certifies them by Weyl's inequality, and takes a dense SVD only
-where that cannot decide.
+(``ModelRealization._eigenvalues``, read through ``esd``), and the c and s
+of the m blocks of Pi_q = (Q_n - beta)/B against E_k1, P_n's projection, with
+a Weyl bound eps (``ModelRealization._dense_spectra``; the four excess corners
+of ``model._AngleSpectrum`` are counted, not measured).  ``verify_sv_bound``
+reads the singular values of z - X_n off the latter in closed form, certifies
+them with eps, and takes a dense SVD only where that cannot decide.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist_to_hr_many, make_geometry
-from .model import ModelRealization, _divide, _frame, _realize
+from .model import ModelRealization, _U, _divide, _frame, _realize
 
 __all__ = [
     "ComputationError",
@@ -162,8 +161,6 @@ def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
     return WeightedPointMeasure.uniform(np.maximum(vals, 0.0))
 
 
-# unit roundoff of float64
-_U = np.finfo(np.float64).eps / 2
 # a block margin stands in for the dense one only when certified this close to it, times
 # scale: the allowance `check` gives a margin
 _MARGIN_ACCURACY = 1e-8
@@ -171,7 +168,8 @@ _MARGIN_ACCURACY = 1e-8
 
 def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, eps) for each z in ``zs``: the smallest and largest singular
-    values of z - Y, and a bound eps on their distance from those of z - X_n.
+    values of z - Y, and a bound eps on their distance from those of z - X_n:
+    the cached ``_dense_spectra.eps`` plus the rounding of z's closed forms.
 
     Y = alpha + i*beta + A*Pi_p + iB*Pi_q on the blocks of the realization's
     cached angle core, with the computed c and s; see ``verify_sv_bound`` for
@@ -203,32 +201,7 @@ def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np
     hi = np.concatenate([smax, *dc], axis=-1).max(axis=-1) * f[..., 0]
     # rounding of the shift to w and of the closed forms
     size = hi + np.hypot(zs.real, zs.imag) + math.hypot(p_law.loc, q_law.loc)
-    return lo, hi, _certificate_eps(realization) + 16.0 * _U * size
-
-
-def _certificate_eps(realization: ModelRealization) -> float:
-    """Bound on ||X_n - X^|| + ||X^ - Y|| (see ``verify_sv_bound``); inf when Pi_q is too far
-    from an exact projection of rank k2 to certify."""
-    n, spectra = realization.n, realization._dense_spectra
-    p_law, q_law = realization.realized_p_law, realization.realized_q_law
-    a, b, k1, pi_q = abs(p_law.gap), abs(q_law.gap), spectra.angles.k1, spectra.pi_q
-    # ||Pi_q^2 - Pi_q||_F plus its rounding, (n + 3)u || |Pi_q| |Pi_q| ||_F at most;
-    # || |Pi_q| |Pi_q| ||_F <= ||Pi_q||_F times the largest row sum of |Pi_q|
-    q_norm = float(np.linalg.norm(pi_q))
-    i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(np.abs(pi_q).sum(axis=1).max()) * q_norm
-    # every eigenvalue of Pi_q within 1/8 of 0 or 1, k2 of them near 1
-    if not 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - spectra.angles.k2) < 0.25:
-        return math.inf
-    # the residual and its norms in the frame f of the larger gap, multiplied back: both exact
-    f = float(_frame(max(a, b)))
-    resid, center = _divide(realization.x_matrix, f), complex(p_law.loc, q_law.loc) / f
-    norms = (np.linalg.norm(resid), a / f * math.sqrt(k1), b / f * q_norm)
-    resid -= 1j * ((q_law.gap / f) * pi_q)  # in place, on the copy X_n / f
-    resid.flat[:: n + 1] -= center
-    resid.flat[: k1 * (n + 1) : n + 1] -= p_law.gap / f
-    resid_bound = f * (float(np.linalg.norm(resid)) + 4.0 * _U * (float(sum(norms)) + math.sqrt(n) * abs(center)))
-    delta = 2.0 * i_q + 4.0 * (n + 1) * _U
-    return resid_bound + 2.0 * b * i_q + b * math.sqrt(2.0) * delta * (2.0 + math.sqrt(2.0) * delta)
+    return lo, hi, spectra.eps + 16.0 * _U * size
 
 
 def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
@@ -239,7 +212,7 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     sigma_min - dist^2 / opnorm, which tests compare against a small
     negative floating-point allowance, as an array in the shape of ``z``
     (0-d for a scalar; one distance call for all points).  H n R is the
-    geometry of the realized laws, and the angle spectrum is the
+    geometry of the realized laws, and the angle spectrum and eps are the
     realization's cached ``_dense_spectra``.
 
     The singular values come from the two-subspace theorem (Halmos, 1969),
@@ -260,7 +233,8 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
     Certificate.  By Weyl's inequality each singular value of z - X_n lies
     within ||X_n - Y|| of the matching one of z - Y, where Y is the matrix
     whose pieces are evaluated (the blocks with the computed c and s), and
-    ||X_n - Y|| <= eps, the sum of:
+    ||X_n - Y|| <= eps, the sum of three terms taken once, with the angles, in
+    ``model._projection_spectra``, and a fourth per z:
 
     * the computed ||X_n - (alpha + A*E_k1) - i(beta + B*Pi_q)||_F, which
       is ||P_n - (alpha + A*E_k1)||_F up to rounding (Pi_q is read off X_n),
@@ -277,8 +251,8 @@ def verify_sv_bound(realization: ModelRealization, z) -> np.ndarray:
       Pi_q^|| <= 2I, plus LAPACK's backward error of ``gesdd``, modelled as
       n u ||Pi_q||_2 <= 2nu (||Pi_q||_2 <= 1 + 2I < 2), which 4(n + 1)u covers;
     * the rounding of the shift z - (alpha + i*beta) and of the closed
-      forms, 16u(hi + |z| + |alpha + i*beta|) per z.  The closed forms run
-      in a per-z power-of-two frame (``_certified_sigmas``), which is exact.
+      forms, 16u(hi + |z| + |alpha + i*beta|), added per z by ``_certified_sigmas``,
+      whose closed forms run in a per-z power-of-two frame, which is exact.
 
     The layout needs Pi_q^ to have rank k2: 2 sqrt(n) I + |tr Pi_q - k2| <
     1/4 puts every eigenvalue of Pi_q within 1/8 of 0 or 1, and tr Pi_q

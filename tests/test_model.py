@@ -227,6 +227,8 @@ class TestAssembleModel:
         *((P_LAW, q_law) for q_law in (TwoAtomLaw(0.5, 0.0, 3e-308), TwoAtomLaw(0.3, -0.0, 1e-310),
                                        TwoAtomLaw(0.875, 0.0, 1e150), TwoAtomLaw(0.125, 1.0, -1e150),
                                        TwoAtomLaw(0.6, -0.0, -0.7))),
+        # atoms past 9e307, where a sum of two mirrored entries overflows
+        (TwoAtomLaw(0.625, 0.0, 1e308), Q_LAW), (P_LAW, TwoAtomLaw(0.875, 1e308, 1.5e308)),
     ])
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_p_is_the_diagonal_of_the_two_atom_matrix(self, law, n):

@@ -26,7 +26,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
-from projsum import spectra
+from projsum import model, spectra
 from projsum.model import _realize
 from tests.conftest import P_LAW, Q_LAW, commuting_model
 
@@ -146,6 +146,27 @@ class TestDenseSpectraOnce:
         before, after = np.sort_complex(esd(r).points), np.sort_complex(esd(shifted).points)
         assert not np.array_equal(before, after)
         assert np.max(np.abs(after - before - 1e-3)) <= 1e-9
+
+    def test_cache_holds_no_n_by_n_matrix(self):
+        # after check's stages the cache holds n eigenvalues, the angle core and eps: of
+        # everything reachable from the realization, only X_n has n^2 entries
+        r = assemble_model(ModelSpec(P_LAW, Q_LAW, n=32, seed=3))
+        esd(r)
+        structure_report(r)
+        verify_sv_bound(r, np.array([0.5 + 0.4j, 2.0 - 1.0j]))
+        corner_atom_masses(r)
+        assert {"_eigenvalues", "_dense_spectra"} <= vars(r).keys()
+        sizes, stack = [], [v for k, v in vars(r).items() if k != "x_matrix"]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+                stack.append(obj.base)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+        assert 0 < max(sizes) < r.n**2
 
     def test_cached_eigenvalues_are_read_only(self, small_realization):
         vals = small_realization._eigenvalues
@@ -362,7 +383,7 @@ class TestSvBlocks:
         h = 0.05 * (e + e.T)
         for move, finite in ((h, True), (1j * h, False)):
             realization = replace(base, x_matrix=base.x_matrix + move)
-            eps = spectra._certificate_eps(realization)
+            eps = realization._dense_spectra.eps
             assert math.isfinite(eps) == finite and eps >= 0.99 * np.linalg.norm(h)
             geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
             zs = _box_points(geom, 3, 1)
@@ -370,19 +391,25 @@ class TestSvBlocks:
 
     @pytest.mark.parametrize("t,certifies", [(1e-13, True), (1e-6, False), (1e-2, False)])
     def test_skew_hermitian_perturbation_moves_pi_q(self, t, certifies):
-        # X_n + i t H, H real symmetric, moves Q_n, which is read off X_n, by t H, so Pi_q by t H / B.
-        # Where eps exceeds the margin allowance no z certifies, and every margin is the dense one
+        # X_n + i t H, H real symmetric, moves Q_n, which is read off X_n, by t H, so Pi_q by t H / B,
+        # and the angle core holds the row-block singular values of the moved Pi_q.  Where eps
+        # exceeds the margin allowance no z certifies, and every margin is the dense one
         base = assemble_model(ModelSpec(P_LAW, Q_LAW, n=24, seed=5))
         e = np.random.default_rng(24).standard_normal((24, 24))
         h = e + e.T
         realization = replace(base, x_matrix=base.x_matrix + 1j * t * h)
-        moved = realization._dense_spectra.pi_q - base._dense_spectra.pi_q
+        pi_q, base_pi_q = (model._divide(r.q_matrix - Q_LAW.loc * np.eye(24), Q_LAW.gap) for r in (realization, base))
         u = np.finfo(np.float64).eps / 2
-        assert np.max(np.abs(moved - t * h / Q_LAW.gap)) <= 8 * u
+        assert np.max(np.abs(pi_q - base_pi_q - t * h / Q_LAW.gap)) <= 8 * u
+        core, base_core = realization._dense_spectra.angles, base._dense_spectra.angles
+        (_, e1, _, rr), m = core.excess(), core.c.size
+        top, bottom = (np.linalg.svd(rows, compute_uv=False) for rows in (pi_q[: core.k1], pi_q[core.k1 :]))
+        assert np.array_equal(core.c, top[rr : rr + m]) and np.array_equal(core.s, bottom[e1 : e1 + m][::-1])
+        assert not np.array_equal(core.c, base_core.c) and not np.array_equal(core.s, base_core.s)
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         zs = _box_points(geom, 20, 0)
         margins, dense = verify_sv_bound(realization, zs), _dense_margins(realization, geom, zs)
-        assert (spectra._certificate_eps(realization) <= 1e-8 * geom.scale) == certifies
+        assert (realization._dense_spectra.eps <= 1e-8 * geom.scale) == certifies
         if certifies:
             assert np.all(margins >= 0.0) and np.max(np.abs(margins - dense)) <= 1e-8 * geom.scale
         else:
