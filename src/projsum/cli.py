@@ -42,10 +42,19 @@ CHECK_TOLERANCES = {
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a ``.tmp`` sibling of ``path``, then rename it over ``path``.  A path
+    that cannot be written is a usage error, and leaves no ``.tmp`` that this call made."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    made = False
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            made = True
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if made:
+            tmp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray], footer: str | None = None) -> None:
@@ -410,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ComputationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return E_NUMERIC
-    except (FileNotFoundError, UsageError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return E_USAGE
 

@@ -403,13 +403,21 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     The singular values of E_k1 Pi_q, the first k1 rows of Pi_q, are 1 on ran int ran,
     c on a block and 0 elsewhere; those of its last n - k1 rows 1 on ker E_k1 int ran
     Pi_q, s and 0 (Bjorck & Golub, 1973): the m block values lie next to the excess.
-    eps is inf when Pi_q is too far from an exact projection of rank k2 to certify.
+    eps is inf when Pi_q is too far from an exact projection of rank k2 to certify; where
+    an entry of Pi_q is not finite or exceeds 9/8 in modulus, c and s are NaN as well.
     Read it through ``ModelRealization._dense_spectra``, once per realization.
     """
     n, p_law, q_law = realization.n, realization.realized_p_law, realization.realized_q_law
-    pi_q = _divide(realization.q_matrix - q_law.loc * np.eye(n), q_law.gap)
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal gap can overflow a Q_n off beta + B*Pi
+        pi_q = _divide(realization.q_matrix - q_law.loc * np.eye(n), q_law.gap)
     k1, k2 = (_realize(law, n)[0] for law in (p_law, q_law))
     (_, e1, _, rr), m = _corner_law(n - k1, n - k2, n), min(k1, k2, n - k1, n - k2)
+    # Pi_q is Hermitian, so its entries are at most ||Pi_q||_2, which is below 9/8 wherever the layout
+    # gate below passes: past that no angle is a measurement, and no LAPACK call sees inf or nan
+    mags = np.abs(pi_q)
+    if not mags.max() <= 1.125:
+        nan = np.full(m, math.nan)
+        return _ProjectionSpectra(_AngleSpectrum(n, k1, k2, nan, nan), math.inf)
     # descending values: the j-th largest cosine pairs with the j-th smallest sine
     top, bottom = (np.linalg.svd(rows, compute_uv=False) for rows in (pi_q[:k1], pi_q[k1:]))
     angles = _AngleSpectrum(n, k1, k2, top[rr : rr + m], bottom[e1 : e1 + m][::-1])
@@ -417,7 +425,7 @@ def _projection_spectra(realization: ModelRealization) -> _ProjectionSpectra:
     # ||Pi_q^2 - Pi_q||_F plus its rounding, (n + 3)u || |Pi_q| |Pi_q| ||_F at most;
     # || |Pi_q| |Pi_q| ||_F <= ||Pi_q||_F times the largest row sum of |Pi_q|
     q_norm = float(np.linalg.norm(pi_q))
-    i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(np.abs(pi_q).sum(axis=1).max()) * q_norm
+    i_q = float(np.linalg.norm(pi_q @ pi_q - pi_q)) + (n + 3) * _U * float(mags.sum(axis=1).max()) * q_norm
     # every eigenvalue of Pi_q within 1/8 of 0 or 1, k2 of them near 1
     if not 2.0 * math.sqrt(n) * i_q + abs(float(np.trace(pi_q).real) - k2) < 0.25:
         return _ProjectionSpectra(angles, math.inf)

@@ -1056,6 +1056,25 @@ class TestUsageErrors:
         assert "atom gap must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("prefix,blocker", [
+        ("file/run", "file"),  # a regular file as the prefix's directory
+        ("missing/run", None),  # a directory that does not exist
+        ("run", "run.esd.csv.tmp/"),  # a directory where the .tmp file goes
+        ("run", "run.esd.csv/"),  # a directory where os.replace renames the .tmp file to
+    ], ids=["file-parent", "missing-parent", "tmp-is-dir", "target-is-dir"])
+    def test_unwritable_out_prefix(self, tmp_path, capsys, prefix, blocker):
+        if blocker is not None and blocker.endswith("/"):
+            (tmp_path / blocker).mkdir()
+        elif blocker is not None:
+            (tmp_path / blocker).write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["sample", "--n", "8", *DEMO_FLAGS, "--out-prefix", str(tmp_path / prefix)])
+        err = capsys.readouterr().err
+        assert rc == E_USAGE
+        assert err.startswith(f"usage error: cannot write {tmp_path / prefix}.esd.csv: ") and err.count("\n") == 1
+        # nothing written, no .tmp file left, and a directory in the way left as it was
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == E_OK
         assert "projsum" in capsys.readouterr().out

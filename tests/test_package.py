@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,11 @@ restored = all(operator.attrgetter(name)(projsum) is fn for name, (fn, _) in tar
 print(len(targets), patched, restored)
 """
     assert _python(code).split() == ["14", "True", "True"]
+
+
+def test_ci_replays_every_command():
+    # CI runs each command that writes a manifest through `replays` of .github/console.sh, which
+    # checks that the run and its replay print nothing but check's verdict and write the same bytes
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    replayed = set(re.findall(r"^\s*replays \S+ \S+ (\w+)", workflow.read_text(encoding="utf-8"), re.M))
+    assert {"sample", "check", "potential", "recover", "converge"} <= replayed
