@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -41,24 +42,31 @@ CHECK_TOLERANCES = {
 }
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to a ``.tmp`` sibling of ``path``, then rename it over ``path``.  A path
-    that cannot be written is a usage error, and leaves no ``.tmp`` that this call made."""
-    tmp = path.with_name(path.name + ".tmp")
-    made = False
+def _commit(prefix: str, outputs: dict[str, str]) -> None:
+    """Write each text of ``outputs`` to ``<prefix>.<suffix>``: every ``.tmp`` sibling first, then, if no target is
+    a directory, each rename in order, so only a failing rename leaves the files renamed before it.  An unwritable
+    path is a usage error, and leaves no ``.tmp`` that this call made."""
+    targets = {Path(f"{prefix}.{suffix}"): text for suffix, text in outputs.items()}
+    made = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            made = True
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in targets.items():
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                made.append(tmp)
+                fh.write(text)
+        for path in targets:
+            if path.is_dir() and not path.is_symlink():  # os.replace would refuse it after the earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in zip(targets, made):
+            os.replace(tmp, path)
     except OSError as exc:
-        if made:
+        for tmp in made:
             tmp.unlink(missing_ok=True)
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path: Path, columns: dict[str, np.ndarray], footer: str | None = None) -> None:
-    """Write equal-length flat float columns under their names as header.
+def _csv_text(columns: dict[str, np.ndarray], footer: str | None = None) -> str:
+    """Equal-length flat float columns under their names as header.
 
     Each value is written as its ``repr``, so it reads back bit for bit;
     the ``footer`` line, if any, follows the last row.
@@ -70,7 +78,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray], footer: str | None = 
     text = buf.getvalue()
     if footer is not None:
         text += footer + "\r\n"
-    _atomic_write(path, text)
+    return text
 
 
 def _encode(obj):
@@ -81,13 +89,13 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as sorted, indented JSON.
+def _json_text(obj) -> str:
+    """``obj`` as sorted, indented JSON.
 
     A dataclass is written as the dict of its fields and a complex number as
     ``[re, im]``, so a result type reaches the file with every field it has.
     """
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n")
+    return json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n"
 
 
 def _realized_laws(p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int) -> dict:
@@ -95,15 +103,14 @@ def _realized_laws(p_law: TwoAtomLaw, q_law: TwoAtomLaw, n: int) -> dict:
 
 
 def _run(args) -> int:
-    """Run the handler of ``args.command`` and write its manifest; no other code writes one.
+    """Run the handler of ``args.command``, then commit its outputs and its manifest, last; no other code writes a file.
 
-    The handler ``cmd_<command>`` is looked up by name when it runs.  It
-    returns its exit code and a record of what only it knows: its realized
-    laws, its stage timings and any further manifest keys.  A handler that
-    raises leaves no manifest.
+    The handler ``cmd_<command>`` is looked up by name when it runs.  It returns its exit
+    code, its outputs as text by suffix (``"esd.csv"``, ...), and a record of what only it knows:
+    its realized laws, its stage timings and any further manifest keys.  One that raises writes nothing.
     """
     t0 = time.perf_counter()
-    code, record = globals()[f"cmd_{args.command}"](args)
+    code, outputs, record = globals()[f"cmd_{args.command}"](args)
     manifest = {
         "command": args.command,
         "params": {k: v for k, v in vars(args).items() if k != "command"},
@@ -114,7 +121,7 @@ def _run(args) -> int:
         # BLAS threading changes roundoff, hence output bytes; recorded, never replayed
         "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    _write_json(Path(args.out_prefix + ".manifest.json"), manifest)
+    _commit(args.out_prefix, {**outputs, "manifest.json": _json_text(manifest)})
     return code
 
 
@@ -159,17 +166,17 @@ def _spec_from(args) -> ModelSpec:
     return ModelSpec(p_law=p_law, q_law=q_law, n=args.n, seed=args.seed)
 
 
-def cmd_sample(args) -> tuple[int, dict]:
+def cmd_sample(args) -> tuple[int, dict[str, str], dict]:
     t0 = time.perf_counter()
     realization = assemble_model(_spec_from(args))
     points = esd(realization).points
     sample_s = time.perf_counter() - t0
-    _write_csv(Path(args.out_prefix + ".esd.csv"), {"re": points.real, "im": points.imag})
     laws = {"p": realization.realized_p_law, "q": realization.realized_q_law}
-    return E_OK, {"realized_laws": laws, "timings": {"sample_s": sample_s}}
+    outputs = {"esd.csv": _csv_text({"re": points.real, "im": points.imag})}
+    return E_OK, outputs, {"realized_laws": laws, "timings": {"sample_s": sample_s}}
 
 
-def cmd_check(args) -> tuple[int, dict]:
+def cmd_check(args) -> tuple[int, dict[str, str], dict]:
     if args.z_grid < 0:
         raise UsageError(f"--z-grid must be >= 0, got {args.z_grid}")
     spec = _spec_from(args)
@@ -214,38 +221,37 @@ def cmd_check(args) -> tuple[int, dict]:
                    f"esd={masses.esd_mass} subspace={masses.intersection_mass}"))
 
     first_failure = next((name for name, ok, _ in checks if not ok), None)
-    payload = {
+    outputs = {"check.json": _json_text({
         "structure": report,
         "sv_margins": margins,
         "corner_masses": masses,
         "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
         "first_failure": first_failure,
-    }
-    _write_json(Path(args.out_prefix + ".check.json"), payload)
+    })}
     record = {"realized_laws": {"p": realization.realized_p_law, "q": realization.realized_q_law}}
     if first_failure is not None:
         print(f"check failed: {first_failure}", file=sys.stderr)
-        return E_CHECK, record
+        return E_CHECK, outputs, record
     print("all checks passed")
-    return E_OK, record
+    return E_OK, outputs, record
 
 
-def cmd_potential(args) -> tuple[int, dict]:
+def cmd_potential(args) -> tuple[int, dict[str, str], dict]:
     t0 = time.perf_counter()
     spec = _spec_from(args)
     window = (args.xmin, args.xmax, args.ymin, args.ymax)
     grid = sample_potential_grid(spec, window, args.nx, args.ny, args.samples)
     grid_s = time.perf_counter() - t0
     nodes = grid.nodes().ravel()
-    _write_csv(Path(args.out_prefix + ".potential.csv"), {"re": nodes.real, "im": nodes.imag, "L": grid.values.ravel()})
-    return E_OK, {
+    outputs = {"potential.csv": _csv_text({"re": nodes.real, "im": nodes.imag, "L": grid.values.ravel()})}
+    return E_OK, outputs, {
         "realized_laws": _realized_laws(spec.p_law, spec.q_law, spec.n),
         "timings": {"grid_s": grid_s},
         "perturbed_nodes": grid.perturbations,
     }
 
 
-def cmd_recover(args) -> tuple[int, dict]:
+def cmd_recover(args) -> tuple[int, dict[str, str], dict]:
     import hashlib
 
     source = args.in_prefix + ".manifest.json"
@@ -279,13 +285,12 @@ def cmd_recover(args) -> tuple[int, dict]:
     rec = laplacian_recover(grid)
     nodes = grid.interior_nodes().ravel()
     footer = f"# raw_total={rec.raw_total!r} negative_mass={rec.negative_mass!r}"
-    _write_csv(Path(args.out_prefix + ".measure.csv"),
-               {"re": nodes.real, "im": nodes.imag, "mass": rec.grid.mass.ravel()}, footer=footer)
+    outputs = {"measure.csv": _csv_text({"re": nodes.real, "im": nodes.imag, "mass": rec.grid.mass.ravel()}, footer)}
     # `replay` refuses to re-run on an input whose bytes have changed since
-    return E_OK, {"input_sha256": {path: hashlib.sha256(raw).hexdigest()}}
+    return E_OK, outputs, {"input_sha256": {path: hashlib.sha256(raw).hexdigest()}}
 
 
-def cmd_converge(args) -> tuple[int, dict]:
+def cmd_converge(args) -> tuple[int, dict[str, str], dict]:
     p_law, q_law = _laws_from(args)
     try:
         schedule = [int(tok) for tok in args.schedule.split(",") if tok.strip()]
@@ -293,8 +298,8 @@ def cmd_converge(args) -> tuple[int, dict]:
         raise UsageError(f"--schedule must list integers, got {args.schedule!r}") from exc
     report = convergence_run(p_law, q_law, schedule, samples=args.samples, seed=args.seed,
                              reference_n=args.reference_n, grid_resolution=args.resolution)
-    _write_json(Path(args.out_prefix + ".converge.json"), report)
-    return E_OK, {"realized_laws": _realized_laws(p_law, q_law, report.reference_n), "versions": _solver_versions()}
+    record = {"realized_laws": _realized_laws(p_law, q_law, report.reference_n), "versions": _solver_versions()}
+    return E_OK, {"converge.json": _json_text(report)}, record
 
 
 def cmd_replay(args) -> int:

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -998,10 +999,14 @@ class TestManifests:
         assert nodes and all(node.keys() == {f.name for f in fields(hermitization.PerturbedNode)} for node in nodes)
 
 
-    def test_a_result_of_unknown_type_is_refused_before_writing(self, tmp_path):
+    def test_a_result_of_unknown_type_is_refused_before_writing(self, tmp_path, monkeypatch):
         # the encoder knows dataclasses and complex numbers; anything else is a programming error
         with pytest.raises(TypeError, match="set is not JSON serializable"):
-            cli._write_json(tmp_path / "x.json", {"x": {1}})
+            cli._json_text({"x": {1}})
+        # a manifest that cannot be encoded fails before any file of its run is written
+        monkeypatch.setattr(cli, "cmd_sample", lambda args: (E_OK, {"esd.csv": "re,im\r\n"}, {"x": {1}}))
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            main(["sample", "--n", "8", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "x")])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1056,24 +1061,60 @@ class TestUsageErrors:
         assert "atom gap must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("prefix,blocker", [
-        ("file/run", "file"),  # a regular file as the prefix's directory
-        ("missing/run", None),  # a directory that does not exist
-        ("run", "run.esd.csv.tmp/"),  # a directory where the .tmp file goes
-        ("run", "run.esd.csv/"),  # a directory where os.replace renames the .tmp file to
-    ], ids=["file-parent", "missing-parent", "tmp-is-dir", "target-is-dir"])
-    def test_unwritable_out_prefix(self, tmp_path, capsys, prefix, blocker):
+    RUNS = {
+        "sample": ["sample", "--n", "8", *DEMO_FLAGS],
+        "check": ["check", "--n", "8", *DEMO_FLAGS, "--z-grid", "2"],
+        "potential": ["potential", "--n", "8", *DEMO_FLAGS, "--xmin=-0.5", "--xmax", "1.5",
+                      "--ymin=-0.6", "--ymax", "1.4", "--nx", "5", "--ny", "5"],
+        "recover": ["recover", "--in-prefix", "pot"],
+        "converge": ["converge", *DEMO_FLAGS, "--schedule", "8,16", "--samples", "1"],
+        "replay": ["replay", "--manifest", "pot.manifest.json"],  # its cases name replay's default out-prefix, pot.replay
+    }
+
+    @pytest.mark.parametrize("command,prefix,blocker,target", [
+        ("sample", "file/run", "file", "esd.csv"),  # a regular file as the prefix's directory
+        ("sample", "missing/run", None, "esd.csv"),  # a directory that does not exist
+        ("sample", "run", "run.esd.csv.tmp/", "esd.csv"),  # a directory where the .tmp file goes
+        ("sample", "run", "run.esd.csv/", "esd.csv"),  # a directory where os.replace renames the .tmp file to
+        # a directory where the manifest goes, which is renamed last: no output of the run may be left
+        *[(command, "run", "run.manifest.json/", "manifest.json") for command in RUNS if command != "replay"],
+        ("replay", "pot.replay", "pot.replay.manifest.json/", "manifest.json"),
+    ], ids=["file-parent", "missing-parent", "tmp-is-dir", "target-is-dir",
+            *[f"{command}-manifest-is-dir" for command in RUNS]])
+    def test_unwritable_out_prefix(self, tmp_path, capsys, monkeypatch, command, prefix, blocker, target):
+        monkeypatch.chdir(tmp_path)
+        if command in ("recover", "replay"):  # their input, a potential run, is in the tree before
+            assert main([*self.RUNS["potential"], "--out-prefix", "pot"]) == E_OK
         if blocker is not None and blocker.endswith("/"):
             (tmp_path / blocker).mkdir()
         elif blocker is not None:
             (tmp_path / blocker).write_text("")
         before = sorted(tmp_path.rglob("*"))
-        rc = main(["sample", "--n", "8", *DEMO_FLAGS, "--out-prefix", str(tmp_path / prefix)])
+        rc = main([*self.RUNS[command], "--out-prefix", str(tmp_path / prefix)])
         err = capsys.readouterr().err
         assert rc == E_USAGE
-        assert err.startswith(f"usage error: cannot write {tmp_path / prefix}.esd.csv: ") and err.count("\n") == 1
+        assert err.startswith(f"usage error: cannot write {tmp_path / prefix}.{target}: ") and err.count("\n") == 1
         # nothing written, no .tmp file left, and a directory in the way left as it was
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_commit_renames_in_order_and_the_manifest_last(self, tmp_path, monkeypatch):
+        renamed = []
+        replace_file = os.replace
+
+        def recording(src, dst):
+            renamed.append(Path(dst).name)
+            replace_file(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        assert main([*self.RUNS["check"], "--out-prefix", str(tmp_path / "run")]) == E_OK
+        assert renamed == ["run.check.json", "run.manifest.json"]
+        # a directory at the first target is refused before any rename, and every later .tmp is removed
+        renamed.clear()
+        (tmp_path / "d.esd.csv").mkdir()
+        with pytest.raises(cli.UsageError, match="d.esd.csv: Is a directory"):
+            cli._commit(str(tmp_path / "d"), {"esd.csv": "a", "check.json": "b", "manifest.json": "c"})
+        assert renamed == []
+        assert sorted(p.name for p in tmp_path.glob("d.*")) == ["d.esd.csv"]
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == E_OK
