@@ -263,7 +263,7 @@ def cmd_recover(args) -> tuple[int, dict[str, str], dict]:
     params = _manifest_params(src_manifest, "potential")
     nx, ny = params["nx"], params["ny"]
     window = tuple(params[key] for key in ("xmin", "xmax", "ymin", "ymax"))
-    hx, hy = _grid_steps(window, nx, ny)
+    steps = _grid_steps(window, nx, ny)
     path = args.in_prefix + ".potential.csv"
     try:
         raw = Path(path).read_bytes()
@@ -281,11 +281,11 @@ def cmd_recover(args) -> tuple[int, dict[str, str], dict]:
     if not np.all(np.isfinite(values)):
         # `potential` nudges nodes off atoms, so a genuine grid is finite everywhere
         raise InvalidGridError("potential file has a non-finite L value")
-    grid = PotentialGrid(x0=float(window[0]), y0=float(window[2]), hx=hx, hy=hy, nx=nx, ny=ny, values=values)
+    grid = PotentialGrid(*steps, values=values)
     rec = laplacian_recover(grid)
     nodes = grid.interior_nodes().ravel()
     footer = f"# raw_total={rec.raw_total!r} negative_mass={rec.negative_mass!r}"
-    outputs = {"measure.csv": _csv_text({"re": nodes.real, "im": nodes.imag, "mass": rec.grid.mass.ravel()}, footer)}
+    outputs = {"measure.csv": _csv_text({"re": nodes.real, "im": nodes.imag, "mass": rec.mass.ravel()}, footer)}
     # `replay` refuses to re-run on an input whose bytes have changed since
     return E_OK, outputs, {"input_sha256": {path: hashlib.sha256(raw).hexdigest()}}
 

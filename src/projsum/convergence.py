@@ -59,7 +59,7 @@ def _binned_difference(
 
 
 def _check_resolution(grid_resolution: float) -> None:
-    if not (math.isfinite(grid_resolution) and grid_resolution > 0):
+    if isinstance(grid_resolution, bool) or not (math.isfinite(grid_resolution) and grid_resolution > 0):
         raise UsageError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
 
 

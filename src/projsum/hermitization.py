@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +55,29 @@ class PerturbedNode:
 class PotentialGrid:
     """Rectangular grid of log-potential values, row index ix along x.
 
-    ``values[ix, iy]`` is L at x0 + ix*hx + i*(y0 + iy*hy).  ``mass`` is
-    absent until :func:`laplacian_recover` fills it with the stencil output
-    times cell area for every interior node.
+    ``values[ix, iy]`` is L at x0 + ix*hx + i*(y0 + iy*hy).  The node counts
+    ``nx`` and ``ny`` are integers read off ``values.shape``.
     """
 
     x0: float
     y0: float
     hx: float
     hy: float
-    nx: int
-    ny: int
     values: np.ndarray
-    mass: np.ndarray | None = None
     perturbations: tuple[PerturbedNode, ...] = ()
 
     @property
-    def x_nodes(self) -> np.ndarray:
-        return self.x0 + self.hx * np.arange(self.nx)
+    def nx(self) -> int:
+        return self.values.shape[0]
 
     @property
-    def y_nodes(self) -> np.ndarray:
-        return self.y0 + self.hy * np.arange(self.ny)
+    def ny(self) -> int:
+        return self.values.shape[1]
 
     def nodes(self) -> np.ndarray:
         """All node positions as an (nx, ny) complex array."""
-        return self.x_nodes[:, None] + 1j * self.y_nodes[None, :]
+        xs, ys = _node_axes(self.x0, self.y0, self.hx, self.hy, self.nx, self.ny)
+        return xs[:, None] + 1j * ys[None, :]
 
     def interior_nodes(self) -> np.ndarray:
         return self.nodes()[1:-1, 1:-1]
@@ -193,21 +190,26 @@ def _direct_values(
     return values, used
 
 
-def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float]:
-    """Node spacings (hx, hy) of the grid; InvalidGridError for an unusable one."""
+def _grid_steps(window: tuple[float, float, float, float], nx: int, ny: int) -> tuple[float, float, float, float]:
+    """First node and node spacings (x0, y0, hx, hy) of the grid; InvalidGridError for an unusable one."""
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in window):
         raise InvalidGridError(f"window bounds must be finite numbers, got {window!r}")
     xmin, xmax, ymin, ymax = map(float, window)
     if not (xmax > xmin and ymax > ymin):
         raise InvalidGridError(f"window must be nondegenerate, got {window!r}")
-    if nx < 3 or ny < 3:
-        raise InvalidGridError(f"need at least 3 nodes per axis, got {nx}x{ny}")
+    if type(nx) is not int or type(ny) is not int or nx < 3 or ny < 3:
+        raise InvalidGridError(f"need integer node counts, at least 3 nodes per axis, got {nx!r}x{ny!r}")
     hx, hy = (xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)
     last = (xmin + hx * (nx - 1), ymin + hy * (ny - 1))
     # a width past the float range makes a step or a last node infinite; a subnormal step has lost bits
     if min(hx, hy) < np.finfo(np.float64).tiny or not all(map(math.isfinite, last)):
         raise InvalidGridError(f"window {window!r} gives steps ({hx!r}, {hy!r}) or nodes outside the float range")
-    return hx, hy
+    return xmin, ymin, hx, hy
+
+
+def _node_axes(x0: float, y0: float, hx: float, hy: float, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates x0 + ix*hx along x and y0 + iy*hy along y."""
+    return x0 + hx * np.arange(nx), y0 + hy * np.arange(ny)
 
 
 def _require_square(hx: float, hy: float) -> None:
@@ -250,10 +252,8 @@ def potential_grid(
     in the same frame, and that pass decides the collisions, by the rule
     above.
     """
-    hx, hy = _grid_steps(window, nx, ny)
-    xmin, ymin = float(window[0]), float(window[2])
-    xs = xmin + hx * np.arange(nx)
-    ys = ymin + hy * np.arange(ny)
+    x0, y0, hx, hy = _grid_steps(window, nx, ny)
+    xs, ys = _node_axes(x0, y0, hx, hy, nx, ny)
 
     points, inverse = np.unique(measure.points, return_inverse=True)
     weights = np.bincount(inverse, weights=measure.weights)
@@ -279,23 +279,16 @@ def potential_grid(
         PerturbedNode(int(i), int(j), original=complex(z), used=complex(u))
         for i, j, z, u in zip(ix[moved], iy[moved], zs, used)
     ]
-    return PotentialGrid(
-        x0=xmin,
-        y0=ymin,
-        hx=hx,
-        hy=hy,
-        nx=nx,
-        ny=ny,
-        values=values,
-        perturbations=tuple(perturbed),
-    )
+    return PotentialGrid(x0, y0, hx, hy, values=values, perturbations=tuple(perturbed))
 
 
 @dataclass(frozen=True)
 class LaplacianRecovery:
     """Measure recovered from a potential grid by the 5-point stencil.
 
-    ``grid`` carries the raw signed masses; ``measure`` holds the clamped,
+    ``grid`` is the grid recovered from, whose node counts are read off its
+    values; ``mass`` holds the raw signed stencil masses of its interior
+    nodes, (nx - 2) x (ny - 2); ``measure`` holds the clamped,
     renormalized atomic measure on the interior nodes of positive mass
     (None when everything clamps to zero, e.g. a harmonic window).
     ``raw_total`` is the signed mass sum before clamping and
@@ -303,6 +296,7 @@ class LaplacianRecovery:
     """
 
     grid: PotentialGrid
+    mass: np.ndarray
     measure: WeightedPointMeasure | None
     raw_total: float
     negative_mass: float
@@ -315,7 +309,7 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
     (L_east + L_west + L_north + L_south - 4 L_center) / (2 pi); the h^2 of
     the Laplacian cancels against the cell area.  Square cells are required.
     Negative entries are clamped to zero, so the measure leaves them out;
-    the raw grid and totals keep them, since they diagnose under-resolution.
+    the raw masses and totals keep them, since they diagnose under-resolution.
     """
     _require_square(grid.hx, grid.hy)
     v = grid.values
@@ -327,7 +321,8 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
         atoms = clamped > 0.0
         measure = WeightedPointMeasure(points=grid.interior_nodes()[atoms], weights=clamped[atoms] / total)
     return LaplacianRecovery(
-        grid=replace(grid, mass=raw),
+        grid=grid,
+        mass=raw,
         measure=measure,
         raw_total=float(raw.sum()),
         # 0.0 - sum, not -sum: an empty sum gives +0.0, never -0.0
@@ -374,5 +369,6 @@ def brown_pipeline(
     checked before any draw.  Deterministic: identical arguments give
     identical results.
     """
-    _require_square(*_grid_steps(window, nx, ny))
+    _, _, hx, hy = _grid_steps(window, nx, ny)
+    _require_square(hx, hy)
     return laplacian_recover(sample_potential_grid(spec, window, nx, ny, samples))

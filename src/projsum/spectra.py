@@ -69,7 +69,7 @@ class WeightedPointMeasure:
     @classmethod
     def uniform(cls, points) -> "WeightedPointMeasure":
         pts = np.atleast_1d(np.asarray(points))
-        return cls(points=pts, weights=np.full(pts.shape, 1.0 / pts.size))
+        return cls(points=pts, weights=np.ones(pts.shape) / pts.size)
 
     def mass_within(self, center: complex, radius: float) -> float:
         """Total weight carried by points within ``radius`` of ``center``."""
@@ -300,7 +300,7 @@ def freeness_diagnostic(realization: ModelRealization, order: int) -> float:
     tr(Pc Qc Pc Qc)/n.  Asymptotic freeness drives this to 0 as n grows;
     without the Haar rotations it generally stays bounded away from 0.
     """
-    if order not in (2, 3, 4):
+    if type(order) is not int or order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order!r}")
     n = realization.n
     p, q = (m - (np.trace(m) / n) * np.eye(n) for m in (realization.p_matrix, realization.q_matrix))

@@ -132,12 +132,11 @@ def test_criterion_06_laplacian_recovery_oracle():
     ys = -1.0 + (2.0 / (ny - 1)) * np.arange(ny)
     values = np.log(np.abs(xs[:, None] + 1j * ys[None, :]))
     grid = PotentialGrid(
-        x0=-1.0, y0=-1.0, hx=2.0 / (nx - 1), hy=2.0 / (ny - 1),
-        nx=nx, ny=ny, values=values,
+        x0=-1.0, y0=-1.0, hx=2.0 / (nx - 1), hy=2.0 / (ny - 1), values=values,
     )
     rec = laplacian_recover(grid)
     assert abs(rec.raw_total - 1.0) <= 0.02
-    clamped = np.maximum(rec.grid.mass, 0.0)
+    clamped = np.maximum(rec.mass, 0.0)
     i, j = np.unravel_index(int(np.argmax(clamped)), clamped.shape)
     block = clamped[i - 1 : i + 2, j - 1 : j + 2].sum()
     assert block >= 0.95 * clamped.sum()

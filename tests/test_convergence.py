@@ -602,7 +602,7 @@ class TestConvergenceRun:
         assert len(converge[2]) == len(converge[4]) == len(grid) == 3
         assert converge[2].isdisjoint(grid)
 
-    @pytest.mark.parametrize("resolution", [float("nan"), 0.0])
+    @pytest.mark.parametrize("resolution", [float("nan"), 0.0, True])
     def test_resolution_checked_before_any_draw(self, demo_laws, monkeypatch, resolution):
         p, q = demo_laws
         drawn = []

@@ -490,6 +490,9 @@ class TestPotentialGrid:
             potential_grid(m, (1.0, -1.0, 0.0, 1.0), 5, 5)
         with pytest.raises(InvalidGridError):
             potential_grid(m, (-1.0, 1.0, 0.0, 1.0), 2, 5)
+        # np.arange(3.5) has four nodes at a step of 1 / 2.5, the last one past the window
+        with pytest.raises(InvalidGridError, match="need integer node counts"):
+            potential_grid(m, (0.0, 1.0, 0.0, 1.0), 3.5, 5)
 
     @pytest.mark.parametrize("window, nx", [
         ((-1e308, 1e308, -1.0, 1.0), 5),  # the width overflows: the step is inf
@@ -531,7 +534,7 @@ class TestLaplacianRecover:
         rec = laplacian_recover(grid)
         h = grid.hx
         assert rec.measure is None or rec.measure.weights.max() < 1.0  # not a point mass
-        assert np.max(np.abs(rec.grid.mass)) <= h**4
+        assert np.max(np.abs(rec.mass)) <= h**4
         assert abs(rec.raw_total) <= 41 * h**4
 
     def test_recovers_point_mass(self):
@@ -553,15 +556,29 @@ class TestLaplacianRecover:
 
     def test_mass_grid_attached(self):
         rec = laplacian_recover(potential_grid(_delta(0j), (-1.0, 1.0, -1.0, 1.0), 11, 11))
-        assert rec.grid.mass is not None
-        assert rec.grid.mass.shape == (9, 9)
+        assert rec.mass.shape == (9, 9)
         assert rec.negative_mass >= 0.0
 
     def test_nothing_clamped_is_positive_zero(self):
         # the negated empty sum is -0.0, which `recover` wrote as "negative_mass=-0.0"
-        grid = hermitization.PotentialGrid(x0=0.0, y0=0.0, hx=0.25, hy=0.25, nx=5, ny=5, values=np.zeros((5, 5)))
+        grid = hermitization.PotentialGrid(x0=0.0, y0=0.0, hx=0.25, hy=0.25, values=np.zeros((5, 5)))
         rec = laplacian_recover(grid)
         assert rec.negative_mass == 0.0 and math.copysign(1.0, rec.negative_mass) == 1.0
+
+    def test_node_counts_are_read_off_the_values(self):
+        # 5 nodes along x and 4 along y: the atom, a fifth and a tenth of a cell off the node
+        # 1.5 + 0.5i, is recovered at that node, and the grid is the one given
+        h = 0.5
+        xs, ys = h * np.arange(5), h * np.arange(4)
+        values = np.log(np.abs(xs[:, None] + 1j * ys[None, :] - (1.6 + 0.55j)))
+        grid = hermitization.PotentialGrid(x0=0.0, y0=0.0, hx=h, hy=h, values=values)
+        rec = laplacian_recover(grid)
+        assert (grid.nx, grid.ny) == (5, 4)
+        assert rec.grid is grid
+        assert rec.mass.shape == (3, 2)
+        assert grid.nodes()[3, 1] == 1.5 + 0.5j
+        assert np.unravel_index(int(np.argmax(rec.mass)), rec.mass.shape) == (2, 0)
+        assert rec.measure.mass_within(1.5 + 0.5j, 0.0) >= 0.95
 
 
 class TestSampledPipeline:
@@ -597,7 +614,9 @@ class TestSampledPipeline:
         (sample_potential_grid, (1.5, -0.5, -0.5, 1.5), 21, 21, "nondegenerate"),
         (brown_pipeline, (-0.5, 1.5, -0.5, 1.5), 1, 21, "at least 3 nodes per axis"),
         (brown_pipeline, (-0.5, 1.5, -0.5, 1.5), 21, 41, "square cells"),
-    ], ids=["sample-nodes", "sample-window", "brown-nodes", "brown-square"])
+        (sample_potential_grid, (-0.5, 1.5, -0.5, 1.5), 3.5, 21, "need integer node counts"),
+        (brown_pipeline, (-0.5, 1.5, -0.5, 1.5), 4.0, 4.0, "need integer node counts"),
+    ], ids=["sample-nodes", "sample-window", "brown-nodes", "brown-square", "sample-float-count", "brown-float-counts"])
     def test_grid_checked_before_any_draw(self, demo_laws, monkeypatch, pipeline, window, nx, ny, message):
         p, q = demo_laws
         drawn = []

@@ -61,6 +61,9 @@ class TestWeightedPointMeasure:
         m = WeightedPointMeasure.uniform(np.arange(4))
         assert np.all(m.weights == 0.25)
         assert not m.points.flags.writeable
+        # no points: the constructor's refusal, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            WeightedPointMeasure.uniform([])
 
     def test_caller_arrays_stay_writeable(self):
         points = np.array([0j, 1j])
@@ -584,3 +587,6 @@ class TestFreeness:
             freeness_diagnostic(demo_realization, 5)
         with pytest.raises(ValueError):
             freeness_diagnostic(demo_realization, 1)
+        # 4.0 is in (2, 3, 4) by ==, yet range() refuses it
+        with pytest.raises(ValueError, match="order must be 2, 3 or 4"):
+            freeness_diagnostic(demo_realization, 4.0)
