@@ -277,13 +277,8 @@ def cmd_recover(args) -> tuple[int, dict[str, str], dict]:
         raise InvalidGridError("potential file has no L column")
     if len(flat) != nx * ny:
         raise InvalidGridError(f"potential file has {len(flat)} rows, expected {nx * ny}")
-    values = np.asarray(flat).reshape(nx, ny)
-    if not np.all(np.isfinite(values)):
-        # `potential` nudges nodes off atoms, so a genuine grid is finite everywhere
-        raise InvalidGridError("potential file has a non-finite L value")
-    grid = PotentialGrid(*steps, values=values)
-    rec = laplacian_recover(grid)
-    nodes = grid.interior_nodes().ravel()
+    rec = laplacian_recover(PotentialGrid(*steps, values=np.asarray(flat).reshape(nx, ny)))
+    nodes = rec.grid.interior_nodes().ravel()
     footer = f"# raw_total={rec.raw_total!r} negative_mass={rec.negative_mass!r}"
     outputs = {"measure.csv": _csv_text({"re": nodes.real, "im": nodes.imag, "mass": rec.mass.ravel()}, footer)}
     # `replay` refuses to re-run on an input whose bytes have changed since

@@ -77,7 +77,8 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
     """Build the hyperbola-rectangle geometry from the atom locations of two laws.
 
     The weights play no part: a law of weight 0 or 1 puts the spectrum on
-    the corners, which lie on H intersect R.
+    the corners, which lie on H intersect R.  A center coordinate halves its
+    two locations first only where their sum overflows, so a finite sum keeps its bits.
 
     Raises
     ------
@@ -86,9 +87,10 @@ def make_geometry(p_law: TwoAtomLaw, q_law: TwoAtomLaw) -> HyperbolaRectangle:
     """
     a0, a1 = p_law.loc, p_law.loc_alt
     b0, b1 = q_law.loc, q_law.loc_alt
+    center_x, center_y = (0.5 * (s + t) if np.isfinite(s + t) else 0.5 * s + 0.5 * t for s, t in ((a0, a1), (b0, b1)))
     return HyperbolaRectangle(
-        center_x=0.5 * (a0 + a1),
-        center_y=0.5 * (b0 + b1),
+        center_x=center_x,
+        center_y=center_y,
         gap_a=a1 - a0,
         gap_b=b1 - b0,
         corners=tuple(complex(x, y) for x, y in _rectangle_corners(a0, a1, b0, b1)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +85,12 @@ class PotentialGrid:
 
 
 def log_potential(measure: WeightedPointMeasure, z: complex) -> float:
-    """L(z) = sum_i w_i log|z - p_i|; -inf if z hits an atom exactly."""
-    d = np.abs(z - measure.points)
+    """L(z) = sum_i w_i log|z - p_i| over the support, the atoms of positive weight; -inf if z hits one exactly."""
+    support = measure.weights > 0.0
+    d = np.abs(z - measure.points[support])
     if np.any(d == 0.0):
         return -math.inf
-    return float(np.log(d) @ measure.weights)
+    return float(np.log(d) @ measure.weights[support])
 
 
 def _tile_sums(
@@ -213,7 +215,8 @@ def _node_axes(x0: float, y0: float, hx: float, hy: float, nx: int, ny: int) -> 
 
 
 def _require_square(hx: float, hy: float) -> None:
-    if abs(hx - hy) > 1e-12 * max(hx, hy):
+    # `not <=`, so that NaN steps fail too
+    if not abs(hx - hy) <= 1e-12 * max(hx, hy):
         raise InvalidGridError(f"recovery stencil needs square cells, got hx={hx!r}, hy={hy!r}")
 
 
@@ -231,8 +234,8 @@ def potential_grid(
     atom, is moved half a cell diagonally, clear of every atom where one of
     its four diagonals is (see ``_direct_values``), before evaluation (the
     potential is defined almost everywhere; node collisions are a gridding
-    artifact) and the move is recorded in ``perturbations``.  Exactly equal
-    atoms are merged first, their weights summed: the two-projection kernel
+    artifact) and the move is recorded in ``perturbations``.  Atoms of weight 0 are dropped
+    and exactly equal ones merged first, their weights summed: the two-projection kernel
     repeats its corner atoms hundreds of times, and a pooled ESD repeats
     them in every sample.  By linearity the potential is the same up to
     roundoff, and the nudged nodes depend only on the set of atoms; each is
@@ -255,8 +258,9 @@ def potential_grid(
     x0, y0, hx, hy = _grid_steps(window, nx, ny)
     xs, ys = _node_axes(x0, y0, hx, hy, nx, ny)
 
-    points, inverse = np.unique(measure.points, return_inverse=True)
-    weights = np.bincount(inverse, weights=measure.weights)
+    support = measure.weights > 0.0
+    points, inverse = np.unique(measure.points[support], return_inverse=True)
+    weights = np.bincount(inverse, weights=measure.weights[support])
     total = float(weights.sum())
     scale = max(float(np.max(np.abs(v))) for v in (xs, ys, points.real, points.imag))
     # the frame 2^-e takes every coordinate below 1 in magnitude, exactly, so
@@ -288,18 +292,30 @@ class LaplacianRecovery:
 
     ``grid`` is the grid recovered from, whose node counts are read off its
     values; ``mass`` holds the raw signed stencil masses of its interior
-    nodes, (nx - 2) x (ny - 2); ``measure`` holds the clamped,
-    renormalized atomic measure on the interior nodes of positive mass
-    (None when everything clamps to zero, e.g. a harmonic window).
-    ``raw_total`` is the signed mass sum before clamping and
-    ``negative_mass`` the amount clamped away.
+    nodes, (nx - 2) x (ny - 2).  The rest is read off the two: ``raw_total``
+    is the signed mass sum, ``negative_mass`` the amount clamped away, and
+    ``measure``, built on first use and cached, the clamped, renormalized
+    atomic measure on the interior nodes of positive mass (None when
+    everything clamps to zero, e.g. a harmonic window).
     """
 
     grid: PotentialGrid
     mass: np.ndarray
-    measure: WeightedPointMeasure | None
-    raw_total: float
-    negative_mass: float
+
+    @property
+    def raw_total(self) -> float:
+        return float(self.mass.sum())
+
+    @property
+    def negative_mass(self) -> float:
+        # 0.0 - sum, not -sum: an empty sum gives +0.0, never -0.0
+        return 0.0 - float(self.mass[self.mass < 0.0].sum())
+
+    @cached_property
+    def measure(self) -> WeightedPointMeasure | None:
+        clamped = np.maximum(self.mass, 0.0)
+        atoms, total = clamped > 0.0, float(clamped.sum())
+        return WeightedPointMeasure(self.grid.interior_nodes()[atoms], clamped[atoms] / total) if total > 1e-15 else None
 
 
 def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
@@ -307,27 +323,18 @@ def laplacian_recover(grid: PotentialGrid) -> LaplacianRecovery:
 
     Per interior node the stencil mass is
     (L_east + L_west + L_north + L_south - 4 L_center) / (2 pi); the h^2 of
-    the Laplacian cancels against the cell area.  Square cells are required.
-    Negative entries are clamped to zero, so the measure leaves them out;
-    the raw masses and totals keep them, since they diagnose under-resolution.
+    the Laplacian cancels against the cell area.  A grid whose values are not
+    finite, 2-d and at least 3 x 3, or whose cells are not square, raises
+    InvalidGridError.  The measure leaves negative masses out; the raw ones diagnose under-resolution.
     """
-    _require_square(grid.hx, grid.hy)
     v = grid.values
+    if np.ndim(v) != 2 or min(np.shape(v)) < 3:
+        raise InvalidGridError(f"recovery stencil needs 2-d values, at least 3 nodes per axis, got shape {np.shape(v)}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidGridError("recovery stencil got a non-finite L value")
+    _require_square(grid.hx, grid.hy)
     raw = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]) / (2.0 * math.pi)
-    clamped = np.maximum(raw, 0.0)
-    total = float(clamped.sum())
-    measure = None
-    if total > 1e-15:
-        atoms = clamped > 0.0
-        measure = WeightedPointMeasure(points=grid.interior_nodes()[atoms], weights=clamped[atoms] / total)
-    return LaplacianRecovery(
-        grid=grid,
-        mass=raw,
-        measure=measure,
-        raw_total=float(raw.sum()),
-        # 0.0 - sum, not -sum: an empty sum gives +0.0, never -0.0
-        negative_mass=0.0 - float(raw[raw < 0.0].sum()),
-    )
+    return LaplacianRecovery(grid=grid, mass=raw)
 
 
 def sample_potential_grid(

@@ -242,6 +242,20 @@ class TestMakeGeometry:
             assert make_geometry(edge, Q_LAW) == make_geometry(good, Q_LAW)
             assert make_geometry(P_LAW, edge) == make_geometry(P_LAW, good)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_center_of_locations_past_the_float_range(self, sign):
+        # 1e308 + 1.7e308 overflows: the midpoint halves each location first, so the center is
+        # finite and the corners lie on the set
+        p, q = TwoAtomLaw(0.625, sign * 1e308, sign * 1.7e308), TwoAtomLaw(0.875, sign * 1e308, sign * 1.5e308)
+        g = make_geometry(p, q)
+        assert (g.center_x, g.center_y) == (0.5 * p.loc + 0.5 * p.loc_alt, 0.5 * q.loc + 0.5 * q.loc_alt)
+        assert g.center == sign * (1.35e308 + 1.25e308j)
+        d = dist_to_hr_many(g, np.array(g.corners))
+        assert np.all(d <= 1e-13 * max(g.scale, abs(g.center_x), abs(g.center_y)))
+        # a finite sum keeps its bits: halving the subnormals 5e-324 and 1e-323 first would give 5e-324
+        tiny = make_geometry(P_LAW, TwoAtomLaw(0.5, 5e-324, 1e-323))
+        assert tiny.center_y == 0.5 * (5e-324 + 1e-323) == 1e-323
+
     def test_atom_swap_leaves_support_invariant(self):
         # relabeling (loc, loc_alt) in either law flips the gap sign but
         # describes the same measure, hence the same H, R and corner set

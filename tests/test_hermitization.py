@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from projsum import (
     InvalidGridError,
+    LaplacianRecovery,
     ModelSpec,
     TwoAtomLaw,
     WeightedPointMeasure,
@@ -199,6 +200,13 @@ class TestLogPotential:
     def test_atom_hit_is_minus_inf(self):
         assert log_potential(_delta(0.3 + 0.4j), 0.3 + 0.4j) == -math.inf
 
+    def test_weightless_atoms_are_skipped(self):
+        # L reads the support: an atom of weight 0 at z is no atom, and gives no -inf
+        m = WeightedPointMeasure(np.array([0.5 + 0.5j, 0j, 1e300 + 0j]), np.array([1.0, 0.0, 0.0]))
+        for z in (0j, 1e300 + 0j, 2.0 - 1.0j):
+            assert log_potential(m, z) == log_potential(_delta(0.5 + 0.5j), z)
+            assert math.isfinite(log_potential(m, z))
+
 
 class TestHermitizationIdentity:
     def test_potential_equals_half_nu_log_moment(self, small_realization):
@@ -256,6 +264,18 @@ class TestPotentialGrid:
         assert (pert.ix, pert.iy) == (2, 2)
         assert pert.original == 0j
         assert pert.used == 0.25 + 0.25j
+
+    def test_weightless_atoms_are_dropped(self):
+        # an atom of weight 0 on node (2, 2) nudges no node, and one at 1e300 sets no frame: the grid is
+        # the grid of the measure without them, bit for bit, and 0 x log 0 raises no warning
+        m = WeightedPointMeasure(np.array([0.5 + 0.5j, 0j, 1e300 + 0j]), np.array([1.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = potential_grid(m, (-1.0, 1.0, -1.0, 1.0), 5, 5)
+        want = potential_grid(_delta(0.5 + 0.5j), (-1.0, 1.0, -1.0, 1.0), 5, 5)
+        assert [(p.ix, p.iy) for p in got.perturbations] == [(3, 3)]
+        assert got.perturbations == want.perturbations
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_collisions_in_two_tiles(self):
         # 41 x 41 nodes take atom tiles of 2**16 // 41 = 1598: with 3196 atoms
@@ -527,6 +547,21 @@ class TestLaplacianRecover:
         with pytest.raises(InvalidGridError):
             laplacian_recover(grid)
 
+    @pytest.mark.parametrize("values,steps,message", [
+        (np.zeros((2, 7)), (0.5, 0.5), "at least 3 nodes per axis"),
+        (np.zeros(7), (0.5, 0.5), "2-d values"),
+        (np.zeros((3, 4, 5)), (0.5, 0.5), "2-d values"),
+        (np.where(np.eye(5) > 0, np.nan, 0.0), (0.5, 0.5), "non-finite L value"),
+        (np.full((5, 5), -np.inf), (0.5, 0.5), "non-finite L value"),
+        (np.zeros((5, 5)), (math.nan, math.nan), "square cells"),
+    ], ids=["2x7", "1-d", "3-d", "nan", "inf", "nan-steps"])
+    def test_refuses_grids_it_cannot_read(self, values, steps, message):
+        # a grid built by hand reaches the stencil unchecked: too few nodes would give an empty
+        # mass, 1-d values an IndexError, and non-finite values or steps NaN masses and nodes
+        grid = hermitization.PotentialGrid(x0=0.0, y0=0.0, hx=steps[0], hy=steps[1], values=values)
+        with pytest.raises(InvalidGridError, match=message):
+            laplacian_recover(grid)
+
     def test_harmonic_region_has_no_mass(self):
         # away from the atom, L = log|z| is harmonic and the stencil sees
         # only its own h^2 truncation error
@@ -558,6 +593,14 @@ class TestLaplacianRecover:
         rec = laplacian_recover(potential_grid(_delta(0j), (-1.0, 1.0, -1.0, 1.0), 11, 11))
         assert rec.mass.shape == (9, 9)
         assert rec.negative_mass >= 0.0
+        # a recovery is its grid and its masses; the totals and the measure are read off them,
+        # the measure once
+        assert [f.name for f in fields(LaplacianRecovery)] == ["grid", "mass"]
+        assert rec.measure is rec.measure
+        by_hand = LaplacianRecovery(rec.grid, rec.mass)
+        assert (by_hand.raw_total, by_hand.negative_mass) == (rec.raw_total, rec.negative_mass)
+        assert by_hand.measure.points.tobytes() == rec.measure.points.tobytes()
+        assert by_hand.measure.weights.tobytes() == rec.measure.weights.tobytes()
 
     def test_nothing_clamped_is_positive_zero(self):
         # the negated empty sum is -0.0, which `recover` wrote as "negative_mass=-0.0"
