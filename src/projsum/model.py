@@ -12,6 +12,16 @@ values of z - X_n, log|det(z - X_n)|, the principal angles between the
 ranges), so these have the same law when P_n = alpha + A*E_k1, with E_k1 the
 projection onto the first k1 coordinates.  Only V is drawn.
 
+Of V only the range of q = min(k2, n - k2) Ginibre columns G matters, and
+the block angles depend on G only through the Gram matrix of each of its two
+row blocks: the r = min(k1, n - k1) rows that E_k1 splits off on its smaller
+side, and the other n - r.  By the Bartlett decomposition an m x q Ginibre
+block with m >= q is H T, with H Haar on the Stiefel manifold and T an
+independent upper triangular factor.  So ``_q_frame`` draws the q x q factors
+T alone (the rows themselves when r < q), the kernel reads nothing else, and
+``assemble_model`` lifts them into C^n with Haar isometries of a stream of
+its own (``_q_basis``).
+
 Every constructor here is a pure function of (law parameters, dimension, seed),
 so realizations reproduce bit for bit.
 """
@@ -41,10 +51,11 @@ __all__ = [
 
 # Substream table: every spawn key derived from a seed starts with its owner's id.
 # ids 0 and 4 are retired: their streams are gone, and no new stream may take the ids
-HAAR_Q = 1  # the smaller of ran Pi2 and ker Pi2, in _q_frame (assemble_model, the kernel): (HAAR_Q,)
+HAAR_Q = 1  # Bartlett factors of the smaller of ran Pi2 and ker Pi2, in _q_frame (assemble_model, the kernel): (HAAR_Q,)
 GRID = 2  # sample_potential_grid, sample i: (GRID, i) via pooled_eigenvalues
 CHECK_Z = 3  # the random z points of `projsum check`: (CHECK_Z,)
 CONVERGE = 5  # convergence_run, dimension n, sample i: (CONVERGE, n, i) via pooled_eigenvalues
+LIFT = 6  # the Haar isometries that lift _q_frame's factors into C^n, in _q_basis (assemble_model alone): (LIFT,)
 
 
 class UsageError(ValueError):
@@ -177,19 +188,27 @@ def _ginibre_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return g.view(np.complex128)[..., 0].T
 
 
+def _phase_fixed_qr(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thin Q factor of g = QR and the phases d/|d| of R's diagonal d: g's Haar isometry is Q*phases.
+
+    Multiplying each column of Q by its phase makes g = (Q Lambda)(Lambda* R)
+    the unique factorization with a positive triangular diagonal, and for an
+    m x q standard complex Ginibre g its orthogonal factor Q Lambda is
+    exactly Haar distributed on the Stiefel manifold, independent of the
+    triangular one; raw QR output is not.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q, d / np.abs(d)
+
+
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an n x n unitary matrix from Haar measure on U(n).
 
     A standard complex Ginibre matrix, drawn column by column (the leading k
     columns take the first 2nk normals of ``rng``), is orthonormalized by
-    QR, then each column of Q is multiplied by the phase of the matching
-    diagonal entry of R.  This makes the factorization G = (Q Lambda)(Lambda*
-    R) the unique one with positive triangular diagonal, and the orthogonal
-    factor of that unique factorization is exactly Haar distributed; raw QR
-    output is not.
-
-    ``assemble_model`` draws only the leading min(k2, n - k2) columns; its
-    tests rebuild Q_n from this full V as the reference.
+    ``_phase_fixed_qr``, which ``assemble_model`` also takes of its LIFT
+    Ginibre blocks.
 
     Parameters
     ----------
@@ -205,33 +224,69 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if type(n) is not int or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
-    q, r = np.linalg.qr(_ginibre_columns(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q, phases = _phase_fixed_qr(_ginibre_columns(rng, n, n))
+    return q * phases
 
 
-def _q_frame(spec: ModelSpec) -> tuple[np.ndarray, TwoAtomLaw]:
-    """The leading q = min(k2, n - k2) HAAR_Q Ginibre columns and the law of Q_n on their range:
-    ran Pi2 and the realized law when 2k2 <= n, else ker Pi2 (Haar distributed
-    too) and that law with loc and loc_alt swapped, Q_n = loc_alt*I - gap*Vc Vc*."""
-    k2, law = _realize(spec.q_law, spec.n)
-    if 2 * k2 > spec.n:
-        k2, law = spec.n - k2, TwoAtomLaw(k2 / spec.n, law.loc_alt, law.loc)
-    return _ginibre_columns(substream_rng(spec.seed, HAAR_Q), spec.n, k2), law
+def _bartlett_factor(rng: np.random.Generator, m: int, q: int) -> np.ndarray:
+    """The triangular factor T of an m x q standard complex Ginibre matrix G = H T, m >= q.
+
+    By the Bartlett decomposition (Bartlett, 1933; complex case, Goodman,
+    1963) H is Haar on the Stiefel manifold and independent of T, T_jj =
+    sqrt(Gamma(m - j)) and T_ij ~ CN(0, 1) for i < j.  Draws the q(q - 1)/2
+    entries above the diagonal row by row, each a (real, imaginary) pair of
+    normals scaled by 1/sqrt(2), then the q diagonal gammas.
+    """
+    t = np.zeros((q, q), dtype=np.complex128)
+    above = rng.standard_normal((q * (q - 1) // 2, 2))
+    above /= math.sqrt(2.0)
+    t[~np.tri(q, dtype=bool)] = above.view(np.complex128)[:, 0]
+    t.flat[:: q + 1] = np.sqrt(rng.standard_gamma(m - np.arange(q)))
+    return t
 
 
-def _range_factors(g: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor R of the Gram matrix g* g: g R^-1 is an orthonormal basis of ran g.
+def _rows_side(spec: ModelSpec) -> tuple[slice, slice]:
+    """The r = min(k1, n - k1) coordinates on E_k1's smaller side, ran E_k1 when 2k1 <= n, else ker
+    E_k1, and the other n - r >= n/2."""
+    n, k1 = spec.n, _realize(spec.p_law, spec.n)[0]
+    return (slice(0, k1), slice(k1, n)) if 2 * k1 <= n else (slice(k1, n), slice(0, k1))
+
+
+def _q_frame(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, TwoAtomLaw]:
+    """The HAAR_Q factors of q = min(k2, n - k2) Ginibre columns G split at ``_rows_side``, and the
+    law of Q_n on ran G: ran Pi2 and the realized law when 2k2 <= n, else ker Pi2 (Haar distributed
+    too) and that law with loc and loc_alt swapped, Q_n = loc_alt*I - gap*Vc Vc*.
+
+    Returns (rows, complement, law).  ``complement`` is the Bartlett factor of G's n - r >= q
+    complement rows, drawn first; ``rows`` is that of its r rows when r >= q, and else those r rows
+    themselves, an r x q Ginibre draw.  G is the two blocks times independent Haar isometries (the
+    identity for rows with r < q), so the factors stacked, rows first, have G's Gram matrix.
+    """
+    n = spec.n
+    k2, law = _realize(spec.q_law, n)
+    if 2 * k2 > n:
+        k2, law = n - k2, TwoAtomLaw(k2 / n, law.loc_alt, law.loc)
+    side = _rows_side(spec)[0]
+    r = side.stop - side.start
+    rng = substream_rng(spec.seed, HAAR_Q)
+    complement = _bartlett_factor(rng, n - r, k2)
+    rows = _bartlett_factor(rng, r, k2) if r >= k2 else _ginibre_columns(rng, r, k2)
+    return rows, complement, law
+
+
+def _range_factors(f: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor R of the Gram matrix f* f: f R^-1 is an orthonormal basis of ran f.
 
     About half the flops of a Householder QR, whose triangular factor R
-    equals up to column phases, but with error u*kappa(g)^2, not u*kappa(g):
-    ``_q_frame`` draws k <= n/2 columns, where the n x k Ginibre matrix is
-    well conditioned (P(sigma_min < eps) ~ eps^(2(n - k + 1))).  BLAS zherk
-    would reject k = 0 with an "illegal value" message on the console.
+    equals up to column phases, but with error u*kappa(f)^2, not u*kappa(f):
+    ``_q_frame``'s factors have the Gram matrix of an n x q Ginibre matrix
+    with q <= n/2, which is well conditioned (P(sigma_min < eps) ~
+    eps^(2(n - q + 1))).  BLAS zherk would reject q = 0 with an "illegal
+    value" message on the console.
     """
     from scipy.linalg import cholesky
 
-    return cholesky(g.conj().T @ g, lower=False, check_finite=False)
+    return cholesky(f.conj().T @ f, lower=False, check_finite=False)
 
 
 def _frame(x):
@@ -289,21 +344,49 @@ def _two_atom_matrix(law: TwoAtomLaw, basis: np.ndarray) -> np.ndarray:
     return _read_only(m)
 
 
+def _q_basis(spec: ModelSpec) -> tuple[np.ndarray, TwoAtomLaw]:
+    """An orthonormal basis of ran G for the n x q Ginibre matrix G of ``_q_frame``, and its law.
+
+    The thin Q factor B of the stacked factors, each block of B lifted into
+    its coordinates of C^n by a Haar isometry: the ``_phase_fixed_qr`` of
+    an (n - r) x q LIFT Ginibre draw for the complement, then of an r x q
+    one for the rows when r >= q.  Rows with r < q are G's own and are
+    not lifted.  The lifted blocks times the factors are G, and the lift
+    of B is an orthonormal basis of ran G: G up to a triangular factor on
+    the right, which V2 V2* does not see.
+    """
+    rows, complement, law = _q_frame(spec)
+    (side, rest), (split, q) = _rows_side(spec), rows.shape
+    b = np.linalg.qr(np.vstack([rows, complement]))[0]
+    basis = np.empty((spec.n, q), dtype=np.complex128)
+    rng = substream_rng(spec.seed, LIFT)
+    # a rows factor of q rows is a Bartlett factor; one of fewer is G's rows themselves
+    for coords, block, lifted in ((rest, b[split:], True), (side, b[:split], split == q)):
+        if lifted:
+            h, phases = _phase_fixed_qr(_ginibre_columns(rng, coords.stop - coords.start, q))
+            np.matmul(h, phases[:, None] * block, out=basis[coords])
+        else:
+            basis[coords] = block
+    return basis, law
+
+
 def assemble_model(spec: ModelSpec) -> ModelRealization:
     """Sample one realization of the model from ``spec``, in P_n's eigenbasis.
 
     P_n = alpha + A*E_k1 exactly, E_k1 the projection onto the first k1
     coordinates (see the module docstring for why this loses nothing).
-    Q_n = V Q' V* is built on the smaller side of Pi2 from the columns
-    ``_q_frame`` draws for the kernel too: their thin QR factor equals the
-    leading columns of V up to column phases (Householder QR makes its
-    first k columns from those of G alone), which cancel in V2 V2*.
+    Q_n = V Q' V* is built on the smaller side of Pi2, from the basis
+    ``_q_basis`` lifts from the factors ``_q_frame`` draws for the kernel
+    too; so the kernel and the dense path read one draw.
     """
-    k1, realized_p = _realize(spec.p_law, spec.n)
-    g, q_law = _q_frame(spec)
-    p = np.diag((realized_p.loc + np.where(np.arange(spec.n) < k1, realized_p.gap, 0.0)).astype(np.complex128))
-    x = _read_only(p + 1j * _two_atom_matrix(q_law, np.linalg.qr(g)[0]))
-    return ModelRealization(x_matrix=x, realized_p_law=realized_p, realized_q_law=_realize(spec.q_law, spec.n)[1])
+    n = spec.n
+    k1, realized_p = _realize(spec.p_law, n)
+    basis, q_law = _q_basis(spec)
+    x = _two_atom_matrix(q_law, basis) * 1j
+    # P_n is its diagonal: alpha + A on the first k1 entries, alpha on the rest
+    x.flat[:: n + 1] += realized_p.loc + np.where(np.arange(n) < k1, realized_p.gap, 0.0)
+    x = _read_only(x)
+    return ModelRealization(x_matrix=x, realized_p_law=realized_p, realized_q_law=_realize(spec.q_law, n)[1])
 
 
 # a block counts in an intersection of ranges and kernels when its c or s lies within _ANGLE_TOL of 1
@@ -365,23 +448,28 @@ class _AngleSpectrum(NamedTuple):
 
 
 def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
-    """Kernel producer: the m block angles of ``assemble_model(spec)`` from its Ginibre draw alone.
+    """Kernel producer: the m block angles of ``assemble_model(spec)`` from its Bartlett factors alone.
 
     The singular values of the r = min(k1, n - k1) rows of V that span ran
-    E_k1 (2k1 <= n) or ker E_k1, against the q columns of ``_q_frame``, are
-    the cosines between those sides (Bjorck & Golub, 1973): r + q <= n, so
-    min(r, q) = m block angles and no intersection.  A same-side pair is at
-    the block angle (``c``), a mixed pair at its complement (``s``).
+    E_k1 (2k1 <= n) or ker E_k1, against the q columns of G, are the
+    cosines between those sides (Bjorck & Golub, 1973): r + q <= n, so
+    min(r, q) = m block angles and no intersection.  Those rows of V = G
+    R^-1 are an isometry (the identity when r < q) times the rows factor
+    F_rows of ``_q_frame`` times R^-1, with R the Cholesky factor of the
+    stacked factors' Gram matrix, which is G's own; so their singular
+    values are those of the min(r, q) x q matrix F_rows R^-1.  A same-side
+    pair is at the block angle (``c``), a mixed pair at its complement
+    (``s``).
     """
     from scipy.linalg import solve_triangular
 
     n = spec.n
     k1, k2 = (_realize(law, n)[0] for law in (spec.p_law, spec.q_law))
-    g = _q_frame(spec)[0]
-    # V = g R^-1, so V[rows] solves X R = g[rows]
-    rows = solve_triangular(_range_factors(g), (g[:k1] if 2 * k1 <= n else g[k1:]).T, trans="T").T
+    rows, complement, _ = _q_frame(spec)
+    # F_rows R^-1 solves X R = F_rows
+    x = solve_triangular(_range_factors(np.vstack([rows, complement])), rows.T, trans="T").T
     # svd returns descending values: the cosines in order, the sines reversed
-    values = np.linalg.svd(rows, compute_uv=False)
+    values = np.linalg.svd(x, compute_uv=False)
     if (2 * k1 <= n) == (2 * k2 <= n):
         return _AngleSpectrum(n, k1, k2, values)
     return _AngleSpectrum(n, k1, k2, None, values[::-1])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import ks_2samp
+from scipy.stats import ks_1samp, ks_2samp, norm
 
 from projsum import (
     InvalidDimensionError,
@@ -30,7 +30,7 @@ from projsum import (
 from projsum import model
 from tests.conftest import P_LAW, Q_LAW, commuting_model
 
-STREAMS = ("HAAR_Q", "GRID", "CHECK_Z", "CONVERGE")
+STREAMS = ("HAAR_Q", "GRID", "CHECK_Z", "CONVERGE", "LIFT")
 # ids of streams that are gone (0 drew U's columns up to 0.18.0); no live stream may reuse one
 RETIRED_STREAM_IDS = (0, 4)
 
@@ -43,9 +43,9 @@ def _seed_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
 
 
 def _drawn_side_diagonal(law: TwoAtomLaw, n: int) -> np.ndarray:
-    """Diagonal of the Q'' that V Q'' V* rotates, V the full HAAR_Q unitary whose
-    leading columns the model draws: the seed diagonal when 2k <= n, and else loc
-    (loc_alt - gap up to rounding) on the leading n - k entries, whose span is ker Pi2."""
+    """Diagonal of the Q'' that V Q'' V* rotates, V a unitary whose leading columns span
+    the drawn side: the seed diagonal when 2k <= n, and else loc (loc_alt - gap up to
+    rounding) on the leading n - k entries, whose span is ker Pi2."""
     k = model._realize(law, n)[0]
     if 2 * k <= n:
         return _seed_diagonal(law, n)
@@ -234,14 +234,14 @@ class TestAssembleModel:
     def test_p_is_the_diagonal_of_the_two_atom_matrix(self, law, n):
         # P_n is written as its diagonal; its bits, signed zeros included, equal those of
         # the symmetrized product on E_k1, which commuting_model's P_n relies on.  Both are
-        # read back from X_n alone, and Q_n's bits are those of _q_frame's drawn side
+        # read back from X_n alone, and Q_n's bits are those of the basis _q_basis lifts
         p_law, q_law = law
         spec = ModelSpec(p_law, q_law, n=n, seed=1)
         r = assemble_model(spec)
         k1, realized = model._realize(p_law, n)
-        g, drawn = model._q_frame(spec)
+        basis, drawn = model._q_basis(spec)
         for got, want in ((r.p_matrix, model._two_atom_matrix(realized, np.eye(n, k1, dtype=np.complex128))),
-                          (r.q_matrix, model._two_atom_matrix(drawn, np.linalg.qr(g)[0]))):
+                          (r.q_matrix, model._two_atom_matrix(drawn, basis))):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert not got.flags.writeable
 
@@ -339,6 +339,24 @@ class TestSubstreamTable:
         assert sorted(used) == sorted(STREAMS)
         assert forwarded == ["substream_seed"]
 
+    def test_the_kernel_reads_haar_q_alone_and_the_dense_path_adds_the_lift(self, monkeypatch):
+        # the kernel and the dense path read one HAAR_Q draw; only assemble_model lifts it into C^n
+        draw, keys = model.substream_rng, []
+
+        def recording_rng(seed, *key):
+            keys.append(key)
+            return draw(seed, *key)
+
+        monkeypatch.setattr(model, "substream_rng", recording_rng)
+        for k1, k2 in ((24, 8), (50, 10), (10, 30), (0, 16)):  # r >= q, mixed, r < q, k1 = 0
+            spec = _spec_of_ranks(64, k1, k2)
+            keys.clear()
+            two_projection_eigenvalues(spec)
+            assert keys == [(model.HAAR_Q,)]
+            keys.clear()
+            assemble_model(spec)
+            assert keys == [(model.HAAR_Q,), (model.LIFT,)]
+
 
 def _law(weight: float, loc: float, gap: float, magnitude: float) -> TwoAtomLaw:
     return TwoAtomLaw(weight, magnitude * loc, magnitude * (loc + gap))
@@ -355,6 +373,24 @@ _LAWS = st.builds(
 )
 
 
+def _lifted_ginibre(spec: ModelSpec) -> np.ndarray:
+    """The n x q Ginibre matrix G whose range a realization's Q_n is built on: each factor of
+    ``_q_frame`` times the Haar isometry of its LIFT block, complement first, in that block's
+    rows (a rows block with r < q as drawn, and no LIFT block for it)."""
+    rows, complement, _ = model._q_frame(spec)
+    side, rest = model._rows_side(spec)
+    q = complement.shape[0]
+    rng = substream_rng(spec.seed, model.LIFT)
+    g = np.empty((spec.n, q), dtype=np.complex128)
+    for coords, factor in ((rest, complement), (side, rows)):
+        if factor.shape[0] == q:
+            h, phases = model._phase_fixed_qr(model._ginibre_columns(rng, coords.stop - coords.start, q))
+            g[coords] = (h * phases) @ factor
+        else:
+            g[coords] = factor
+    return g
+
+
 class TestHaarConjugationReference:
     @given(
         p_law=_LAWS,
@@ -368,11 +404,13 @@ class TestHaarConjugationReference:
     @settings(max_examples=100, deadline=None)
     def test_matches_conjugated_diagonal_seeds(self, p_law, q_law, n, seed):
         # the realization is taken in P_n's eigenbasis, so P_n is its seed P'
-        # itself; Q_n is V Q'' V* with the full Haar unitary of the HAAR_Q
-        # substream, of which assemble_model draws only the leading min(k2, n - k2) columns
-        r = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
+        # itself; Q_n is V Q'' V* with a unitary V whose leading min(k2, n - k2)
+        # columns span the lifted Ginibre matrix, here the complete QR of that
+        # n x q matrix, where assemble_model lifts the thin Q of its q x q factors
+        spec = ModelSpec(p_law, q_law, n=n, seed=seed)
+        r = assemble_model(spec)
         assert np.array_equal(r.p_matrix, np.diag(_seed_diagonal(p_law, n)))
-        v = sample_haar_unitary(n, substream_rng(seed, model.HAAR_Q))
+        v = np.linalg.qr(_lifted_ginibre(spec), mode="complete")[0]
         reference = (v * _drawn_side_diagonal(q_law, n)) @ v.conj().T
         scale = max(1.0, abs(q_law.loc), abs(q_law.loc_alt))
         assert np.max(np.abs(r.q_matrix - reference)) <= 1e-12 * scale
@@ -440,8 +478,8 @@ class TestTwoProjectionEigenvalues:
         # k1 = k2 = n/2, the worst conditioned case the Cholesky route takes:
         # the cosines the kernel's SVD returns against sv(Q2[:k1]) of thin Q
         spec = ModelSpec(TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 0.8), n=n, seed=n)
-        g2 = model._q_frame(spec)[0]
-        assert g2.shape == (n, n // 2)
+        rows, complement, _ = model._q_frame(spec)
+        assert rows.shape == complement.shape == (n // 2, n // 2)
         svd, recorded = np.linalg.svd, []
 
         def recording_svd(*args, **kwargs):
@@ -451,7 +489,7 @@ class TestTwoProjectionEigenvalues:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         two_projection_eigenvalues(spec)
         monkeypatch.undo()
-        reference = np.linalg.svd(np.linalg.qr(g2)[0][: n // 2], compute_uv=False)
+        reference = np.linalg.svd(np.linalg.qr(np.vstack([rows, complement]))[0][: n // 2], compute_uv=False)
         assert len(recorded) == 1
         assert np.max(np.abs(recorded[0] - reference)) <= 1e-13
 
@@ -687,3 +725,83 @@ class TestOneDrawLaw:
             old.append(1.0 - reference.c**2 if mixed else reference.c**2)
         assert counts == old_counts == {reference.excess()}
         assert ks_2samp(np.concatenate(new), np.concatenate(old), method="asymp").pvalue >= 0.01
+
+
+def _ginibre_kernel_angles(spec: ModelSpec) -> model._AngleSpectrum:
+    """The kernel producer of projsum 0.31.0, kept as a reference only.
+
+    It drew the q = min(k2, n - k2) Ginibre columns G themselves on HAAR_Q,
+    took R from their Gram matrix, and read the cosines (same side) or sines
+    (mixed) as the singular values of G's r rows on E_k1's smaller side
+    times R^-1.
+    """
+    from scipy.linalg import solve_triangular
+
+    n = spec.n
+    k1, k2 = (model._realize(law, n)[0] for law in (spec.p_law, spec.q_law))
+    g = model._ginibre_columns(substream_rng(spec.seed, model.HAAR_Q), n, min(k2, n - k2))
+    rows = solve_triangular(model._range_factors(g), g[model._rows_side(spec)[0]].T, trans="T").T
+    values = np.linalg.svd(rows, compute_uv=False)
+    if (2 * k1 <= n) == (2 * k2 <= n):
+        return model._AngleSpectrum(n, k1, k2, values)
+    return model._AngleSpectrum(n, k1, k2, None, values[::-1])
+
+
+class TestBartlettLaw:
+    @pytest.mark.parametrize("n", [400, 800])
+    # (a, b): ran/ran with r >= q (the demo laws); ker/ker with k1 + k2 > n and r < q;
+    # mixed with r >= q; mixed with r < q, where the rows are a Ginibre draw, no factor
+    @pytest.mark.parametrize("a,b", [(5 / 8, 7 / 8), (0.3, 0.45), (0.25, 0.875), (0.75, 0.3)])
+    def test_block_angles_match_the_ginibre_kernel(self, a, b, n):
+        # the factors stand for the Ginibre columns in law, so the pooled measured
+        # field of eight draws matches that of the 0.31.0 kernel at other seeds
+        laws = (TwoAtomLaw(a, 0.0, 1.0), TwoAtomLaw(b, 0.0, 0.8))
+        new, old, counts = [], [], set()
+        for i in range(8):
+            kernel = model._kernel_angles(ModelSpec(*laws, n=n, seed=i))
+            reference = _ginibre_kernel_angles(ModelSpec(*laws, n=n, seed=100 + i))
+            counts.update((kernel.intersection_dims(), reference.intersection_dims()))
+            assert (kernel.c is None) == (reference.c is None)
+            new.append(kernel.s if kernel.c is None else kernel.c)
+            old.append(reference.s if reference.c is None else reference.c)
+        assert counts == {kernel.excess()}
+        assert ks_2samp(np.concatenate(new), np.concatenate(old), method="asymp").pvalue >= 0.01
+
+    @pytest.mark.parametrize("k1,k2", [(75, 25), (140, 110), (150, 25), (20, 110)])
+    def test_trace_of_the_projection_product_has_its_exact_moments(self, k1, k2):
+        # tr(E_k1 Pi_q) = sum c^2 + dim(ran int ran) has mean k1 k2 / n and variance
+        # k1 k2 (n - k1)(n - k2) / (n^2 (n^2 - 1)) for Haar Pi_q; 3000 draws at n = 200 in the
+        # layouts ran/ran, ker/ker with r < q and k1 + k2 > n, and mixed with r >= q and r < q.
+        # The kernel's sum c^2 (or m - sum s^2) is tr(P_S P_D) = ||F_rows R^-1||_F^2 for its
+        # rows side S and drawn side D, read here off the factors through NumPy alone
+        n, draws = 200, 3000
+        same_side = (2 * k1 <= n) == (2 * k2 <= n)
+        traces = np.empty(draws)
+        for i in range(draws):
+            spec = _spec_of_ranks(n, k1, k2, seed=i)
+            rows, complement, _ = model._q_frame(spec)
+            f = np.vstack([rows, complement])
+            sides = np.vdot(rows.conj().T, np.linalg.solve(f.conj().T @ f, rows.conj().T)).real
+            angles = model._AngleSpectrum(n, k1, k2, None)
+            m = min(k1, k2, n - k1, n - k2)
+            traces[i] = (sides if same_side else m - sides) + angles.excess()[3]
+            if i < 5:
+                kernel = model._kernel_angles(spec)
+                squares = kernel.c**2 if same_side else 1.0 - kernel.s**2
+                assert abs(traces[i] - squares.sum() - angles.excess()[3]) <= 1e-12 * n
+        mean, var = k1 * k2 / n, k1 * k2 * (n - k1) * (n - k2) / (n * n * (n * n - 1))
+        assert abs(traces.mean() - mean) <= 4.0 * math.sqrt(var / draws)
+        # the sample variance against its own standard error, from the fourth central moment
+        centered = traces - traces.mean()
+        m2, m4 = np.mean(centered**2), np.mean(centered**4)
+        assert abs(m2 - var) <= 4.0 * math.sqrt((m4 - m2 * m2) / draws)
+
+    @pytest.mark.parametrize("k1,k2", [(24, 8), (32, 32), (10, 30), (64, 20)])
+    def test_lifted_factors_are_a_ginibre_matrix(self, k1, k2):
+        # the entries of the lifted matrix are iid CN(0, 1): real and imaginary parts N(0, 1/2)
+        parts = []
+        for seed in range(20):
+            g = _lifted_ginibre(_spec_of_ranks(64, k1, k2, seed=seed))
+            parts.extend((g.real.ravel(), g.imag.ravel()))
+        entries = np.concatenate(parts)
+        assert ks_1samp(entries, norm(scale=math.sqrt(0.5)).cdf).pvalue >= 0.01
