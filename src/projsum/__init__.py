@@ -9,7 +9,7 @@ the spectral measure from log potentials, and measures convergence across
 dimensions.
 """
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 from .model import *
 from .geometry import *

@@ -33,7 +33,7 @@ E_OK, E_NUMERIC, E_USAGE, E_CHECK = 0, 1, 2, 3
 
 # tolerances of `check`; "scale" is the geometry's max(|A|, |B|, 1)
 CHECK_TOLERANCES = {
-    "support": 1e-8,  # times scale
+    "support": _MARGIN_ACCURACY,  # times scale; the support deviation is certified within it, or dense
     "normality": 1e-10,
     "re_constant": 1e-9,  # times scale^2
     "im_bound": 1e-10,  # times scale^2, added to the |A*B|/2 bound

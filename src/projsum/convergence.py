@@ -23,7 +23,7 @@ from .model import (
     _realize,
     pooled_eigenvalues,
 )
-from .spectra import ComputationError, WeightedPointMeasure, esd
+from .spectra import ComputationError, WeightedPointMeasure, _certified_roots, esd
 
 __all__ = [
     "CornerAtomMasses",
@@ -268,12 +268,22 @@ class CornerAtomMasses:
 
 
 def corner_atom_masses(realization: ModelRealization) -> CornerAtomMasses:
-    """Empirical and subspace corner masses of one realization: ``_corner_masses`` of ``esd(realization)``,
-    and ``intersection_dims`` of its cached angle spectrum of Pi_p and Pi_q, which no gap enters."""
+    """Empirical and subspace corner masses of one realization, and ``intersection_dims`` of its cached angle
+    spectrum of Pi_p and Pi_q, which no gap enters.
+
+    The empirical masses are ``_corner_masses`` of the uniform measure on the angle core's roots where no
+    root lies within the radius r of ``spectra._certified_roots`` of a corner's circle: there every
+    component of the r-discs lies inside or outside the circle, so it holds as many eigenvalues as roots,
+    and the masses are the ESD's, summed as ``mass_within`` sums them.  Elsewhere they are those of
+    ``esd(realization)``, from the dense ``eigvals``.
+    """
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+    radius = _CORNER_TOL * max(abs(geom.gap_a), abs(geom.gap_b))
+    roots, r = _certified_roots(realization)
+    decided = roots is not None and all(np.all(np.abs(np.abs(roots - c) - radius) > r) for c in geom.corners)
     return CornerAtomMasses(
         corners=geom.corners,
-        esd_mass=_corner_masses(geom, esd(realization)),
+        esd_mass=_corner_masses(geom, WeightedPointMeasure.uniform(roots) if decided else esd(realization)),
         intersection_mass=tuple(k / realization.n for k in realization._dense_spectra.angles.intersection_dims()),
     )
 

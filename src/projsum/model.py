@@ -274,6 +274,15 @@ def _q_frame(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, TwoAtomLaw]:
     return rows, complement, law
 
 
+def _lapack(routine, *args, **kwargs):
+    """The outputs of the SciPy LAPACK wrapper ``routine`` but its trailing info, which must be 0:
+    below 0 an argument was illegal, above 0 the factorization or the iteration failed."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info {info}")
+    return out
+
+
 def _range_factors(f: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor R of the Gram matrix f* f: f R^-1 is an orthonormal basis of ran f.
 
@@ -281,12 +290,14 @@ def _range_factors(f: np.ndarray) -> np.ndarray:
     equals up to column phases, but with error u*kappa(f)^2, not u*kappa(f):
     ``_q_frame``'s factors have the Gram matrix of an n x q Ginibre matrix
     with q <= n/2, which is well conditioned (P(sigma_min < eps) ~
-    eps^(2(n - q + 1))).  BLAS zherk would reject q = 0 with an "illegal
-    value" message on the console.
+    eps^(2(n - q + 1))).  SciPy's BLAS zherk forms the upper triangle of
+    f* f and its LAPACK zpotrf factors it, on the one OpenBLAS that
+    ``_kernel_angles`` runs on.  zherk rejects q = 0 with an "illegal value"
+    message on the console, so ``_kernel_angles`` makes no call without rows.
     """
-    from scipy.linalg import cholesky
+    from scipy.linalg import blas, lapack
 
-    return cholesky(f.conj().T @ f, lower=False, check_finite=False)
+    return _lapack(lapack.zpotrf, blas.zherk(1.0, f, trans=2), lower=0, clean=1)[0]
 
 
 def _frame(x):
@@ -460,16 +471,23 @@ def _kernel_angles(spec: ModelSpec) -> _AngleSpectrum:
     values are those of the min(r, q) x q matrix F_rows R^-1.  A same-side
     pair is at the block angle (``c``), a mixed pair at its complement
     (``s``).
+
+    Every solver is SciPy's LAPACK, on SciPy's OpenBLAS alone: NumPy ships
+    an OpenBLAS of its own, and with the thread count unset the idle
+    threads of two pools spin against each other.
     """
-    from scipy.linalg import solve_triangular
+    from scipy.linalg import lapack
 
     n = spec.n
     k1, k2 = (_realize(law, n)[0] for law in (spec.p_law, spec.q_law))
     rows, complement, _ = _q_frame(spec)
-    # F_rows R^-1 solves X R = F_rows
-    x = solve_triangular(_range_factors(np.vstack([rows, complement])), rows.T, trans="T").T
-    # svd returns descending values: the cosines in order, the sines reversed
-    values = np.linalg.svd(x, compute_uv=False)
+    values = np.zeros(0)
+    if rows.size:
+        # (F_rows R^-1)^T solves R^T Y = F_rows^T, and has the same singular values
+        y = _lapack(lapack.ztrtrs, _range_factors(np.vstack([rows, complement])), rows.T, lower=0, trans=1)[0]
+        lwork = int(_lapack(lapack.zgesdd_lwork, *y.shape, compute_uv=0)[0].real)
+        # gesdd returns descending values: the cosines in order, the sines reversed
+        values = _lapack(lapack.zgesdd, y, compute_uv=0, lwork=lwork)[1]
     if (2 * k1 <= n) == (2 * k2 <= n):
         return _AngleSpectrum(n, k1, k2, values)
     return _AngleSpectrum(n, k1, k2, None, values[::-1])

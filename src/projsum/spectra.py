@@ -13,7 +13,11 @@ of the m blocks of Pi_q = (Q_n - beta)/B against E_k1, P_n's projection, with
 a Weyl bound eps (``ModelRealization._dense_spectra``; the four excess corners
 of ``model._AngleSpectrum`` are counted, not measured).  ``verify_sv_bound``
 reads the singular values of z - X_n off the latter in closed form, certifies
-them with eps, and takes a dense SVD only where that cannot decide.
+them with eps, and takes a dense SVD only where that cannot decide.  In the
+same way ``structure_report``'s support deviation and the ESD side of
+``convergence.corner_atom_masses`` read the roots of the angle core and a
+Bauer-Fike radius (``_certified_roots``), and take the dense eigenvalues only
+where that radius cannot decide.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist_to_hr_many, make_geometry
-from .model import ModelRealization, _U, _divide, _frame, _realize
+from .model import ModelRealization, _U, _angle_roots, _divide, _frame, _realize
 
 __all__ = [
     "ComputationError",
@@ -92,7 +96,10 @@ class StructureReport:
         - c, so ||[W, W*]||_F <= 4 ||K||_2 ||R||_F, and ||W|| >= |c| - re_deviation and ||W|| >=
         ||K||_2, which is at least each of the other three; 0 if the denominator is (K = 0 then,
         so W = c + R is Hermitian, hence normal).
-    support_deviation: max distance of ESD points from H intersect R.
+    support_deviation: a bound on the distance of X_n's eigenvalues from H intersect R: the
+        largest distance of the angle core's roots plus the radius r of ``_certified_roots``
+        that holds every eigenvalue, where that sum is at most ``_MARGIN_ACCURACY * scale``;
+        elsewhere the largest distance of the ESD points, from the dense ``eigvals``.
     """
 
     re_deviation: float
@@ -116,6 +123,68 @@ def esd(realization: ModelRealization) -> WeightedPointMeasure:
         ) from exc
 
 
+# a certified quantity stands in for the dense one only when it is certified this close, times
+# scale: the allowance `check` gives the support deviation and a margin
+_MARGIN_ACCURACY = 1e-8
+# 64 units of the smallest subnormal: the absolute rounding of a few operations below the normal range
+_SUBNORMAL_ROUNDING = math.ldexp(1.0, -1068)
+
+
+def _certified_roots(realization: ModelRealization) -> tuple[np.ndarray | None, float]:
+    """(roots, r): the n roots ``model._angle_roots`` of the realization's cached angle core, and a
+    radius r such that every eigenvalue of X_n lies within r of a root, and each connected
+    component of the union of the closed r-discs about the roots holds as many eigenvalues as
+    roots.  (None, inf) where eps is infinite; r is inf, silently, where the certificate cannot
+    decide: a near-double root, or a root that is not finite.
+
+    Proof.  Let X^ = alpha + A*E_k1 + i(beta + B*Pi_q^) be the matrix of ``verify_sv_bound``'s
+    certificate, so ||X_n - X^|| <= eps, with block sines s^ within delta of the computed s; as
+    eps >= 2 sqrt2 |B| delta, delta <= eps / (2|B|).  X^ is block diagonal, each block M =
+    A*diag(1, 0) + iB*v v^T with v = (c^, s^) a unit vector, and its excess corners are exact
+    atoms.  By Bauer-Fike (1960) every eigenvalue of X_n lies within kappa * eps of one of X^,
+    where kappa = max_j kappa_j is the condition number of X^'s eigenvector matrix, each
+    block's scaled to singular values sqrt(kappa_j) and 1/sqrt(kappa_j).  For a 2 x 2 block with
+    eigenvalues l1, l2, kappa_j = sqrt((1 + g)/(1 - g)), g = d / sqrt(d^2 + |l1 - l2|^2) and d^2 =
+    ||M||_F^2 - |l1|^2 - |l2|^2.  Here ||M||_F^2 = |T|^2 = A^2 + B^2 with T = A + iB the trace,
+    and |l1 - l2|^2 = |Delta|, Delta = T^2 - 4iAB s^2 the discriminant, so d^2 = (|T|^2 -
+    |Delta|)/2, and with y = |Delta| / |T|^2 in (0, 1], kappa_j = sqrt((1 + sqrt(1 - y^2)) / y),
+    falling in y.  |Delta|^2 = (A^2 - B^2)^2 + 4A^2 B^2 (1 - 2s^2)^2, and |1 - 2s^2| moves by at most
+    2 delta (2s + delta) from s to s^, so y is bounded below, and kappa_j above, with that
+    term taken off.  The root map's roots solve the block polynomial with s in place of s^:
+    the determinant moves by eta = |AB| delta (2s + delta), and a root mu of one polynomial
+    has |mu - l1| |mu - l2| = eta against the other's roots, so it lies within rho = 2 eta /
+    sqrt|Delta| of one of them.  The computed roots are those of the stable formula of
+    ``_angle_roots``: each lies within 16u (|T|^2 / sqrt|Delta| + |T|) of its exact root, which
+    also covers the evaluation of |root - corner|, and within 16u |alpha + i beta| after the
+    shift.  So r = kappa eps + max_j (rho_j + rounding_j) + the shift's rounding, all in
+    the frame f = ``model._frame(max(|A|, |B|))`` and multiplied back, exactly; times 1 + 32u
+    for the rounding of r itself, plus 64 subnormal units below the normal range.  Along
+    X^ + t(X_n - X^), t in [0, 1], and along s^ -> s in the determinant, every eigenvalue stays
+    in the union of the r-discs and moves continuously, which gives the counts.
+    """
+    spectra = realization._dense_spectra
+    if not spectra.eps < math.inf:
+        return None, math.inf
+    p_law, q_law = realization.realized_p_law, realization.realized_q_law
+    roots = _angle_roots(spectra.angles, p_law, q_law)
+    f = float(_frame(max(abs(p_law.gap), abs(q_law.gap))))
+    a, b, e, s = abs(p_law.gap) / f, abs(q_law.gap) / f, spectra.eps / f, spectra.angles.s
+    t2 = a * a + b * b
+    # a gap ratio near the float range, or an eps far past |B|, overflows to inf or gives nan: r = inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta = e / (2.0 * b)
+        w = np.maximum(np.abs(1.0 - 2.0 * s * s) - 2.0 * delta * (2.0 * s + delta), 0.0)
+        # y bounded below: 16u more than the rounding of its own evaluation
+        y = np.minimum(np.hypot((a - b) * (a + b), 2.0 * a * b * w) / t2 * (1.0 - 16.0 * _U), 1.0)
+        kappa = np.sqrt((1.0 + np.sqrt((1.0 - y) * (1.0 + y))) / y)
+        gap = np.sqrt(y * t2)
+        moved = 2.0 * a * b * delta * (2.0 * s + delta) / gap + 16.0 * _U * t2 / gap
+        blocks = float(np.max(kappa)) * e + float(np.max(moved)) if s.size else e
+        r = f * ((blocks + 16.0 * _U * math.sqrt(t2)) * (1.0 + 32.0 * _U))
+        r += 16.0 * _U * math.hypot(p_law.loc, q_law.loc) + _SUBNORMAL_ROUNDING
+    return roots, float(r) if r < math.inf and np.all(np.isfinite(roots)) else math.inf
+
+
 def structure_report(realization: ModelRealization) -> StructureReport:
     """Evaluate the structural identities on one realization.
 
@@ -127,9 +196,17 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     no eigenvalue or SVD of W, in the frame f = ``model._frame(max(|A|, |B|))``, as in
     :func:`dist_to_hr_many`: from X~ / f, with re_deviation and im_norm multiplied back
     by f^2, both exact, so no bit moves unless the unscaled W over- or underflows.
+    The support deviation is certified from the cached angle core (``_certified_roots``)
+    and takes the dense ``esd`` only where that bound exceeds ``_MARGIN_ACCURACY * scale``,
+    so at every tolerance up to that allowance its verdict is the dense one.
     See :class:`StructureReport`.
     """
     geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+    # first: the angle core's n x n temporaries are freed before W's are formed
+    roots, radius = _certified_roots(realization)
+    support_dev = math.inf if roots is None else float(np.max(dist_to_hr_many(geom, roots))) + radius
+    if not support_dev <= _MARGIN_ACCURACY * geom.scale:
+        support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
     n, k1 = realization.n, _realize(realization.realized_p_law, realization.n)[0]
     f, eye = float(_frame(max(abs(geom.gap_a), abs(geom.gap_b)))), np.eye(n)
     a, b = geom.gap_a / f, geom.gap_b / f
@@ -143,7 +220,6 @@ def structure_report(realization: ModelRealization) -> StructureReport:
     off = float(np.linalg.norm(k[:k1, k1:]))
     im_norm = diag + off
     floor = max(abs(c) - re_dev, diag, off / math.sqrt(n))
-    support_dev = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
     # each norm divided by floor on its own, so that floor^2 cannot underflow
     normality = 4.0 * (im_norm / floor) * (re_dev / floor) if floor > 0.0 else 0.0
     return StructureReport(re_dev * f * f, im_norm * f * f, normality, support_dev)
@@ -159,11 +235,6 @@ def nu_n_z(realization: ModelRealization, z: complex) -> WeightedPointMeasure:
         raise ComputationError(f"Hermitian eigensolver failed at z={z!r} ({exc})") from exc
     # eigvalsh can return -1e-16 for an exact kernel; the measure lives on [0, inf)
     return WeightedPointMeasure.uniform(np.maximum(vals, 0.0))
-
-
-# a block margin stands in for the dense one only when certified this close to it, times
-# scale: the allowance `check` gives a margin
-_MARGIN_ACCURACY = 1e-8
 
 
 def _certified_sigmas(realization: ModelRealization, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -137,13 +137,16 @@ class TestCheck:
         assert len(payload["sv_margins"]) == 10
         assert min(m["margin"] for m in payload["sv_margins"]) >= -1e-8
 
-    def test_perturbation_trips_support_first(self, tmp_path, monkeypatch, capsys):
+    def test_perturbation_trips_support_first(self, tmp_path, monkeypatch, capsys, dense_solves):
         _perturb_check_input(monkeypatch, 1e-3)
         prefix = tmp_path / "bad"
         rc = main(["check", "--n", "60", *DEMO_FLAGS, "--seed", "3",
                    "--z-grid", "5", "--out-prefix", str(prefix)])
         assert rc == E_CHECK
         assert "support" in capsys.readouterr().err
+        # the certified radius of a matrix off alpha + A*E_k1 exceeds the tolerance: the support
+        # and corner rows fall back to one dense eigvals
+        assert dense_solves["eigvals"] == [(60, 60)]
         payload = json.loads(Path(str(prefix) + ".check.json").read_text())
         assert payload["first_failure"] == "support"
         assert payload["structure"]["support_deviation"] > 1e-8
@@ -211,29 +214,30 @@ class TestCheck:
         assert calls == [40]
 
     def test_dense_solves_per_check(self, tmp_path, dense_solves):
-        # one eigvals for the ESD, the only n x n eigensolve; one eigvalsh per diagonal block of
-        # Im W, split at k1 = 15, and one SVD per row block of Pi_q for the angle spectrum, each
-        # taken once per realization
+        # no eigvals: the support and corner rows read the angle core's roots and their certified
+        # radius; one eigvalsh per diagonal block of Im W, split at k1 = 15, and one SVD per row
+        # block of Pi_q for the angle spectrum, each taken once per realization
         assert main(["check", "--n", "40", *DEMO_FLAGS, "--z-grid", "5",
                      "--out-prefix", str(tmp_path / "solves")]) == E_OK
-        assert dense_solves == {"eigvals": [(40, 40)], "eigvalsh": [(15, 15), (25, 25)], "svd": [(15, 40), (25, 40)]}
+        assert dense_solves == {"eigvals": [], "eigvalsh": [(15, 15), (25, 25)], "svd": [(15, 40), (25, 40)]}
 
     @pytest.mark.parametrize("a, svd", [("1.0", [(0, 40), (40, 40)]), ("0.0", [(40, 40), (0, 40)])])
     def test_dense_solves_per_check_at_a_single_atom(self, tmp_path, dense_solves, a, svd):
-        # k1 = 0 and k1 = n: one row block of Pi_q is empty, and one block of Im W, which takes no eigvalsh
+        # k1 = 0 and k1 = n: one row block of Pi_q is empty, and one block of Im W, which takes no
+        # eigvalsh; the spectrum is the corners alone, certified with no eigvals
         assert main(["check", "--n", "40", "--a", a, *DEMO_FLAGS[2:], "--z-grid", "5",
                      "--out-prefix", str(tmp_path / "solves")]) == E_OK
-        assert dense_solves == {"eigvals": [(40, 40)], "eigvalsh": [(40, 40)], "svd": svd}
+        assert dense_solves == {"eigvals": [], "eigvalsh": [(40, 40)], "svd": svd}
 
     def test_commuting_variant_also_passes(self):
         # check's verdict rules on the closed-form commuting realization, built in conftest
         realization = commuting_model(ModelSpec(P_LAW, Q_LAW, n=16, seed=0))
         geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
         tol, scale = cli.CHECK_TOLERANCES, geom.scale
-        # one tolerance per check, in the order `check` runs them; the sv
-        # allowance is the accuracy the block certificate guarantees a margin
+        # one tolerance per check, in the order `check` runs them; the support tolerance and the sv
+        # allowance are the accuracy the certificates guarantee the support deviation and a margin
         assert list(tol) == ["support", "normality", "re_constant", "im_bound", "sv_bound", "corner_mass"]
-        assert tol["sv_bound"] == spectra._MARGIN_ACCURACY
+        assert tol["support"] == tol["sv_bound"] == spectra._MARGIN_ACCURACY
         report = spectra.structure_report(realization)
         assert report.support_deviation <= tol["support"] * scale
         assert report.normality_residual <= tol["normality"]
@@ -394,6 +398,8 @@ class TestCheck:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
+        # a perturbed X_n is no two-projection matrix: its support row takes the dense eigvals
+        _perturb_check_input(monkeypatch, 1e-3)
         monkeypatch.setattr(np.linalg, "eigvals", failing)
         rc = main(["check", "--n", "16", *DEMO_FLAGS, "--out-prefix", str(tmp_path / "fail")])
         assert rc == E_NUMERIC

@@ -26,7 +26,7 @@ from projsum import (
     structure_report,
     verify_sv_bound,
 )
-from projsum import model, spectra
+from projsum import convergence, model, spectra
 from projsum.model import _realize
 from tests.conftest import P_LAW, Q_LAW, commuting_model
 
@@ -287,6 +287,37 @@ def _exact_singular_values(matrix: np.ndarray) -> np.ndarray:
         return np.array([float(svals[i]) for i in range(len(svals))])
 
 
+def _exact_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``matrix`` from a 50-digit mpmath eigensolve, rounded once."""
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(matrix.tolist()), left=False, right=False)
+        return np.array([complex(v) for v in values])
+
+
+def _assert_certified_roots_hold(realization) -> tuple[float, bool]:
+    """The certificate of ``spectra._certified_roots`` against the dense ``eigvals``; returns the radius r,
+    and whether the support and corner rows fell back to the dense ``eigvals``.
+
+    Every eigenvalue lies within r of a root (where LAPACK's lies outside at n <= 24, a 50-digit
+    eigensolve of the same matrix decides); the certified support deviation is within the tolerance
+    exactly where the dense one is; the certified corner masses equal the dense ones bit for bit."""
+    geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+    roots, r = spectra._certified_roots(realization)
+    support, masses = structure_report(realization).support_deviation, corner_atom_masses(realization).esd_mass
+    fell_back = "_eigenvalues" in vars(realization)
+    points = esd(realization).points
+    if roots is not None:
+        far = np.min(np.abs(points[:, None] - roots[None, :]), axis=1) > r
+        if far.any() and realization.n <= 24:
+            points = _exact_eigenvalues(realization.x_matrix)
+        assert np.all(np.min(np.abs(points[:, None] - roots[None, :]), axis=1) <= r)
+    tol = spectra._MARGIN_ACCURACY * geom.scale
+    dense = float(np.max(dist_to_hr_many(geom, esd(realization).points)))
+    assert (support <= tol) == (dense <= tol)
+    assert np.array(masses).tobytes() == np.array(convergence._corner_masses(geom, esd(realization))).tobytes()
+    return r, fell_back
+
+
 @st.composite
 def _ranked_specs(draw, min_n=1, max_n=24):
     """Specs with ranks k1, k2 in [0, n] (k2 may equal k1 or n - k1), atoms
@@ -535,6 +566,42 @@ class TestStructureResiduals:
             assert rep.im_norm == math.ldexp(base.im_norm, 2 * e)
             assert rep.support_deviation == math.ldexp(base.support_deviation, e)
             assert rep.normality_residual == base.normality_residual > 0.0
+
+    @given(spec=_ranked_specs(), commuting=st.booleans())
+    @example(spec=_ranked(12, 6, 6), commuting=False)  # k1 = k2 and k1 + k2 = n
+    @example(spec=_ranked(12, 4, 8), commuting=False)  # k1 + k2 = n
+    @example(spec=_ranked(12, 5, 5), commuting=True)  # k1 = k2, all angles 0
+    @example(spec=_ranked(12, 0, 12), commuting=False)  # weights 1 and 0
+    # |A| = |B| and a = b: the blocks near x = 1/2 have near-double roots
+    @example(spec=ModelSpec(TwoAtomLaw(0.5, 0.3, 1.1), TwoAtomLaw(0.5, -0.4, 0.4), n=24, seed=1), commuting=False)
+    @settings(max_examples=150, deadline=None)
+    def test_certified_roots_hold_the_dense_eigenvalues(self, spec, commuting):
+        realization = (commuting_model if commuting else assemble_model)(spec)
+        _assert_certified_roots_hold(realization)
+
+    # a generic pair; the demo laws; a translation by 1 at gaps 1e-8; gaps 1 and 1e-10, 1e-5, 1e-7 and
+    # 1e-6; equal gaps with a = b = 1/2, where kappa is largest; gaps (1e-100, 8e-101).  The dense
+    # corner check fails the translation and the 1e-10 and 1e-5 rows.  Every row certifies its support
+    # deviation and its corner masses with no eigvals, but the translation, whose corner radius 1e-17
+    # lies below r: its masses are the dense ones
+    @pytest.mark.parametrize("p_law, q_law, n, seed, dense", [
+        (TwoAtomLaw(0.3, 0.3, 1.1), TwoAtomLaw(0.45, -0.4, -1.6), 200, 1, False),
+        (P_LAW, Q_LAW, 64, 42, False),
+        (TwoAtomLaw(0.3, 1.0, 1.00000001), TwoAtomLaw(0.7, 0.0, 1e-8), 50, 0, True),
+        (TwoAtomLaw(0.3, 0.0, 1.0), TwoAtomLaw(0.6, 0.0, 1e-10), 40, 1, False),
+        (TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 1e-5), 40, 7, False),
+        (TwoAtomLaw(0.3, 0.0, 1.0), TwoAtomLaw(0.6, 0.0, 1e-7), 400, 2, False),
+        (TwoAtomLaw(0.3, 0.0, 1.0), TwoAtomLaw(0.6, 0.0, 1e-6), 400, 2, False),
+        (TwoAtomLaw(0.5, 0.0, 1.0), TwoAtomLaw(0.5, 0.0, 1.0), 200, 42, False),
+        (TwoAtomLaw(0.625, 0.0, 1e-100), TwoAtomLaw(0.875, 0.0, 8e-101), 100, 1, False),
+    ])
+    def test_certified_roots_decide_every_table_case(self, p_law, q_law, n, seed, dense):
+        realization = assemble_model(ModelSpec(p_law, q_law, n=n, seed=seed))
+        geom = make_geometry(realization.realized_p_law, realization.realized_q_law)
+        r, fell_back = _assert_certified_roots_hold(realization)
+        assert fell_back == dense
+        # r stays far below the tolerance; the equal gaps read 1.9e-10 against 1e-8
+        assert r <= 0.05 * spectra._MARGIN_ACCURACY * geom.scale
 
     def test_zero_denominator(self):
         # equal gaps make c = 0, so the denominator max(|c| - re_deviation, ||Im W||) is 0 whenever Im W is;
